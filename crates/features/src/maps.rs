@@ -105,7 +105,9 @@ pub fn effective_distance_map(
         return r;
     }
     // O(W·H·pads) and every pixel independent: fan scanlines out across the
-    // pool (each row is written by the same code at any thread count).
+    // pool (each row is written by the same code at any thread count) once
+    // there are 2^18 pixel·pad terms (~4 ns each: sqrt + two divides), i.e.
+    // ~1 ms of work for a fork that costs 30–100 µs.
     let fill_rows = |y0: usize, rows: &mut [f32]| {
         for (dy, row) in rows.chunks_mut(width).enumerate() {
             let py = (y0 + dy) as f64 + 0.5;
@@ -120,7 +122,7 @@ pub fn effective_distance_map(
             }
         }
     };
-    if lmmir_par::worth_parallelizing(height, width * height * pads.len(), 1 << 14) {
+    if lmmir_par::worth_parallelizing(height, width * height * pads.len(), 1 << 18) {
         lmmir_par::par_chunks_mut(r.data_mut(), width, fill_rows);
     } else {
         fill_rows(0, r.data_mut());

@@ -69,17 +69,16 @@ impl Module for BatchNorm2d {
             let mean = x.mean_axes(&[0, 2, 3], true)?;
             let centered = x.sub(&mean)?;
             let var = centered.square().mean_axes(&[0, 2, 3], true)?;
-            // Update running statistics outside the graph.
-            {
-                let m = self.momentum;
-                let mut rm = self.running_mean.borrow_mut();
-                let mut rv = self.running_var.borrow_mut();
-                let bm = mean.to_tensor();
-                let bv = var.to_tensor();
-                let new_rm = rm.scale(1.0 - m).add(&bm.scale(m))?;
-                let new_rv = rv.scale(1.0 - m).add(&bv.scale(m))?;
-                *rm = new_rm;
-                *rv = new_rv;
+            // Update running statistics outside the graph, in place on
+            // realized buffers (like the optimizers' moments): a lazily
+            // rebound `rm·(1−m) + bm·m` is never read during training, so
+            // its chain would keep every earlier step's nodes alive.
+            let m = self.momentum;
+            for (running, batch) in [(&self.running_mean, &mean), (&self.running_var, &var)] {
+                let batch = batch.to_tensor();
+                for (r, &b) in running.borrow_mut().data_mut().iter_mut().zip(batch.data()) {
+                    *r = *r * (1.0 - m) + b * m;
+                }
             }
             let denom = var.add_scalar(self.eps).sqrt();
             centered.div(&denom)?.mul(&self.gamma)?.add(&self.beta)
@@ -201,6 +200,30 @@ mod tests {
         let x = Var::constant(Tensor::zeros(&[1, 2, 4, 4]).add(&rm).unwrap());
         let y = bn.forward(&x).unwrap();
         assert!(y.value().map(f32::abs).max_all() < 1e-3);
+    }
+
+    /// The running statistics are state, not graph: after any number of
+    /// training forwards they are realized buffers with no pending chain
+    /// (a lazily rebound EMA kept every earlier step's nodes alive — 3 MiB
+    /// per `train` call on LMM-IR), and the in-place EMA is the bits the
+    /// tensor-op formula `rm·(1−m) + bm·m` gives.
+    #[test]
+    fn batchnorm_running_stats_stay_realized_across_training_steps() {
+        let bn = BatchNorm2d::new(3);
+        let (mut mean, mut var) = (Tensor::zeros(&[1, 3, 1, 1]), Tensor::ones(&[1, 3, 1, 1]));
+        for step in 0..12 {
+            let x = Var::constant(random_nchw(&[2, 3, 4, 4], step).add_scalar(1.5));
+            bn.forward(&x).unwrap();
+            assert!(bn.running_mean().is_realized(), "step {step}");
+            assert!(bn.running_var().is_realized(), "step {step}");
+            let bm = x.value().mean_axes(&[0, 2, 3], true).unwrap();
+            let centered = x.value().sub(&bm).unwrap();
+            let bv = centered.square().mean_axes(&[0, 2, 3], true).unwrap();
+            mean = mean.scale(0.9).add(&bm.scale(0.1)).unwrap();
+            var = var.scale(0.9).add(&bv.scale(0.1)).unwrap();
+        }
+        assert_eq!(bn.running_mean().data(), mean.data());
+        assert_eq!(bn.running_var().data(), var.data());
     }
 
     #[test]

@@ -11,11 +11,16 @@
 //! * **Safe scoped threads.** Everything is built on [`std::thread::scope`]
 //!   (the workspace denies `unsafe`); each parallel call forks worker
 //!   threads for its duration and joins them before returning. There is no
-//!   persistent pool — callers amortize fork cost by parallelizing at a
-//!   coarse granularity (row blocks, whole channels, whole cases).
-//!   Parallelism is **one level deep**: workers run with their thread
-//!   count pinned to `1`, so a kernel invoked from inside a worker runs
-//!   inline instead of multiplying threads past the caller's bound.
+//!   persistent pool, and a two-thread fork + join costs 30–100 µs, so
+//!   callers fork only where that is a small fraction of the work it buys
+//!   ([`worth_parallelizing`] with thresholds worth ~1 ms of arithmetic)
+//!   or at a coarse granularity (whole channels, whole requests, whole
+//!   cases). The **calling thread runs the first span itself** — a fork
+//!   spawns `threads − 1` workers, not `threads`.
+//!   Parallelism is **one level deep**: every span, the caller's included,
+//!   runs with its thread count pinned to `1` (the caller's own setting is
+//!   restored afterwards, also on panic), so a kernel invoked from inside
+//!   a span runs inline instead of multiplying threads past the bound.
 //! * **Determinism first.** Every primitive partitions work into
 //!   *contiguous, caller-visible* pieces and writes disjoint outputs, so a
 //!   kernel that is bitwise deterministic sequentially stays bitwise
@@ -227,6 +232,84 @@ mod tests {
         // so a nested kernel may still fan out when no fork happened.
         let counts = with_threads(4, || par_map(1, |_| num_threads()));
         assert_eq!(counts, vec![4]);
+    }
+
+    #[test]
+    fn caller_runs_the_first_span_pinned_and_gets_its_override_back() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        let me = std::thread::current().id();
+        with_threads(3, || {
+            let seen = par_map(7, |i| (i, std::thread::current().id(), num_threads()));
+            // Order and coverage hold with the caller participating.
+            assert_eq!(
+                seen.iter().map(|s| s.0).collect::<Vec<_>>(),
+                [0, 1, 2, 3, 4, 5, 6]
+            );
+            // 7 units over 3 threads: the caller owns span 0..3, workers the rest.
+            assert!(
+                seen[..3].iter().all(|s| s.1 == me),
+                "span 0 runs on the caller"
+            );
+            assert!(
+                seen[3..].iter().all(|s| s.1 != me),
+                "other spans are spawned"
+            );
+            assert!(
+                seen.iter().all(|s| s.2 == 1),
+                "every span sees a 1-thread pool"
+            );
+            assert_eq!(
+                thread_override(),
+                Some(3),
+                "override restored after par_map"
+            );
+
+            let mut data = vec![0usize; 10];
+            par_chunks_mut(&mut data, 1, |u0, chunk| {
+                let on_caller = std::thread::current().id() == me;
+                assert_eq!(
+                    on_caller,
+                    u0 == 0,
+                    "exactly the first span runs on the caller"
+                );
+                assert_eq!(num_threads(), 1);
+                for (i, v) in chunk.iter_mut().enumerate() {
+                    *v = u0 + i + 1;
+                }
+            });
+            assert_eq!(
+                data,
+                (1..=10).collect::<Vec<_>>(),
+                "every unit written once"
+            );
+            assert_eq!(
+                thread_override(),
+                Some(3),
+                "override restored after par_parts"
+            );
+        });
+    }
+
+    #[test]
+    fn override_survives_a_panic_in_any_span() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        // 8 units over 4 threads: spans start at units 0 (the caller's own),
+        // 2, 4 and 6 (the last spawned worker's).
+        for bad_span in [0usize, 6] {
+            set_thread_override(Some(4));
+            let res = std::panic::catch_unwind(|| {
+                par_map(8, |i| assert_ne!(i, bad_span, "span died"));
+            });
+            assert!(res.is_err());
+            assert_eq!(thread_override(), Some(4), "par_map, span at {bad_span}");
+            let res = std::panic::catch_unwind(|| {
+                let mut data = [0u8; 8];
+                par_chunks_mut(&mut data, 1, |u0, _| assert_ne!(u0, bad_span, "span died"));
+            });
+            assert!(res.is_err());
+            assert_eq!(thread_override(), Some(4), "par_parts, span at {bad_span}");
+        }
+        set_thread_override(None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! partitioning and deterministic blocked reduction.
 
 use crate::parts::{units_mut, Parts};
-use crate::pool::{num_threads, scope, set_thread_override};
+use crate::pool::{num_threads, scope, with_threads};
 use std::ops::Range;
 
 /// Shared gate for "is forking worth it": at least two partitionable
@@ -14,13 +14,13 @@ pub fn worth_parallelizing(units: usize, work: usize, min_work: usize) -> bool {
     units >= 2 && work >= min_work && num_threads() > 1
 }
 
-/// Pins a fresh worker thread to the sequential path before running its
-/// span: parallelism is one level deep, so a kernel invoked from inside a
-/// worker (e.g. a rasterizer called from the per-channel fan-out) runs
-/// inline instead of multiplying threads past the caller's bound.
+/// Runs one span pinned to the sequential path: parallelism is one level
+/// deep, so a kernel invoked from inside a span (e.g. a rasterizer called
+/// from the per-channel fan-out) runs inline instead of multiplying threads
+/// past the caller's bound. The caller runs the first span itself, so its
+/// previous override is restored afterwards (also when the span panics).
 fn run_pinned<R>(f: impl FnOnce() -> R) -> R {
-    set_thread_override(Some(1));
-    f()
+    with_threads(1, f)
 }
 
 /// Near-even split of `units` across `threads`: the first `units % threads`
@@ -61,13 +61,16 @@ pub fn par_parts<P: Parts, F: Fn(usize, P) + Sync>(parts: P, f: F) {
     }
     scope(|s| {
         let f = &f;
-        let mut rest = parts;
-        for span in spans(units, threads) {
-            let take = span.len();
-            let (head, tail) = rest.split(take);
+        let mut spans = spans(units, threads);
+        let first = spans.next().expect("threads >= 2");
+        let (mine, mut rest) = parts.split(first.len());
+        for span in spans {
+            let (head, tail) = rest.split(span.len());
             rest = tail;
             s.spawn(move || run_pinned(|| f(span.start, head)));
         }
+        // The caller is the first worker: one spawn fewer per fork.
+        run_pinned(|| f(0, mine));
     });
 }
 
@@ -101,10 +104,13 @@ pub fn par_map<R: Send, F: Fn(usize) -> R + Sync>(n: usize, f: F) -> Vec<R> {
     }
     scope(|s| {
         let f = &f;
-        let handles: Vec<_> = spans(n, threads)
+        let mut spans = spans(n, threads);
+        let first = spans.next().expect("threads >= 2");
+        let handles: Vec<_> = spans
             .map(|span| s.spawn(move || run_pinned(|| span.map(f).collect::<Vec<R>>())))
             .collect();
         let mut out = Vec::with_capacity(n);
+        run_pinned(|| out.extend(first.map(f)));
         for h in handles {
             match h.join() {
                 Ok(part) => out.extend(part),

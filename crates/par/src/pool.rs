@@ -1,6 +1,7 @@
 //! Thread-count resolution and the scoped-spawn entry point.
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Per-thread programmatic override; `0` means "not set".
@@ -52,6 +53,10 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// `LMMIR_THREADS` (positive integers only; anything else is ignored) →
 /// [`std::thread::available_parallelism`]. `1` forces the sequential path,
 /// which is bit-for-bit identical to any parallel run by construction.
+///
+/// Every kernel gate calls this, so the machine's parallelism (on Linux a
+/// handful of cgroup/affinity file reads and syscalls) is resolved once per
+/// process; the override and the environment variable stay live.
 #[must_use]
 pub fn num_threads() -> usize {
     if let Some(t) = thread_override() {
@@ -64,7 +69,9 @@ pub fn num_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Creates a scope for spawning borrowed worker threads — a thin re-export

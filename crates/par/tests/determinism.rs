@@ -10,7 +10,7 @@
 //! A process-global mutex serializes the tests because the thread count is
 //! process-global state.
 
-use lmmir_solver::{grid_laplacian, solve_cg, CgConfig};
+use lmmir_solver::{grid_laplacian, solve_cg, solve_cg_forked, CgConfig};
 use lmmir_tensor::conv::{conv2d, conv2d_backward, ConvSpec};
 use lmmir_tensor::{linalg, Tensor};
 use std::sync::{Mutex, MutexGuard};
@@ -54,11 +54,11 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str, threads: usize) {
 #[test]
 fn matmul_is_bitwise_identical_across_thread_counts() {
     let _guard = lock();
-    // 96·64·80 ≈ 4.9e5 MACs — past the gemm parallel threshold.
-    let a = Tensor::from_vec(noise(96 * 64, 1), &[96, 64]).unwrap();
-    let b = Tensor::from_vec(noise(64 * 80, 2), &[64, 80]).unwrap();
-    let at = Tensor::from_vec(noise(64 * 96, 3), &[64, 96]).unwrap();
-    let bt = Tensor::from_vec(noise(80 * 64, 4), &[80, 64]).unwrap();
+    // 176·160·168 ≈ 4.7e6 MACs — past the 2^22 gemm parallel threshold.
+    let a = Tensor::from_vec(noise(176 * 160, 1), &[176, 160]).unwrap();
+    let b = Tensor::from_vec(noise(160 * 168, 2), &[160, 168]).unwrap();
+    let at = Tensor::from_vec(noise(160 * 176, 3), &[160, 176]).unwrap();
+    let bt = Tensor::from_vec(noise(168 * 160, 4), &[168, 160]).unwrap();
 
     let reference = lmmir_par::with_threads(1, || {
         (
@@ -84,10 +84,11 @@ fn matmul_is_bitwise_identical_across_thread_counts() {
 #[test]
 fn conv2d_forward_and_backward_are_bitwise_identical_across_thread_counts() {
     let _guard = lock();
-    // 8 input channels (> the odd 7-thread count), 40×40 plane: the im2col
-    // buffer (72×1600) and the gemms both cross their parallel thresholds.
-    let x = Tensor::from_vec(noise(2 * 8 * 40 * 40, 5), &[2, 8, 40, 40]).unwrap();
-    let w = Tensor::from_vec(noise(16 * 8 * 3 * 3, 6), &[16, 8, 3, 3]).unwrap();
+    // 16 input channels (> the odd 7-thread count), 88×88 plane: the im2col
+    // buffer (144×7744 ≈ 1.1e6 elements, bar 2^20) and the gemms (1.8e7
+    // MACs, bar 2^22) both cross their parallel thresholds.
+    let x = Tensor::from_vec(noise(2 * 16 * 88 * 88, 5), &[2, 16, 88, 88]).unwrap();
+    let w = Tensor::from_vec(noise(16 * 16 * 3 * 3, 6), &[16, 16, 3, 3]).unwrap();
     let spec = ConvSpec::new(1, 1);
 
     let y_ref = lmmir_par::with_threads(1, || conv2d(&x, &w, None, spec).unwrap());
@@ -116,8 +117,10 @@ fn conv2d_forward_and_backward_are_bitwise_identical_across_thread_counts() {
 #[test]
 fn solve_cg_is_bitwise_identical_across_thread_counts() {
     let _guard = lock();
-    // 116² = 13 456 unknowns -> 4 reduction blocks of 4096 rows, so the CG
-    // phases genuinely fan out (and 7 threads see ragged block spans).
+    // 116² = 13 456 unknowns -> 4 reduction blocks of 4096 rows. That is far
+    // below the size where `solve_cg` lets its phases fork, so the threaded
+    // runs take the ungated entry point: the CG phases genuinely fan out
+    // (and 7 threads see ragged block spans).
     let side = 116;
     let a = grid_laplacian(side);
     let b: Vec<f64> = (0..side * side)
@@ -132,7 +135,8 @@ fn solve_cg_is_bitwise_identical_across_thread_counts() {
     let reference = lmmir_par::with_threads(1, || solve_cg(&a, &b, cfg).expect("converges"));
     assert!(reference.iterations > 1, "non-trivial iteration count");
     for threads in THREAD_COUNTS {
-        let sol = lmmir_par::with_threads(threads, || solve_cg(&a, &b, cfg).expect("converges"));
+        let sol =
+            lmmir_par::with_threads(threads, || solve_cg_forked(&a, &b, cfg).expect("converges"));
         assert_eq!(
             sol.iterations, reference.iterations,
             "iteration count drifted at {threads} threads"

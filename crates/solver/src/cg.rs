@@ -6,6 +6,10 @@
 //! boundaries and the fold order of per-block partial sums depend only on
 //! the system size, never on `LMMIR_THREADS`, so the solve is bitwise
 //! deterministic at every thread count (including the sequential `1`).
+//!
+//! Whether the phases fork at all is decided **once per solve**
+//! (`PAR_MIN_ITER_WORK`): an iteration forks three times, so on small
+//! systems the forks used to cost more than the arithmetic.
 
 use crate::sparse::Csr;
 use lmmir_par::{par_chunks_mut, par_parts, par_sum_blocks, units_mut};
@@ -14,6 +18,14 @@ use std::fmt;
 /// Rows per reduction/update block. One block is also the smallest unit of
 /// parallel work, so systems below this size run inline on the caller.
 const BLOCK: usize = 4096;
+
+/// Minimum per-iteration work (`nnz + 8 n`: one SpMV plus the vector
+/// updates and dot products, ~1–2 ns each) before a solve forks. Each
+/// iteration forks three times at 30–100 µs per fork on the bench box, so
+/// `2^21` ≈ 2–4 ms of arithmetic keeps forking under ~10 % of an iteration.
+/// Below it the 64 µm golden solve took 70–106 ms at 2 threads against
+/// 20.9 ms at 1.
+const PAR_MIN_ITER_WORK: usize = 1 << 21;
 
 /// Convergence parameters for [`solve_cg`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,6 +122,24 @@ impl std::error::Error for SolveCgError {}
 /// Returns [`SolveCgError`] on dimension mismatch, a non-positive diagonal,
 /// or failure to converge within `cfg.max_iters`.
 pub fn solve_cg(a: &Csr, b: &[f64], cfg: CgConfig) -> Result<CgSolution, SolveCgError> {
+    let n = a.n();
+    let blocks = n.div_ceil(BLOCK);
+    if lmmir_par::worth_parallelizing(blocks, a.nnz() + 8 * n, PAR_MIN_ITER_WORK) {
+        solve_cg_forked(a, b, cfg)
+    } else {
+        lmmir_par::with_threads(1, || solve_cg_forked(a, b, cfg))
+    }
+}
+
+/// [`solve_cg`] without the size gate: every phase goes through the
+/// parallel drivers at the caller's thread count. Bitwise identical to
+/// [`solve_cg`]; exists so parity tests can fork on systems far below the
+/// size where forking pays.
+///
+/// # Errors
+///
+/// As for [`solve_cg`].
+pub fn solve_cg_forked(a: &Csr, b: &[f64], cfg: CgConfig) -> Result<CgSolution, SolveCgError> {
     let n = a.n();
     if b.len() != n {
         return Err(SolveCgError::DimensionMismatch { n, rhs: b.len() });

@@ -39,7 +39,7 @@ pub mod ir;
 pub mod sparse;
 pub mod stamp;
 
-pub use cg::{solve_cg, CgConfig, CgSolution, SolveCgError};
+pub use cg::{solve_cg, solve_cg_forked, CgConfig, CgSolution, SolveCgError};
 pub use cholesky::{CholeskyFactor, FactorizeError};
 pub use ir::{solve_ir_drop, IrDrop, SolveIrDropError};
 pub use sparse::{grid_laplacian, Csr};

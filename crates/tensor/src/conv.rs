@@ -14,8 +14,10 @@ use crate::tensor::Tensor;
 use crate::Result;
 
 /// Minimum element count before the im2col/col2im data movers fan out —
-/// they are memory-bound, so the bar is lower than for the gemms.
-const PAR_MIN_ELEMS: usize = 1 << 16;
+/// they are memory-bound, so the bar is lower than for the gemms: at
+/// ~1 ns per moved element `2^20` is ~1 ms per fork (see `PAR_MIN_FLOPS`
+/// in `linalg` for the measured fork cost behind both).
+const PAR_MIN_ELEMS: usize = 1 << 20;
 
 /// Whether a data-movement pass over `elems` elements split across `rows`
 /// independent rows should take the parallel path.

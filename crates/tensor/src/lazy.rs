@@ -21,7 +21,7 @@
 //! ## Graph shape
 //!
 //! Each [`Tensor`](crate::Tensor) holds an `Arc<LazyNode>`. A node is either
-//! a **leaf** (buffer already present) or a **pending** unary/binary
+//! a **leaf** (buffer already present) or a **pending** unary/binary/expand
 //! expression over child nodes. [`realize`] compiles the pending subgraph
 //! rooted at a node into a register program:
 //!
@@ -30,6 +30,10 @@
 //! * a child consumed by two or more expressions (a diamond) is
 //!   **materialized first** — computed exactly once, then read as a plain
 //!   input by every consumer;
+//! * a broadcast operand that collapses to "repeat each element `inner`
+//!   times, cycle" (`[..,n] op [n]`, `[N,C,H,W] op [1,C,1,1]`, …) enters as
+//!   an **expand** node: the program fills a block register from the small
+//!   realized buffer, so `conv → +bias → BatchNorm → relu` is one program;
 //! * realization is idempotent: a node's buffer is computed at most once
 //!   (`OnceLock`), and re-realizing is a no-op.
 //!
@@ -144,13 +148,17 @@ pub(crate) enum Expr {
     Unary(UnaryOp, Arc<LazyNode>),
     /// Binary elementwise op over two same-`numel` children.
     Binary(BinOp, Arc<LazyNode>, Arc<LazyNode>),
+    /// Broadcast view of a smaller child: element `i` reads
+    /// `child[(i / inner) % child.numel]` (repeat each element `inner`
+    /// times, cycle). Never inlines its child — the gather needs a buffer.
+    Expand(Arc<LazyNode>, usize),
 }
 
 impl Expr {
     fn children(&self) -> [Option<&Arc<LazyNode>>; 2] {
         match self {
             Expr::Leaf => [None, None],
-            Expr::Unary(_, a) => [Some(a), None],
+            Expr::Unary(_, a) | Expr::Expand(a, _) => [Some(a), None],
             Expr::Binary(_, a, b) => [Some(a), Some(b)],
         }
     }
@@ -167,6 +175,7 @@ impl Clone for Expr {
             Expr::Leaf => Expr::Leaf,
             Expr::Unary(op, a) => Expr::Unary(*op, a.clone()),
             Expr::Binary(op, a, b) => Expr::Binary(*op, a.clone(), b.clone()),
+            Expr::Expand(a, inner) => Expr::Expand(a.clone(), *inner),
         }
     }
 }
@@ -217,6 +226,18 @@ impl LazyNode {
             numel: a.numel,
             buf: OnceLock::new(),
             expr: Expr::Binary(op, a, b),
+            consumers: AtomicUsize::new(0),
+        })
+    }
+
+    /// Pending broadcast of `a` to `numel` elements: element `i` reads
+    /// `a[(i / inner) % a.numel]`.
+    pub(crate) fn expand(a: Arc<LazyNode>, inner: usize, numel: usize) -> Arc<Self> {
+        a.consumers.fetch_add(1, Ordering::Relaxed);
+        Arc::new(LazyNode {
+            numel,
+            buf: OnceLock::new(),
+            expr: Expr::Expand(a, inner),
             consumers: AtomicUsize::new(0),
         })
     }
@@ -285,7 +306,7 @@ impl Drop for LazyNode {
         while let Some(e) = stack.pop() {
             let children = match e {
                 Expr::Leaf => continue,
-                Expr::Unary(_, a) => [Some(a), None],
+                Expr::Unary(_, a) | Expr::Expand(a, _) => [Some(a), None],
                 Expr::Binary(_, a, b) => [Some(a), Some(b)],
             };
             for child in children.into_iter().flatten() {
@@ -367,6 +388,32 @@ pub(crate) fn unary_eager(op: UnaryOp, src: &[f32]) -> Vec<f32> {
 pub(crate) fn binary_eager(op: BinOp, a: &[f32], b: &[f32]) -> Vec<f32> {
     let mut out = pool_get(a.len());
     apply_binary(op, a, b, &mut out);
+    out
+}
+
+/// Eager broadcast binary kernel: `small` is read through the
+/// repeat-`inner`/cycle pattern of [`Expr::Expand`], block by block, with
+/// the same fill and opcode loops as the fused executor.
+pub(crate) fn binary_expand_eager(
+    op: BinOp,
+    full: &[f32],
+    small: &[f32],
+    inner: usize,
+    small_is_lhs: bool,
+) -> Vec<f32> {
+    let mut out = pool_get(full.len());
+    let mut reg = [0.0f32; BLOCK];
+    for (bi, dst) in out.chunks_mut(BLOCK).enumerate() {
+        let base = bi * BLOCK;
+        let reg = &mut reg[..dst.len()];
+        fill_expand(small, inner, base, reg);
+        let full = &full[base..base + dst.len()];
+        if small_is_lhs {
+            apply_binary(op, reg, full, dst);
+        } else {
+            apply_binary(op, full, reg, dst);
+        }
+    }
     out
 }
 
@@ -486,9 +533,10 @@ const MAX_FUSED_OPS: usize = 64;
 /// small enough that all live registers of a block stay cache-resident.
 const BLOCK: usize = 1024;
 
-/// Minimum `numel * instructions` before the executor forks worker threads
-/// (mirrors the `worth_parallelizing` thresholds of the other kernels).
-const PAR_MIN_WORK: usize = 64 * 1024;
+/// Minimum `numel * instructions` before the executor forks worker threads:
+/// at ~1 ns per element-op `2^20` is ~1 ms per 30–100 µs fork (see
+/// `PAR_MIN_FLOPS` in `linalg` for the measurement behind every gate).
+const PAR_MIN_WORK: usize = 1 << 20;
 
 #[derive(Clone, Copy)]
 enum Src {
@@ -501,6 +549,9 @@ enum Src {
 enum Instr {
     Un(UnaryOp, Src),
     Bin(BinOp, Src, Src),
+    /// Fill from the whole of `inputs[k]` through the broadcast pattern
+    /// `(i / inner) % len`.
+    Expand(usize, usize),
 }
 
 /// A fused elementwise program in dependency order: instruction `i` writes
@@ -548,40 +599,34 @@ fn compile(root: &Arc<LazyNode>) -> Compiled {
         match task {
             Task::Visit(n) => {
                 let is_root = Arc::ptr_eq(n, root);
-                if !is_root && !inline_child(n) {
-                    if n.buf.get().is_some() || matches!(n.expr, Expr::Leaf) {
-                        operands.push(Src::Input(push_input(&mut inputs, n)));
-                    } else {
-                        // Shared subexpression: realize it once, up front,
-                        // then treat it as a plain input.
-                        missing.push(n.clone());
-                        operands.push(Src::Input(push_input(&mut inputs, n)));
-                    }
-                    continue;
-                }
-                if !is_root && budget == 0 {
-                    // Over the fusion budget: split the chain here.
-                    missing.push(n.clone());
-                    operands.push(Src::Input(push_input(&mut inputs, n)));
+                if !is_root && (!inline_child(n) || budget == 0) {
+                    // Realized, shared (diamond) or over-budget child: read
+                    // it as a plain input, realizing it first if pending.
+                    operands.push(Src::Input(push_input(&mut inputs, &mut missing, n)));
                     continue;
                 }
                 budget = budget.saturating_sub(1);
                 // Children are pushed after the Emit marker so they resolve
                 // first; Visit order is reversed by the stack, so push the
                 // right child first to pop the left child first.
-                work.push(Task::Emit(n));
                 match &n.expr {
                     Expr::Leaf => unreachable!("leaf handled as input above"),
-                    Expr::Unary(_, a) => work.push(Task::Visit(a)),
+                    Expr::Unary(_, a) => work.extend([Task::Emit(n), Task::Visit(a)]),
                     Expr::Binary(_, a, b) => {
-                        work.push(Task::Visit(b));
-                        work.push(Task::Visit(a));
+                        work.extend([Task::Emit(n), Task::Visit(b), Task::Visit(a)]);
+                    }
+                    Expr::Expand(a, inner) => {
+                        // No register operands: emit at once, reading the
+                        // whole (realized) child buffer through the gather.
+                        let k = push_input(&mut inputs, &mut missing, a);
+                        instrs.push(Instr::Expand(k, *inner));
+                        operands.push(Src::Reg(instrs.len() - 1));
                     }
                 }
             }
             Task::Emit(n) => {
                 let instr = match &n.expr {
-                    Expr::Leaf => unreachable!("leaf nodes emit no instruction"),
+                    Expr::Leaf | Expr::Expand(..) => unreachable!("emitted without a marker"),
                     Expr::Unary(op, _) => {
                         let a = operands.pop().expect("unary operand");
                         Instr::Un(*op, a)
@@ -606,10 +651,18 @@ fn compile(root: &Arc<LazyNode>) -> Compiled {
     }
 }
 
-fn push_input(inputs: &mut Vec<Arc<LazyNode>>, n: &Arc<LazyNode>) -> usize {
+/// Input slot of `n`, which joins `missing` when it is still pending.
+fn push_input(
+    inputs: &mut Vec<Arc<LazyNode>>,
+    missing: &mut Vec<Arc<LazyNode>>,
+    n: &Arc<LazyNode>,
+) -> usize {
     // Dedup by node identity so a diamond reads one buffer through one slot.
     if let Some(i) = inputs.iter().position(|x| Arc::ptr_eq(x, n)) {
         return i;
+    }
+    if n.buf.get().is_none() {
+        missing.push(n.clone());
     }
     inputs.push(n.clone());
     inputs.len() - 1
@@ -719,6 +772,33 @@ fn apply_binary(op: BinOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
     }
 }
 
+/// `dst[i] = src[((base + i) / inner) % src.len()]`, written as runs: a
+/// contiguous copy per cycle when `inner == 1`, one fill per repeated
+/// element otherwise.
+fn fill_expand(src: &[f32], inner: usize, base: usize, mut dst: &mut [f32]) {
+    if dst.is_empty() {
+        return;
+    }
+    let mut j = (base / inner) % src.len();
+    let mut run = if inner == 1 {
+        src.len() - j
+    } else {
+        inner - base % inner
+    };
+    while !dst.is_empty() {
+        let take = run.min(dst.len());
+        let (head, tail) = mem::take(&mut dst).split_at_mut(take);
+        if inner == 1 {
+            head.copy_from_slice(&src[j..j + head.len()]);
+            (j, run) = (0, src.len());
+        } else {
+            head.fill(src[j]);
+            (j, run) = ((j + 1) % src.len(), inner);
+        }
+        dst = tail;
+    }
+}
+
 /// Runs one block of the program. `scratch` holds `instrs.len() - 1`
 /// registers of `BLOCK` elements; the final instruction writes `out`.
 fn run_block(prog: &Program, inputs: &[&[f32]], base: usize, out: &mut [f32], scratch: &mut [f32]) {
@@ -740,6 +820,7 @@ fn run_block(prog: &Program, inputs: &[&[f32]], base: usize, out: &mut [f32], sc
         match instr {
             Instr::Un(op, a) => apply_unary(*op, src(*a), dst),
             Instr::Bin(op, a, b) => apply_binary(*op, src(*a), src(*b), dst),
+            Instr::Expand(k, inner) => fill_expand(inputs[*k], *inner, base, dst),
         }
     }
 }

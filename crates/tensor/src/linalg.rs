@@ -33,9 +33,16 @@ use crate::error::TensorError;
 use crate::tensor::Tensor;
 use crate::Result;
 
-/// Minimum multiply-accumulate count before a kernel fans out: below this,
-/// scoped-thread fork/join overhead dominates any speedup.
-pub(crate) const PAR_MIN_FLOPS: usize = 1 << 18;
+/// Minimum multiply-accumulate count before a kernel fans out.
+///
+/// There is no persistent pool: a fork is a scoped spawn + join, measured
+/// at 29–104 µs for two threads on the 2-core bench box
+/// (`par.par_map_dispatch_us`). The packed kernels retire 2–8 MACs/ns, so
+/// the former `2^18` bought 30–130 µs of work per fork — a net loss (the
+/// 32 px LMM-IR forward ran 13.5–15.3 ms at 2 threads against 10.6–11.9 ms
+/// at 1). `2^22` MACs is 0.5–2 ms: the fork stays under ~10 % of what it
+/// buys. The conv, fused-elementwise and raster gates scale the same way.
+pub(crate) const PAR_MIN_FLOPS: usize = 1 << 22;
 
 /// Whether a kernel of `flops` multiply-accumulates across `rows`
 /// partitionable rows should take the parallel path.
@@ -663,30 +670,25 @@ fn bmm_driver(s: &BmmShape, a: &[f32], b: &[f32], c: &mut [f32], seq: GemmFn, pa
         b_stride,
     } = *s;
     let plane = m * n;
+    let entry = |kernel: GemmFn, i: usize, cb: &mut [f32]| {
+        let (a, b) = (
+            &a[i * a_stride..(i + 1) * a_stride],
+            &b[i * b_stride..(i + 1) * b_stride],
+        );
+        kernel(m, k, n, a, b, cb);
+    };
     if plane > 0 && ba >= lmmir_par::num_threads() && par_worth(ba, ba * m * k * n) {
         lmmir_par::par_chunks_mut(c, plane, |b0, span| {
             for (j, cb) in span.chunks_mut(plane).enumerate() {
-                let i = b0 + j;
-                seq(
-                    m,
-                    k,
-                    n,
-                    &a[i * a_stride..(i + 1) * a_stride],
-                    &b[i * b_stride..(i + 1) * b_stride],
-                    cb,
-                );
+                entry(seq, b0 + j, cb);
             }
         });
     } else {
+        // One gate for the whole batch, not one per entry: attention runs
+        // hundreds of small same-shape products through here.
+        let kernel = if par_worth(m, m * k * n) { par } else { seq };
         for i in 0..ba {
-            par(
-                m,
-                k,
-                n,
-                &a[i * a_stride..(i + 1) * a_stride],
-                &b[i * b_stride..(i + 1) * b_stride],
-                &mut c[i * plane..(i + 1) * plane],
-            );
+            entry(kernel, i, &mut c[i * plane..(i + 1) * plane]);
         }
     }
 }

@@ -513,9 +513,10 @@ mod tests {
 
     #[test]
     fn qgemm_par_is_bitwise_thread_invariant() {
-        let m = 64;
-        let k = 48;
-        let n = 96;
+        // 192·128·176 ≈ 4.3e6 MACs: past the 2^22 fork threshold.
+        let m = 192;
+        let k = 128;
+        let n = 176;
         let a: Vec<f32> = (0..m * k).map(|i| ((i as f32) * 0.11).sin()).collect();
         let w: Vec<f32> = (0..k * n).map(|i| ((i as f32) * 0.19).cos()).collect();
         let qw = QuantLinearWeight::from_tensor(&t(&w, &[k, n])).unwrap();

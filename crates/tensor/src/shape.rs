@@ -91,6 +91,47 @@ pub fn broadcast_strides(operand_dims: &[usize], out_dims: &[usize]) -> Vec<usiz
     out
 }
 
+/// Collapses the broadcast of `operand_dims` into `out_dims` to a flat
+/// pattern: `Some(inner)` when output element `i` reads operand element
+/// `(i / inner) % numel(operand_dims)` — the operand's axes form one
+/// contiguous run of the output's, with only broadcast (or size-1) axes
+/// before and after it. Bias, LayerNorm, BatchNorm and attention-gate
+/// operands all do; `[N,1,H,W]` into `[N,C,H,W]` with `N > 1` does not.
+#[must_use]
+pub fn collapse_broadcast(operand_dims: &[usize], out_dims: &[usize]) -> Option<usize> {
+    let offset = out_dims.len().checked_sub(operand_dims.len())?;
+    // Walk from the innermost axis: broadcast tail, matched run, then only
+    // broadcast axes may remain. Size-1 output axes fit anywhere.
+    let mut inner = 1usize;
+    let mut matched = false;
+    let mut closed = false;
+    for (ax, &d) in out_dims.iter().enumerate().rev() {
+        let od = if ax < offset {
+            1
+        } else {
+            operand_dims[ax - offset]
+        };
+        if d == 1 && od == 1 {
+            continue;
+        }
+        if od == d {
+            if closed {
+                return None;
+            }
+            matched = true;
+        } else if od == 1 {
+            if matched {
+                closed = true;
+            } else {
+                inner *= d;
+            }
+        } else {
+            return None;
+        }
+    }
+    Some(inner)
+}
+
 /// Validates an axis against a rank.
 ///
 /// # Errors
@@ -219,6 +260,20 @@ mod tests {
         assert_eq!(broadcast_strides(&[3], &[2, 3]), vec![0, 1]);
         // operand [2,1] viewed as [2,3]: trailing axis is broadcast.
         assert_eq!(broadcast_strides(&[2, 1], &[2, 3]), vec![1, 0]);
+    }
+
+    #[test]
+    fn collapse_broadcast_recognizes_repeat_cycle_patterns() {
+        // bias over the last axis, channel affine, spatial gate, row stats
+        assert_eq!(collapse_broadcast(&[5], &[2, 3, 5]), Some(1));
+        assert_eq!(collapse_broadcast(&[1, 4, 1, 1], &[2, 4, 3, 3]), Some(9));
+        assert_eq!(collapse_broadcast(&[1, 1, 3, 3], &[1, 4, 3, 3]), Some(1));
+        assert_eq!(collapse_broadcast(&[1, 6, 1], &[1, 6, 8]), Some(8));
+        // a full operand is the degenerate pattern
+        assert_eq!(collapse_broadcast(&[2, 3], &[1, 2, 3]), Some(1));
+        // two separated matched runs cannot be one (repeat, cycle) pair
+        assert_eq!(collapse_broadcast(&[2, 1, 3, 3], &[2, 4, 3, 3]), None);
+        assert_eq!(collapse_broadcast(&[2, 1], &[1, 3]), None);
     }
 
     #[test]

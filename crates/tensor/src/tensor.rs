@@ -2,13 +2,16 @@
 //!
 //! Elementwise ops are **lazy**: they record nodes into the op graph of
 //! [`crate::lazy`] and fuse into single loops when the buffer is first
-//! needed. Everything else (reductions, shape ops, the linalg/conv kernels)
+//! needed — broadcast operands included, whenever the small side is a
+//! repeat/cycle pattern (bias, norm statistics, gates). Everything else (reductions, shape ops, the linalg/conv kernels)
 //! realizes its inputs and computes eagerly, exactly as before the lazy
 //! runtime existed — results are bitwise identical either way.
 
 use crate::error::TensorError;
 use crate::lazy::{self, BinOp, LazyNode, UnaryOp};
-use crate::shape::{broadcast_shapes, check_axis, numel, strides, BroadcastIter};
+use crate::shape::{
+    broadcast_shapes, check_axis, collapse_broadcast, numel, strides, BroadcastIter,
+};
 use crate::Result;
 use std::fmt;
 use std::sync::Arc;
@@ -356,11 +359,40 @@ impl Tensor {
             out.dims = broadcast_shapes(&self.dims, &rhs.dims, name)?;
             return Ok(out);
         }
-        // General broadcast: a gather pattern the fused elementwise programs
-        // do not express — realize and fall back to the eager kernel.
         let out_dims = broadcast_shapes(&self.dims, &rhs.dims, name)?;
+        // One operand full-size, the other a repeat/cycle pattern (bias,
+        // norm statistics, gates): the small side joins the fused program
+        // as an expand node instead of being materialized.
+        let n = numel(&out_dims);
+        for (full, small, small_is_lhs) in [(self, rhs, false), (rhs, self, true)] {
+            if full.numel() != n {
+                continue;
+            }
+            let Some(inner) = collapse_broadcast(&small.dims, &out_dims) else {
+                continue;
+            };
+            let node = if lazy::eager_mode() {
+                let (f, s) = (full.data(), small.data());
+                LazyNode::leaf(lazy::binary_expand_eager(op, f, s, inner, small_is_lhs))
+            } else {
+                let expanded = LazyNode::expand(small.node.clone(), inner, n);
+                let (a, b) = if small_is_lhs {
+                    (expanded, full.node.clone())
+                } else {
+                    (full.node.clone(), expanded)
+                };
+                LazyNode::binary(op, a, b)
+            };
+            return Ok(Tensor {
+                dims: out_dims,
+                node,
+            });
+        }
+        // Both sides broadcast, or a pattern with two separated runs: a
+        // gather the fused programs do not express — realize and fall back
+        // to the odometer kernel.
         let (a, b) = (self.data(), rhs.data());
-        let mut data = Vec::with_capacity(numel(&out_dims));
+        let mut data = Vec::with_capacity(n);
         for (ai, bi) in BroadcastIter::new(&out_dims, &self.dims, &rhs.dims) {
             data.push(op.apply(a[ai], b[bi]));
         }
@@ -490,24 +522,32 @@ impl Tensor {
             reduced[a] = 1;
         }
         let mut out = vec![0.0f32; numel(&reduced)];
-        let out_strides = strides(&reduced);
-        // Walk the input space; fold each element into its reduced slot.
-        let mut idx = vec![0usize; self.rank()];
-        for &v in self.data() {
-            let mut off = 0;
-            for (ax, &i) in idx.iter().enumerate() {
-                let j = if reduced[ax] == 1 { 0 } else { i };
-                off += j * out_strides[ax];
-            }
-            out[off] += v;
-            // Odometer increment.
-            for ax in (0..self.rank()).rev() {
-                idx[ax] += 1;
-                if idx[ax] < self.dims[ax] {
-                    break;
+        let src = self.data();
+        match collapse_reduction(&self.dims, &reduced) {
+            _ if src.is_empty() => {}
+            // [o, m, i] -> [o, i]: row adds, m ascending per output slot.
+            Some(([_, m, i], true)) => {
+                for (acc, block) in out.chunks_mut(i).zip(src.chunks(m * i)) {
+                    for row in block.chunks(i) {
+                        for (a, &v) in acc.iter_mut().zip(row) {
+                            *a += v;
+                        }
+                    }
                 }
-                idx[ax] = 0;
             }
+            // [o, m, i] -> [m]: each slot folds its runs in input order.
+            Some(([_, m, i], false)) => {
+                for block in src.chunks(m * i) {
+                    for (slot, run) in out.iter_mut().zip(block.chunks(i)) {
+                        let mut acc = *slot;
+                        for &v in run {
+                            acc += v;
+                        }
+                        *slot = acc;
+                    }
+                }
+            }
+            None => sum_axes_odometer(src, &self.dims, &reduced, &mut out),
         }
         let out_dims = if keepdim {
             reduced
@@ -630,28 +670,34 @@ impl Tensor {
             seen[p] = true;
         }
         let out_dims: Vec<usize> = perm.iter().map(|&p| self.dims[p]).collect();
-        let in_strides = strides(&self.dims);
         let src = self.data();
         let mut out = vec![0.0f32; numel(&out_dims)];
-        let mut idx = vec![0usize; rank];
-        for slot in out.iter_mut() {
-            let mut off = 0;
-            for (k, &p) in perm.iter().enumerate() {
-                off += idx[k] * in_strides[p];
-            }
-            *slot = src[off];
-            for ax in (0..rank).rev() {
-                idx[ax] += 1;
-                if idx[ax] < out_dims[ax] {
-                    break;
+        match swap_groups(&self.dims, perm) {
+            _ if src.is_empty() => {}
+            // [o, a, b, inner] -> [o, b, a, inner]: contiguous runs of
+            // `inner`, written in output order.
+            Some([_, a, b, inner]) => {
+                for (dst, block) in out.chunks_mut(a * b * inner).zip(src.chunks(a * b * inner)) {
+                    for (j, dst) in dst.chunks_mut(a * inner).enumerate() {
+                        if inner == 1 {
+                            for (i, slot) in dst.iter_mut().enumerate() {
+                                *slot = block[i * b + j];
+                            }
+                            continue;
+                        }
+                        for (i, run) in dst.chunks_mut(inner).enumerate() {
+                            let at = (i * b + j) * inner;
+                            run.copy_from_slice(&block[at..at + inner]);
+                        }
+                    }
                 }
-                idx[ax] = 0;
             }
+            None => permute_odometer(src, &self.dims, perm, &mut out),
         }
         Ok(Tensor::leaf(out_dims, out))
     }
 
-    /// 2-D transpose. Optimized special case of [`Tensor::permute`].
+    /// 2-D transpose: [`Tensor::permute`] by `[1, 0]`, rank-checked.
     ///
     /// # Errors
     ///
@@ -663,15 +709,7 @@ impl Tensor {
                 reason: "transpose2 requires rank 2".to_string(),
             });
         }
-        let (m, n) = (self.dims[0], self.dims[1]);
-        let src = self.data();
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = src[i * n + j];
-            }
-        }
-        Ok(Tensor::leaf(vec![n, m], out))
+        self.permute(&[1, 0])
     }
 
     /// Slices `[start, end)` along `axis`.
@@ -914,6 +952,98 @@ impl Tensor {
     }
 }
 
+/// Collapses a reduction of `dims` to `reduced` (same rank, reduced axes
+/// set to 1) into three axis groups `[o, m, i]` that alternate between kept
+/// and reduced, padding with size-1 groups at the front. Returns the group
+/// sizes and whether the middle group is the reduced one (`[o, m, i] ->
+/// [o, i]`) or the kept one (`-> [m]`); `None` for more than three groups.
+fn collapse_reduction(dims: &[usize], reduced: &[usize]) -> Option<([usize; 3], bool)> {
+    let mut groups: Vec<(bool, usize)> = Vec::new();
+    for (&d, &r) in dims.iter().zip(reduced).filter(|(&d, _)| d != 1) {
+        let is_reduced = r == 1;
+        match groups.last_mut() {
+            Some((kind, size)) if *kind == is_reduced => *size *= d,
+            _ => groups.push((is_reduced, d)),
+        }
+    }
+    if groups.len() > 3 {
+        return None;
+    }
+    // The innermost real group decides the alternation; an all-ones shape
+    // reads as one kept element.
+    let innermost_reduced = groups.last().is_some_and(|g| g.0);
+    let mut sizes = [1usize; 3];
+    for (slot, g) in sizes.iter_mut().rev().zip(groups.iter().rev()) {
+        *slot = g.1;
+    }
+    Some((sizes, !innermost_reduced))
+}
+
+/// Generic reduction: walks the input with a per-element odometer and folds
+/// each element into its slot. Fallback for shapes [`collapse_reduction`]
+/// rejects, and the oracle its fast paths are tested against.
+fn sum_axes_odometer(src: &[f32], dims: &[usize], reduced: &[usize], out: &mut [f32]) {
+    let out_strides = strides(reduced);
+    let mut idx = vec![0usize; dims.len()];
+    for &v in src {
+        let mut off = 0;
+        for (ax, &i) in idx.iter().enumerate() {
+            let j = if reduced[ax] == 1 { 0 } else { i };
+            off += j * out_strides[ax];
+        }
+        out[off] += v;
+        for ax in (0..dims.len()).rev() {
+            idx[ax] += 1;
+            if idx[ax] < dims[ax] {
+                break;
+            }
+            idx[ax] = 0;
+        }
+    }
+}
+
+/// Recognizes `perm` as a swap of two adjacent axis groups: the input
+/// viewed as `[o, a, b, inner]` becomes `[o, b, a, inner]`. Covers head
+/// split/merge (`[0,2,1,3]`), key transposes (`[0,1,3,2]`), NCHW <-> NHWC
+/// and the identity; `None` otherwise.
+fn swap_groups(dims: &[usize], perm: &[usize]) -> Option<[usize; 4]> {
+    let rank = perm.len();
+    let lo = (0..rank).take_while(|&i| perm[i] == i).count();
+    if lo == rank {
+        return Some([1, 1, 1, numel(dims)]);
+    }
+    let hi = rank - (lo..rank).rev().take_while(|&i| perm[i] == i).count();
+    // The middle must be a rotation: input axes `cut..hi` then `lo..cut`.
+    let (cut, len) = (perm[lo], hi - lo);
+    if (0..len).any(|k| perm[lo + k] != lo + (cut - lo + k) % len) {
+        return None;
+    }
+    let size = |r: std::ops::Range<usize>| dims[r].iter().product::<usize>();
+    Some([size(0..lo), size(lo..cut), size(cut..hi), size(hi..rank)])
+}
+
+/// Generic permutation with a per-element odometer: fallback for
+/// permutations [`swap_groups`] rejects, and the oracle for its fast path.
+fn permute_odometer(src: &[f32], dims: &[usize], perm: &[usize], out: &mut [f32]) {
+    let in_strides = strides(dims);
+    let out_dims: Vec<usize> = perm.iter().map(|&p| dims[p]).collect();
+    let mut idx = vec![0usize; perm.len()];
+    for slot in out.iter_mut() {
+        let mut off = 0;
+        for (k, &p) in perm.iter().enumerate() {
+            off += idx[k] * in_strides[p];
+        }
+        *slot = src[off];
+        for ax in (0..perm.len()).rev() {
+            idx[ax] += 1;
+            if idx[ax] < out_dims[ax] {
+                break;
+            }
+            idx[ax] = 0;
+        }
+    }
+}
+
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor{:?}", self.dims)?;
@@ -1090,6 +1220,101 @@ mod tests {
         assert!(a.permute(&[0, 0]).is_err());
         assert!(a.permute(&[0]).is_err());
         assert!(a.permute(&[1, 0]).is_ok());
+    }
+
+    /// Mixed magnitudes, so any change of accumulation order changes bits.
+    fn rough(n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) * 10f32.powi(i as i32 % 7 - 3))
+            .collect()
+    }
+
+    /// Every permutation of `0..rank`, lexicographic.
+    fn permutations(rank: usize) -> Vec<Vec<usize>> {
+        if rank == 0 {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for p in permutations(rank - 1) {
+            for at in 0..rank {
+                let mut q = p.clone();
+                q.insert(at, rank - 1);
+                out.push(q);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn permute_fast_path_matches_odometer_for_every_permutation() {
+        let mut collapsed = 0;
+        for dims in [
+            vec![5],
+            vec![3, 4],
+            vec![2, 3, 4],
+            vec![2, 3, 1, 5],
+            vec![3, 2, 4, 2],
+        ] {
+            let a = Tensor::from_vec(rough(numel(&dims)), &dims).unwrap();
+            for perm in permutations(dims.len()) {
+                let mut want = vec![0.0f32; a.numel()];
+                permute_odometer(a.data(), &dims, &perm, &mut want);
+                let got = a.permute(&perm).unwrap();
+                assert_eq!(got.data(), want, "dims {dims:?} perm {perm:?}");
+                collapsed += usize::from(swap_groups(&dims, &perm).is_some());
+            }
+        }
+        // 1 + 2 + 6 + 24 + 24 permutations; the adjacent-group swaps among
+        // them (identity included) take the fast path, the rest fall back.
+        assert_eq!(collapsed, 30, "fast-path share of the 57 permutations");
+        assert_eq!(
+            swap_groups(&[2, 4, 3, 5], &[0, 2, 1, 3]),
+            Some([2, 4, 3, 5])
+        );
+        assert_eq!(
+            swap_groups(&[2, 4, 3, 5], &[0, 2, 3, 1]),
+            Some([2, 4, 15, 1])
+        );
+        assert_eq!(swap_groups(&[2, 4, 3, 5], &[3, 1, 2, 0]), None);
+    }
+
+    #[test]
+    fn sum_axes_fast_paths_match_odometer_bitwise() {
+        let mut collapsed = 0;
+        for dims in [
+            vec![7],
+            vec![4, 5],
+            vec![3, 4, 5],
+            vec![2, 3, 1, 4],
+            vec![2, 3, 2, 3, 2],
+        ] {
+            let a = Tensor::from_vec(rough(numel(&dims)), &dims).unwrap();
+            for mask in 0u32..1 << dims.len() {
+                let axes: Vec<usize> = (0..dims.len()).filter(|ax| mask >> ax & 1 == 1).collect();
+                let mut reduced = dims.clone();
+                for &ax in &axes {
+                    reduced[ax] = 1;
+                }
+                let mut want = vec![0.0f32; numel(&reduced)];
+                sum_axes_odometer(a.data(), &dims, &reduced, &mut want);
+                let got = a.sum_axes(&axes, true).unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.data()), bits(&want), "dims {dims:?} axes {axes:?}");
+                collapsed += usize::from(collapse_reduction(&dims, &reduced).is_some());
+            }
+        }
+        // Only rank 5 has masks with four or more alternating groups.
+        assert_eq!(collapsed, 52, "fast-path share of the 62 axis subsets");
+        // [N,C,H,W] over (0,2,3) is reduce-keep-reduce; over (1) keep-reduce-keep.
+        assert_eq!(
+            collapse_reduction(&[2, 3, 4, 5], &[1, 3, 1, 1]),
+            Some(([2, 3, 20], false))
+        );
+        assert_eq!(
+            collapse_reduction(&[2, 3, 4, 5], &[2, 1, 4, 5]),
+            Some(([2, 3, 20], true))
+        );
+        assert_eq!(collapse_reduction(&[2, 3, 2, 3], &[1, 3, 1, 3]), None);
     }
 
     #[test]

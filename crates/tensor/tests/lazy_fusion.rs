@@ -2,7 +2,8 @@
 //! (including NaN/Inf operands and the `0·inf` discipline), fused graph
 //! shape, buffer reuse, diamond idempotence, and thread-count invariance.
 
-use lmmir_tensor::lazy::{self, Stats};
+use lmmir_tensor::lazy::{self, BinOp, Stats};
+use lmmir_tensor::shape::{broadcast_shapes, BroadcastIter};
 use lmmir_tensor::{Tensor, Var};
 use proptest::prelude::*;
 
@@ -83,6 +84,87 @@ proptest! {
     }
 }
 
+const BIN_OPS: [BinOp; 5] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Max];
+
+fn apply_bin(op: BinOp, a: &Tensor, b: &Tensor) -> Tensor {
+    match op {
+        BinOp::Add => a.add(b),
+        BinOp::Sub => a.sub(b),
+        BinOp::Mul => a.mul(b),
+        BinOp::Div => a.div(b),
+        BinOp::Max => a.maximum(b),
+    }
+    .expect("broadcast-compatible")
+}
+
+/// The odometer oracle: every output element through `BroadcastIter`'s
+/// index pairs and the one scalar formula of the opcode.
+fn oracle_bin(op: BinOp, a: &Tensor, b: &Tensor) -> Tensor {
+    let dims = broadcast_shapes(a.dims(), b.dims(), "oracle").unwrap();
+    let data = BroadcastIter::new(&dims, a.dims(), b.dims())
+        .map(|(i, j)| op.apply(a.data()[i], b.data()[j]))
+        .collect();
+    Tensor::from_vec(data, &dims).unwrap()
+}
+
+/// `dims` with the axes in `mask` set to 1 and, when `strip`, leading
+/// size-1 axes dropped (a lower-rank operand).
+fn masked_dims(dims: &[usize], mask: u8, strip: bool) -> Vec<usize> {
+    let masked: Vec<usize> = dims
+        .iter()
+        .enumerate()
+        .map(|(ax, &d)| if mask >> ax & 1 == 1 { 1 } else { d })
+        .collect();
+    let lead = if strip {
+        masked.iter().take_while(|&&d| d == 1).count()
+    } else {
+        0
+    };
+    masked[lead..].to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Broadcast binaries — expand nodes inside fused programs, the eager
+    /// twin, and the odometer fallback for non-collapsible shapes — are
+    /// bitwise identical to the `BroadcastIter` oracle: any rank, either
+    /// operand (or both, or a scalar) broadcast, NaN/±inf operands, chained
+    /// so two expands share a program, at any thread count.
+    #[test]
+    fn broadcast_binary_matches_odometer_oracle_bitwise(
+        dims in proptest::collection::vec(1usize..6, 1..5),
+        (mask_a, mask_b, mode) in (0u8..16, 0u8..16, 0u8..3),
+        (strip_a, strip_b) in (0u8..2, 0u8..2),
+        (op1, op2) in (0usize..5, 0usize..5),
+        va in proptest::collection::vec(awkward_f32(), 625),
+        vb in proptest::collection::vec(awkward_f32(), 625),
+    ) {
+        // mode 0/1: one side full (the fused patterns, both operand orders,
+        // scalar when every axis is masked); mode 2: both sides broadcast.
+        let mask_a = if mode == 0 { 0 } else { mask_a };
+        let mask_b = if mode == 1 { 0 } else { mask_b };
+        let da = masked_dims(&dims, mask_a, strip_a == 1);
+        let db = masked_dims(&dims, mask_b, strip_b == 1);
+        let a = Tensor::from_vec(va[..da.iter().product()].to_vec(), &da).unwrap();
+        let b = Tensor::from_vec(vb[..db.iter().product()].to_vec(), &db).unwrap();
+        let (op1, op2) = (BIN_OPS[op1], BIN_OPS[op2]);
+        // (a op1 b) + 1, then op2 with `a` again as the left operand.
+        let chain = || {
+            let first = apply_bin(op1, &a, &b);
+            (bits(&first), bits(&apply_bin(op2, &a, &first.add_scalar(1.0))))
+        };
+        let first = oracle_bin(op1, &a, &b);
+        let second = oracle_bin(op2, &a, &first.map(|v| v + 1.0));
+        let expect = (bits(&first), bits(&second));
+        for threads in [1, 2, 7] {
+            let got = lmmir_par::with_threads(threads, || lazy::with_lazy(chain));
+            prop_assert_eq!(&got, &expect, "lazy drift at {} threads", threads);
+        }
+        prop_assert_eq!(&lazy::with_eager(chain), &expect, "eager twin drift");
+    }
+}
+
 /// Stats delta across `f`, on this thread, with the lazy graph forced on
 /// so the graph-shape assertions hold on the `LMMIR_EAGER=1` CI leg too.
 fn stat_delta(f: impl FnOnce()) -> Stats {
@@ -109,6 +191,95 @@ fn chain_of_n_ops_realizes_as_one_fused_loop() {
     });
     assert_eq!(s.programs, 1, "N elementwise ops must fuse into one loop");
     assert_eq!(s.instructions, N, "every op must appear in the one program");
+}
+
+/// conv → +bias → eval-BatchNorm (`sub·div·mul·add`) → relu: every operand
+/// after the activation is a per-channel `[1,C,1,1]` broadcast, and the
+/// whole block is one pass and one buffer (plus the C-element `denom`).
+#[test]
+fn broadcast_block_realizes_as_one_program() {
+    let (c, hw) = (8, 16 * 16);
+    let per_channel = |k: f32| {
+        Tensor::from_vec((0..c).map(|i| k + i as f32 * 0.25).collect(), &[1, c, 1, 1]).unwrap()
+    };
+    let x = Tensor::from_vec(
+        (0..c * hw).map(|i| (i as f32 * 0.37).sin() * 3.0).collect(),
+        &[1, c, 16, 16],
+    )
+    .unwrap();
+    let (bias, mean, var) = (per_channel(-1.0), per_channel(0.1), per_channel(0.5));
+    let (gamma, beta) = (per_channel(1.5), per_channel(-0.5));
+    let block = || {
+        let denom = var.add_scalar(1e-5).sqrt();
+        let y = x
+            .add(&bias)
+            .unwrap()
+            .sub(&mean)
+            .unwrap()
+            .div(&denom)
+            .unwrap();
+        y.mul(&gamma).unwrap().add(&beta).unwrap().relu()
+    };
+    let mut fused = Vec::new();
+    let s = stat_delta(|| {
+        let y = block();
+        assert!(!y.is_realized(), "broadcast ops must stay pending");
+        fused = bits(&y);
+    });
+    assert_eq!(s.programs, 2, "one program for denom, one for the block");
+    // denom: add_scalar, sqrt; block: 5 binaries + 5 expands + relu.
+    assert_eq!(s.instructions, 2 + 11);
+    assert!(
+        s.fresh_allocs + s.pool_hits == 2,
+        "two output buffers in total"
+    );
+    assert_eq!(
+        fused,
+        lazy::with_eager(|| bits(&block())),
+        "lazy vs eager drift"
+    );
+}
+
+/// `0 · inf` through a broadcast operand is still NaN, on both runtimes.
+#[test]
+fn zero_times_inf_is_nan_through_broadcast() {
+    let zeros = Tensor::zeros(&[3, 4]);
+    let infs = Tensor::full(&[4], f32::INFINITY);
+    for (a, b) in [(&zeros, &infs), (&infs, &zeros)] {
+        let run = || bits(&a.mul(b).unwrap().add_scalar(1.0));
+        let lazy_bits = lazy::with_lazy(run);
+        assert!(lazy_bits.iter().all(|&v| f32::from_bits(v).is_nan()));
+        assert_eq!(lazy_bits, lazy::with_eager(run));
+    }
+}
+
+/// Past the executor's fork threshold the expand instruction runs in worker
+/// spans at non-zero block offsets; planes of 900 and 50 channels make every
+/// run boundary fall inside a block.
+#[test]
+fn large_broadcast_program_is_thread_invariant_and_matches_oracle() {
+    let dims = [3, 50, 30, 30];
+    let gen = |n: usize, k: f32| (0..n).map(|i| (i as f32 * k).sin() * 2.0).collect();
+    let x = Tensor::from_vec(gen(135_000, 0.37), &dims).unwrap();
+    let scale = Tensor::from_vec(gen(50, 0.91), &[1, 50, 1, 1]).unwrap();
+    let gate = Tensor::from_vec(gen(900, 0.13), &[1, 1, 30, 30]).unwrap();
+    let shift = Tensor::from_vec(gen(30, 0.71), &[30]).unwrap();
+    // 4 binaries + 4 expands over 135 000 elements: 1.08e6 >= 2^20.
+    let chain = || {
+        let y = x.mul(&scale).unwrap().add(&shift).unwrap();
+        bits(&gate.sub(&y).unwrap().maximum(&scale).unwrap())
+    };
+    let y = oracle_bin(BinOp::Add, &oracle_bin(BinOp::Mul, &x, &scale), &shift);
+    let expect = bits(&oracle_bin(
+        BinOp::Max,
+        &oracle_bin(BinOp::Sub, &gate, &y),
+        &scale,
+    ));
+    for threads in [1, 2, 7] {
+        let got = lmmir_par::with_threads(threads, || lazy::with_lazy(chain));
+        assert_eq!(got, expect, "drift at {threads} threads");
+    }
+    assert_eq!(lazy::with_eager(chain), expect, "eager twin drift");
 }
 
 #[test]
@@ -195,8 +366,9 @@ fn realizing_shared_subexpression_twice_never_double_frees() {
 
 #[test]
 fn fused_loops_are_thread_count_invariant() {
-    // Big enough to cross the executor's parallel threshold.
-    let n = 64 * 1024;
+    // Big enough to cross the executor's parallel threshold: six fused
+    // instructions over 2^18 elements against a bar of 2^20 element-ops.
+    let n = 256 * 1024;
     let vals: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.37).sin() * 4.0).collect();
     let x = Tensor::from_vec(vals, &[n]).unwrap();
     let skip = x.scale(0.9).add_scalar(0.05);

@@ -64,13 +64,14 @@ fn pseudo(count: usize, seed: u64) -> Vec<f32> {
 
 /// Above-threshold companion to the randomized conv property below: the
 /// small proptest shapes all fall under the parallel-work gates (they pin
-/// the sequential boundary), so this fixed shape — im2col buffer 72×1600,
-/// gemm 16·72·1600 MACs — genuinely drives the partitioned path and checks
-/// it against both the naive reference and the sequential run bitwise.
+/// the sequential boundary), so this fixed shape — im2col buffer 144×7744
+/// (≥ 2^20 elements), gemm 16·144·7744 MACs (≥ 2^22) — genuinely drives the
+/// partitioned path and checks it against both the naive reference and the
+/// sequential run bitwise.
 #[test]
 fn large_conv2d_crosses_parallel_threshold_and_matches() {
-    let x = Tensor::from_vec(pseudo(8 * 40 * 40, 3), &[1, 8, 40, 40]).unwrap();
-    let w = Tensor::from_vec(pseudo(16 * 8 * 9, 41), &[16, 8, 3, 3]).unwrap();
+    let x = Tensor::from_vec(pseudo(16 * 88 * 88, 3), &[1, 16, 88, 88]).unwrap();
+    let w = Tensor::from_vec(pseudo(16 * 16 * 9, 41), &[16, 16, 3, 3]).unwrap();
     let spec = ConvSpec::new(1, 1);
     let slow = conv2d_reference(&x, &w, spec);
     let sequential = lmmir_par::with_threads(1, || conv2d(&x, &w, None, spec).unwrap());
@@ -308,11 +309,12 @@ proptest! {
     fn large_matmul_crosses_parallel_threshold_and_matches(
         threads in 2usize..8, seed in 0u64..20,
     ) {
-        // 72·96·64 ≈ 4.4e5 MACs — past the gemm parallel threshold, so this
-        // genuinely exercises the row-partitioned path (unlike the small
-        // randomized shapes above, which validate the sequential boundary).
-        let a = Tensor::from_vec(pseudo(72 * 96, seed), &[72, 96]).unwrap();
-        let b = Tensor::from_vec(pseudo(96 * 64, seed + 13), &[96, 64]).unwrap();
+        // 176·160·152 ≈ 4.3e6 MACs — past the 2^22 gemm parallel threshold,
+        // so this genuinely exercises the row-partitioned path (unlike the
+        // small randomized shapes above, which validate the sequential
+        // boundary).
+        let a = Tensor::from_vec(pseudo(176 * 160, seed), &[176, 160]).unwrap();
+        let b = Tensor::from_vec(pseudo(160 * 152, seed + 13), &[160, 152]).unwrap();
         let fast = lmmir_par::with_threads(threads, || linalg::matmul(&a, &b).unwrap());
         let slow = lmmir_par::with_threads(1, || linalg::matmul(&a, &b).unwrap());
         prop_assert_eq!(fast.data(), slow.data(), "bitwise drift at {} threads", threads);

@@ -96,6 +96,37 @@ proptest! {
     }
 }
 
+/// The randomized shapes above top out near 1e6 MACs — below the 2^22 fork
+/// threshold, so they pin the sequential dispatch. These fixed adversarial
+/// shapes (block-boundary straddlers, a tall ragged one) cross it, so the
+/// row-partitioned drivers of all three variants genuinely run and must
+/// reproduce the one-thread bits.
+#[test]
+fn matmul_variants_past_the_fork_threshold_are_thread_invariant() {
+    for (m, k, n) in [(257, 130, 129), (129, 257, 130), (1030, 65, 64)] {
+        assert!(m * k * n >= 1 << 22);
+        let a = Tensor::from_vec(pseudo(m * k, 5), &[m, k]).unwrap();
+        let b = Tensor::from_vec(pseudo(k * n, 6), &[k, n]).unwrap();
+        let at = Tensor::from_vec(pseudo(k * m, 7), &[k, m]).unwrap();
+        let bt = Tensor::from_vec(pseudo(n * k, 8), &[n, k]).unwrap();
+        let run = || {
+            [
+                bits(matmul(&a, &b).unwrap().data()),
+                bits(matmul_tn(&at, &b).unwrap().data()),
+                bits(matmul_nt(&a, &bt).unwrap().data()),
+            ]
+        };
+        let base = lmmir_par::with_threads(1, run);
+        for threads in [2, 4, 7] {
+            assert_eq!(
+                lmmir_par::with_threads(threads, run),
+                base,
+                "{m}x{k}x{n} drifted at {threads} threads"
+            );
+        }
+    }
+}
+
 /// Builds an `[m,k]` left operand whose row 0 contains an exact `0.0` at
 /// contraction index 0, paired with a right operand carrying `inf` there:
 /// IEEE 754 requires the product to be NaN, which must survive into the
@@ -114,8 +145,9 @@ fn poisoned_pair(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
 
 #[test]
 fn zero_times_inf_propagates_nan_in_all_variants() {
-    // Big enough to cross both the tiling and the parallel thresholds.
-    let (m, k, n) = (96, 80, 96);
+    // Big enough to cross both the tiling and the 2^22-MAC parallel
+    // thresholds.
+    let (m, k, n) = (176, 160, 152);
     let (a, b) = poisoned_pair(m, k, n);
     let av = Tensor::from_vec(a.clone(), &[m, k]).unwrap();
     let bv = Tensor::from_vec(b.clone(), &[k, n]).unwrap();
