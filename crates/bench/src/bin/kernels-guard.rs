@@ -18,7 +18,7 @@
 //! 4. **Fusion wins.** A conv-block-shaped elementwise chain (scale, bias,
 //!    relu ×2, plus the residual max head `skip + relu(t - skip)`) realized
 //!    through the lazy op-graph runtime must run at least
-//!    [`FUSION_TARGET`]× faster than the `LMMIR_EAGER` per-op path — and
+//!    [`FUSION_TARGET`]× faster than the eager (`lazy::with_eager`) per-op path — and
 //!    stay bitwise identical to it.
 //!
 //! `--only` runs a single guard section (the CI matrix splits the sections
@@ -197,7 +197,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // --- Guard 4: fused elementwise chain vs LMMIR_EAGER per-op path. ---
+    // --- Guard 4: fused elementwise chain vs the eager per-op path. ---
     if run(Section::Fusion) {
         let elems: usize = FUSION_DIMS.iter().product();
         let mut rng = StdRng::seed_from_u64(7);

@@ -5,11 +5,16 @@
 //! testcases, reporting F1 / MAE(×1e-4 V) / TAT(s) per case plus the Avg
 //! and Ratio rows, side by side with the paper's numbers.
 
-use lmm_ir::{average, evaluate, train, CaseMetrics};
-use lmmir_bench::{Harness, ModelKind, PAPER_TABLE3_AVG};
+use lmm_ir::{average, evaluate, train, ArchSpec, CaseMetrics};
+use lmmir_bench::{Harness, PAPER_TABLE3_AVG, TABLE3_COLUMNS};
 use std::time::Instant;
 
 fn main() {
+    // Column heading: the paper prints its own model as "Ours".
+    let label = |arch| match arch {
+        ArchSpec::LmmIr => "Ours",
+        other => other.name(),
+    };
     let h = Harness::from_env();
     eprintln!(
         "[table3] scale {:.4}, input {}, {} fake + {} real train cases, {} epochs",
@@ -34,25 +39,25 @@ fn main() {
         golden_total
     );
 
-    let mut columns: Vec<(ModelKind, Vec<CaseMetrics>)> = Vec::new();
-    for kind in ModelKind::all() {
-        let model = h.build_model(kind);
+    let mut columns: Vec<Vec<CaseMetrics>> = Vec::new();
+    for arch in TABLE3_COLUMNS {
+        let model = h.build_model(arch);
         let t = Instant::now();
         train(model.as_ref(), &train_set, &h.train).expect("training succeeds");
         eprintln!(
             "[table3] {} trained in {:.1}s",
-            kind.label(),
+            label(arch),
             t.elapsed().as_secs_f64()
         );
         let rows = evaluate(model.as_ref(), &hidden).expect("evaluation succeeds");
-        columns.push((kind, rows));
+        columns.push(rows);
     }
 
     // ---- print ----
     println!("\nTable III: Comparison with state of the arts (measured, scaled reproduction).");
     let mut header = format!("{:<12}", "Circuits");
-    for kind in ModelKind::all() {
-        header += &format!(" | {:^22}", kind.label());
+    for arch in TABLE3_COLUMNS {
+        header += &format!(" | {:^22}", label(arch));
     }
     lmmir_bench::rule(&header);
     println!("{header}");
@@ -64,14 +69,14 @@ fn main() {
     lmmir_bench::rule(&header);
     for case_ix in 0..hidden.len() {
         let mut line = format!("{:<12}", hidden[case_ix].id);
-        for (_, rows) in &columns {
+        for rows in &columns {
             let r = &rows[case_ix];
             line += &format!(" | {:>6.2} {:>7.2} {:>7.3}", r.f1, r.mae_e4, r.tat);
         }
         println!("{line}");
     }
     lmmir_bench::rule(&header);
-    let avgs: Vec<CaseMetrics> = columns.iter().map(|(_, rows)| average(rows)).collect();
+    let avgs: Vec<CaseMetrics> = columns.iter().map(|rows| average(rows)).collect();
     let mut line = format!("{:<12}", "Avg");
     for a in &avgs {
         line += &format!(" | {:>6.2} {:>7.2} {:>7.3}", a.f1, a.mae_e4, a.tat);

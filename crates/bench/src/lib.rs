@@ -1,7 +1,7 @@
 //! # lmmir-bench
 //!
 //! The reproduction harness: one binary per table/figure of the paper plus
-//! Criterion micro-benchmarks.
+//! `models`, `kernels-guard` and `loadgen` (timing lives in `benchmark/`).
 //!
 //! | artifact | binary |
 //! |---|---|
@@ -17,52 +17,21 @@
 //! `LMMIR_SEED`.
 
 use lmm_ir::{
-    build_dataset, first_place, iredge, irpnet, second_place, IrPredictor, LmmIr, LmmIrConfig,
-    Sample, TrainConfig,
+    build_dataset, ArchConfig, ArchSpec, CheckpointMeta, IrPredictor, LmmIrConfig, Sample,
+    TrainConfig,
 };
 use lmmir_pdn::{hidden_suite, training_suite};
 use lmmir_solver::SolveIrDropError;
 
-/// Identity of one compared model (column of Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelKind {
-    /// Contest 1st-place style U-Net (wide, gated, extra features).
-    FirstPlace,
-    /// Contest 2nd-place style U-Net (light, extra features).
-    SecondPlace,
-    /// IREDGe plain encoder-decoder (basic features).
-    Iredge,
-    /// IRPnet local physics-window CNN.
-    Irpnet,
-    /// LMM-IR (ours).
-    Ours,
-}
-
-impl ModelKind {
-    /// All models in the paper's column order.
-    #[must_use]
-    pub fn all() -> [ModelKind; 5] {
-        [
-            ModelKind::FirstPlace,
-            ModelKind::SecondPlace,
-            ModelKind::Iredge,
-            ModelKind::Irpnet,
-            ModelKind::Ours,
-        ]
-    }
-
-    /// Column label.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            ModelKind::FirstPlace => "1st Place",
-            ModelKind::SecondPlace => "2nd Place",
-            ModelKind::Iredge => "IREDGe",
-            ModelKind::Irpnet => "IRPnet",
-            ModelKind::Ours => "Ours",
-        }
-    }
-}
+/// The compared models, in the paper's Table III column order (LMM-IR,
+/// "Ours" in the printed table, last).
+pub const TABLE3_COLUMNS: [ArchSpec; 5] = [
+    ArchSpec::FirstPlace,
+    ArchSpec::SecondPlace,
+    ArchSpec::Iredge,
+    ArchSpec::IrpNet,
+    ArchSpec::LmmIr,
+];
 
 /// Scaled reproduction configuration shared by all harness binaries.
 #[derive(Debug, Clone)]
@@ -158,28 +127,30 @@ impl Harness {
         build_dataset(&specs, self.lmm.input_size)
     }
 
-    /// Instantiates a model column with deterministic weights.
+    /// Instantiates a static model family at the harness input size through
+    /// [`ArchSpec::build`]: LMM-IR from [`Harness::lmm`] seeded off the
+    /// master seed, the config-less families with `build`'s fixed init seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the family cannot be built at the harness input size.
     #[must_use]
-    pub fn build_model(&self, kind: ModelKind) -> Box<dyn IrPredictor> {
-        let s = self.lmm.input_size;
-        let seed = self.seed ^ 0x5EED;
-        match kind {
-            ModelKind::FirstPlace => Box::new(first_place(s, seed)),
-            ModelKind::SecondPlace => Box::new(second_place(s, seed)),
-            ModelKind::Iredge => Box::new(iredge(s, seed)),
-            ModelKind::Irpnet => Box::new(irpnet(s, seed)),
-            ModelKind::Ours => {
-                let mut cfg = self.lmm.clone();
-                cfg.seed = seed;
-                Box::new(LmmIr::new(cfg))
-            }
-        }
-    }
-}
-
-impl Default for Harness {
-    fn default() -> Self {
-        Harness::quick()
+    pub fn build_model(&self, arch: ArchSpec) -> Box<dyn IrPredictor> {
+        let config = (arch == ArchSpec::LmmIr).then(|| {
+            ArchConfig::LmmIr(LmmIrConfig {
+                seed: self.seed ^ 0x5EED,
+                ..self.lmm.clone()
+            })
+        });
+        let meta = CheckpointMeta {
+            model: arch.name().to_string(),
+            input_channels: arch.default_input_channels(),
+            input_size: self.lmm.input_size,
+            config,
+            quant_scales: Default::default(),
+        };
+        arch.build(&meta)
+            .unwrap_or_else(|e| panic!("harness model: {e}"))
     }
 }
 
@@ -187,7 +158,7 @@ impl Default for Harness {
 pub type Table3Row = (&'static str, [(f64, f64, f64); 5]);
 
 /// Paper Table III: per-case `(F1, MAE·1e-4, TAT s)` for each model column,
-/// in [`ModelKind::all`] order; used for side-by-side printouts and the
+/// in [`TABLE3_COLUMNS`] order; used for side-by-side printouts and the
 /// EXPERIMENTS.md record.
 // Verbatim transcription of published numbers; some happen to look like
 // mathematical constants.
@@ -321,9 +292,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn model_kinds_cover_table_columns() {
-        assert_eq!(ModelKind::all().len(), 5);
-        assert_eq!(ModelKind::Ours.label(), "Ours");
+    fn table_columns_end_with_ours() {
+        assert_eq!(TABLE3_COLUMNS.len(), PAPER_TABLE3_AVG.len());
+        assert_eq!(TABLE3_COLUMNS[4], ArchSpec::LmmIr);
     }
 
     #[test]
@@ -340,8 +311,9 @@ mod tests {
         let mut h = Harness::quick();
         h.lmm.input_size = 16;
         h.lmm.widths = vec![4, 8];
-        for kind in ModelKind::all() {
-            let m = h.build_model(kind);
+        for arch in TABLE3_COLUMNS {
+            let m = h.build_model(arch);
+            assert_eq!(m.arch(), arch);
             assert_eq!(m.input_size(), 16);
             assert!(!m.parameters().is_empty());
         }

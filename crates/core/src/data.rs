@@ -7,6 +7,7 @@
 //! truth for faithful evaluation.
 
 use crate::pointcloud::PointCloud;
+use crate::train::TrainSample;
 use lmmir_features::{ir_drop_map, FeatureStack, Raster, SpatialInfo};
 use lmmir_pdn::{CaseKind, CaseSpec};
 use lmmir_solver::SolveIrDropError;
@@ -183,10 +184,14 @@ pub fn build_dataset(
 /// case appears `fake_times`, each real case `real_times`. Hidden cases are
 /// never included in training.
 #[must_use]
-pub fn oversample_indices(samples: &[Sample], fake_times: usize, real_times: usize) -> Vec<usize> {
+pub fn oversample_indices<S: TrainSample>(
+    samples: &[S],
+    fake_times: usize,
+    real_times: usize,
+) -> Vec<usize> {
     let mut out = Vec::new();
     for (i, s) in samples.iter().enumerate() {
-        let times = match s.kind {
+        let times = match s.kind() {
             CaseKind::Fake => fake_times,
             CaseKind::Real => real_times,
             CaseKind::Hidden => 0,

@@ -18,15 +18,14 @@
 use crate::data::TARGET_SCALE;
 use crate::model::IrPredictor;
 use crate::pointcloud::PointCloud;
-use crate::train::{TrainConfig, TrainReport};
+use crate::train::TrainSample;
 use lmmir_features::{ir_drop_map, Raster, SpatialInfo, WindowStack};
 use lmmir_nn::Module;
 use lmmir_pdn::{CaseKind, CaseSpec, DynamicCase, MAX_WINDOWS};
 use lmmir_solver::{solve_ir_drop, CgConfig, SolveIrDropError};
-use lmmir_tensor::{Adam, GradClip, Optimizer, Result, Tensor, TensorError, Var};
+use lmmir_tensor::{Result, Tensor, TensorError, Var};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::blocks::{UNetDecoder, UNetEncoder};
 
@@ -211,30 +210,6 @@ pub struct DynamicSample {
     pub golden_seconds: f64,
 }
 
-impl DynamicSample {
-    /// Images as a `[1, W, S, S]` constant variable.
-    #[must_use]
-    pub fn images_var(&self) -> Var {
-        let d = self.images.dims();
-        Var::constant(
-            self.images
-                .reshape(&[1, d[0], d[1], d[2]])
-                .expect("adding batch axis preserves numel"),
-        )
-    }
-
-    /// Target as a `[1, 1, S, S]` constant variable.
-    #[must_use]
-    pub fn target_var(&self) -> Var {
-        let d = self.target.dims();
-        Var::constant(
-            self.target
-                .reshape(&[1, d[0], d[1], d[2]])
-                .expect("adding batch axis preserves numel"),
-        )
-    }
-}
-
 /// Builds a dynamic sample: generates the vector workload, golden-solves
 /// **every window's** PDN, takes the pixelwise max as the target, and
 /// rasterizes the windows through the per-window feature pipeline.
@@ -291,86 +266,38 @@ pub fn build_dynamic_sample(
     })
 }
 
-/// Trains a dynamic predictor with MSE against the max-over-windows golden
-/// targets, reusing the static trainer's hyper-parameters (noise
-/// augmentation, gradient accumulation, clipping, over-sampling; the
-/// reconstruction pre-training stage does not apply — `pretrain_epochs` is
-/// ignored).
-///
-/// # Errors
-///
-/// Returns tensor errors from malformed samples (sizes must match the
-/// model's `input_size` and window count).
-pub fn train_dynamic(
-    model: &dyn IrPredictor,
-    samples: &[DynamicSample],
-    cfg: &TrainConfig,
-) -> Result<TrainReport> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut opt = Adam::new(model.parameters(), cfg.lr);
-    let clip = (cfg.grad_clip > 0.0).then_some(GradClip {
-        max_norm: cfg.grad_clip,
-    });
-    let mut base_indices = Vec::new();
-    for (i, s) in samples.iter().enumerate() {
-        let times = match s.kind {
-            CaseKind::Fake => cfg.oversample.0,
-            CaseKind::Real => cfg.oversample.1,
-            CaseKind::Hidden => 0,
-        };
-        base_indices.extend(std::iter::repeat(i).take(times));
+/// Dynamic samples train through the shared [`crate::train`] loop with MSE
+/// against the max-over-windows golden targets. There is no reconstruction
+/// stage: `pretrain_epochs` is ignored.
+impl TrainSample for DynamicSample {
+    const PRETRAINS: bool = false;
+
+    fn kind(&self) -> CaseKind {
+        self.kind
     }
-    let mut report = TrainReport::default();
-    model.set_training(true);
-    for _epoch in 0..cfg.epochs {
-        let mut indices = base_indices.clone();
-        indices.shuffle(&mut rng);
-        let mut epoch_loss = 0.0f32;
-        let mut steps = 0usize;
-        let mut in_batch = 0usize;
-        for &ix in &indices {
-            let sample = &samples[ix];
-            let mut images = sample.images_var();
-            if cfg.noise_std > 0.0 {
-                let std = rng.gen_range(0.0..cfg.noise_std.max(f32::MIN_POSITIVE));
-                let noise = lmmir_tensor::init::normal(&images.dims(), std, &mut rng);
-                images = images.add(&Var::constant(noise))?;
-            }
-            let pred = model.forward(&images, None)?;
-            let loss = pred.mse_loss(&sample.target_var())?;
-            epoch_loss += loss.value().item();
-            steps += 1;
-            loss.scale(1.0 / cfg.batch as f32).backward();
-            in_batch += 1;
-            if in_batch == cfg.batch {
-                if let Some(c) = &clip {
-                    c.apply(opt.parameters());
-                }
-                opt.step();
-                opt.zero_grad();
-                in_batch = 0;
-            }
-        }
-        if in_batch > 0 {
-            if let Some(c) = &clip {
-                c.apply(opt.parameters());
-            }
-            opt.step();
-            opt.zero_grad();
-        }
-        report.losses.push(if steps > 0 {
-            epoch_loss / steps as f32
-        } else {
-            0.0
-        });
+
+    fn inputs(&self, _model: &dyn IrPredictor) -> (Var, Option<&PointCloud>) {
+        (batch_of_one(&self.images), None)
     }
-    model.set_training(false);
-    Ok(report)
+
+    fn target(&self, _pretrain: bool) -> Var {
+        batch_of_one(&self.target)
+    }
+}
+
+/// `[C, S, S]` maps as a `[1, C, S, S]` constant variable.
+fn batch_of_one(maps: &Tensor) -> Var {
+    let d = maps.dims();
+    Var::constant(
+        maps.reshape(&[1, d[0], d[1], d[2]])
+            .expect("adding batch axis preserves numel"),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::train::{train, TrainConfig};
 
     fn tiny_cfg() -> DynamicIrConfig {
         DynamicIrConfig {
@@ -491,13 +418,15 @@ mod tests {
             oversample: (1, 1),
             ..TrainConfig::quick()
         };
-        let report = train_dynamic(&m, &[sample], &cfg).unwrap();
-        assert_eq!(report.losses.len(), 6);
-        assert!(
-            report.final_loss() < report.losses[0],
-            "loss should decrease: {:?}",
-            report.losses
-        );
+        let report = train(&m, &[sample], &cfg).unwrap();
+        // Pinned: the bits `train_dynamic` produced on this fixture before
+        // it was folded into `train` — same RNG draw order, same loop.
+        let trace: Vec<u32> = report.losses.iter().map(|l| l.to_bits()).collect();
+        let pinned = [
+            0x3dcce6e2, 0x3dc81ae0, 0x3dc3a190, 0x3dbed6ee, 0x3dbb4c17, 0x3db72353,
+        ];
+        assert_eq!(trace, pinned, "loss trace drifted: {:?}", report.losses);
+        assert!(report.pretrain_losses.is_empty());
     }
 
     #[test]

@@ -70,9 +70,7 @@ pub use checkpoint::{
     load_meta, load_predictor, restore_parameters, save_predictor, split_meta, CheckpointMeta,
 };
 pub use data::{build_dataset, build_sample, oversample_indices, Sample, TARGET_SCALE};
-pub use dynamic::{
-    build_dynamic_sample, train_dynamic, DynamicIrConfig, DynamicIrPredictor, DynamicSample,
-};
+pub use dynamic::{build_dynamic_sample, DynamicIrConfig, DynamicIrPredictor, DynamicSample};
 pub use fixer::{predict_case, suggest_pad_fixes, PadFix};
 pub use infer::{
     prepare_parts, prepare_window_parts, restore_prediction, InferenceSession, InputSpec,
@@ -85,5 +83,5 @@ pub use metrics::{
 pub use model::{FusionModule, IrPredictor, LmmIr, LmmIrConfig};
 pub use pipeline::{evaluate, golden_speedups};
 pub use pointcloud::{NetlistPoint, PointCloud};
-pub use train::{train, TrainConfig, TrainReport};
+pub use train::{train, TrainConfig, TrainReport, TrainSample};
 pub use zoo::{CfirstNet, CfirstNetConfig, WacaUnet, WacaUnetConfig};

@@ -4,6 +4,8 @@
 
 use crate::data::{oversample_indices, Sample};
 use crate::model::IrPredictor;
+use crate::pointcloud::PointCloud;
+use lmmir_pdn::CaseKind;
 use lmmir_tensor::{Adam, GradClip, Optimizer, Result, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -95,33 +97,69 @@ fn add_noise(images: &Var, max_std: f32, rng: &mut StdRng) -> Result<Var> {
     images.add(&Var::constant(noise))
 }
 
-/// Extracts the reconstruction target for stage 1: the current map (first
-/// basic channel) of the sample at training resolution — a self-supervised
-/// target every model's input contains in some form.
-fn reconstruction_target(sample: &Sample) -> Result<Var> {
-    let images = &sample.images_basic;
-    let d = images.dims().to_vec();
-    let first = images
-        .reshape(&[d[0], d[1] * d[2]])?
-        .slice_axis(0, 0, 1)?
-        .reshape(&[1, 1, d[1], d[2]])?;
-    Ok(Var::constant(first))
+/// What [`train`] needs from one data point. Implemented by the static
+/// [`Sample`] and the per-window [`crate::DynamicSample`], so both workloads
+/// share one loop (shuffling, noise augmentation, gradient accumulation,
+/// clipping, over-sampling).
+pub trait TrainSample {
+    /// Whether the kind has a stage-1 reconstruction target. When `false`,
+    /// [`train`] ignores `pretrain_epochs`.
+    const PRETRAINS: bool;
+
+    /// Split membership (drives over-sampling).
+    fn kind(&self) -> CaseKind;
+
+    /// The model's input for this sample: `[1, C, S, S]` images and, for a
+    /// netlist-aware model, the point cloud.
+    fn inputs(&self, model: &dyn IrPredictor) -> (Var, Option<&PointCloud>);
+
+    /// The `[1, 1, S, S]` regression target: the stage-1 reconstruction
+    /// target when `pretrain` is set (only asked of kinds with
+    /// [`TrainSample::PRETRAINS`]), the golden IR drop otherwise.
+    fn target(&self, pretrain: bool) -> Var;
+}
+
+impl TrainSample for Sample {
+    const PRETRAINS: bool = true;
+
+    fn kind(&self) -> CaseKind {
+        self.kind
+    }
+
+    fn inputs(&self, model: &dyn IrPredictor) -> (Var, Option<&PointCloud>) {
+        (
+            self.images_for(model.input_channels()),
+            model.uses_netlist().then_some(&self.cloud),
+        )
+    }
+
+    /// Stage 1 reconstructs the current map (first basic channel) at
+    /// training resolution — a self-supervised target every model's input
+    /// contains in some form.
+    fn target(&self, pretrain: bool) -> Var {
+        if pretrain {
+            self.images_for(1)
+        } else {
+            self.target_var()
+        }
+    }
 }
 
 /// Trains a predictor on the given samples (hidden-kind samples are
 /// automatically excluded by the over-sampling recipe).
 ///
 /// Stage 1 trains the network to reconstruct the current map (a
-/// self-supervised task sharpening the joint representation); stage 2
-/// fine-tunes on the golden IR-drop targets with MSE loss.
+/// self-supervised task sharpening the joint representation; skipped for
+/// sample kinds without a reconstruction target); stage 2 fine-tunes on
+/// the golden IR-drop targets with MSE loss.
 ///
 /// # Errors
 ///
 /// Returns tensor errors from malformed samples (sizes must match the
-/// model's `input_size`).
-pub fn train(
+/// model's `input_size`; window counts its channel count).
+pub fn train<S: TrainSample>(
     model: &dyn IrPredictor,
-    samples: &[Sample],
+    samples: &[S],
     cfg: &TrainConfig,
 ) -> Result<TrainReport> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -133,11 +171,13 @@ pub fn train(
     let mut report = TrainReport::default();
     model.set_training(true);
 
-    for stage in 0..2 {
-        let epochs = if stage == 0 {
+    for pretrain in [true, false] {
+        let epochs = if !pretrain {
+            cfg.epochs
+        } else if S::PRETRAINS {
             cfg.pretrain_epochs
         } else {
-            cfg.epochs
+            0
         };
         for _epoch in 0..epochs {
             let mut indices = base_indices.clone();
@@ -147,16 +187,10 @@ pub fn train(
             let mut in_batch = 0usize;
             for &ix in &indices {
                 let sample = &samples[ix];
-                let images = sample.images_for(model.input_channels());
+                let (images, cloud) = sample.inputs(model);
                 let images = add_noise(&images, cfg.noise_std, &mut rng)?;
-                let cloud = model.uses_netlist().then_some(&sample.cloud);
                 let pred = model.forward(&images, cloud)?;
-                let target = if stage == 0 {
-                    reconstruction_target(sample)?
-                } else {
-                    sample.target_var()
-                };
-                let loss = pred.mse_loss(&target)?;
+                let loss = pred.mse_loss(&sample.target(pretrain))?;
                 epoch_loss += loss.value().item();
                 steps += 1;
                 // Scale so accumulated gradients average over the batch.
@@ -183,7 +217,7 @@ pub fn train(
             } else {
                 0.0
             };
-            if stage == 0 {
+            if pretrain {
                 report.pretrain_losses.push(mean);
             } else {
                 report.losses.push(mean);

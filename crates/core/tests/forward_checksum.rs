@@ -38,10 +38,8 @@ fn forward_checksum() -> u64 {
 fn forward_checksum_is_pinned_across_threads_and_runtimes() {
     for threads in [1, 2, 4] {
         let got = lmmir_par::with_threads(threads, forward_checksum);
-        assert_eq!(got, PINNED, "{got:#018x} at {threads} threads");
+        assert_eq!(got, PINNED, "{got:#018x} at {threads} threads (lazy)");
     }
     let got = lazy::with_eager(forward_checksum);
     assert_eq!(got, PINNED, "{got:#018x} on the eager runtime");
-    let got = lazy::with_lazy(forward_checksum);
-    assert_eq!(got, PINNED, "{got:#018x} on the lazy runtime");
 }

@@ -1,8 +1,9 @@
 //! The inference thread: job queue, batching, dedup, cache, forward.
 //!
 //! Event-loop threads enqueue decoded predict jobs on an MPSC channel; the
-//! single inference thread (models are `Rc`-based and not `Send`) drains up
-//! to `max_batch` jobs or waits at most `max_wait`, then processes the
+//! single inference thread (models are `Rc`-based and not `Send`) blocks
+//! for one job, takes what else is already queued up to `max_batch` (no
+//! timed wait: jobs pile up behind a running forward), then processes the
 //! batch:
 //!
 //! 1. jobs are **grouped** by `(model, design content hash)` — duplicates
@@ -34,7 +35,7 @@ use crate::ServeError;
 use lmm_ir::{prepare_parts, prepare_window_parts, InferenceSession, InputSpec, PreparedInput};
 use lmmir_spice::Netlist;
 use std::rc::Rc;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -175,99 +176,82 @@ pub(crate) fn run(
     // the reload clear are skipped along with the handlers' lookups.
     let results = (cfg.result_cache_capacity > 0).then_some(results);
 
-    loop {
-        // Block for the first job of a batch.
-        let first = match jobs.recv() {
-            Ok(job) => job,
-            Err(_) => return, // all senders gone: drained, shut down
-        };
-        let mut batch = Vec::with_capacity(cfg.max_batch);
-        dispatch(
-            first,
-            &mut batch,
-            &mut registry,
-            &mut cache,
-            results,
-            metrics,
-            health,
-        );
-        // Drain more predict jobs until the batch is full or the window
-        // closes; the window only starts once one job is waiting, so an
-        // idle server adds no latency.
-        let deadline = Instant::now() + cfg.max_wait;
-        while batch.len() < cfg.max_batch {
-            let now = Instant::now();
-            let Some(left) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            match jobs.recv_timeout(left) {
-                Ok(job) => dispatch(
-                    job,
-                    &mut batch,
-                    &mut registry,
-                    &mut cache,
-                    results,
-                    metrics,
-                    health,
-                ),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
+    // `None` ends the loop: all senders gone — drained, shut down.
+    while let Some(batch) = next_batch(&jobs, cfg.max_batch, |reply| {
+        reload(reply, &mut registry, &mut cache, results, metrics, health);
+    }) {
         if !batch.is_empty() {
             process_batch(batch, &registry, &mut cache, results, metrics);
         }
     }
 }
 
-/// Routes one queue entry: predict jobs join the batch, admin jobs run
-/// immediately (a reload between batches can never interleave a forward).
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    job: Job,
-    batch: &mut Vec<PredictJob>,
+/// Takes one drain cycle off the queue: blocks for the first entry, then
+/// takes what is already queued without waiting, until the queue is empty
+/// or `max_batch` predict jobs are in hand. An idle server therefore adds
+/// no latency, and under load the batch is whatever arrived during the
+/// previous forward. Admin entries run through `on_reload` as they are
+/// met — always between two batches, never during a forward. Returns
+/// `None` once every sender is gone and the queue is empty.
+fn next_batch(
+    jobs: &Receiver<Job>,
+    max_batch: usize,
+    mut on_reload: impl FnMut(ReplyFn<Result<usize, String>>),
+) -> Option<Vec<PredictJob>> {
+    let mut job = jobs.recv().ok()?;
+    let mut batch = Vec::with_capacity(max_batch);
+    loop {
+        match job {
+            Job::Predict(p) => batch.push(p),
+            Job::Reload(reply) => on_reload(reply),
+        }
+        if batch.len() >= max_batch {
+            break;
+        }
+        match jobs.try_recv() {
+            Ok(next) => job = next,
+            Err(_) => break, // empty — or disconnected, which the next `recv` reports
+        }
+    }
+    Some(batch)
+}
+
+/// Reloads the registry from disk and, on success, invalidates both caches.
+fn reload(
+    reply: ReplyFn<Result<usize, String>>,
     registry: &mut ModelRegistry,
     cache: &mut FeatureCache,
     results: Option<&ResultCache>,
     metrics: &Arc<Metrics>,
     health: &Arc<Health>,
 ) {
-    match job {
-        Job::Predict(p) => batch.push(p),
-        Job::Reload(reply) => {
-            // Flip readiness *before* touching the registry: the router
-            // drains this worker as soon as the next health probe lands,
-            // so a slow reload never races new dispatches.
-            health.begin_reload();
-            let outcome = registry.reload().map_err(|e| e.to_string());
-            if outcome.is_ok() {
-                // Both caches are per-model-weights and must not outlive a
-                // swap. Holding the result-cache lock across both clears
-                // makes the invalidation atomic from the handler threads'
-                // view: no handler can serve a stale prediction after
-                // observing any effect of this reload. A *failed* reload
-                // clears nothing — the old models keep serving, and their
-                // cached artifacts stay valid.
-                let mut results = results.map(|r| r.lock().expect("result cache lock"));
-                if let Some(results) = results.as_mut() {
-                    results.clear();
-                }
-                cache.clear();
-                drop(results);
-                Metrics::inc(&metrics.reloads_total);
-                metrics
-                    .models_loaded
-                    .store(registry.len() as u64, std::sync::atomic::Ordering::Relaxed);
-                health.set_ready(&registry.summaries());
-            } else {
-                health.reload_failed();
-            }
-            reply(outcome);
+    // Flip readiness *before* touching the registry: the router drains this
+    // worker as soon as the next health probe lands, so a slow reload never
+    // races new dispatches.
+    health.begin_reload();
+    let outcome = registry.reload().map_err(|e| e.to_string());
+    if outcome.is_ok() {
+        // Both caches are per-model-weights and must not outlive a swap.
+        // Holding the result-cache lock across both clears makes the
+        // invalidation atomic from the handler threads' view: no handler
+        // can serve a stale prediction after observing any effect of this
+        // reload. A *failed* reload clears nothing — the old models keep
+        // serving, and their cached artifacts stay valid.
+        let mut results = results.map(|r| r.lock().expect("result cache lock"));
+        if let Some(results) = results.as_mut() {
+            results.clear();
         }
+        cache.clear();
+        drop(results);
+        Metrics::inc(&metrics.reloads_total);
+        metrics
+            .models_loaded
+            .store(registry.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        health.set_ready(&registry.summaries());
+    } else {
+        health.reload_failed();
     }
+    reply(outcome);
 }
 
 /// One group: jobs of a batch that share a model and a design fingerprint,
@@ -463,6 +447,69 @@ fn process_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A predict job tagged through its design id; the reply is dropped.
+    fn predict(design: &str) -> Job {
+        let power = lmmir_pdn::PowerMap::zeros(1, 1);
+        Job::Predict(PredictJob {
+            request: PredictRequest::from_parts(design, &power, None),
+            fingerprint: 0,
+            reply: Box::new(|_| {}),
+        })
+    }
+
+    fn no_reload(_: ReplyFn<Result<usize, String>>) {
+        panic!("no reload queued");
+    }
+
+    fn designs(batch: &[PredictJob]) -> Vec<&str> {
+        batch.iter().map(|j| j.request.design.as_str()).collect()
+    }
+
+    #[test]
+    fn drain_takes_what_is_queued_up_to_max_batch_without_waiting() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        for d in ["a", "b", "c", "d", "e"] {
+            tx.send(predict(d)).unwrap();
+        }
+        // The sender stays alive and sends nothing more: each drain returns
+        // on an empty queue instead of waiting for company.
+        let batch = next_batch(&rx, 3, no_reload).unwrap();
+        assert_eq!(designs(&batch), ["a", "b", "c"]);
+        let batch = next_batch(&rx, 3, no_reload).unwrap();
+        assert_eq!(
+            designs(&batch),
+            ["d", "e"],
+            "min(N, max_batch) of what is left"
+        );
+
+        // One job on an otherwise empty queue is a batch of one.
+        tx.send(predict("f")).unwrap();
+        let batch = next_batch(&rx, 3, no_reload).unwrap();
+        assert_eq!(designs(&batch), ["f"]);
+
+        drop(tx);
+        assert!(next_batch(&rx, 3, no_reload).is_none(), "senders gone");
+    }
+
+    #[test]
+    fn drain_runs_a_reload_between_batches() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        tx.send(predict("a")).unwrap();
+        tx.send(Job::Reload(Box::new(|_| {}))).unwrap();
+        tx.send(predict("b")).unwrap();
+        let mut reloads = 0;
+        // The first batch fills before the reload is met...
+        let batch = next_batch(&rx, 1, |_| reloads += 1).unwrap();
+        assert_eq!((designs(&batch), reloads), (vec!["a"], 0));
+        // ...so it runs at the head of the next drain, ahead of `b`'s forward.
+        let batch = next_batch(&rx, 1, |_| reloads += 1).unwrap();
+        assert_eq!((designs(&batch), reloads), (vec!["b"], 1));
+        // A reload alone yields an empty batch, not a blocked drain.
+        tx.send(Job::Reload(Box::new(|_| {}))).unwrap();
+        let batch = next_batch(&rx, 1, |_| reloads += 1).unwrap();
+        assert_eq!((batch.len(), reloads), (0, 2));
+    }
 
     #[test]
     fn interleave_round_robins_across_models_preserving_lane_order() {

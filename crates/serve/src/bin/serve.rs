@@ -3,25 +3,18 @@
 //! serve.
 //!
 //! ```text
-//! serve [--addr A] --ckpt NAME=PATH [--ckpt NAME=PATH ...] [--default NAME]
-//!       [--max-batch N] [--max-wait-ms N] [--cache N] [--threads N] [--quantized]
-//!       [--watch-checkpoints] [--watch-interval-ms N]
-//! serve route --workers N --ckpt NAME=PATH [--worker-addr HOST:PORT ...]
-//!       [--health-interval-ms N] [--fail-threshold K] [--forwarders N]
-//!       [--no-respawn] [--addr A]
-//! serve demo-ckpt PATH [--arch IREDGe] [--size 16] [--epochs 2] [--cases 2] [--seed 7]
-//!       [--windows 4]   (--arch DynIR: per-window dynamic IR model)
+//! serve --ckpt NAME=PATH [worker flags]
+//! serve route --workers N --ckpt NAME=PATH [router flags] [worker flags but --addr]
+//! serve demo-ckpt PATH [--arch NAME] [training flags]
 //! ```
 //!
-//! Environment fallbacks: `LMMIR_SERVE_ADDR`, `LMMIR_MAX_BATCH`,
-//! `LMMIR_MAX_WAIT_MS`, `LMMIR_CACHE_CAP`, `LMMIR_RESULT_CACHE_CAP`,
-//! `LMMIR_IDLE_TIMEOUT_MS`, `LMMIR_MAX_REQS_PER_CONN`,
-//! `LMMIR_MAX_CONNECTIONS`, `LMMIR_EVENT_THREADS`, `LMMIR_QUANTIZED`,
-//! `LMMIR_WATCH_CHECKPOINTS`, `LMMIR_WATCH_INTERVAL_MS` (flags win).
+//! `usage()` is the one list of flags (run `serve` with no arguments).
+//! Flags are the only configuration: no environment variable is read here
+//! (`LMMIR_THREADS`, read by `lmmir-par`, is the default behind `--threads`).
 
 use lmm_ir::{
-    build_dynamic_sample, build_sample, save_predictor, train, train_dynamic, CheckpointMeta,
-    DynamicIrConfig, DynamicIrPredictor, LmmIr, LmmIrConfig, TrainConfig,
+    build_dynamic_sample, build_sample, save_predictor, train, ArchConfig, ArchSpec,
+    CheckpointMeta, DynamicIrConfig, IrPredictor, LmmIrConfig, TrainConfig, TrainSample,
 };
 use lmmir_pdn::{CaseKind, CaseSpec};
 use lmmir_serve::{
@@ -33,7 +26,7 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  serve [--addr A] --ckpt NAME=PATH [--ckpt ...] [--default NAME] \
-         [--max-batch N] [--max-wait-ms N] [--cache N] [--result-cache N] \
+         [--max-batch N] [--cache N] [--result-cache N] \
          [--idle-timeout-ms N] [--max-requests-per-conn N] [--max-connections N] \
          [--event-threads N] [--threads N] [--quantized] \
          [--watch-checkpoints] [--watch-interval-ms N]\n  \
@@ -92,81 +85,122 @@ fn parse<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
         .map_err(|_| format!("invalid --{name} {value:?}"))
 }
 
-fn run_server(args: &[String]) -> ExitCode {
-    let Some((positional, flags)) = parse_flags(args, 0) else {
-        return usage();
-    };
-    debug_assert!(positional.is_empty());
-    let mut cfg = match ServeConfig::from_env() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            return ExitCode::FAILURE;
+/// How one worker flag lands in the worker's configuration.
+type ApplyFlag = fn(&mut ServeConfig, &mut RegistrySpec, &str) -> Result<(), String>;
+
+/// Every flag a worker accepts. `run_server` parses with this table and
+/// `serve route` forwards by it, so a flag added here reaches spawned
+/// workers without a second list to keep in step.
+const WORKER_FLAGS: &[(&str, ApplyFlag)] = &[
+    ("addr", |cfg, _, v| {
+        cfg.addr = v.to_string();
+        Ok(())
+    }),
+    ("ckpt", |_, spec, v| match v.split_once('=') {
+        Some((n, p)) if !n.is_empty() && !p.is_empty() => {
+            spec.models.push(ModelSpec {
+                name: n.to_string(),
+                path: p.into(),
+            });
+            Ok(())
         }
-    };
+        _ => Err(format!("--ckpt wants NAME=PATH, got {v:?}")),
+    }),
+    ("default", |_, spec, v| {
+        spec.default_model = Some(v.to_string());
+        Ok(())
+    }),
+    ("max-batch", |cfg, _, v| {
+        parse("max-batch", v).map(|n: usize| cfg.max_batch = n.max(1))
+    }),
+    ("cache", |cfg, _, v| {
+        parse("cache", v).map(|n| cfg.cache_capacity = n)
+    }),
+    ("result-cache", |cfg, _, v| {
+        parse("result-cache", v).map(|n| cfg.result_cache_capacity = n)
+    }),
+    ("idle-timeout-ms", |cfg, _, v| {
+        parse("idle-timeout-ms", v).map(|n: u64| cfg.idle_timeout = Duration::from_millis(n.max(1)))
+    }),
+    ("max-requests-per-conn", |cfg, _, v| {
+        parse("max-requests-per-conn", v).map(|n: usize| cfg.max_requests_per_conn = n.max(1))
+    }),
+    ("max-connections", |cfg, _, v| {
+        parse("max-connections", v).map(|n: usize| cfg.max_connections = n.max(1))
+    }),
+    ("event-threads", |cfg, _, v| {
+        parse("event-threads", v).map(|n: usize| cfg.event_threads = n.max(1))
+    }),
+    ("threads", |cfg, _, v| {
+        parse("threads", v).map(|n: usize| cfg.threads = Some(n.max(1)))
+    }),
+    ("quantized", |cfg, _, _| {
+        cfg.quantized = true;
+        Ok(())
+    }),
+    ("watch-checkpoints", |cfg, _, _| {
+        cfg.watch_checkpoints = true;
+        Ok(())
+    }),
+    ("watch-interval-ms", |cfg, _, v| {
+        parse("watch-interval-ms", v)
+            .map(|n: u64| cfg.watch_interval = Duration::from_millis(n.max(1)))
+    }),
+];
+
+/// Whether `serve route` forwards the flag verbatim to each spawned worker:
+/// everything that configures the worker's own serving, but not the bind
+/// address, which the router chooses per worker.
+fn passes_through(name: &str) -> bool {
+    name != "addr" && WORKER_FLAGS.iter().any(|(n, _)| *n == name)
+}
+
+/// The argv `serve route` hands each spawned worker: every pass-through
+/// flag of its own command line, verbatim.
+fn forwarded_args(flags: &[Flag]) -> Vec<String> {
+    flags
+        .iter()
+        .filter(|(name, _)| passes_through(name))
+        .flat_map(|(name, value)| {
+            let value = (!BOOL_FLAGS.contains(&name.as_str())).then(|| value.clone());
+            std::iter::once(format!("--{name}")).chain(value)
+        })
+        .collect()
+}
+
+/// Builds a worker's configuration from its parsed flags.
+fn worker_config(flags: &[Flag]) -> Result<(ServeConfig, RegistrySpec), String> {
+    let mut cfg = ServeConfig::default();
     let mut spec = RegistrySpec {
         models: Vec::new(),
         default_model: None,
         quantized: false,
     };
-    for (name, value) in &flags {
-        let result: Result<(), String> = match name.as_str() {
-            "addr" => {
-                cfg.addr = value.clone();
-                Ok(())
-            }
-            "ckpt" => match value.split_once('=') {
-                Some((n, p)) if !n.is_empty() && !p.is_empty() => {
-                    spec.models.push(ModelSpec {
-                        name: n.to_string(),
-                        path: p.into(),
-                    });
-                    Ok(())
-                }
-                _ => Err(format!("--ckpt wants NAME=PATH, got {value:?}")),
-            },
-            "default" => {
-                spec.default_model = Some(value.clone());
-                Ok(())
-            }
-            "max-batch" => parse("max-batch", value).map(|n: usize| cfg.max_batch = n.max(1)),
-            "max-wait-ms" => {
-                parse("max-wait-ms", value).map(|n: u64| cfg.max_wait = Duration::from_millis(n))
-            }
-            "cache" => parse("cache", value).map(|n| cfg.cache_capacity = n),
-            "result-cache" => parse("result-cache", value).map(|n| cfg.result_cache_capacity = n),
-            "idle-timeout-ms" => parse("idle-timeout-ms", value)
-                .map(|n: u64| cfg.idle_timeout = Duration::from_millis(n.max(1))),
-            "max-requests-per-conn" => parse("max-requests-per-conn", value)
-                .map(|n: usize| cfg.max_requests_per_conn = n.max(1)),
-            "max-connections" => {
-                parse("max-connections", value).map(|n: usize| cfg.max_connections = n.max(1))
-            }
-            "event-threads" => {
-                parse("event-threads", value).map(|n: usize| cfg.event_threads = n.max(1))
-            }
-            "threads" => parse("threads", value).map(|n: usize| cfg.threads = Some(n.max(1))),
-            "quantized" => {
-                cfg.quantized = true;
-                Ok(())
-            }
-            "watch-checkpoints" => {
-                cfg.watch_checkpoints = true;
-                Ok(())
-            }
-            "watch-interval-ms" => parse("watch-interval-ms", value)
-                .map(|n: u64| cfg.watch_interval = Duration::from_millis(n.max(1))),
-            other => Err(format!("unknown flag --{other}")),
-        };
-        if let Err(e) = result {
+    for (name, value) in flags {
+        let (_, apply) = WORKER_FLAGS
+            .iter()
+            .find(|(n, _)| n == name)
+            .ok_or_else(|| format!("unknown flag --{name}"))?;
+        apply(&mut cfg, &mut spec, value)?;
+    }
+    if spec.models.is_empty() {
+        return Err("at least one --ckpt NAME=PATH is required".to_string());
+    }
+    Ok((cfg, spec))
+}
+
+fn run_server(args: &[String]) -> ExitCode {
+    let Some((positional, flags)) = parse_flags(args, 0) else {
+        return usage();
+    };
+    debug_assert!(positional.is_empty());
+    let (cfg, spec) = match worker_config(&flags) {
+        Ok(parsed) => parsed,
+        Err(e) => {
             eprintln!("serve: {e}");
             return usage();
         }
-    }
-    if spec.models.is_empty() {
-        eprintln!("serve: at least one --ckpt NAME=PATH is required");
-        return usage();
-    }
+    };
     let server = match Server::start(cfg.clone(), spec) {
         Ok(s) => s,
         Err(e) => {
@@ -175,13 +209,12 @@ fn run_server(args: &[String]) -> ExitCode {
         }
     };
     eprintln!(
-        "[serve] listening on http://{} (max_batch {}, max_wait {:?}, cache {}, \
+        "[serve] listening on http://{} (max_batch {}, cache {}, \
          result-cache {}, idle-timeout {:?}, max-reqs/conn {}, max-conns {}, \
          event-threads {}, weights {}) — \
          POST /predict, GET /healthz, GET /metrics, POST /reload, POST /shutdown",
         server.addr(),
         cfg.max_batch,
-        cfg.max_wait,
         cfg.cache_capacity,
         cfg.result_cache_capacity,
         cfg.idle_timeout,
@@ -195,26 +228,6 @@ fn run_server(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Worker flags `serve route` forwards verbatim to each spawned worker
-/// (everything that configures the worker's own serving, none of the
-/// router's knobs or the bind address the router chooses per worker).
-const WORKER_PASSTHROUGH: &[&str] = &[
-    "ckpt",
-    "default",
-    "max-batch",
-    "max-wait-ms",
-    "cache",
-    "result-cache",
-    "idle-timeout-ms",
-    "max-requests-per-conn",
-    "max-connections",
-    "event-threads",
-    "threads",
-    "quantized",
-    "watch-checkpoints",
-    "watch-interval-ms",
-];
-
 /// Runs the shard router: spawns `--workers N` supervised worker
 /// processes (this same binary, with the pass-through flags), attaches
 /// any `--worker-addr` peers, and serves the router front end.
@@ -223,26 +236,12 @@ fn run_router(args: &[String]) -> ExitCode {
         return usage();
     };
     debug_assert!(positional.is_empty());
-    let mut cfg = match ServeConfig::from_env() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut cfg = ServeConfig::default();
     let mut spec = RouterSpec::default();
     let mut workers = 0usize;
-    let mut has_ckpt = false;
-    let mut worker_args: Vec<String> = Vec::new();
-    for (name, value) in &flags {
-        if WORKER_PASSTHROUGH.contains(&name.as_str()) {
-            has_ckpt |= name == "ckpt";
-            worker_args.push(format!("--{name}"));
-            if !BOOL_FLAGS.contains(&name.as_str()) {
-                worker_args.push(value.clone());
-            }
-            continue;
-        }
+    let worker_args = forwarded_args(&flags);
+    let has_ckpt = flags.iter().any(|(name, _)| name == "ckpt");
+    for (name, value) in flags.iter().filter(|(name, _)| !passes_through(name)) {
         let result: Result<(), String> = match name.as_str() {
             "addr" => {
                 cfg.addr = value.clone();
@@ -320,6 +319,17 @@ fn run_router(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `demo-ckpt` options after flag parsing.
+struct DemoOpts {
+    arch: String,
+    size: usize,
+    epochs: usize,
+    cases: usize,
+    seed: u64,
+    widths: Option<Vec<usize>>,
+    windows: Option<usize>,
+}
+
 /// Trains a small model on generated cases and writes a checkpoint the
 /// server can load — the zero-to-serving path used by CI's smoke job.
 fn demo_ckpt(args: &[String]) -> ExitCode {
@@ -329,33 +339,31 @@ fn demo_ckpt(args: &[String]) -> ExitCode {
     let Some(path) = positional.first() else {
         return usage();
     };
-    let mut arch = "IREDGe".to_string();
-    let mut size = 16usize;
-    let mut epochs = 2usize;
-    let mut cases = 2usize;
-    let mut seed = 7u64;
-    let mut widths: Option<Vec<usize>> = None;
-    let mut windows = 4usize;
-    let mut windows_set = false;
+    let mut o = DemoOpts {
+        arch: "IREDGe".to_string(),
+        size: 16,
+        epochs: 2,
+        cases: 2,
+        seed: 7,
+        widths: None,
+        windows: None,
+    };
     for (name, value) in &flags {
         let result: Result<(), String> = match name.as_str() {
             "arch" => {
-                arch = value.clone();
+                o.arch = value.clone();
                 Ok(())
             }
-            "size" => parse("size", value).map(|v| size = v),
-            "epochs" => parse("epochs", value).map(|v| epochs = v),
-            "cases" => parse("cases", value).map(|v| cases = v),
-            "seed" => parse("seed", value).map(|v| seed = v),
+            "size" => parse("size", value).map(|v| o.size = v),
+            "epochs" => parse("epochs", value).map(|v| o.epochs = v),
+            "cases" => parse("cases", value).map(|v| o.cases = v),
+            "seed" => parse("seed", value).map(|v| o.seed = v),
             "widths" => value
                 .split(',')
                 .map(|w| parse("widths", w.trim()))
                 .collect::<Result<Vec<usize>, _>>()
-                .map(|v| widths = Some(v)),
-            "windows" => parse("windows", value).map(|v| {
-                windows = v;
-                windows_set = true;
-            }),
+                .map(|v| o.widths = Some(v)),
+            "windows" => parse("windows", value).map(|v| o.windows = Some(v)),
             other => Err(format!("unknown flag --{other}")),
         };
         if let Err(e) = result {
@@ -363,167 +371,149 @@ fn demo_ckpt(args: &[String]) -> ExitCode {
             return usage();
         }
     }
-    if windows_set && arch != "DynIR" {
-        eprintln!("serve: --windows only configures --arch DynIR");
-        return ExitCode::FAILURE;
-    }
-    if arch == "DynIR" {
-        return demo_dynamic_ckpt(path, size, windows, widths, epochs, cases, seed);
-    }
-    let channels = match lmm_ir::ArchSpec::from_name(&arch) {
-        Some(spec) => spec.default_input_channels(),
-        None => {
+    match write_demo_ckpt(path, &o) {
+        Ok(model) => {
             eprintln!(
-                "serve: unknown --arch {arch:?} (known: {})",
-                lmm_ir::ArchSpec::known_names()
+                "[serve] wrote {path}: {model}, trained {} epoch(s) on {} generated case(s)",
+                o.epochs, o.cases
             );
-            return ExitCode::FAILURE;
+            ExitCode::SUCCESS
         }
-    };
-    if widths.is_some() && arch != "LMM-IR" {
-        eprintln!("serve: --widths only configures --arch LMM-IR or DynIR");
-        return ExitCode::FAILURE;
-    }
-    // A custom width plan produces a *full-config* (format v3) checkpoint:
-    // the saved file records the exact architecture, and the registry
-    // rebuilds it from that record rather than assuming quick() widths.
-    let model = if let Some(widths) = widths {
-        let cfg = LmmIrConfig {
-            input_size: size,
-            widths,
-            seed,
-            ..LmmIrConfig::quick()
-        };
-        if let Err(e) = cfg.validate() {
-            eprintln!("serve: invalid LMM-IR config: {e}");
-            return ExitCode::FAILURE;
-        }
-        Box::new(LmmIr::new(cfg)) as Box<dyn lmm_ir::IrPredictor>
-    } else {
-        let meta = CheckpointMeta {
-            model: arch.clone(),
-            input_channels: channels,
-            input_size: size,
-            config: None,
-            quant_scales: Default::default(),
-        };
-        match instantiate(&meta) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let samples: Result<Vec<_>, _> = (0..cases)
-        .map(|i| {
-            build_sample(
-                &CaseSpec::new(
-                    format!("demo{i}"),
-                    size,
-                    size,
-                    seed + i as u64,
-                    CaseKind::Fake,
-                ),
-                size,
-            )
-        })
-        .collect();
-    let samples = match samples {
-        Ok(s) => s,
         Err(e) => {
-            eprintln!("serve: demo case generation failed: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("serve: {e}");
+            ExitCode::FAILURE
         }
-    };
-    let train_cfg = TrainConfig {
-        epochs,
-        pretrain_epochs: 0,
-        oversample: (1, 1),
-        seed,
-        ..TrainConfig::quick()
-    };
-    if let Err(e) = train(model.as_ref(), &samples, &train_cfg) {
-        eprintln!("serve: demo training failed: {e}");
-        return ExitCode::FAILURE;
     }
-    if let Err(e) = save_predictor(model.as_ref(), path) {
-        eprintln!("serve: saving checkpoint failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "[serve] wrote {path}: {arch} ({channels} channels, {size} px), \
-         trained {epochs} epoch(s) on {cases} generated case(s)"
-    );
-    ExitCode::SUCCESS
 }
 
-/// The `demo-ckpt --arch DynIR` path: generates vector-based dynamic
-/// workloads, golden-solves every window for the max-over-windows targets,
-/// and writes a full-config (v4 `config.dynamic`) checkpoint.
-fn demo_dynamic_ckpt(
-    path: &str,
-    size: usize,
-    windows: usize,
-    widths: Option<Vec<usize>>,
-    epochs: usize,
-    cases: usize,
-    seed: u64,
-) -> ExitCode {
-    let mut cfg = DynamicIrConfig {
-        windows,
-        input_size: size,
-        seed,
-        ..DynamicIrConfig::quick()
-    };
-    if let Some(widths) = widths {
-        cfg.widths = widths;
+/// Builds the requested family, trains it on generated cases (static
+/// designs, or vector-based dynamic workloads with every window
+/// golden-solved for `DynIR`) and saves it; returns a one-line description
+/// of the model written.
+fn write_demo_ckpt(path: &str, o: &DemoOpts) -> Result<String, String> {
+    let (size, seed) = (o.size, o.seed);
+    let arch = ArchSpec::from_name(&o.arch).ok_or_else(|| {
+        format!(
+            "unknown --arch {:?} (known: {})",
+            o.arch,
+            ArchSpec::known_names()
+        )
+    })?;
+    if o.windows.is_some() && arch != ArchSpec::DynIr {
+        return Err("--windows only configures --arch DynIR".to_string());
     }
-    if let Err(e) = cfg.validate() {
-        eprintln!("serve: invalid DynIR config: {e}");
-        return ExitCode::FAILURE;
-    }
-    let model = DynamicIrPredictor::new(cfg);
-    let samples: Result<Vec<_>, _> = (0..cases)
-        .map(|i| {
-            build_dynamic_sample(
-                &CaseSpec::new(
-                    format!("demo{i}"),
-                    size,
-                    size,
-                    seed + i as u64,
-                    CaseKind::Fake,
-                ),
+    let windows = o.windows.unwrap_or(DynamicIrConfig::quick().windows);
+    // DynIR and a custom LMM-IR width plan produce *full-config* checkpoints:
+    // the saved file records the exact architecture, and the registry
+    // rebuilds it from that record rather than assuming quick() widths.
+    let config = match (arch, &o.widths) {
+        (ArchSpec::DynIr, widths) => {
+            let mut cfg = DynamicIrConfig {
                 windows,
-                size,
-            )
-        })
-        .collect();
-    let samples = match samples {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve: dynamic demo case generation failed: {e}");
-            return ExitCode::FAILURE;
+                input_size: size,
+                seed,
+                ..DynamicIrConfig::quick()
+            };
+            if let Some(widths) = widths {
+                cfg.widths.clone_from(widths);
+            }
+            Some(ArchConfig::Dynamic(cfg))
         }
+        (ArchSpec::LmmIr, Some(widths)) => Some(ArchConfig::LmmIr(LmmIrConfig {
+            input_size: size,
+            widths: widths.clone(),
+            seed,
+            ..LmmIrConfig::quick()
+        })),
+        (_, Some(_)) => return Err("--widths only configures --arch LMM-IR or DynIR".to_string()),
+        (_, None) => None,
+    };
+    let channels = if arch == ArchSpec::DynIr {
+        windows
+    } else {
+        arch.default_input_channels()
+    };
+    let meta = CheckpointMeta {
+        model: o.arch.clone(),
+        input_channels: channels,
+        input_size: size,
+        config,
+        quant_scales: Default::default(),
+    };
+    let model = instantiate(&meta).map_err(|e| e.to_string())?;
+
+    let case = |i: usize| {
+        CaseSpec::new(
+            format!("demo{i}"),
+            size,
+            size,
+            seed + i as u64,
+            CaseKind::Fake,
+        )
     };
     let train_cfg = TrainConfig {
-        epochs,
+        epochs: o.epochs,
         pretrain_epochs: 0,
         oversample: (1, 1),
         seed,
         ..TrainConfig::quick()
     };
-    if let Err(e) = train_dynamic(&model, &samples, &train_cfg) {
-        eprintln!("serve: dynamic demo training failed: {e}");
-        return ExitCode::FAILURE;
+    let cases = 0..o.cases;
+    let described = if arch == ArchSpec::DynIr {
+        let samples = cases.map(|i| build_dynamic_sample(&case(i), windows, size));
+        fit(model.as_ref(), samples.collect(), &train_cfg)?;
+        format!("DynIR ({windows} windows, {size} px)")
+    } else {
+        let samples = cases.map(|i| build_sample(&case(i), size));
+        fit(model.as_ref(), samples.collect(), &train_cfg)?;
+        format!("{} ({channels} channels, {size} px)", o.arch)
+    };
+    save_predictor(model.as_ref(), path).map_err(|e| format!("saving checkpoint failed: {e}"))?;
+    Ok(described)
+}
+
+/// Trains `model` on freshly generated samples of either kind.
+fn fit<S: TrainSample, E: std::fmt::Display>(
+    model: &dyn IrPredictor,
+    samples: Result<Vec<S>, E>,
+    cfg: &TrainConfig,
+) -> Result<(), String> {
+    let samples = samples.map_err(|e| format!("demo case generation failed: {e}"))?;
+    train(model, &samples, cfg)
+        .map(drop)
+        .map_err(|e| format!("demo training failed: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_worker_flag_but_addr_passes_through_the_router() {
+        // One `serve route` command line carrying every worker flag.
+        let route_args: Vec<String> = WORKER_FLAGS
+            .iter()
+            .flat_map(|(name, _)| {
+                let value = if *name == "ckpt" {
+                    "m=/tmp/m.lmmt"
+                } else {
+                    "3"
+                };
+                let value = (!BOOL_FLAGS.contains(name)).then(|| value.to_string());
+                std::iter::once(format!("--{name}")).chain(value)
+            })
+            .collect();
+        let (_, route_flags) = parse_flags(&route_args, 0).unwrap();
+        let (_, worker_flags) = parse_flags(&forwarded_args(&route_flags), 0).unwrap();
+        let names = |flags: &[Flag]| flags.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+        let mut expect = names(&route_flags);
+        expect.retain(|n| n != "addr"); // the router picks each worker's address
+        assert_eq!(names(&worker_flags), expect);
+        // ...and the worker's own parser accepts what it is handed.
+        let (cfg, spec) = worker_config(&worker_flags).unwrap();
+        assert_eq!((cfg.max_batch, cfg.event_threads), (3, 3));
+        assert!(cfg.quantized && cfg.watch_checkpoints);
+        assert_eq!(spec.models.len(), 1);
+        assert!(!passes_through("workers"), "a router knob");
     }
-    if let Err(e) = save_predictor(&model, path) {
-        eprintln!("serve: saving checkpoint failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "[serve] wrote {path}: DynIR ({windows} windows, {size} px), \
-         trained {epochs} epoch(s) on {cases} generated case(s)"
-    );
-    ExitCode::SUCCESS
 }

@@ -20,7 +20,8 @@
 //!                                        │ connection parks)
 //!                                        v
 //!                               inference thread (owns the models)
-//!                               │ drain ≤ max_batch / ≤ max_wait_ms
+//!                               │ block for a job, drain what is
+//!                               │ queued (≤ max_batch), no timed wait
 //!                               │ dedupe by content hash
 //!                               │ feature cache (LRU) / prepare on pool
 //!                               │ forward per unique input, encode once
@@ -45,8 +46,9 @@
 //! Model internals are `Rc`-based (the autograd tape is deliberately not
 //! thread-safe), so every model lives on the single inference thread; the
 //! parallelism inside a forward pass comes from `lmmir-par`, and request
-//! concurrency comes from batching: jobs drained together that share a
-//! design content hash are served by **one** forward pass.
+//! concurrency comes from batching: the jobs that queued up behind the
+//! running forward are drained together, and those sharing a design
+//! content hash are served by **one** forward pass.
 //!
 //! ## Scaling out
 //!
@@ -110,7 +112,7 @@ use std::fmt;
 pub enum ServeError {
     /// Socket / filesystem failure.
     Io(std::io::Error),
-    /// Invalid configuration (flags or environment).
+    /// Invalid configuration (e.g. a router with no workers).
     Config(String),
     /// Checkpoint loading / model registry failure.
     Registry(String),

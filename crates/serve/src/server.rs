@@ -36,50 +36,44 @@ use std::time::{Duration, Instant, SystemTime};
 /// first, so a SYN-flood-ish peer cannot stall the accept thread).
 const REFUSAL_WRITE_DEADLINE: Duration = Duration::from_millis(250);
 
-/// Server knobs. [`ServeConfig::from_env`] reads the documented
-/// environment overrides; unset fields fall back to these defaults.
+/// Server knobs. Callers build the struct (the `serve` bin from its flags);
+/// unset fields take these defaults.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Bind address (`LMMIR_SERVE_ADDR`; port 0 picks an ephemeral port).
+    /// Bind address (port 0 picks an ephemeral port).
     pub addr: String,
-    /// Most predict jobs answered by one batch (`LMMIR_MAX_BATCH`).
+    /// Most predict jobs answered by one drain cycle.
     pub max_batch: usize,
-    /// How long a non-empty batch waits for company (`LMMIR_MAX_WAIT_MS`).
-    pub max_wait: Duration,
-    /// Feature-cache capacity in designs (`LMMIR_CACHE_CAP`; 0 disables).
+    /// Feature-cache capacity in designs (0 disables).
     pub cache_capacity: usize,
-    /// Result-cache capacity in predictions
-    /// (`LMMIR_RESULT_CACHE_CAP`; 0 disables).
+    /// Result-cache capacity in predictions (0 disables).
     pub result_cache_capacity: usize,
     /// Per-state read deadline: a keep-alive connection may sit idle this
     /// long between requests, and a request's head and body each get this
-    /// long to arrive (`LMMIR_IDLE_TIMEOUT_MS`).
+    /// long to arrive.
     pub idle_timeout: Duration,
     /// Most requests served on one connection before the server closes it
-    /// with `Connection: close` (`LMMIR_MAX_REQS_PER_CONN`; floor 1).
+    /// with `Connection: close` (floor 1).
     pub max_requests_per_conn: usize,
-    /// Most concurrently open connections; excess get `503`
-    /// (`LMMIR_MAX_CONNECTIONS`; floor 1).
+    /// Most concurrently open connections; excess get `503` (floor 1).
     pub max_connections: usize,
-    /// Event-loop threads driving all connections
-    /// (`LMMIR_EVENT_THREADS`; floor 1). A small fixed number — the loops
-    /// are I/O-bound; inference parallelism lives in `lmmir-par`.
+    /// Event-loop threads driving all connections (floor 1). A small fixed
+    /// number — the loops are I/O-bound; inference parallelism lives in
+    /// `lmmir-par`.
     pub event_threads: usize,
     /// Thread-count override for the inference thread's `lmmir-par` pool
     /// (`None` = `LMMIR_THREADS` / available cores).
     pub threads: Option<usize>,
-    /// Serve every model with int8 weights (`LMMIR_QUANTIZED`; the
-    /// `--quantized` flag). Applies on top of [`RegistrySpec::quantized`] —
-    /// either switch turns quantization on.
+    /// Serve every model with int8 weights (the `--quantized` flag).
+    /// Applies on top of [`RegistrySpec::quantized`] — either switch turns
+    /// quantization on.
     pub quantized: bool,
     /// Watch every checkpoint file's mtime and hot-reload on change,
-    /// clearing both caches atomically exactly as `POST /reload` does
-    /// (`LMMIR_WATCH_CHECKPOINTS`; the `--watch-checkpoints` flag) — so
-    /// sharded workers pick up new checkpoints without router
-    /// coordination.
+    /// clearing both caches atomically exactly as `POST /reload` does (the
+    /// `--watch-checkpoints` flag) — so sharded workers pick up new
+    /// checkpoints without router coordination.
     pub watch_checkpoints: bool,
-    /// Poll interval of the checkpoint watcher
-    /// (`LMMIR_WATCH_INTERVAL_MS`; floor 1 ms).
+    /// Poll interval of the checkpoint watcher (floor 1 ms).
     pub watch_interval: Duration,
 }
 
@@ -88,7 +82,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
             max_batch: 8,
-            max_wait: Duration::from_millis(5),
             cache_capacity: 64,
             result_cache_capacity: 64,
             idle_timeout: Duration::from_secs(10),
@@ -100,79 +93,6 @@ impl Default for ServeConfig {
             watch_checkpoints: false,
             watch_interval: Duration::from_secs(2),
         }
-    }
-}
-
-impl ServeConfig {
-    /// Defaults with environment overrides applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Config`] naming the offending variable and
-    /// value when one is set but does not parse — a malformed
-    /// `LMMIR_MAX_BATCH=lots` must not silently serve with the default.
-    pub fn from_env() -> Result<Self, ServeError> {
-        let mut cfg = ServeConfig::default();
-        fn read<T: std::str::FromStr>(key: &str) -> Result<Option<T>, ServeError> {
-            match std::env::var(key) {
-                Ok(v) => v.parse().map(Some).map_err(|_| {
-                    ServeError::Config(format!(
-                        "invalid {key}={v:?}: expected a {}",
-                        std::any::type_name::<T>()
-                    ))
-                }),
-                Err(_) => Ok(None),
-            }
-        }
-        fn read_bool(key: &str) -> Result<Option<bool>, ServeError> {
-            match std::env::var(key) {
-                Ok(v) => match v.to_ascii_lowercase().as_str() {
-                    "1" | "true" | "yes" | "on" => Ok(Some(true)),
-                    "0" | "false" | "no" | "off" | "" => Ok(Some(false)),
-                    _ => Err(ServeError::Config(format!(
-                        "invalid {key}={v:?}: expected a boolean"
-                    ))),
-                },
-                Err(_) => Ok(None),
-            }
-        }
-        if let Some(v) = read::<String>("LMMIR_SERVE_ADDR")? {
-            cfg.addr = v;
-        }
-        if let Some(v) = read::<usize>("LMMIR_MAX_BATCH")? {
-            cfg.max_batch = v.max(1);
-        }
-        if let Some(v) = read::<u64>("LMMIR_MAX_WAIT_MS")? {
-            cfg.max_wait = Duration::from_millis(v);
-        }
-        if let Some(v) = read::<usize>("LMMIR_CACHE_CAP")? {
-            cfg.cache_capacity = v;
-        }
-        if let Some(v) = read::<usize>("LMMIR_RESULT_CACHE_CAP")? {
-            cfg.result_cache_capacity = v;
-        }
-        if let Some(v) = read::<u64>("LMMIR_IDLE_TIMEOUT_MS")? {
-            cfg.idle_timeout = Duration::from_millis(v.max(1));
-        }
-        if let Some(v) = read::<usize>("LMMIR_MAX_REQS_PER_CONN")? {
-            cfg.max_requests_per_conn = v.max(1);
-        }
-        if let Some(v) = read::<usize>("LMMIR_MAX_CONNECTIONS")? {
-            cfg.max_connections = v.max(1);
-        }
-        if let Some(v) = read::<usize>("LMMIR_EVENT_THREADS")? {
-            cfg.event_threads = v.max(1);
-        }
-        if let Some(v) = read_bool("LMMIR_QUANTIZED")? {
-            cfg.quantized = v;
-        }
-        if let Some(v) = read_bool("LMMIR_WATCH_CHECKPOINTS")? {
-            cfg.watch_checkpoints = v;
-        }
-        if let Some(v) = read::<u64>("LMMIR_WATCH_INTERVAL_MS")? {
-            cfg.watch_interval = Duration::from_millis(v.max(1));
-        }
-        Ok(cfg)
     }
 }
 

@@ -28,7 +28,6 @@ fn config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         max_batch: 4,
-        max_wait: Duration::from_millis(5),
         threads: Some(2),
         ..ServeConfig::default()
     }

@@ -27,7 +27,6 @@ fn config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         max_batch: 4,
-        max_wait: Duration::from_millis(2),
         threads: Some(2),
         event_threads: 2,
         max_connections: 600,

@@ -25,7 +25,6 @@ fn config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         max_batch: 4,
-        max_wait: Duration::from_millis(2),
         threads: Some(2),
         // Short idle timeout so a forgotten open connection cannot stall
         // the drain for the default 10 s.

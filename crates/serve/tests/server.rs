@@ -23,7 +23,6 @@ fn config(threads: usize, max_batch: usize) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         max_batch,
-        max_wait: Duration::from_millis(5),
         threads: Some(threads),
         ..ServeConfig::default()
     }

@@ -12,7 +12,6 @@ use lmmir_pdn::{Case, CaseKind, CaseSpec};
 use lmmir_serve::{
     client, prepare_request, PredictRequest, PredictResponse, RegistrySpec, ServeConfig, Server,
 };
-use std::time::Duration;
 
 const SIZE: usize = 16;
 
@@ -26,7 +25,6 @@ fn config(threads: usize) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         max_batch: 4,
-        max_wait: Duration::from_millis(5),
         threads: Some(threads),
         ..ServeConfig::default()
     }

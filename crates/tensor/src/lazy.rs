@@ -16,7 +16,7 @@
 //! reassociated, skipped, or approximated (`0 · inf` still produces NaN).
 //! The block layout of the fused loop depends only on the problem size,
 //! never the thread count, so results are bitwise identical at any
-//! `LMMIR_THREADS` and identical to `LMMIR_EAGER=1`.
+//! `LMMIR_THREADS` and identical to the eager path ([`with_eager`]).
 //!
 //! ## Graph shape
 //!
@@ -40,8 +40,9 @@
 //! Freed output buffers are recycled through a small thread-local pool, so
 //! steady-state chains allocate nothing.
 //!
-//! Set `LMMIR_EAGER=1` (or use [`with_eager`]) to bypass the graph and
-//! compute every op immediately — the debugging escape hatch.
+//! Wrap a region in [`with_eager`] to bypass the graph on the calling thread
+//! and compute every op immediately — the test oracle and debugging escape
+//! hatch. There is no process-wide switch.
 
 use std::cell::{Cell, RefCell};
 use std::mem;
@@ -329,52 +330,30 @@ impl Drop for LazyNode {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    static EAGER_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-fn eager_env() -> bool {
-    static EAGER_ENV: OnceLock<bool> = OnceLock::new();
-    *EAGER_ENV.get_or_init(|| {
-        std::env::var("LMMIR_EAGER").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-        })
-    })
+    static EAGER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// True when ops should compute immediately instead of recording graph
-/// nodes: either `LMMIR_EAGER=1` is set process-wide or the calling thread
-/// is inside [`with_eager`].
+/// nodes: the calling thread is inside [`with_eager`].
 #[must_use]
 pub fn eager_mode() -> bool {
-    EAGER_OVERRIDE.with(Cell::get).unwrap_or_else(eager_env)
-}
-
-fn with_mode<R>(eager: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            EAGER_OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let prev = EAGER_OVERRIDE.with(|o| o.replace(Some(eager)));
-    let _restore = Restore(prev);
-    f()
+    EAGER.with(Cell::get)
 }
 
 /// Runs `f` with the lazy graph bypassed on this thread: every elementwise
 /// op computes immediately, exactly as the pre-fusion eager kernels did.
-/// Used by the fusion benchmark as the baseline and available for
-/// debugging. Restores the previous mode on exit (also on panic).
+/// The oracle the fusion tests compare against, the baseline of the
+/// `kernels-guard` fusion gate, and a debugging aid. Restores the previous
+/// mode on exit (also on panic).
 pub fn with_eager<R>(f: impl FnOnce() -> R) -> R {
-    with_mode(true, f)
-}
-
-/// Runs `f` with the lazy graph forced on for this thread, overriding a
-/// process-wide `LMMIR_EAGER=1`. Lets graph-shape tests pin fusion
-/// behaviour on every CI matrix leg. Restores the previous mode on exit.
-pub fn with_lazy<R>(f: impl FnOnce() -> R) -> R {
-    with_mode(false, f)
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            EAGER.with(|e| e.set(self.0));
+        }
+    }
+    let _restore = Restore(EAGER.with(|e| e.replace(true)));
+    f()
 }
 
 /// Eager unary kernel — same opcode table as the fused executor.
@@ -950,7 +929,8 @@ mod tests {
 
     #[test]
     fn eager_override_is_scoped() {
-        assert!(!eager_mode() || std::env::var("LMMIR_EAGER").is_ok());
+        assert!(!eager_mode());
         with_eager(|| assert!(eager_mode()));
+        assert!(!eager_mode());
     }
 }

@@ -158,21 +158,18 @@ proptest! {
         let second = oracle_bin(op2, &a, &first.map(|v| v + 1.0));
         let expect = (bits(&first), bits(&second));
         for threads in [1, 2, 7] {
-            let got = lmmir_par::with_threads(threads, || lazy::with_lazy(chain));
+            let got = lmmir_par::with_threads(threads, chain);
             prop_assert_eq!(&got, &expect, "lazy drift at {} threads", threads);
         }
         prop_assert_eq!(&lazy::with_eager(chain), &expect, "eager twin drift");
     }
 }
 
-/// Stats delta across `f`, on this thread, with the lazy graph forced on
-/// so the graph-shape assertions hold on the `LMMIR_EAGER=1` CI leg too.
+/// Stats delta across `f`, on this thread.
 fn stat_delta(f: impl FnOnce()) -> Stats {
-    lazy::with_lazy(|| {
-        lazy::reset_stats();
-        f();
-        lazy::stats()
-    })
+    lazy::reset_stats();
+    f();
+    lazy::stats()
 }
 
 #[test]
@@ -247,7 +244,7 @@ fn zero_times_inf_is_nan_through_broadcast() {
     let infs = Tensor::full(&[4], f32::INFINITY);
     for (a, b) in [(&zeros, &infs), (&infs, &zeros)] {
         let run = || bits(&a.mul(b).unwrap().add_scalar(1.0));
-        let lazy_bits = lazy::with_lazy(run);
+        let lazy_bits = run();
         assert!(lazy_bits.iter().all(|&v| f32::from_bits(v).is_nan()));
         assert_eq!(lazy_bits, lazy::with_eager(run));
     }
@@ -276,7 +273,7 @@ fn large_broadcast_program_is_thread_invariant_and_matches_oracle() {
         &scale,
     ));
     for threads in [1, 2, 7] {
-        let got = lmmir_par::with_threads(threads, || lazy::with_lazy(chain));
+        let got = lmmir_par::with_threads(threads, chain);
         assert_eq!(got, expect, "drift at {threads} threads");
     }
     assert_eq!(lazy::with_eager(chain), expect, "eager twin drift");
