@@ -1,45 +1,100 @@
-//! One-line bitwise oracle for the whole model: the raw prediction of an
-//! LMM-IR `quick()` forward at 32 px on a 64 µm design (the shape the
-//! end-to-end benchmark serves) hashes to one pinned value at every thread
-//! count and on both the lazy and the eager runtime. A kernel PR that
-//! reorders any arithmetic anywhere in `tensor`/`nn`/`core` moves it.
+//! One-line bitwise oracle per model family: for every [`ArchSpec`], the
+//! family's default build at 32 px (what a config-less checkpoint rebuilds)
+//! on a 64 µm design pins
+//!
+//! * the FNV-1a of the raw eval-mode prediction — identical at every thread
+//!   count and on both the lazy and the eager runtime, so a kernel PR that
+//!   reorders any arithmetic anywhere in `tensor`/`nn`/`core` moves it;
+//! * the FNV-1a of the bytes [`save_predictor`] writes — parameter order,
+//!   `config.*` payloads and int8 scales;
+//! * `parameters().len()` and the `quantize()` layer count — no sub-layer
+//!   dropped from (or added to) a model's walk.
+//!
+//! The LMM-IR row is the shape the end-to-end benchmark serves.
 
-use lmm_ir::{InferenceSession, IrPredictor, LmmIr, LmmIrConfig};
-use lmmir_pdn::{CaseKind, CaseSpec};
+use lmm_ir::{save_predictor, ArchSpec, CheckpointMeta, InferenceSession, IrPredictor};
+use lmmir_features::Fnv1a;
+use lmmir_pdn::{CaseKind, CaseSpec, DynamicCase};
 use lmmir_tensor::lazy;
 
-/// FNV-1a over the prediction's f32 bit patterns, taken at the parent of
-/// the PR that added this test (odometer broadcast, 2^18 fork threshold)
-/// and unchanged by it.
-const PINNED: u64 = 0x1534_5119_eea5_0f1a;
+/// `(family, forward hash, checkpoint-bytes hash, parameters, quantized layers)`.
+/// LMM-IR's forward hash was taken at the parent of the PR that added this
+/// test (odometer broadcast, 2^18 fork threshold) and is unchanged since;
+/// the rest were taken before the model walk and the U-Net predictors were
+/// unified, as the oracle for that change.
+#[rustfmt::skip]
+const PINNED: [(ArchSpec, u64, u64, usize, usize); 8] = [
+    (ArchSpec::Iredge, 0x5085_a51e_7182_c62c, 0x4a06_8add_9745_8240, 46, 11),
+    (ArchSpec::FirstPlace, 0xec17_66b1_0a7a_9d7f, 0x546d_9bcb_a527_2d1c, 58, 17),
+    (ArchSpec::SecondPlace, 0xab76_08e5_5f06_2b18, 0x3cc0_390e_c95a_5219, 46, 11),
+    (ArchSpec::IrpNet, 0xe4b8_1dba_e2a3_a349, 0x6f23_335b_f2b6_45b3, 18, 5),
+    (ArchSpec::LmmIr, 0x1534_5119_eea5_0f1a, 0x479f_0116_68ee_a323, 106, 36),
+    (ArchSpec::DynIr, 0x7463_77ec_b7cd_1ef4, 0xb57f_843e_ef53_5b52, 46, 11),
+    (ArchSpec::CfirstNet, 0x5ecb_2ff2_d97b_8b14, 0x4145_976f_5503_0d8d, 46, 11),
+    (ArchSpec::WacaUnet, 0xf8e5_4da5_7e40_4234, 0xc62c_4c81_6a24_21e6, 58, 17),
+];
 
-fn forward_checksum() -> u64 {
-    let model = LmmIr::new(LmmIrConfig {
-        input_size: 32,
-        ..LmmIrConfig::quick()
-    });
-    model.set_training(false);
-    let case = CaseSpec::new("checksum", 64, 64, 5, CaseKind::Hidden).generate();
-    let session = InferenceSession::new(&model);
-    let input = session
-        .prepare(&case.power, Some(&case.netlist), case.tech.dbu_per_um)
-        .unwrap();
+const SIZE: usize = 32;
+
+fn build(arch: ArchSpec) -> Box<dyn IrPredictor> {
+    let meta = CheckpointMeta {
+        model: arch.name().to_string(),
+        input_channels: arch.default_input_channels(),
+        input_size: SIZE,
+        config: None,
+        quant_scales: Default::default(),
+    };
+    arch.build(&meta).unwrap()
+}
+
+fn forward_checksum(model: &dyn IrPredictor) -> u64 {
+    let session = InferenceSession::new(model);
+    let spec = CaseSpec::new("checksum", 64, 64, 5, CaseKind::Hidden);
+    let input = match session.spec().windows {
+        0 => {
+            let case = spec.generate();
+            session.prepare(&case.power, Some(&case.netlist), case.tech.dbu_per_um)
+        }
+        w => session.prepare_windows(&DynamicCase::generate(&spec, w).windows),
+    }
+    .unwrap();
     let (pred, _) = session.forward(&input).unwrap();
-    assert_eq!(pred.dims(), &[1, 1, 32, 32]);
-    pred.data().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-        v.to_bits()
-            .to_le_bytes()
-            .iter()
-            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-    })
+    assert_eq!(pred.dims(), &[1, 1, SIZE, SIZE]);
+    let mut h = Fnv1a::new();
+    pred.data().iter().for_each(|&v| h.write_f32(v));
+    h.finish()
+}
+
+fn checkpoint_checksum(model: &dyn IrPredictor) -> u64 {
+    let dir = std::env::temp_dir().join("lmmir_forward_checksum");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{}.lmmt", model.name().replace(' ', "_")));
+    save_predictor(model, &path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let mut h = Fnv1a::new();
+    h.write(&bytes);
+    h.finish()
 }
 
 #[test]
 fn forward_checksum_is_pinned_across_threads_and_runtimes() {
-    for threads in [1, 2, 4] {
-        let got = lmmir_par::with_threads(threads, forward_checksum);
-        assert_eq!(got, PINNED, "{got:#018x} at {threads} threads (lazy)");
+    assert_eq!(PINNED.map(|row| row.0), ArchSpec::ALL, "one row per family");
+    for (arch, forward, checkpoint, parameters, quantized) in PINNED {
+        let name = arch.name();
+        let model = build(arch);
+        for threads in [1, 2, 4] {
+            let got = lmmir_par::with_threads(threads, || forward_checksum(model.as_ref()));
+            assert_eq!(
+                got, forward,
+                "{name}: {got:#018x} at {threads} threads (lazy)"
+            );
+        }
+        let got = lazy::with_eager(|| forward_checksum(model.as_ref()));
+        assert_eq!(got, forward, "{name}: {got:#018x} on the eager runtime");
+        let got = checkpoint_checksum(model.as_ref());
+        assert_eq!(got, checkpoint, "{name}: checkpoint bytes {got:#018x}");
+        assert_eq!(model.parameters().len(), parameters, "{name}: parameters");
+        assert_eq!(model.quantize(), quantized, "{name}: quantized layers");
     }
-    let got = lazy::with_eager(forward_checksum);
-    assert_eq!(got, PINNED, "{got:#018x} on the eager runtime");
 }
