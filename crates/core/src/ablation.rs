@@ -160,7 +160,7 @@ mod tests {
             }
             other => panic!("ablating an LMM-IR config changed its family: {other:?}"),
         }
-        let waca = ArchConfig::Waca(crate::zoo::WacaUnetConfig::quick());
+        let waca = ArchConfig::UNet(crate::zoo::UNetConfig::quick(crate::ArchSpec::WacaUnet));
         assert_eq!(AblationVariant::WithoutLnt.arch_config(&waca), None);
     }
 

@@ -13,12 +13,12 @@
 //! and payload layout, and decoding validates hostile payloads field by
 //! field before any model is built.
 
-use crate::baselines::{first_place, iredge, irpnet, second_place};
+use crate::baselines::irpnet;
 use crate::checkpoint::CheckpointMeta;
 use crate::dynamic::{DynamicIrConfig, DynamicIrPredictor};
 use crate::lnt::LntConfig;
 use crate::model::{IrPredictor, LmmIr, LmmIrConfig};
-use crate::zoo::{CfirstNet, CfirstNetConfig, WacaUnet, WacaUnetConfig};
+use crate::zoo::{UNetConfig, UNetPredictor};
 use lmmir_tensor::{Result, Tensor, TensorError};
 
 /// Layout version of every `config.*` payload (independent of the
@@ -213,9 +213,9 @@ impl ArchSpec {
     ///
     /// A checkpoint carrying a full config (format v3+) rebuilds from
     /// **exactly** that config; a config-less file falls back to the
-    /// family's `quick()` preset with size (and, for config-bearing
-    /// families, channel count) overridden — matching what a config-less
-    /// writer could have produced.
+    /// family's `quick()` preset with the size (and, for the dynamic family,
+    /// the window count) overridden — matching what a config-less writer
+    /// could have produced.
     ///
     /// # Errors
     ///
@@ -226,9 +226,6 @@ impl ArchSpec {
         let size = meta.input_size;
         let invalid = |e: String| format!("cannot build {} at {size} px: {e}", self.name());
         let model: Box<dyn IrPredictor> = match self {
-            ArchSpec::Iredge => Box::new(iredge(size, 0)),
-            ArchSpec::FirstPlace => Box::new(first_place(size, 0)),
-            ArchSpec::SecondPlace => Box::new(second_place(size, 0)),
             ArchSpec::IrpNet => Box::new(irpnet(size, 0)),
             ArchSpec::LmmIr => {
                 let cfg = match &meta.config {
@@ -256,29 +253,20 @@ impl ArchSpec {
                 cfg.validate().map_err(invalid)?;
                 Box::new(DynamicIrPredictor::new(cfg))
             }
-            ArchSpec::CfirstNet => {
+            ArchSpec::Iredge
+            | ArchSpec::FirstPlace
+            | ArchSpec::SecondPlace
+            | ArchSpec::CfirstNet
+            | ArchSpec::WacaUnet => {
                 let cfg = match &meta.config {
-                    Some(ArchConfig::Cfirst(cfg)) => cfg.clone(),
-                    _ => CfirstNetConfig {
-                        in_channels: meta.input_channels,
+                    Some(ArchConfig::UNet(cfg)) if cfg.arch == self => cfg.clone(),
+                    _ => UNetConfig {
                         input_size: size,
-                        ..CfirstNetConfig::quick()
+                        ..UNetConfig::quick(self)
                     },
                 };
                 cfg.validate().map_err(invalid)?;
-                Box::new(CfirstNet::new(cfg))
-            }
-            ArchSpec::WacaUnet => {
-                let cfg = match &meta.config {
-                    Some(ArchConfig::Waca(cfg)) => cfg.clone(),
-                    _ => WacaUnetConfig {
-                        in_channels: meta.input_channels,
-                        input_size: size,
-                        ..WacaUnetConfig::quick()
-                    },
-                };
-                cfg.validate().map_err(invalid)?;
-                Box::new(WacaUnet::new(cfg))
+                Box::new(UNetPredictor::new(cfg))
             }
         };
         if model.input_channels() != meta.input_channels {
@@ -322,10 +310,9 @@ pub enum ArchConfig {
     LmmIr(LmmIrConfig),
     /// Dynamic-family configuration (`config.dynamic`).
     Dynamic(DynamicIrConfig),
-    /// CFIRSTNET-variant configuration (`config.cfirstnet`).
-    Cfirst(CfirstNetConfig),
-    /// WACA-UNet-variant configuration (`config.waca`).
-    Waca(WacaUnetConfig),
+    /// U-Net family configuration (`config.cfirstnet` / `config.waca`; the
+    /// baseline presets own no entry and report no configuration).
+    UNet(UNetConfig),
 }
 
 /// Appends the 64-bit seed as four exact 16-bit chunks (every payload field
@@ -404,8 +391,7 @@ impl ArchConfig {
         match self {
             ArchConfig::LmmIr(_) => ArchSpec::LmmIr,
             ArchConfig::Dynamic(_) => ArchSpec::DynIr,
-            ArchConfig::Cfirst(_) => ArchSpec::CfirstNet,
-            ArchConfig::Waca(_) => ArchSpec::WacaUnet,
+            ArchConfig::UNet(c) => c.arch,
         }
     }
 
@@ -414,7 +400,7 @@ impl ArchConfig {
     pub fn entry_name(&self) -> &'static str {
         self.arch()
             .config_entry()
-            .expect("every ArchConfig family has a config entry")
+            .expect("only families with a config entry report an ArchConfig")
     }
 
     /// The input channel count this configuration implies (the window count
@@ -424,8 +410,7 @@ impl ArchConfig {
         match self {
             ArchConfig::LmmIr(c) => c.in_channels,
             ArchConfig::Dynamic(c) => c.windows,
-            ArchConfig::Cfirst(c) => c.in_channels,
-            ArchConfig::Waca(c) => c.in_channels,
+            ArchConfig::UNet(c) => c.in_channels,
         }
     }
 
@@ -435,8 +420,7 @@ impl ArchConfig {
         match self {
             ArchConfig::LmmIr(c) => c.input_size,
             ArchConfig::Dynamic(c) => c.input_size,
-            ArchConfig::Cfirst(c) => c.input_size,
-            ArchConfig::Waca(c) => c.input_size,
+            ArchConfig::UNet(c) => c.input_size,
         }
     }
 
@@ -449,8 +433,7 @@ impl ArchConfig {
         match self {
             ArchConfig::LmmIr(c) => c.validate(),
             ArchConfig::Dynamic(c) => c.validate(),
-            ArchConfig::Cfirst(c) => c.validate(),
-            ArchConfig::Waca(c) => c.validate(),
+            ArchConfig::UNet(c) => c.validate(),
         }
     }
 
@@ -470,11 +453,12 @@ impl ArchConfig {
             (ArchConfig::Dynamic(a), ArchConfig::Dynamic(b)) => {
                 a.widths == b.widths && a.stem_kernel == b.stem_kernel && a.windows == b.windows
             }
-            (ArchConfig::Cfirst(a), ArchConfig::Cfirst(b)) => {
-                a.widths == b.widths && a.stem_kernel == b.stem_kernel
-            }
-            (ArchConfig::Waca(a), ArchConfig::Waca(b)) => {
-                a.widths == b.widths && a.stem_kernel == b.stem_kernel && a.reduction == b.reduction
+            (ArchConfig::UNet(a), ArchConfig::UNet(b)) => {
+                a.arch == b.arch
+                    && a.widths == b.widths
+                    && a.stem_kernel == b.stem_kernel
+                    && a.attention_gates == b.attention_gates
+                    && a.channel_attention == b.channel_attention
             }
             _ => false,
         }
@@ -521,23 +505,15 @@ impl ArchConfig {
                 payload.push(cfg.widths.len() as f32);
                 payload.extend(cfg.widths.iter().map(|&w| w as f32));
             }
-            ArchConfig::Cfirst(cfg) => {
+            // `config.waca` carries the reduction ratio after the size;
+            // `config.cfirstnet` has no such field.
+            ArchConfig::UNet(cfg) => {
                 payload.extend([
                     cfg.in_channels as f32,
                     cfg.stem_kernel as f32,
                     cfg.input_size as f32,
                 ]);
-                push_seed(&mut payload, cfg.seed);
-                payload.push(cfg.widths.len() as f32);
-                payload.extend(cfg.widths.iter().map(|&w| w as f32));
-            }
-            ArchConfig::Waca(cfg) => {
-                payload.extend([
-                    cfg.in_channels as f32,
-                    cfg.stem_kernel as f32,
-                    cfg.input_size as f32,
-                    cfg.reduction as f32,
-                ]);
+                payload.extend(cfg.channel_attention.map(|r| r as f32));
                 push_seed(&mut payload, cfg.seed);
                 payload.push(cfg.widths.len() as f32);
                 payload.extend(cfg.widths.iter().map(|&w| w as f32));
@@ -612,31 +588,19 @@ impl ArchConfig {
                     widths,
                 })
             }
-            ArchSpec::CfirstNet => {
-                let data = decode_prelude(entry, t, 9)?;
+            ArchSpec::CfirstNet | ArchSpec::WacaUnet => {
+                let reduction = usize::from(arch == ArchSpec::WacaUnet);
+                let data = decode_prelude(entry, t, 9 + reduction)?;
                 let at = |i: usize| data[i] as usize;
-                let seed = decode_seed(entry, data, 4)?;
-                let widths = decode_widths(entry, data, 8)?;
-                ArchConfig::Cfirst(CfirstNetConfig {
+                ArchConfig::UNet(UNetConfig {
+                    arch,
                     in_channels: at(1),
                     stem_kernel: at(2),
                     input_size: at(3),
-                    seed,
-                    widths,
-                })
-            }
-            ArchSpec::WacaUnet => {
-                let data = decode_prelude(entry, t, 10)?;
-                let at = |i: usize| data[i] as usize;
-                let seed = decode_seed(entry, data, 5)?;
-                let widths = decode_widths(entry, data, 9)?;
-                ArchConfig::Waca(WacaUnetConfig {
-                    in_channels: at(1),
-                    stem_kernel: at(2),
-                    input_size: at(3),
-                    reduction: at(4),
-                    seed,
-                    widths,
+                    attention_gates: false,
+                    channel_attention: (reduction == 1).then(|| at(4)),
+                    seed: decode_seed(entry, data, 4 + reduction)?,
+                    widths: decode_widths(entry, data, 8 + reduction)?,
                 })
             }
             other => {
@@ -721,6 +685,50 @@ mod tests {
         }
     }
 
+    /// The property the one walk exists for, once over every family: none
+    /// of the three traversals misses a layer. Every parameter receives a
+    /// gradient; and after `quantize()`, `set_training(true)` drops every
+    /// layer's int8 state (the eval forward is bitwise the never-quantized
+    /// one — a layer it skipped would still answer in int8) and a second
+    /// `quantize()` reaches the same layers.
+    #[test]
+    fn every_family_walks_all_its_layers() {
+        use lmmir_pdn::{CaseKind, CaseSpec};
+        use lmmir_tensor::{init, Var};
+        use rand::{rngs::StdRng, SeedableRng};
+        let case = CaseSpec::new("walk", 16, 16, 4, CaseKind::Fake).generate();
+        let cloud =
+            crate::PointCloud::from_netlist(&case.netlist, case.tech.dbu_per_um, 16.0, 16.0);
+        let mut rng = StdRng::seed_from_u64(11);
+        for arch in ArchSpec::ALL {
+            let name = arch.name();
+            let channels = arch.default_input_channels();
+            let model = arch.build(&bare_meta(arch, channels, 16)).unwrap();
+            let x = Var::constant(init::uniform(&[1, channels, 16, 16], 1.0, &mut rng));
+            let cloud = model.uses_netlist().then_some(&cloud);
+
+            model.forward(&x, cloud).unwrap().sum().backward();
+            let missing = model
+                .parameters()
+                .iter()
+                .filter(|p| p.grad().is_none())
+                .count();
+            assert_eq!(missing, 0, "{name}: every parameter gets a gradient");
+
+            model.set_training(false);
+            let exact = model.forward(&x, cloud).unwrap().to_tensor();
+            let layers = model.quantize();
+            assert!(layers > 0, "{name}: nothing quantized");
+            let int8 = model.forward(&x, cloud).unwrap().to_tensor();
+            assert_ne!(exact.data(), int8.data(), "{name}: int8 path must run");
+            model.set_training(true);
+            model.set_training(false);
+            let restored = model.forward(&x, cloud).unwrap().to_tensor();
+            assert_eq!(exact.data(), restored.data(), "{name}: stale int8 state");
+            assert_eq!(model.quantize(), layers, "{name}: second quantize");
+        }
+    }
+
     #[test]
     fn build_predictor_rejects_unknown_and_mismatched_channels() {
         let mut meta = bare_meta(ArchSpec::Iredge, 3, 16);
@@ -749,20 +757,19 @@ mod tests {
                 input_size: 16,
                 seed: 0x1111_2222_3333_4444,
             }),
-            ArchConfig::Cfirst(CfirstNetConfig {
-                in_channels: 8,
+            ArchConfig::UNet(UNetConfig {
                 widths: vec![4, 8],
                 stem_kernel: 5,
                 input_size: 16,
                 seed: 7,
+                ..UNetConfig::quick(ArchSpec::CfirstNet)
             }),
-            ArchConfig::Waca(WacaUnetConfig {
-                in_channels: 8,
+            ArchConfig::UNet(UNetConfig {
                 widths: vec![4, 8],
-                stem_kernel: 3,
-                reduction: 2,
+                channel_attention: Some(2),
                 input_size: 16,
                 seed: 0xFFFF_0000_FFFF_0000,
+                ..UNetConfig::quick(ArchSpec::WacaUnet)
             }),
         ];
         for cfg in configs {
@@ -776,41 +783,47 @@ mod tests {
 
     #[test]
     fn same_trunk_ignores_seed_but_not_family_or_plan() {
-        let a = ArchConfig::Waca(WacaUnetConfig {
+        let a = ArchConfig::UNet(UNetConfig {
             seed: 1,
-            ..WacaUnetConfig::quick()
+            ..UNetConfig::quick(ArchSpec::WacaUnet)
         });
-        let b = ArchConfig::Waca(WacaUnetConfig {
+        let b = ArchConfig::UNet(UNetConfig {
             seed: 2,
-            ..WacaUnetConfig::quick()
+            ..UNetConfig::quick(ArchSpec::WacaUnet)
         });
         assert!(a.same_trunk(&b));
-        let c = ArchConfig::Waca(WacaUnetConfig {
-            reduction: 8,
-            ..WacaUnetConfig::quick()
+        let c = ArchConfig::UNet(UNetConfig {
+            channel_attention: Some(8),
+            ..UNetConfig::quick(ArchSpec::WacaUnet)
         });
         assert!(!a.same_trunk(&c));
-        let d = ArchConfig::Cfirst(CfirstNetConfig::quick());
+        let d = ArchConfig::UNet(UNetConfig::quick(ArchSpec::CfirstNet));
         assert!(!a.same_trunk(&d), "cross-family is never the same trunk");
+        let e = ArchConfig::UNet(UNetConfig {
+            arch: ArchSpec::SecondPlace,
+            in_channels: 8,
+            ..UNetConfig::quick(ArchSpec::CfirstNet)
+        });
+        assert!(!d.same_trunk(&e), "same plan, other U-Net family");
     }
 
     #[test]
     fn build_honours_recorded_configs_for_new_families() {
         for (cfg, arch) in [
             (
-                ArchConfig::Cfirst(CfirstNetConfig {
+                ArchConfig::UNet(UNetConfig {
                     widths: vec![4, 8, 16],
                     input_size: 16,
-                    ..CfirstNetConfig::quick()
+                    ..UNetConfig::quick(ArchSpec::CfirstNet)
                 }),
                 ArchSpec::CfirstNet,
             ),
             (
-                ArchConfig::Waca(WacaUnetConfig {
+                ArchConfig::UNet(UNetConfig {
                     widths: vec![4, 8, 16],
-                    reduction: 2,
+                    channel_attention: Some(2),
                     input_size: 16,
-                    ..WacaUnetConfig::quick()
+                    ..UNetConfig::quick(ArchSpec::WacaUnet)
                 }),
                 ArchSpec::WacaUnet,
             ),

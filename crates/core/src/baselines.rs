@@ -1,129 +1,48 @@
 //! Baseline predictors from Table III: the ICCAD-2023 contest winners,
 //! IREDGe and IRPnet, re-implemented on the same substrate so the
-//! comparison isolates modelling choices rather than frameworks.
+//! comparison isolates modelling choices rather than frameworks. The three
+//! U-Nets are presets of the one [`UNetPredictor`]; IRPnet is its own CNN.
 
 use crate::arch::ArchSpec;
-use crate::blocks::{UNetDecoder, UNetEncoder};
 use crate::model::IrPredictor;
 use crate::pointcloud::PointCloud;
-use lmmir_nn::{BatchNorm2d, Conv2d, Module};
+use crate::zoo::{UNetConfig, UNetPredictor};
+use lmmir_nn::{BatchNorm2d, Conv2d, Layer, Module};
 use lmmir_tensor::conv::ConvSpec;
 use lmmir_tensor::{Result, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A configurable plain U-Net predictor covering IREDGe and the two contest
-/// winners (they differ in feature set, width and use of attention gates).
-#[derive(Debug)]
-pub struct UNetModel {
-    arch: ArchSpec,
-    in_channels: usize,
-    input_size: usize,
-    encoder: UNetEncoder,
-    decoder: UNetDecoder,
-}
-
-impl UNetModel {
-    /// Builds a U-Net predictor presenting as `arch`.
-    #[must_use]
-    pub fn new(
-        arch: ArchSpec,
-        in_channels: usize,
-        widths: &[usize],
-        stem_kernel: usize,
-        attention_gates: bool,
-        input_size: usize,
-        seed: u64,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        UNetModel {
-            arch,
-            in_channels,
-            input_size,
-            encoder: UNetEncoder::new(in_channels, widths, stem_kernel, &mut rng),
-            decoder: UNetDecoder::new(widths, 1, attention_gates, &mut rng),
-        }
-    }
-}
-
-impl IrPredictor for UNetModel {
-    fn arch(&self) -> ArchSpec {
-        self.arch
-    }
-
-    fn input_channels(&self) -> usize {
-        self.in_channels
-    }
-
-    fn input_size(&self) -> usize {
-        self.input_size
-    }
-
-    fn forward(&self, images: &Var, _cloud: Option<&PointCloud>) -> Result<Var> {
-        let features = self.encoder.encode(images)?;
-        self.decoder.decode(&features)
-    }
-
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.encoder.parameters();
-        p.extend(self.decoder.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.encoder.set_training(training);
-        self.decoder.set_training(training);
-    }
-
-    fn quantize(&self) -> usize {
-        self.encoder.quantize() + self.decoder.quantize()
-    }
+/// A baseline U-Net family's preset ([`UNetConfig::quick`]) at a given size
+/// and seed.
+fn unet_preset(arch: ArchSpec, input_size: usize, seed: u64) -> UNetPredictor {
+    UNetPredictor::new(UNetConfig {
+        input_size,
+        seed,
+        ..UNetConfig::quick(arch)
+    })
 }
 
 /// IREDGe (Chhabria et al., ASP-DAC 2021): a plain encoder-decoder over the
 /// three basic channels — no attention, no netlist, no extra features.
 #[must_use]
-pub fn iredge(input_size: usize, seed: u64) -> UNetModel {
-    UNetModel::new(
-        ArchSpec::Iredge,
-        3,
-        &[6, 12, 24],
-        3,
-        false,
-        input_size,
-        seed,
-    )
+pub fn iredge(input_size: usize, seed: u64) -> UNetPredictor {
+    unet_preset(ArchSpec::Iredge, input_size, seed)
 }
 
 /// Contest 1st-place style model: U-Net with the extended feature set and
 /// attention gates, notably wider than the others (the paper's TAT column
 /// shows it ~5× slower than the rest).
 #[must_use]
-pub fn first_place(input_size: usize, seed: u64) -> UNetModel {
-    UNetModel::new(
-        ArchSpec::FirstPlace,
-        6,
-        &[24, 48, 96],
-        7,
-        true,
-        input_size,
-        seed,
-    )
+pub fn first_place(input_size: usize, seed: u64) -> UNetPredictor {
+    unet_preset(ArchSpec::FirstPlace, input_size, seed)
 }
 
 /// Contest 2nd-place style model: lighter U-Net with the extended feature
 /// set (their edge came from heavy data generation, not model size).
 #[must_use]
-pub fn second_place(input_size: usize, seed: u64) -> UNetModel {
-    UNetModel::new(
-        ArchSpec::SecondPlace,
-        6,
-        &[8, 16, 32],
-        3,
-        false,
-        input_size,
-        seed,
-    )
+pub fn second_place(input_size: usize, seed: u64) -> UNetPredictor {
+    unet_preset(ArchSpec::SecondPlace, input_size, seed)
 }
 
 /// IRPnet (Meng et al., DATE 2024): a physics-window CNN operating at full
@@ -201,26 +120,14 @@ impl IrPredictor for IrpNet {
         self.out.forward(&h)
     }
 
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = Vec::new();
-        for (c, n) in self.convs.iter().zip(&self.norms) {
-            p.extend(c.parameters());
-            p.extend(n.parameters());
+    fn children(&self) -> Vec<&dyn Layer> {
+        let mut c: Vec<&dyn Layer> = Vec::new();
+        for (conv, norm) in self.convs.iter().zip(&self.norms) {
+            c.push(conv);
+            c.push(norm);
         }
-        p.extend(self.out.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        for (c, n) in self.convs.iter().zip(&self.norms) {
-            c.set_training(training);
-            n.set_training(training);
-        }
-        self.out.set_training(training);
-    }
-
-    fn quantize(&self) -> usize {
-        self.convs.iter().map(Module::quantize).sum::<usize>() + self.out.quantize()
+        c.push(&self.out);
+        c
     }
 }
 

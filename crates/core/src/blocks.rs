@@ -1,6 +1,9 @@
-//! Shared U-Net building blocks used by LMM-IR and the baseline models.
+//! Shared U-Net building blocks: the encoder and decoder LMM-IR puts its
+//! fusion between, and the [`UNet`] trunk every other U-Net family is.
 
-use lmmir_nn::{AttentionGate, BatchNorm2d, Conv2d, ConvTranspose2d, Module};
+use lmmir_nn::{
+    AttentionGate, BatchNorm2d, ChannelAttention, Conv2d, ConvTranspose2d, Layer, Module,
+};
 use lmmir_tensor::conv::ConvSpec;
 use lmmir_tensor::{Result, Var};
 use rand::Rng;
@@ -40,24 +43,11 @@ impl Module for DoubleConv {
         let h = self.b1.forward(&self.c1.forward(x)?)?.relu();
         Ok(self.b2.forward(&self.c2.forward(&h)?)?.relu())
     }
+}
 
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.c1.parameters();
-        p.extend(self.b1.parameters());
-        p.extend(self.c2.parameters());
-        p.extend(self.b2.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.c1.set_training(training);
-        self.b1.set_training(training);
-        self.c2.set_training(training);
-        self.b2.set_training(training);
-    }
-
-    fn quantize(&self) -> usize {
-        self.c1.quantize() + self.c2.quantize()
+impl Layer for DoubleConv {
+    fn children(&self) -> Vec<&dyn Layer> {
+        vec![&self.c1, &self.b1, &self.c2, &self.b2]
     }
 }
 
@@ -121,28 +111,12 @@ impl UNetEncoder {
     }
 }
 
-impl Module for UNetEncoder {
-    fn forward(&self, x: &Var) -> Result<Var> {
-        Ok(self.encode(x)?.pop().expect("widths non-empty"))
-    }
-
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.stem.parameters();
-        for s in &self.stages {
-            p.extend(s.parameters());
-        }
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.stem.set_training(training);
-        for s in &self.stages {
-            s.set_training(training);
-        }
-    }
-
-    fn quantize(&self) -> usize {
-        self.stem.quantize() + self.stages.iter().map(Module::quantize).sum::<usize>()
+impl Layer for UNetEncoder {
+    fn children(&self) -> Vec<&dyn Layer> {
+        std::iter::once(&self.stem)
+            .chain(&self.stages)
+            .map(|b| b as &dyn Layer)
+            .collect()
     }
 }
 
@@ -223,51 +197,79 @@ impl UNetDecoder {
     }
 }
 
-impl Module for UNetDecoder {
-    /// Not the primary entry point (needs skips); decodes with `x` as the
-    /// only feature — valid when the decoder was built with one up stage.
+impl Layer for UNetDecoder {
+    fn children(&self) -> Vec<&dyn Layer> {
+        let mut c: Vec<&dyn Layer> = Vec::new();
+        c.extend(self.ups.iter().map(|u| u as &dyn Layer));
+        c.extend(self.gates.iter().flatten().map(|g| g as &dyn Layer));
+        c.extend(self.convs.iter().map(|d| d as &dyn Layer));
+        c.push(&self.out);
+        c
+    }
+}
+
+/// The U-Net trunk every non-multimodal family is an instance of:
+/// [`UNetEncoder`] → optional per-level [`ChannelAttention`] (WACA-UNet:
+/// every encoder feature, skips *and* bottleneck, is recalibrated before
+/// the decoder consumes it) → [`UNetDecoder`] with optional attention gates.
+#[derive(Debug)]
+pub struct UNet {
+    encoder: UNetEncoder,
+    attention: Vec<ChannelAttention>,
+    decoder: UNetDecoder,
+}
+
+impl UNet {
+    /// Builds a single-output trunk over channel plan `widths`.
+    /// `channel_attention` is the squeeze-excitation reduction ratio of the
+    /// per-level attention blocks, `None` for a trunk without them. Weights
+    /// are drawn encoder first, then attention, then decoder.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `widths` has fewer than two entries.
+    #[must_use]
+    pub fn new(
+        in_ch: usize,
+        widths: &[usize],
+        stem_kernel: usize,
+        channel_attention: Option<usize>,
+        attention_gates: bool,
+        rng: &mut impl Rng,
+    ) -> Self {
+        let encoder = UNetEncoder::new(in_ch, widths, stem_kernel, rng);
+        let attention = match channel_attention {
+            Some(reduction) => widths
+                .iter()
+                .map(|&w| ChannelAttention::new(w, reduction, rng))
+                .collect(),
+            None => Vec::new(),
+        };
+        let decoder = UNetDecoder::new(widths, 1, attention_gates, rng);
+        UNet {
+            encoder,
+            attention,
+            decoder,
+        }
+    }
+}
+
+impl Module for UNet {
     fn forward(&self, x: &Var) -> Result<Var> {
-        self.decode(std::slice::from_ref(x))
+        let mut features = self.encoder.encode(x)?;
+        for (f, a) in features.iter_mut().zip(&self.attention) {
+            *f = a.forward(f)?;
+        }
+        self.decoder.decode(&features)
     }
+}
 
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = Vec::new();
-        for u in &self.ups {
-            p.extend(u.parameters());
-        }
-        if let Some(gates) = &self.gates {
-            for g in gates {
-                p.extend(g.parameters());
-            }
-        }
-        for c in &self.convs {
-            p.extend(c.parameters());
-        }
-        p.extend(self.out.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        if let Some(gates) = &self.gates {
-            for g in gates {
-                g.set_training(training);
-            }
-        }
-        for c in &self.convs {
-            c.set_training(training);
-        }
-        self.out.set_training(training);
-    }
-
-    /// Deconvolutions stay f32 (`ConvTranspose2d` has no int8 kernel); the
-    /// gates, double-convs and the output head quantize.
-    fn quantize(&self) -> usize {
-        let mut n = 0;
-        if let Some(gates) = &self.gates {
-            n += gates.iter().map(Module::quantize).sum::<usize>();
-        }
-        n += self.convs.iter().map(Module::quantize).sum::<usize>();
-        n + self.out.quantize()
+impl Layer for UNet {
+    fn children(&self) -> Vec<&dyn Layer> {
+        let mut c: Vec<&dyn Layer> = vec![&self.encoder];
+        c.extend(self.attention.iter().map(|a| a as &dyn Layer));
+        c.push(&self.decoder);
+        c
     }
 }
 

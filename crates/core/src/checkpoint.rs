@@ -884,16 +884,13 @@ mod tests {
 
     #[test]
     fn two_config_entries_of_any_kind_are_rejected() {
-        use crate::zoo::{CfirstNet, CfirstNetConfig, WacaUnet, WacaUnetConfig};
-        let c = CfirstNet::new(CfirstNetConfig {
-            widths: vec![4, 8],
-            input_size: 16,
-            ..CfirstNetConfig::quick()
-        });
-        let w = WacaUnet::new(WacaUnetConfig {
-            widths: vec![4, 8],
-            input_size: 16,
-            ..WacaUnetConfig::quick()
+        use crate::zoo::{UNetConfig, UNetPredictor};
+        let [c, w] = [ArchSpec::CfirstNet, ArchSpec::WacaUnet].map(|arch| {
+            UNetPredictor::new(UNetConfig {
+                widths: vec![4, 8],
+                input_size: 16,
+                ..UNetConfig::quick(arch)
+            })
         });
         let meta = CheckpointMeta::of(&c);
         let entries = vec![
@@ -907,23 +904,23 @@ mod tests {
 
     #[test]
     fn zoo_configs_round_trip_and_reject_mismatched_trunks() {
-        use crate::zoo::{CfirstNet, CfirstNetConfig, WacaUnet, WacaUnetConfig};
-        let ccfg = CfirstNetConfig {
+        use crate::zoo::{UNetConfig, UNetPredictor};
+        let ccfg = UNetConfig {
             widths: vec![4, 8, 16],
             stem_kernel: 5,
             input_size: 16,
             seed: 0xAAAA_BBBB_CCCC_DDDD,
-            ..CfirstNetConfig::quick()
+            ..UNetConfig::quick(ArchSpec::CfirstNet)
         };
-        let wcfg = WacaUnetConfig {
+        let wcfg = UNetConfig {
             widths: vec![4, 8, 16],
-            reduction: 2,
+            channel_attention: Some(2),
             input_size: 16,
             seed: 0x1234_5678_9ABC_DEF0,
-            ..WacaUnetConfig::quick()
+            ..UNetConfig::quick(ArchSpec::WacaUnet)
         };
 
-        let a = CfirstNet::new(ccfg.clone());
+        let a = UNetPredictor::new(ccfg.clone());
         let path = tmp("cfirstnet_config.lmmt");
         save_predictor(&a, &path).unwrap();
         let meta = load_meta(&path)
@@ -932,15 +929,15 @@ mod tests {
         assert_eq!(meta.model, "CFIRSTNET");
         assert_eq!(meta.input_channels, 8);
         assert_eq!(meta.format_version(), 4, "fresh saves carry int8 scales");
-        assert_eq!(meta.config, Some(ArchConfig::Cfirst(ccfg.clone())));
+        assert_eq!(meta.config, Some(ArchConfig::UNet(ccfg.clone())));
         // Weights restore into a model built from that config (fresh seed).
-        let b = CfirstNet::new(CfirstNetConfig {
+        let b = UNetPredictor::new(UNetConfig {
             seed: 1,
             ..ccfg.clone()
         });
         load_predictor(&b, &path).unwrap();
         // A different trunk plan is rejected by the config cross-check.
-        let wrong = CfirstNet::new(CfirstNetConfig {
+        let wrong = UNetPredictor::new(UNetConfig {
             widths: vec![4, 8],
             ..ccfg
         });
@@ -948,22 +945,22 @@ mod tests {
         assert!(err.contains("mismatch"), "got {err}");
         std::fs::remove_file(&path).ok();
 
-        let a = WacaUnet::new(wcfg.clone());
+        let a = UNetPredictor::new(wcfg.clone());
         let path = tmp("waca_config.lmmt");
         save_predictor(&a, &path).unwrap();
         let meta = load_meta(&path)
             .unwrap()
             .expect("zoo checkpoints have meta");
         assert_eq!(meta.model, "WACA-UNet");
-        assert_eq!(meta.config, Some(ArchConfig::Waca(wcfg.clone())));
-        let b = WacaUnet::new(WacaUnetConfig {
+        assert_eq!(meta.config, Some(ArchConfig::UNet(wcfg.clone())));
+        let b = UNetPredictor::new(UNetConfig {
             seed: 2,
             ..wcfg.clone()
         });
         load_predictor(&b, &path).unwrap();
         // A different attention reduction changes the trunk; reject it.
-        let wrong = WacaUnet::new(WacaUnetConfig {
-            reduction: 1,
+        let wrong = UNetPredictor::new(UNetConfig {
+            channel_attention: Some(1),
             ..wcfg
         });
         let err = load_predictor(&wrong, &path).unwrap_err().to_string();
@@ -992,7 +989,8 @@ mod tests {
         .unwrap();
         assert!(matches!(
             m.unwrap().config,
-            Some(ArchConfig::Cfirst(ref c)) if c.widths == vec![4, 8]
+            Some(ArchConfig::UNet(ref c))
+                if c.arch == ArchSpec::CfirstNet && c.widths == vec![4, 8]
         ));
         // Too short.
         assert!(split_meta(vec![
@@ -1040,7 +1038,8 @@ mod tests {
         .unwrap();
         assert!(matches!(
             m.unwrap().config,
-            Some(ArchConfig::Waca(ref c)) if c.reduction == 2
+            Some(ArchConfig::UNet(ref c))
+                if c.arch == ArchSpec::WacaUnet && c.channel_attention == Some(2)
         ));
         // A zero reduction fails the config's own validation.
         let mut zero_red = wgood.clone();

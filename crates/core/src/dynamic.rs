@@ -20,14 +20,14 @@ use crate::model::IrPredictor;
 use crate::pointcloud::PointCloud;
 use crate::train::TrainSample;
 use lmmir_features::{ir_drop_map, Raster, SpatialInfo, WindowStack};
-use lmmir_nn::Module;
+use lmmir_nn::{Layer, Module};
 use lmmir_pdn::{CaseKind, CaseSpec, DynamicCase, MAX_WINDOWS};
 use lmmir_solver::{solve_ir_drop, CgConfig, SolveIrDropError};
 use lmmir_tensor::{Result, Tensor, TensorError, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::blocks::{UNetDecoder, UNetEncoder};
+use crate::blocks::UNet;
 
 /// Configuration of the dynamic (PowerNet-style) predictor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,8 +88,7 @@ impl DynamicIrConfig {
 #[derive(Debug)]
 pub struct DynamicIrPredictor {
     cfg: DynamicIrConfig,
-    encoder: UNetEncoder,
-    decoder: UNetDecoder,
+    trunk: UNet,
 }
 
 impl DynamicIrPredictor {
@@ -104,25 +103,14 @@ impl DynamicIrPredictor {
     pub fn new(cfg: DynamicIrConfig) -> Self {
         cfg.validate().expect("valid dynamic configuration");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let encoder = UNetEncoder::new(1, &cfg.widths, cfg.stem_kernel, &mut rng);
-        let decoder = UNetDecoder::new(&cfg.widths, 1, false, &mut rng);
-        DynamicIrPredictor {
-            cfg,
-            encoder,
-            decoder,
-        }
+        let trunk = UNet::new(1, &cfg.widths, cfg.stem_kernel, None, false, &mut rng);
+        DynamicIrPredictor { cfg, trunk }
     }
 
     /// The configuration in effect.
     #[must_use]
     pub fn config(&self) -> &DynamicIrConfig {
         &self.cfg
-    }
-
-    /// One shared-trunk pass over a single window `[1, 1, S, S]`.
-    fn trunk(&self, window: &Var) -> Result<Var> {
-        let features = self.encoder.encode(window)?;
-        self.decoder.decode(&features)
     }
 }
 
@@ -164,7 +152,7 @@ impl IrPredictor for DynamicIrPredictor {
         let mut worst: Option<Var> = None;
         for w in 0..self.cfg.windows {
             let window = images.slice_axis(1, w, w + 1)?;
-            let pred = self.trunk(&window)?;
+            let pred = self.trunk.forward(&window)?;
             worst = Some(match worst {
                 None => pred,
                 Some(acc) => elementwise_max(&acc, &pred)?,
@@ -173,19 +161,8 @@ impl IrPredictor for DynamicIrPredictor {
         Ok(worst.expect("windows >= 1 by validation"))
     }
 
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.encoder.parameters();
-        p.extend(self.decoder.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.encoder.set_training(training);
-        self.decoder.set_training(training);
-    }
-
-    fn quantize(&self) -> usize {
-        self.encoder.quantize() + self.decoder.quantize()
+    fn children(&self) -> Vec<&dyn Layer> {
+        vec![&self.trunk]
     }
 }
 
@@ -345,7 +322,7 @@ mod tests {
             tiled.extend_from_slice(one.data());
         }
         let tiled = Var::constant(Tensor::from_vec(tiled, &[1, 3, 16, 16]).unwrap());
-        let single = m.trunk(&Var::constant(one)).unwrap().to_tensor();
+        let single = m.trunk.forward(&Var::constant(one)).unwrap().to_tensor();
         let combined = m.forward(&tiled, None).unwrap().to_tensor();
         assert_eq!(single.data(), combined.data());
 
@@ -353,7 +330,7 @@ mod tests {
         let per_window: Vec<Tensor> = (0..3)
             .map(|w| {
                 let win = distinct.slice_axis(1, w, w + 1).unwrap();
-                m.trunk(&win).unwrap().to_tensor()
+                m.trunk.forward(&win).unwrap().to_tensor()
             })
             .collect();
         let combined = m.forward(&distinct, None).unwrap().to_tensor();

@@ -502,14 +502,14 @@ mod tests {
 
     #[test]
     fn comprehensive_model_prepares_eight_channels_bitwise() {
-        use crate::zoo::{WacaUnet, WacaUnetConfig};
+        use crate::zoo::{UNetConfig, UNetPredictor};
         let spec = CaseSpec::new("u", 16, 16, 4, CaseKind::Hidden);
         let case = spec.generate();
         let sample = build_sample(&spec, 16).unwrap();
-        let model = WacaUnet::new(WacaUnetConfig {
+        let model = UNetPredictor::new(UNetConfig {
             widths: vec![4, 8],
             input_size: 16,
-            ..WacaUnetConfig::quick()
+            ..UNetConfig::quick(crate::ArchSpec::WacaUnet)
         });
         let session = InferenceSession::new(&model);
         let from_sample = session.prepare_sample(&sample);

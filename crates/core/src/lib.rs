@@ -64,7 +64,7 @@ pub mod zoo;
 
 pub use ablation::AblationVariant;
 pub use arch::{build_predictor, ArchConfig, ArchSpec, FeatureSet};
-pub use baselines::{first_place, iredge, irpnet, second_place, IrpNet, UNetModel};
+pub use baselines::{first_place, iredge, irpnet, second_place, IrpNet};
 pub use capabilities::{table1, ModelCapabilities};
 pub use checkpoint::{
     load_meta, load_predictor, restore_parameters, save_predictor, split_meta, CheckpointMeta,
@@ -84,4 +84,4 @@ pub use model::{FusionModule, IrPredictor, LmmIr, LmmIrConfig};
 pub use pipeline::{evaluate, golden_speedups};
 pub use pointcloud::{NetlistPoint, PointCloud};
 pub use train::{train, TrainConfig, TrainReport, TrainSample};
-pub use zoo::{CfirstNet, CfirstNetConfig, WacaUnet, WacaUnetConfig};
+pub use zoo::{UNetConfig, UNetPredictor};

@@ -14,7 +14,7 @@
 //! module, so chunk locality does not isolate information.
 
 use crate::pointcloud::{PointCloud, MAX_LAYERS, POINT_FEATURES};
-use lmmir_nn::{Embedding, LayerNorm, Linear, Module, MultiHeadAttention};
+use lmmir_nn::{Embedding, Layer, LayerNorm, Linear, Module, MultiHeadAttention};
 use lmmir_tensor::{Result, Tensor, Var};
 use rand::Rng;
 
@@ -108,24 +108,11 @@ impl TransformerBlock {
             .forward(&self.ff1.forward(&self.ln2.forward(&x)?)?.relu())?;
         x.add(&ff)
     }
+}
 
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.ln1.parameters();
-        p.extend(self.attn.parameters());
-        p.extend(self.ln2.parameters());
-        p.extend(self.ff1.parameters());
-        p.extend(self.ff2.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.attn.set_training(training);
-        self.ff1.set_training(training);
-        self.ff2.set_training(training);
-    }
-
-    fn quantize(&self) -> usize {
-        self.attn.quantize() + self.ff1.quantize() + self.ff2.quantize()
+impl Layer for TransformerBlock {
+    fn children(&self) -> Vec<&dyn Layer> {
+        vec![&self.ln1, &self.attn, &self.ln2, &self.ff1, &self.ff2]
     }
 }
 
@@ -187,38 +174,11 @@ impl Lnt {
     }
 }
 
-impl Module for Lnt {
-    /// Identity on dense inputs; use [`Lnt::encode_cloud`].
-    fn forward(&self, x: &Var) -> Result<Var> {
-        Ok(x.clone())
-    }
-
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.input.parameters();
-        p.extend(self.kind_embed.parameters());
-        p.extend(self.layer_embed.parameters());
-        for b in &self.blocks {
-            p.extend(b.parameters());
-        }
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.input.set_training(training);
-        for b in &self.blocks {
-            b.set_training(training);
-        }
-    }
-
-    /// Embedding tables are lookups (no GEMM) and stay f32; the input
-    /// projection and every transformer block quantize.
-    fn quantize(&self) -> usize {
-        self.input.quantize()
-            + self
-                .blocks
-                .iter()
-                .map(TransformerBlock::quantize)
-                .sum::<usize>()
+impl Layer for Lnt {
+    fn children(&self) -> Vec<&dyn Layer> {
+        let mut c: Vec<&dyn Layer> = vec![&self.input, &self.kind_embed, &self.layer_embed];
+        c.extend(self.blocks.iter().map(|b| b as &dyn Layer));
+        c
     }
 }
 

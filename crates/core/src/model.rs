@@ -4,7 +4,7 @@
 use crate::blocks::{UNetDecoder, UNetEncoder};
 use crate::lnt::{Lnt, LntConfig};
 use crate::pointcloud::PointCloud;
-use lmmir_nn::{Conv2d, Linear, Module, MultiHeadAttention};
+use lmmir_nn::{Conv2d, Layer, Linear, Module, MultiHeadAttention};
 use lmmir_tensor::conv::ConvSpec;
 use lmmir_tensor::{Result, TensorError, Var};
 use rand::rngs::StdRng;
@@ -53,19 +53,33 @@ pub trait IrPredictor {
     /// Returns shape errors for mismatched inputs.
     fn forward(&self, images: &Var, cloud: Option<&PointCloud>) -> Result<Var>;
 
-    /// All trainable parameters.
-    fn parameters(&self) -> Vec<Var>;
+    /// The model's parts, in checkpoint (parameter) order — the one list
+    /// the three methods below walk (see [`Layer`]), so none of them can
+    /// miss a sub-layer.
+    fn children(&self) -> Vec<&dyn Layer>;
 
-    /// Switches train/eval mode.
-    fn set_training(&self, training: bool);
+    /// All trainable parameters, in [`IrPredictor::children`] order.
+    fn parameters(&self) -> Vec<Var> {
+        self.children()
+            .iter()
+            .flat_map(|c| c.parameters())
+            .collect()
+    }
+
+    /// Switches train/eval mode of every part.
+    fn set_training(&self, training: bool) {
+        for c in self.children() {
+            c.set_training(training);
+        }
+    }
 
     /// Switches every eligible layer to int8 inference (per-output-channel
     /// weight scales, dynamic per-tensor activation scales), returning how
-    /// many layers now run quantized. Quantized state is inference-only and
-    /// is dropped by `set_training(true)`. The default supports predictors
-    /// without an int8 path (returns 0 so callers can detect it).
+    /// many layers now run quantized (0 for a model with no int8-capable
+    /// layer, so callers can detect it). Quantized state is inference-only
+    /// and is dropped by `set_training(true)`.
     fn quantize(&self) -> usize {
-        0
+        self.children().iter().map(|c| c.quantize()).sum()
     }
 }
 
@@ -114,26 +128,11 @@ impl FusionModule {
         let residual = bottleneck.add(&fused)?;
         Ok(self.mix.forward(&residual)?.relu())
     }
+}
 
-    /// Trainable parameters.
-    #[must_use]
-    pub fn parameters(&self) -> Vec<Var> {
-        let mut p = self.kv_proj.parameters();
-        p.extend(self.cross.parameters());
-        p.extend(self.mix.parameters());
-        p
-    }
-
-    /// Propagates train/eval mode to the fusion sub-layers.
-    pub fn set_training(&self, training: bool) {
-        self.kv_proj.set_training(training);
-        self.cross.set_training(training);
-        self.mix.set_training(training);
-    }
-
-    /// Quantizes the fusion projections (see [`Module::quantize`]).
-    pub fn quantize(&self) -> usize {
-        self.kv_proj.quantize() + self.cross.quantize() + self.mix.quantize()
+impl Layer for FusionModule {
+    fn children(&self) -> Vec<&dyn Layer> {
+        vec![&self.kv_proj, &self.cross, &self.mix]
     }
 }
 
@@ -304,38 +303,12 @@ impl IrPredictor for LmmIr {
         self.decoder.decode(&features)
     }
 
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.encoder.parameters();
-        if let Some(lnt) = &self.lnt {
-            p.extend(lnt.parameters());
-        }
-        if let Some(f) = &self.fusion {
-            p.extend(f.parameters());
-        }
-        p.extend(self.decoder.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.encoder.set_training(training);
-        if let Some(lnt) = &self.lnt {
-            lnt.set_training(training);
-        }
-        if let Some(f) = &self.fusion {
-            f.set_training(training);
-        }
-        self.decoder.set_training(training);
-    }
-
-    fn quantize(&self) -> usize {
-        let mut n = self.encoder.quantize();
-        if let Some(lnt) = &self.lnt {
-            n += lnt.quantize();
-        }
-        if let Some(f) = &self.fusion {
-            n += f.quantize();
-        }
-        n + self.decoder.quantize()
+    fn children(&self) -> Vec<&dyn Layer> {
+        let mut c: Vec<&dyn Layer> = vec![&self.encoder];
+        c.extend(self.lnt.iter().map(|l| l as &dyn Layer));
+        c.extend(self.fusion.iter().map(|f| f as &dyn Layer));
+        c.push(&self.decoder);
+        c
     }
 }
 

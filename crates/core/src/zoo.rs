@@ -1,190 +1,100 @@
-//! Comprehensive-feature model-zoo variants: a CFIRSTNET-style plain U-Net
-//! and the WACA-UNet channel-attention variant.
+//! The U-Net model zoo: one predictor, five families.
 //!
-//! Both consume the 8-channel **comprehensive** feature stack
-//! (`lmmir_features::FeatureStack::comprehensive`, after CFIRSTNET,
-//! arXiv:2502.12168): the extended 6-channel stack plus the
-//! effective-resistance and pad-distance maps. They differ only in the
-//! skip-connection treatment:
+//! IREDGe, the two ICCAD-2023 contest winners, the CFIRSTNET-style
+//! comprehensive-feature U-Net (arXiv:2502.12168) and WACA-UNet
+//! (arXiv:2507.19197) are the same encoder/decoder trunk
+//! ([`crate::blocks::UNet`]) with one thing varied — feature stack, width
+//! plan, attention gates on the skips, or a weak-aware channel-attention
+//! block ([`lmmir_nn::ChannelAttention`]) on every encoder feature. So they
+//! are one type, [`UNetPredictor`], over one [`UNetConfig`];
+//! [`UNetConfig::quick`] holds the per-family presets and
+//! [`crate::ArchSpec`] keeps selecting the family.
 //!
-//! * [`CfirstNet`] — a plain U-Net trunk (no gates), betting entirely on
-//!   the richer input features.
-//! * [`WacaUnet`] — the same trunk with a weak-aware channel-attention
-//!   block ([`lmmir_nn::ChannelAttention`], after WACA-UNet,
-//!   arXiv:2507.19197) recalibrating every encoder feature before the
-//!   decoder consumes it.
+//! Like every predictor, a `UNetPredictor` names its parts once
+//! ([`IrPredictor::children`]); parameters, train/eval mode and int8
+//! quantization all derive from that list.
 
 use crate::arch::{ArchConfig, ArchSpec};
-use crate::blocks::{UNetDecoder, UNetEncoder};
+use crate::blocks::UNet;
 use crate::model::IrPredictor;
 use crate::pointcloud::PointCloud;
-use lmmir_nn::{ChannelAttention, Module};
+use lmmir_nn::{Layer, Module};
 use lmmir_tensor::{Result, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Configuration of the CFIRSTNET-style comprehensive-feature U-Net.
+/// Configuration of a U-Net family member.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CfirstNetConfig {
-    /// Input image channels (8 for the comprehensive stack).
+pub struct UNetConfig {
+    /// The family this model presents as (name, feature stack, checkpoint
+    /// entry).
+    pub arch: ArchSpec,
+    /// Input image channels (the family's feature-stack size).
     pub in_channels: usize,
     /// Encoder/decoder channel plan; `len - 1` pooling stages.
     pub widths: Vec<usize>,
     /// Stem kernel size.
     pub stem_kernel: usize,
+    /// Attention gates on the decoder skips (contest 1st place).
+    pub attention_gates: bool,
+    /// Squeeze-excitation reduction ratio of a channel-attention block on
+    /// every encoder feature (WACA-UNet); `None` for a plain trunk.
+    pub channel_attention: Option<usize>,
     /// Square input size the model trains at.
     pub input_size: usize,
     /// Weight-init seed.
     pub seed: u64,
 }
 
-impl CfirstNetConfig {
-    /// Laptop-scale preset matching the other `quick()` models.
-    #[must_use]
-    pub fn quick() -> Self {
-        CfirstNetConfig {
-            in_channels: 8,
-            widths: vec![8, 16, 32],
-            stem_kernel: 3,
+impl UNetConfig {
+    /// The family table, at the 48 px of the other `quick()` models (the
+    /// three baselines are described at their presets in
+    /// [`crate::baselines`]; CFIRSTNET is a plain trunk betting entirely on
+    /// the comprehensive stack, WACA-UNet adds channel attention to it).
+    fn family(arch: ArchSpec) -> Option<Self> {
+        let (in_channels, widths, stem_kernel, attention_gates, channel_attention, seed) =
+            match arch {
+                ArchSpec::Iredge => (3, [6, 12, 24], 3, false, None, 0),
+                ArchSpec::FirstPlace => (6, [24, 48, 96], 7, true, None, 0),
+                ArchSpec::SecondPlace => (6, [8, 16, 32], 3, false, None, 0),
+                ArchSpec::CfirstNet => (8, [8, 16, 32], 3, false, None, 0xCF12),
+                ArchSpec::WacaUnet => (8, [8, 16, 32], 3, false, Some(4), 0x3ACA),
+                _ => return None,
+            };
+        Some(UNetConfig {
+            arch,
+            in_channels,
+            widths: widths.to_vec(),
+            stem_kernel,
+            attention_gates,
+            channel_attention,
             input_size: 48,
-            seed: 0xCF12,
-        }
+            seed,
+        })
     }
 
-    /// Validates internal consistency (pooling divisibility, non-empty plan).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the violated constraint.
-    pub fn validate(&self) -> std::result::Result<(), String> {
-        if self.widths.len() < 2 {
-            return Err("need at least two widths (one pooling stage)".to_string());
-        }
-        let pools = self.widths.len() - 1;
-        if self.input_size % (1 << pools) != 0 {
-            return Err(format!(
-                "input size {} not divisible by 2^{pools}",
-                self.input_size
-            ));
-        }
-        if self.in_channels == 0 {
-            return Err("in_channels must be positive".to_string());
-        }
-        Ok(())
-    }
-}
-
-/// CFIRSTNET-style predictor: plain U-Net over the comprehensive stack.
-#[derive(Debug)]
-pub struct CfirstNet {
-    cfg: CfirstNetConfig,
-    encoder: UNetEncoder,
-    decoder: UNetDecoder,
-}
-
-impl CfirstNet {
-    /// Builds the model from a configuration.
+    /// Laptop-scale preset of a U-Net family — what a checkpoint without a
+    /// recorded configuration rebuilds (at its recorded size).
     ///
     /// # Panics
     ///
-    /// Panics when the configuration is invalid (see
-    /// [`CfirstNetConfig::validate`]) — configurations are
-    /// programmer-supplied; checkpoint-supplied ones go through
-    /// [`ArchSpec::build`], which validates first.
+    /// Panics when `arch` is not one of the five U-Net families.
     #[must_use]
-    pub fn new(cfg: CfirstNetConfig) -> Self {
-        cfg.validate().expect("valid CFIRSTNET configuration");
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let encoder = UNetEncoder::new(cfg.in_channels, &cfg.widths, cfg.stem_kernel, &mut rng);
-        let decoder = UNetDecoder::new(&cfg.widths, 1, false, &mut rng);
-        CfirstNet {
-            cfg,
-            encoder,
-            decoder,
-        }
+    pub fn quick(arch: ArchSpec) -> Self {
+        UNetConfig::family(arch).unwrap_or_else(|| panic!("{} is not a U-Net", arch.name()))
     }
 
-    /// The configuration in effect.
-    #[must_use]
-    pub fn config(&self) -> &CfirstNetConfig {
-        &self.cfg
-    }
-}
-
-impl IrPredictor for CfirstNet {
-    fn arch(&self) -> ArchSpec {
-        ArchSpec::CfirstNet
-    }
-
-    fn input_channels(&self) -> usize {
-        self.cfg.in_channels
-    }
-
-    fn input_size(&self) -> usize {
-        self.cfg.input_size
-    }
-
-    fn arch_config(&self) -> Option<ArchConfig> {
-        Some(ArchConfig::Cfirst(self.cfg.clone()))
-    }
-
-    fn forward(&self, images: &Var, _cloud: Option<&PointCloud>) -> Result<Var> {
-        self.decoder.decode(&self.encoder.encode(images)?)
-    }
-
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.encoder.parameters();
-        p.extend(self.decoder.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.encoder.set_training(training);
-        self.decoder.set_training(training);
-    }
-
-    fn quantize(&self) -> usize {
-        self.encoder.quantize() + self.decoder.quantize()
-    }
-}
-
-/// Configuration of the WACA-UNet variant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WacaUnetConfig {
-    /// Input image channels (8 for the comprehensive stack).
-    pub in_channels: usize,
-    /// Encoder/decoder channel plan; `len - 1` pooling stages.
-    pub widths: Vec<usize>,
-    /// Stem kernel size.
-    pub stem_kernel: usize,
-    /// Squeeze-excitation reduction ratio of every channel-attention block.
-    pub reduction: usize,
-    /// Square input size the model trains at.
-    pub input_size: usize,
-    /// Weight-init seed.
-    pub seed: u64,
-}
-
-impl WacaUnetConfig {
-    /// Laptop-scale preset matching the other `quick()` models.
-    #[must_use]
-    pub fn quick() -> Self {
-        WacaUnetConfig {
-            in_channels: 8,
-            widths: vec![8, 16, 32],
-            stem_kernel: 3,
-            reduction: 4,
-            input_size: 48,
-            seed: 0x3ACA,
-        }
-    }
-
-    /// Validates internal consistency.
+    /// Validates internal consistency (pooling divisibility, non-empty
+    /// plan) and that the family can carry the trunk: a `config.*` entry
+    /// records neither gates nor the presence of channel attention, so
+    /// those are fixed by the family that owns the entry.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the violated constraint.
     pub fn validate(&self) -> std::result::Result<(), String> {
+        let name = self.arch.name();
+        let family = UNetConfig::family(self.arch).ok_or(format!("{name} is not a U-Net"))?;
         if self.widths.len() < 2 {
             return Err("need at least two widths (one pooling stage)".to_string());
         }
@@ -198,60 +108,62 @@ impl WacaUnetConfig {
         if self.in_channels == 0 {
             return Err("in_channels must be positive".to_string());
         }
-        if self.reduction == 0 {
+        if self.channel_attention == Some(0) {
             return Err("reduction must be positive".to_string());
         }
+        if self.arch.config_entry().is_some()
+            && (self.attention_gates != family.attention_gates
+                || self.channel_attention.is_some() != family.channel_attention.is_some())
+        {
+            return Err(format!(
+                "{name}'s checkpoint entry cannot record this gate/attention choice"
+            ));
+        }
         Ok(())
     }
 }
 
-/// WACA-UNet predictor: the CFIRSTNET trunk with weak-aware channel
-/// attention recalibrating every encoder feature (skips *and* bottleneck)
-/// before decoding.
+/// A U-Net family member: the shared trunk over one feature stack.
 #[derive(Debug)]
-pub struct WacaUnet {
-    cfg: WacaUnetConfig,
-    encoder: UNetEncoder,
-    attn: Vec<ChannelAttention>,
-    decoder: UNetDecoder,
+pub struct UNetPredictor {
+    cfg: UNetConfig,
+    trunk: UNet,
 }
 
-impl WacaUnet {
+impl UNetPredictor {
     /// Builds the model from a configuration.
     ///
     /// # Panics
     ///
     /// Panics when the configuration is invalid (see
-    /// [`WacaUnetConfig::validate`]).
+    /// [`UNetConfig::validate`]) — configurations are programmer-supplied;
+    /// checkpoint-supplied ones go through [`ArchSpec::build`], which
+    /// validates first.
     #[must_use]
-    pub fn new(cfg: WacaUnetConfig) -> Self {
-        cfg.validate().expect("valid WACA-UNet configuration");
+    pub fn new(cfg: UNetConfig) -> Self {
+        cfg.validate().expect("valid U-Net configuration");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let encoder = UNetEncoder::new(cfg.in_channels, &cfg.widths, cfg.stem_kernel, &mut rng);
-        let attn = cfg
-            .widths
-            .iter()
-            .map(|&w| ChannelAttention::new(w, cfg.reduction, &mut rng))
-            .collect();
-        let decoder = UNetDecoder::new(&cfg.widths, 1, false, &mut rng);
-        WacaUnet {
-            cfg,
-            encoder,
-            attn,
-            decoder,
-        }
+        let trunk = UNet::new(
+            cfg.in_channels,
+            &cfg.widths,
+            cfg.stem_kernel,
+            cfg.channel_attention,
+            cfg.attention_gates,
+            &mut rng,
+        );
+        UNetPredictor { cfg, trunk }
     }
 
     /// The configuration in effect.
     #[must_use]
-    pub fn config(&self) -> &WacaUnetConfig {
+    pub fn config(&self) -> &UNetConfig {
         &self.cfg
     }
 }
 
-impl IrPredictor for WacaUnet {
+impl IrPredictor for UNetPredictor {
     fn arch(&self) -> ArchSpec {
-        ArchSpec::WacaUnet
+        self.cfg.arch
     }
 
     fn input_channels(&self) -> usize {
@@ -262,39 +174,21 @@ impl IrPredictor for WacaUnet {
         self.cfg.input_size
     }
 
+    /// `None` for the baseline presets: they own no `config.*` entry and
+    /// rebuild from name, channel count and input size.
     fn arch_config(&self) -> Option<ArchConfig> {
-        Some(ArchConfig::Waca(self.cfg.clone()))
+        self.cfg
+            .arch
+            .config_entry()
+            .map(|_| ArchConfig::UNet(self.cfg.clone()))
     }
 
     fn forward(&self, images: &Var, _cloud: Option<&PointCloud>) -> Result<Var> {
-        let mut features = self.encoder.encode(images)?;
-        for (f, a) in features.iter_mut().zip(&self.attn) {
-            *f = a.forward(f)?;
-        }
-        self.decoder.decode(&features)
+        self.trunk.forward(images)
     }
 
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.encoder.parameters();
-        for a in &self.attn {
-            p.extend(a.parameters());
-        }
-        p.extend(self.decoder.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.encoder.set_training(training);
-        for a in &self.attn {
-            a.set_training(training);
-        }
-        self.decoder.set_training(training);
-    }
-
-    fn quantize(&self) -> usize {
-        self.encoder.quantize()
-            + self.attn.iter().map(Module::quantize).sum::<usize>()
-            + self.decoder.quantize()
+    fn children(&self) -> Vec<&dyn Layer> {
+        vec![&self.trunk]
     }
 }
 
@@ -303,43 +197,43 @@ mod tests {
     use super::*;
     use lmmir_tensor::Tensor;
 
-    fn tiny_cfirst() -> CfirstNetConfig {
-        CfirstNetConfig {
+    fn tiny_cfirst() -> UNetConfig {
+        UNetConfig {
             widths: vec![4, 8],
             input_size: 16,
-            ..CfirstNetConfig::quick()
+            ..UNetConfig::quick(ArchSpec::CfirstNet)
         }
     }
 
-    fn tiny_waca() -> WacaUnetConfig {
-        WacaUnetConfig {
+    fn tiny_waca() -> UNetConfig {
+        UNetConfig {
             widths: vec![4, 8],
-            reduction: 2,
+            channel_attention: Some(2),
             input_size: 16,
-            ..WacaUnetConfig::quick()
+            ..UNetConfig::quick(ArchSpec::WacaUnet)
         }
     }
 
     #[test]
     fn forward_shapes_and_identity() {
         let x = Var::constant(Tensor::zeros(&[1, 8, 16, 16]));
-        let c = CfirstNet::new(tiny_cfirst());
+        let c = UNetPredictor::new(tiny_cfirst());
         assert_eq!(c.forward(&x, None).unwrap().dims(), vec![1, 1, 16, 16]);
         assert_eq!(c.arch(), ArchSpec::CfirstNet);
         assert_eq!(c.name(), "CFIRSTNET");
         assert!(!c.uses_netlist(), "the netlist feeds features, not forward");
-        assert!(matches!(c.arch_config(), Some(ArchConfig::Cfirst(_))));
-        let w = WacaUnet::new(tiny_waca());
+        assert_eq!(c.arch_config(), Some(ArchConfig::UNet(tiny_cfirst())));
+        let w = UNetPredictor::new(tiny_waca());
         assert_eq!(w.forward(&x, None).unwrap().dims(), vec![1, 1, 16, 16]);
         assert_eq!(w.arch(), ArchSpec::WacaUnet);
         assert_eq!(w.name(), "WACA-UNet");
-        assert!(matches!(w.arch_config(), Some(ArchConfig::Waca(_))));
+        assert_eq!(w.arch_config(), Some(ArchConfig::UNet(tiny_waca())));
     }
 
     #[test]
     fn waca_attention_adds_parameters_over_cfirst() {
-        let c = CfirstNet::new(tiny_cfirst());
-        let w = WacaUnet::new(tiny_waca());
+        let c = UNetPredictor::new(tiny_cfirst());
+        let w = UNetPredictor::new(tiny_waca());
         assert!(
             w.parameters().len() > c.parameters().len(),
             "one attention block per encoder level must show up"
@@ -353,12 +247,14 @@ mod tests {
 
     #[test]
     fn deterministic_construction() {
-        for (a, b) in [(WacaUnet::new(tiny_waca()), WacaUnet::new(tiny_waca()))] {
-            let (pa, pb) = (a.parameters(), b.parameters());
-            assert_eq!(pa.len(), pb.len());
-            for (x, y) in pa.iter().zip(&pb) {
-                assert_eq!(x.value().data(), y.value().data());
-            }
+        let (a, b) = (
+            UNetPredictor::new(tiny_waca()),
+            UNetPredictor::new(tiny_waca()),
+        );
+        let (pa, pb) = (a.parameters(), b.parameters());
+        assert_eq!(pa.len(), pb.len());
+        for (x, y) in pa.iter().zip(&pb) {
+            assert_eq!(x.value().data(), y.value().data());
         }
     }
 
@@ -367,8 +263,8 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let x = Var::constant(lmmir_tensor::init::uniform(&[1, 8, 16, 16], 1.0, &mut rng));
         for m in [
-            Box::new(CfirstNet::new(tiny_cfirst())) as Box<dyn IrPredictor>,
-            Box::new(WacaUnet::new(tiny_waca())),
+            UNetPredictor::new(tiny_cfirst()),
+            UNetPredictor::new(tiny_waca()),
         ] {
             m.forward(&x, None).unwrap().sum().backward();
             let missing = m.parameters().iter().filter(|p| p.grad().is_none()).count();
@@ -378,29 +274,51 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(CfirstNetConfig::quick().validate().is_ok());
-        assert!(WacaUnetConfig::quick().validate().is_ok());
-        let bad = CfirstNetConfig {
+        for arch in [
+            ArchSpec::Iredge,
+            ArchSpec::FirstPlace,
+            ArchSpec::SecondPlace,
+            ArchSpec::CfirstNet,
+            ArchSpec::WacaUnet,
+        ] {
+            assert!(UNetConfig::quick(arch).validate().is_ok());
+        }
+        let bad = |cfg: UNetConfig| cfg.validate().is_err();
+        assert!(bad(UNetConfig {
             input_size: 47,
-            ..CfirstNetConfig::quick()
-        };
-        assert!(bad.validate().is_err());
-        let bad = WacaUnetConfig {
-            reduction: 0,
-            ..WacaUnetConfig::quick()
-        };
-        assert!(bad.validate().is_err());
-        let bad = WacaUnetConfig {
+            ..UNetConfig::quick(ArchSpec::CfirstNet)
+        }));
+        assert!(bad(UNetConfig {
+            channel_attention: Some(0),
+            ..UNetConfig::quick(ArchSpec::WacaUnet)
+        }));
+        assert!(bad(UNetConfig {
             widths: vec![8],
-            ..WacaUnetConfig::quick()
-        };
-        assert!(bad.validate().is_err());
+            ..UNetConfig::quick(ArchSpec::WacaUnet)
+        }));
+        // What `config.cfirstnet` / `config.waca` cannot record is fixed.
+        assert!(bad(UNetConfig {
+            channel_attention: Some(4),
+            ..UNetConfig::quick(ArchSpec::CfirstNet)
+        }));
+        assert!(bad(UNetConfig {
+            channel_attention: None,
+            ..UNetConfig::quick(ArchSpec::WacaUnet)
+        }));
+        assert!(bad(UNetConfig {
+            attention_gates: true,
+            ..UNetConfig::quick(ArchSpec::CfirstNet)
+        }));
+        assert!(bad(UNetConfig {
+            arch: ArchSpec::LmmIr,
+            ..UNetConfig::quick(ArchSpec::Iredge)
+        }));
     }
 
     #[test]
     fn quantize_covers_trunk_and_attention() {
-        let c = CfirstNet::new(tiny_cfirst());
-        let w = WacaUnet::new(tiny_waca());
+        let c = UNetPredictor::new(tiny_cfirst());
+        let w = UNetPredictor::new(tiny_waca());
         let (qc, qw) = (c.quantize(), w.quantize());
         assert!(qc > 0);
         assert_eq!(

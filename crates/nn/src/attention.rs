@@ -8,7 +8,7 @@
 
 use crate::conv::Conv2d;
 use crate::linear::Linear;
-use crate::module::Module;
+use crate::module::{Layer, Module};
 use lmmir_tensor::conv::ConvSpec;
 use lmmir_tensor::{Result, TensorError, Var};
 use rand::Rng;
@@ -118,24 +118,11 @@ impl Module for MultiHeadAttention {
     fn forward(&self, x: &Var) -> Result<Var> {
         self.forward_qkv(x, x, x)
     }
+}
 
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.wq.parameters();
-        p.extend(self.wk.parameters());
-        p.extend(self.wv.parameters());
-        p.extend(self.wo.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.wq.set_training(training);
-        self.wk.set_training(training);
-        self.wv.set_training(training);
-        self.wo.set_training(training);
-    }
-
-    fn quantize(&self) -> usize {
-        self.wq.quantize() + self.wk.quantize() + self.wv.quantize() + self.wo.quantize()
+impl Layer for MultiHeadAttention {
+    fn children(&self) -> Vec<&dyn Layer> {
+        vec![&self.wq, &self.wk, &self.wv, &self.wo]
     }
 }
 
@@ -196,27 +183,9 @@ impl AttentionGate {
     }
 }
 
-impl Module for AttentionGate {
-    /// Degenerate single-input form: gates `x` with itself.
-    fn forward(&self, x: &Var) -> Result<Var> {
-        self.forward_gated(x, x)
-    }
-
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.conv_g.parameters();
-        p.extend(self.conv_x.parameters());
-        p.extend(self.psi.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.conv_g.set_training(training);
-        self.conv_x.set_training(training);
-        self.psi.set_training(training);
-    }
-
-    fn quantize(&self) -> usize {
-        self.conv_g.quantize() + self.conv_x.quantize() + self.psi.quantize()
+impl Layer for AttentionGate {
+    fn children(&self) -> Vec<&dyn Layer> {
+        vec![&self.conv_g, &self.conv_x, &self.psi]
     }
 }
 
@@ -291,20 +260,11 @@ impl Module for ChannelAttention {
             .reshape(&[n, c, 1, 1])?;
         x.mul(&gate)
     }
+}
 
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.fc1.parameters();
-        p.extend(self.fc2.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.fc1.set_training(training);
-        self.fc2.set_training(training);
-    }
-
-    fn quantize(&self) -> usize {
-        self.fc1.quantize() + self.fc2.quantize()
+impl Layer for ChannelAttention {
+    fn children(&self) -> Vec<&dyn Layer> {
+        vec![&self.fc1, &self.fc2]
     }
 }
 

@@ -1,6 +1,6 @@
 //! Module containers.
 
-use crate::module::Module;
+use crate::module::{Layer, Module};
 use lmmir_tensor::{Result, Var};
 
 /// An ordered stack of modules applied sequentially.
@@ -71,7 +71,11 @@ impl Module for Sequential {
         cur.value().force();
         Ok(cur)
     }
+}
 
+/// Walks its boxes by hand: `Box<dyn Module>` cannot be handed out as
+/// `&dyn Layer` (see [`Layer`]).
+impl Layer for Sequential {
     fn parameters(&self) -> Vec<Var> {
         self.layers.iter().flat_map(|l| l.parameters()).collect()
     }

@@ -1,6 +1,6 @@
 //! Convolution layers.
 
-use crate::module::Module;
+use crate::module::{Layer, Module};
 use lmmir_tensor::conv::{conv2d_quantized, ConvSpec};
 use lmmir_tensor::quant::QuantConvWeight;
 use lmmir_tensor::{init, Result, Var};
@@ -12,7 +12,7 @@ use std::cell::RefCell;
 /// The LMM-IR circuit encoder stacks `7×7` convolutions (first stage) and
 /// `3×3` convolutions (deeper stages), each followed by batch-norm and ReLU.
 ///
-/// After [`Module::quantize`], forward runs the int8 im2col kernel on a
+/// After [`Layer::quantize`], forward runs the int8 im2col kernel on a
 /// cached per-output-channel quantization of the weight (inference only).
 /// `set_training(true)` drops the cache.
 #[derive(Debug)]
@@ -104,7 +104,9 @@ impl Module for Conv2d {
         }
         x.conv2d(&self.weight, self.bias.as_ref(), self.spec)
     }
+}
 
+impl Layer for Conv2d {
     fn parameters(&self) -> Vec<Var> {
         let mut p = vec![self.weight.clone()];
         if let Some(b) = &self.bias {
@@ -193,7 +195,10 @@ impl Module for ConvTranspose2d {
     fn forward(&self, x: &Var) -> Result<Var> {
         x.conv_transpose2d(&self.weight, self.bias.as_ref(), self.spec)
     }
+}
 
+/// No int8 kernel: deconvolutions stay f32 under [`Layer::quantize`].
+impl Layer for ConvTranspose2d {
     fn parameters(&self) -> Vec<Var> {
         let mut p = vec![self.weight.clone()];
         if let Some(b) = &self.bias {

@@ -1,6 +1,6 @@
 //! Embedding table (index → dense vector lookup).
 
-use crate::module::Module;
+use crate::module::Layer;
 use lmmir_tensor::{init, Result, TensorError, Var};
 use rand::Rng;
 
@@ -69,13 +69,8 @@ impl Embedding {
     }
 }
 
-impl Module for Embedding {
-    /// Not applicable to dense inputs; use [`Embedding::lookup`]. Returns the
-    /// input unchanged so the type can still sit in diagnostics pipelines.
-    fn forward(&self, x: &Var) -> Result<Var> {
-        Ok(x.clone())
-    }
-
+/// A lookup (no GEMM): stays f32 under [`Layer::quantize`].
+impl Layer for Embedding {
     fn parameters(&self) -> Vec<Var> {
         vec![self.weight.clone()]
     }

@@ -2,12 +2,15 @@
 //!
 //! Neural-network layers on top of [`lmmir_tensor`]: the `torch.nn`
 //! equivalent used by the LMM-IR reproduction. Provides convolution,
-//! batch/layer normalization, linear, embedding, dropout, pooling/upsampling
-//! wrappers, multi-head self/cross attention and the attention gate from
-//! Attention U-Net — every building block the paper's architecture needs.
+//! batch/layer normalization, linear, embedding, multi-head self/cross
+//! attention, the attention gate from Attention U-Net and WACA-UNet's
+//! channel attention — every building block the paper's architecture and
+//! its comparison families need (pooling is [`lmmir_tensor::Var::max_pool2d`]).
 //!
-//! All layers implement [`Module`]; constructors take an explicit RNG so
-//! weight initialization is reproducible under a fixed seed.
+//! Every layer implements [`Layer`] — the one walk over a model that
+//! `parameters`, `set_training` and `quantize` derive from — and those with
+//! a single-input forward also [`Module`]; constructors take an explicit
+//! RNG so weight initialization is reproducible under a fixed seed.
 //!
 //! ```
 //! use lmmir_nn::{Linear, Module};
@@ -27,19 +30,15 @@
 pub mod attention;
 pub mod container;
 pub mod conv;
-pub mod dropout;
 pub mod embedding;
 pub mod linear;
 pub mod module;
 pub mod norm;
-pub mod pool;
 
 pub use attention::{AttentionGate, ChannelAttention, MultiHeadAttention};
 pub use container::Sequential;
 pub use conv::{Conv2d, ConvTranspose2d};
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use linear::Linear;
-pub use module::{load_state_dict, state_dict, Activation, Module};
+pub use module::{load_state_dict, state_dict, Activation, Layer, Module};
 pub use norm::{BatchNorm2d, LayerNorm};
-pub use pool::{MaxPool2d, UpsampleNearest2d};

@@ -1,6 +1,6 @@
 //! Fully-connected layer.
 
-use crate::module::Module;
+use crate::module::{Layer, Module};
 use lmmir_tensor::quant::{matmul_nd_quantized, QuantLinearWeight};
 use lmmir_tensor::{init, Result, Tensor, Var};
 use rand::Rng;
@@ -12,7 +12,7 @@ use std::cell::RefCell;
 /// the same layer projects `[batch, features]` activations and
 /// `[batch, tokens, features]` sequences.
 ///
-/// After [`Module::quantize`], forward runs the int8 kernel on a cached
+/// After [`Layer::quantize`], forward runs the int8 kernel on a cached
 /// per-output-channel quantization of the weight (inference only — the
 /// quantized path builds no graph). `set_training(true)` drops the cache.
 #[derive(Debug)]
@@ -85,7 +85,9 @@ impl Module for Linear {
             None => Ok(y),
         }
     }
+}
 
+impl Layer for Linear {
     fn parameters(&self) -> Vec<Var> {
         let mut p = vec![self.weight.clone()];
         if let Some(b) = &self.bias {

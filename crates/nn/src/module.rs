@@ -1,16 +1,60 @@
-//! The [`Module`] trait and checkpoint helpers.
+//! The [`Layer`] walk, the [`Module`] trait and checkpoint helpers.
 
 use lmmir_tensor::{Result, TensorError, Var};
 
-/// A neural-network building block: maps one variable to another and exposes
-/// its trainable parameters.
+/// Anything that owns trainable state or is built from things that do.
 ///
-/// Layers that distinguish train/eval behaviour (batch-norm running
-/// statistics, dropout masks) override [`Module::set_training`]; the default
-/// is a no-op. Layers with int8 inference support override
-/// [`Module::quantize`]. The trait is object-safe so heterogeneous stacks
-/// can be composed with [`crate::Sequential`].
-pub trait Module {
+/// A composite names its sub-layers **once**, in [`Layer::children`], in
+/// the order its parameters are checkpointed; everything that is "all X of
+/// a model" — [`Layer::parameters`], [`Layer::set_training`],
+/// [`Layer::quantize`] — is a provided method over that list and visits
+/// every child, so no traversal can skip one. Only leaves that own state
+/// override the provided methods: parameters in [`crate::Linear`],
+/// [`crate::Conv2d`], [`crate::ConvTranspose2d`], [`crate::BatchNorm2d`],
+/// [`crate::LayerNorm`] and [`crate::Embedding`]; the train/eval flag in
+/// `BatchNorm2d`; int8 state in `Linear` and `Conv2d`.
+///
+/// The one container that walks by hand is [`crate::Sequential`]: its
+/// children are `Box<dyn Module>`, which cannot be viewed as `&dyn Layer`
+/// without trait-object upcasting (newer than this workspace's
+/// `rust-version`).
+pub trait Layer {
+    /// The sub-layers, in parameter order (default: none — a leaf).
+    fn children(&self) -> Vec<&dyn Layer> {
+        Vec::new()
+    }
+
+    /// Trainable parameters in a deterministic order: the children's, in
+    /// [`Layer::children`] order.
+    fn parameters(&self) -> Vec<Var> {
+        self.children()
+            .iter()
+            .flat_map(|c| c.parameters())
+            .collect()
+    }
+
+    /// Switches train/eval behaviour of every child. Layers with int8
+    /// inference support drop their quantized state when switched to
+    /// training.
+    fn set_training(&self, training: bool) {
+        for c in self.children() {
+            c.set_training(training);
+        }
+    }
+
+    /// Switches every child that supports it to int8 inference, quantizing
+    /// its current weights in place with per-output-channel scales. Returns
+    /// the number of layers now running quantized (0 for a leaf with
+    /// nothing to quantize). Quantized state is inference-only: it is
+    /// discarded by `set_training(true)` and never carries gradients.
+    fn quantize(&self) -> usize {
+        self.children().iter().map(|c| c.quantize()).sum()
+    }
+}
+
+/// A [`Layer`] that maps one variable to another. The trait is object-safe
+/// so heterogeneous stacks can be composed with [`crate::Sequential`].
+pub trait Module: Layer {
     /// Forward pass.
     ///
     /// # Errors
@@ -18,26 +62,6 @@ pub trait Module {
     /// Returns a [`TensorError`] when the input shape is incompatible with
     /// the layer.
     fn forward(&self, x: &Var) -> Result<Var>;
-
-    /// Trainable parameters in a deterministic order.
-    fn parameters(&self) -> Vec<Var>;
-
-    /// Switches train/eval behaviour (default: no-op).
-    ///
-    /// Containers must propagate this to **every** child: layers that
-    /// support int8 inference drop their quantized state when switched to
-    /// training, so a missed child would silently keep serving stale
-    /// gradient-free int8 weights into a training loop.
-    fn set_training(&self, _training: bool) {}
-
-    /// Switches the layer to int8 inference where supported, quantizing its
-    /// current weights in place with per-output-channel scales. Returns the
-    /// number of layers now running quantized (default: 0 — most layers
-    /// have nothing to quantize). Quantized state is inference-only: it is
-    /// discarded by `set_training(true)` and never carries gradients.
-    fn quantize(&self) -> usize {
-        0
-    }
 }
 
 /// Simple activation functions as composable modules.
@@ -53,6 +77,8 @@ pub enum Activation {
     Identity,
 }
 
+impl Layer for Activation {}
+
 impl Module for Activation {
     fn forward(&self, x: &Var) -> Result<Var> {
         Ok(match self {
@@ -62,19 +88,15 @@ impl Module for Activation {
             Activation::Identity => x.clone(),
         })
     }
-
-    fn parameters(&self) -> Vec<Var> {
-        Vec::new()
-    }
 }
 
-/// Snapshot of a module's parameters as `(index-name, tensor)` pairs.
+/// Snapshot of a layer's parameters as `(index-name, tensor)` pairs.
 ///
-/// Parameter ordering is defined by [`Module::parameters`], which is
+/// Parameter ordering is defined by [`Layer::parameters`], which is
 /// deterministic for every layer in this crate, so the snapshot can be
 /// restored into a freshly constructed model of the same architecture.
 #[must_use]
-pub fn state_dict(module: &dyn Module) -> Vec<(String, lmmir_tensor::Tensor)> {
+pub fn state_dict(module: &dyn Layer) -> Vec<(String, lmmir_tensor::Tensor)> {
     module
         .parameters()
         .iter()
@@ -96,7 +118,7 @@ pub fn state_dict(module: &dyn Module) -> Vec<(String, lmmir_tensor::Tensor)> {
 /// Returns [`TensorError::Io`] when the parameter count differs and
 /// [`TensorError::ShapeMismatch`] when a tensor shape disagrees.
 pub fn load_state_dict(
-    module: &dyn Module,
+    module: &dyn Layer,
     entries: &[(String, lmmir_tensor::Tensor)],
 ) -> Result<()> {
     let params = module.parameters();
@@ -149,10 +171,7 @@ mod tests {
         b: Var,
     }
 
-    impl Module for TwoParams {
-        fn forward(&self, x: &Var) -> Result<Var> {
-            x.mul(&self.a)?.add(&self.b)
-        }
+    impl Layer for TwoParams {
         fn parameters(&self) -> Vec<Var> {
             vec![self.a.clone(), self.b.clone()]
         }

@@ -1,6 +1,6 @@
 //! Normalization layers: batch normalization (2-D) and layer normalization.
 
-use crate::module::Module;
+use crate::module::{Layer, Module};
 use lmmir_tensor::{Result, Tensor, TensorError, Var};
 use std::cell::{Cell, RefCell};
 
@@ -89,7 +89,9 @@ impl Module for BatchNorm2d {
             x.sub(&rm)?.div(&denom)?.mul(&self.gamma)?.add(&self.beta)
         }
     }
+}
 
+impl Layer for BatchNorm2d {
     fn parameters(&self) -> Vec<Var> {
         vec![self.gamma.clone(), self.beta.clone()]
     }
@@ -145,7 +147,9 @@ impl Module for LayerNorm {
         let denom = var.add_scalar(self.eps).sqrt();
         centered.div(&denom)?.mul(&self.gamma)?.add(&self.beta)
     }
+}
 
+impl Layer for LayerNorm {
     fn parameters(&self) -> Vec<Var> {
         vec![self.gamma.clone(), self.beta.clone()]
     }

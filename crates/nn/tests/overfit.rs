@@ -1,7 +1,7 @@
 //! Learning-capability tests: small networks must be able to overfit tiny
 //! datasets — the classic end-to-end sanity check for a training stack.
 
-use lmmir_nn::{Activation, BatchNorm2d, Conv2d, Linear, Module, Sequential};
+use lmmir_nn::{Activation, BatchNorm2d, Conv2d, Layer, Linear, Module, Sequential};
 use lmmir_tensor::conv::ConvSpec;
 use lmmir_tensor::{Adam, Optimizer, Tensor, Var};
 use rand::rngs::StdRng;

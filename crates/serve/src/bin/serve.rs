@@ -134,8 +134,8 @@ const WORKER_FLAGS: &[(&str, ApplyFlag)] = &[
     ("threads", |cfg, _, v| {
         parse("threads", v).map(|n: usize| cfg.threads = Some(n.max(1)))
     }),
-    ("quantized", |cfg, _, _| {
-        cfg.quantized = true;
+    ("quantized", |_, spec, _| {
+        spec.quantized = true;
         Ok(())
     }),
     ("watch-checkpoints", |cfg, _, _| {
@@ -201,6 +201,7 @@ fn run_server(args: &[String]) -> ExitCode {
             return usage();
         }
     };
+    let weights = if spec.quantized { "int8" } else { "f32" };
     let server = match Server::start(cfg.clone(), spec) {
         Ok(s) => s,
         Err(e) => {
@@ -221,7 +222,7 @@ fn run_server(args: &[String]) -> ExitCode {
         cfg.max_requests_per_conn,
         cfg.max_connections,
         cfg.event_threads,
-        if cfg.quantized { "int8" } else { "f32" },
+        weights,
     );
     server.wait();
     eprintln!("[serve] drained, bye");
@@ -512,7 +513,7 @@ mod tests {
         // ...and the worker's own parser accepts what it is handed.
         let (cfg, spec) = worker_config(&worker_flags).unwrap();
         assert_eq!((cfg.max_batch, cfg.event_threads), (3, 3));
-        assert!(cfg.quantized && cfg.watch_checkpoints);
+        assert!(spec.quantized && cfg.watch_checkpoints);
         assert_eq!(spec.models.len(), 1);
         assert!(!passes_through("workers"), "a router knob");
     }

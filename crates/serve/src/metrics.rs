@@ -18,6 +18,77 @@ const BUCKET_BOUNDS_US: [u64; 15] = [
 /// open-ended.
 const BATCH_BUCKET_BOUNDS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
+/// Bucketed counts with a running sum and count — the one observe +
+/// quantile implementation behind the predict-latency, forward-latency and
+/// batch-size series. Updates are relaxed atomics, like every counter here.
+#[derive(Debug)]
+struct Histogram {
+    /// Upper bounds of the closed buckets; one open-ended bucket follows.
+    bounds: &'static [u64],
+    buckets: Vec<AtomicU64>,
+    sum: AtomicU64,
+    count: AtomicU64,
+}
+
+impl Histogram {
+    fn new(bounds: &'static [u64]) -> Self {
+        Histogram {
+            bounds,
+            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            sum: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+        }
+    }
+
+    fn observe(&self, value: u64) {
+        let idx = self
+            .bounds
+            .iter()
+            .position(|&b| value <= b)
+            .unwrap_or(self.bounds.len());
+        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn observe_duration(&self, elapsed: Duration) {
+        self.observe(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+    }
+
+    /// Approximate quantile: the upper bound of the bucket where the
+    /// cumulative count crosses `q` (ten times the last bound for the
+    /// open-ended bucket; `None` before any observation).
+    fn quantile(&self, q: f64) -> Option<u64> {
+        let total = self.count.load(Ordering::Relaxed);
+        if total == 0 {
+            return None;
+        }
+        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, bucket) in self.buckets.iter().enumerate() {
+            seen += bucket.load(Ordering::Relaxed);
+            if seen >= rank {
+                let last = self.bounds[self.bounds.len() - 1];
+                return Some(self.bounds.get(i).copied().unwrap_or(last * 10));
+            }
+        }
+        None
+    }
+
+    /// [`Histogram::quantile`] of a microsecond histogram, in seconds.
+    fn quantile_seconds(&self, q: f64) -> Option<f64> {
+        self.quantile(q).map(|us| us as f64 / 1e6)
+    }
+}
+
+/// A latency histogram in microseconds ([`BUCKET_BOUNDS_US`]).
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::new(&BUCKET_BOUNDS_US)
+    }
+}
+
 /// The `model="…"` label a request's (possibly empty) model field renders
 /// under: the empty default route gets its own label rather than an empty
 /// string.
@@ -34,7 +105,7 @@ pub fn model_label(name: &str) -> &str {
 /// One model family must not be able to hide behind another's aggregate:
 /// a slow dynamic forward shows up in *its* latency histogram, and a
 /// starved queue shows up in *its* depth gauge.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ModelSeries {
     /// Predict requests addressed to this model (counted at dispatch,
     /// including result-cache hits and requests that later fail).
@@ -43,68 +114,44 @@ pub struct ModelSeries {
     /// thread for this model (gauge).
     pub queue_depth: AtomicU64,
     /// Batch-size histogram: jobs of this model per drained batch.
-    batch_buckets: [AtomicU64; BATCH_BUCKET_BOUNDS.len() + 1],
-    batch_jobs_sum: AtomicU64,
-    batch_count: AtomicU64,
+    batch: Histogram,
     /// Forward-pass latency histogram (one observation per group forward).
-    forward_buckets: [AtomicU64; BUCKET_BOUNDS_US.len() + 1],
-    forward_sum_us: AtomicU64,
-    forward_count: AtomicU64,
+    forward: Histogram,
+}
+
+impl Default for ModelSeries {
+    fn default() -> Self {
+        ModelSeries {
+            requests_total: AtomicU64::new(0),
+            queue_depth: AtomicU64::new(0),
+            batch: Histogram::new(&BATCH_BUCKET_BOUNDS),
+            forward: Histogram::default(),
+        }
+    }
 }
 
 impl ModelSeries {
     /// Records this model's share of one drained batch (`jobs ≥ 1`).
     pub fn observe_batch(&self, jobs: usize) {
-        let idx = BATCH_BUCKET_BOUNDS
-            .iter()
-            .position(|&b| jobs as u64 <= b)
-            .unwrap_or(BATCH_BUCKET_BOUNDS.len());
-        self.batch_buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.batch_jobs_sum
-            .fetch_add(jobs as u64, Ordering::Relaxed);
-        self.batch_count.fetch_add(1, Ordering::Relaxed);
+        self.batch.observe(jobs as u64);
     }
 
     /// Records one forward-pass latency for this model.
     pub fn observe_forward(&self, elapsed: Duration) {
-        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        let idx = BUCKET_BOUNDS_US
-            .iter()
-            .position(|&b| us <= b)
-            .unwrap_or(BUCKET_BOUNDS_US.len());
-        self.forward_buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.forward_sum_us.fetch_add(us, Ordering::Relaxed);
-        self.forward_count.fetch_add(1, Ordering::Relaxed);
+        self.forward.observe_duration(elapsed);
     }
 
     /// Approximate forward-latency quantile in seconds (bucket upper
     /// bound; `None` before any observation).
     #[must_use]
     pub fn forward_quantile(&self, q: f64) -> Option<f64> {
-        let total = self.forward_count.load(Ordering::Relaxed);
-        if total == 0 {
-            return None;
-        }
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.forward_buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                let bound_us = BUCKET_BOUNDS_US
-                    .get(i)
-                    .copied()
-                    .unwrap_or(BUCKET_BOUNDS_US[BUCKET_BOUNDS_US.len() - 1] * 10);
-                return Some(bound_us as f64 / 1e6);
-            }
-        }
-        None
+        self.forward.quantile_seconds(q)
     }
 
     /// Forward passes recorded so far.
     #[must_use]
     pub fn forwards(&self) -> u64 {
-        self.forward_count.load(Ordering::Relaxed)
+        self.forward.count.load(Ordering::Relaxed)
     }
 }
 
@@ -170,9 +217,7 @@ pub struct Metrics {
     /// labels in a stable sorted order.
     model_series: Mutex<BTreeMap<String, Arc<ModelSeries>>>,
     /// End-to-end predict latency histogram (handler-observed).
-    latency_buckets: [AtomicU64; BUCKET_BOUNDS_US.len() + 1],
-    latency_sum_us: AtomicU64,
-    latency_count: AtomicU64,
+    latency: Histogram,
 }
 
 /// Extra exposition text appended to [`Metrics::render`] — the hook the
@@ -245,14 +290,7 @@ impl Metrics {
 
     /// Records one end-to-end predict latency.
     pub fn observe_latency(&self, elapsed: Duration) {
-        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        let idx = BUCKET_BOUNDS_US
-            .iter()
-            .position(|&b| us <= b)
-            .unwrap_or(BUCKET_BOUNDS_US.len());
-        self.latency_buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
+        self.latency.observe_duration(elapsed);
     }
 
     /// Approximate latency quantile in seconds: the upper bound of the
@@ -260,24 +298,7 @@ impl Metrics {
     /// observation).
     #[must_use]
     pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        let total = self.latency_count.load(Ordering::Relaxed);
-        if total == 0 {
-            return None;
-        }
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.latency_buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                let bound_us = BUCKET_BOUNDS_US
-                    .get(i)
-                    .copied()
-                    .unwrap_or(BUCKET_BOUNDS_US[BUCKET_BOUNDS_US.len() - 1] * 10);
-                return Some(bound_us as f64 / 1e6);
-            }
-        }
-        None
+        self.latency.quantile_seconds(q)
     }
 
     /// Feature-cache hit rate in `[0, 1]` (`0` before any lookup).
@@ -384,11 +405,11 @@ impl Metrics {
         }
         line(
             "predict_latency_seconds_sum",
-            format!("{:.6}", g(&self.latency_sum_us) as f64 / 1e6),
+            format!("{:.6}", g(&self.latency.sum) as f64 / 1e6),
         );
         line(
             "predict_latency_seconds_count",
-            g(&self.latency_count).to_string(),
+            g(&self.latency.count).to_string(),
         );
         // Per-model series: requests, queue depth, batch-size histogram
         // and forward latency, each labelled `{model="…"}` so one family's
@@ -404,24 +425,24 @@ impl Metrics {
             );
             let mut cumulative = 0u64;
             for (i, bound) in BATCH_BUCKET_BOUNDS.iter().enumerate() {
-                cumulative += s.batch_buckets[i].load(Ordering::Relaxed);
+                cumulative += g(&s.batch.buckets[i]);
                 line(
                     &format!("model_batch_size_bucket{{model=\"{name}\",le=\"{bound}\"}}"),
                     cumulative.to_string(),
                 );
             }
-            cumulative += s.batch_buckets[BATCH_BUCKET_BOUNDS.len()].load(Ordering::Relaxed);
+            cumulative += g(&s.batch.buckets[BATCH_BUCKET_BOUNDS.len()]);
             line(
                 &format!("model_batch_size_bucket{{model=\"{name}\",le=\"+Inf\"}}"),
                 cumulative.to_string(),
             );
             line(
                 &format!("model_batch_size_sum{{model=\"{name}\"}}"),
-                g(&s.batch_jobs_sum).to_string(),
+                g(&s.batch.sum).to_string(),
             );
             line(
                 &format!("model_batch_size_count{{model=\"{name}\"}}"),
-                g(&s.batch_count).to_string(),
+                g(&s.batch.count).to_string(),
             );
             for (q, label) in [(0.5, "0.5"), (0.99, "0.99")] {
                 if let Some(v) = s.forward_quantile(q) {
@@ -433,11 +454,11 @@ impl Metrics {
             }
             line(
                 &format!("model_forward_seconds_sum{{model=\"{name}\"}}"),
-                format!("{:.6}", g(&s.forward_sum_us) as f64 / 1e6),
+                format!("{:.6}", g(&s.forward.sum) as f64 / 1e6),
             );
             line(
                 &format!("model_forward_seconds_count{{model=\"{name}\"}}"),
-                g(&s.forward_count).to_string(),
+                g(&s.forward.count).to_string(),
             );
         }
         out

@@ -34,7 +34,8 @@ pub struct RegistrySpec {
     /// Name answering requests that leave the model field empty; defaults
     /// to the first listed model.
     pub default_model: Option<String>,
-    /// Serve every model through the int8 path: after the weights restore,
+    /// Serve every model through the int8 path (the `--quantized` flag):
+    /// after the weights restore,
     /// each model is quantized in place (per-output-channel scales — the
     /// same ones a v4 checkpoint records and the loader verifies).
     /// Checkpoints of any format version can serve quantized; the scales
@@ -470,25 +471,25 @@ mod tests {
 
     #[test]
     fn zoo_checkpoints_rebuild_their_exact_architecture() {
-        use lmm_ir::{CfirstNet, CfirstNetConfig, WacaUnet, WacaUnetConfig};
+        use lmm_ir::{ArchSpec, UNetConfig, UNetPredictor};
         // Non-quick() trunks: a fallback reconstruction could not hold the
         // weights, so a bitwise restore proves the recorded config was used.
-        let ccfg = CfirstNetConfig {
+        let ccfg = UNetConfig {
             widths: vec![4, 8, 16],
             stem_kernel: 5,
             input_size: 16,
-            ..CfirstNetConfig::quick()
+            ..UNetConfig::quick(ArchSpec::CfirstNet)
         };
-        let wcfg = WacaUnetConfig {
+        let wcfg = UNetConfig {
             widths: vec![4, 8],
-            reduction: 2,
+            channel_attention: Some(2),
             input_size: 16,
-            ..WacaUnetConfig::quick()
+            ..UNetConfig::quick(ArchSpec::WacaUnet)
         };
         let cpath = tmp("reg_cfirst.lmmt");
         let wpath = tmp("reg_waca.lmmt");
-        save_predictor(&CfirstNet::new(ccfg.clone()), &cpath).unwrap();
-        save_predictor(&WacaUnet::new(wcfg.clone()), &wpath).unwrap();
+        save_predictor(&UNetPredictor::new(ccfg.clone()), &cpath).unwrap();
+        save_predictor(&UNetPredictor::new(wcfg.clone()), &wpath).unwrap();
         let reg = ModelRegistry::load(RegistrySpec {
             models: vec![
                 ModelSpec {
@@ -505,12 +506,8 @@ mod tests {
         })
         .unwrap();
         for (name, arch, reference) in [
-            (
-                "cfirst",
-                "CFIRSTNET",
-                Box::new(CfirstNet::new(ccfg.clone())) as Box<dyn IrPredictor>,
-            ),
-            ("waca", "WACA-UNet", Box::new(WacaUnet::new(wcfg.clone()))),
+            ("cfirst", "CFIRSTNET", UNetPredictor::new(ccfg)),
+            ("waca", "WACA-UNet", UNetPredictor::new(wcfg)),
         ] {
             let loaded = reg.resolve(name).unwrap();
             assert_eq!(loaded.meta.model, arch);

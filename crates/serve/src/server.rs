@@ -64,10 +64,6 @@ pub struct ServeConfig {
     /// Thread-count override for the inference thread's `lmmir-par` pool
     /// (`None` = `LMMIR_THREADS` / available cores).
     pub threads: Option<usize>,
-    /// Serve every model with int8 weights (the `--quantized` flag).
-    /// Applies on top of [`RegistrySpec::quantized`] — either switch turns
-    /// quantization on.
-    pub quantized: bool,
     /// Watch every checkpoint file's mtime and hot-reload on change,
     /// clearing both caches atomically exactly as `POST /reload` does (the
     /// `--watch-checkpoints` flag) — so sharded workers pick up new
@@ -89,7 +85,6 @@ impl Default for ServeConfig {
             max_connections: 64,
             event_threads: 2,
             threads: None,
-            quantized: false,
             watch_checkpoints: false,
             watch_interval: Duration::from_secs(2),
         }
@@ -126,8 +121,7 @@ impl Server {
     ///
     /// Returns [`ServeError::Io`] when the address cannot be bound and
     /// [`ServeError::Registry`] when a checkpoint fails to load.
-    pub fn start(cfg: ServeConfig, mut spec: RegistrySpec) -> Result<Self, ServeError> {
-        spec.quantized |= cfg.quantized;
+    pub fn start(cfg: ServeConfig, spec: RegistrySpec) -> Result<Self, ServeError> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;

@@ -4,10 +4,7 @@
 //! 4 inference threads, and a precise client error for netlist-less
 //! requests against a comprehensive-feature model.
 
-use lmm_ir::{
-    save_predictor, CfirstNet, CfirstNetConfig, InferenceSession, IrPredictor, WacaUnet,
-    WacaUnetConfig,
-};
+use lmm_ir::{save_predictor, ArchSpec, InferenceSession, IrPredictor, UNetConfig, UNetPredictor};
 use lmmir_pdn::{Case, CaseKind, CaseSpec};
 use lmmir_serve::{
     client, prepare_request, PredictRequest, PredictResponse, RegistrySpec, ServeConfig, Server,
@@ -32,26 +29,26 @@ fn config(threads: usize) -> ServeConfig {
 
 /// Small untrained instances (weights are deterministic by seed — parity is
 /// about the serving path, not accuracy).
-fn zoo_models() -> Vec<(&'static str, Box<dyn IrPredictor>)> {
+fn zoo_models() -> Vec<(&'static str, UNetPredictor)> {
     vec![
         (
             "cfirst",
-            Box::new(CfirstNet::new(CfirstNetConfig {
+            UNetPredictor::new(UNetConfig {
                 widths: vec![4, 8],
                 input_size: SIZE,
                 seed: 61,
-                ..CfirstNetConfig::quick()
-            })) as Box<dyn IrPredictor>,
+                ..UNetConfig::quick(ArchSpec::CfirstNet)
+            }),
         ),
         (
             "waca",
-            Box::new(WacaUnet::new(WacaUnetConfig {
+            UNetPredictor::new(UNetConfig {
                 widths: vec![4, 8],
-                reduction: 2,
+                channel_attention: Some(2),
                 input_size: SIZE,
                 seed: 62,
-                ..WacaUnetConfig::quick()
-            })),
+                ..UNetConfig::quick(ArchSpec::WacaUnet)
+            }),
         ),
     ]
 }
@@ -84,11 +81,11 @@ fn assert_matches_offline(resp: &PredictResponse, expected: &(Vec<f32>, Vec<u8>,
 fn zoo_checkpoints_serve_bitwise_offline_parity_across_thread_counts() {
     for (name, model) in zoo_models() {
         let path = tmp(&format!("{name}_parity.lmmt"));
-        save_predictor(model.as_ref(), &path).unwrap();
+        save_predictor(&model, &path).unwrap();
         let designs: Vec<PredictRequest> = (0..3).map(|s| design(700 + s).1).collect();
         let expected: Vec<_> = designs
             .iter()
-            .map(|r| offline_reference(model.as_ref(), r))
+            .map(|r| offline_reference(&model, r))
             .collect();
         let mut by_threads: Vec<Vec<PredictResponse>> = Vec::new();
         for threads in [1, 4] {
@@ -119,7 +116,7 @@ fn zoo_checkpoints_serve_bitwise_offline_parity_across_thread_counts() {
 fn comprehensive_model_without_netlist_is_a_client_error() {
     let (name, model) = zoo_models().remove(0);
     let path = tmp("cfirst_missing_netlist.lmmt");
-    save_predictor(model.as_ref(), &path).unwrap();
+    save_predictor(&model, &path).unwrap();
     let server = Server::start(config(2), RegistrySpec::single(name, &path)).unwrap();
     let addr = server.addr();
 

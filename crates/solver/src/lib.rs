@@ -34,13 +34,11 @@
 //! ```
 
 pub mod cg;
-pub mod cholesky;
 pub mod ir;
 pub mod sparse;
 pub mod stamp;
 
 pub use cg::{solve_cg, solve_cg_forked, CgConfig, CgSolution, SolveCgError};
-pub use cholesky::{CholeskyFactor, FactorizeError};
 pub use ir::{solve_ir_drop, IrDrop, SolveIrDropError};
 pub use sparse::{grid_laplacian, Csr};
 pub use stamp::{stamp, PdnSystem, StampNetlistError};

@@ -752,77 +752,6 @@ pub fn max_pool2d_backward(
     Ok(dx)
 }
 
-/// Nearest-neighbour upsampling by an integer factor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidShape`] for non-NCHW input or factor 0.
-pub fn upsample_nearest2d(x: &Tensor, factor: usize) -> Result<Tensor> {
-    if x.rank() != 4 || factor == 0 {
-        return Err(TensorError::InvalidShape {
-            dims: x.dims().to_vec(),
-            reason: "upsample_nearest2d expects [N,C,H,W] and factor >= 1".to_string(),
-        });
-    }
-    let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-    let (oh, ow) = (h * factor, w * factor);
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    let xd = x.data();
-    let od = out.data_mut();
-    for nc in 0..n * c {
-        for oy in 0..oh {
-            let src_row = nc * h * w + (oy / factor) * w;
-            let dst_row = nc * oh * ow + oy * ow;
-            for ox in 0..ow {
-                od[dst_row + ox] = xd[src_row + ox / factor];
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Backward pass of [`upsample_nearest2d`]: each input cell accumulates the
-/// gradients of its `factor × factor` replicas.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidShape`] when `grad_out` is not divisible by
-/// `factor`.
-pub fn upsample_nearest2d_backward(grad_out: &Tensor, factor: usize) -> Result<Tensor> {
-    if grad_out.rank() != 4 || factor == 0 {
-        return Err(TensorError::InvalidShape {
-            dims: grad_out.dims().to_vec(),
-            reason: "upsample backward expects [N,C,H,W]".to_string(),
-        });
-    }
-    let (n, c, oh, ow) = (
-        grad_out.dims()[0],
-        grad_out.dims()[1],
-        grad_out.dims()[2],
-        grad_out.dims()[3],
-    );
-    if oh % factor != 0 || ow % factor != 0 {
-        return Err(TensorError::InvalidShape {
-            dims: grad_out.dims().to_vec(),
-            reason: format!("spatial dims not divisible by factor {factor}"),
-        });
-    }
-    let (h, w) = (oh / factor, ow / factor);
-    let mut dx = Tensor::zeros(&[n, c, h, w]);
-    let gd = grad_out.data();
-    let dd = dx.data_mut();
-    for nc in 0..n * c {
-        for oy in 0..oh {
-            let dst_row = nc * h * w + (oy / factor) * w;
-            let src_row = nc * oh * ow + oy * ow;
-            for ox in 0..ow {
-                dd[dst_row + ox / factor] += gd[src_row + ox];
-            }
-        }
-    }
-    Ok(dx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -989,22 +918,11 @@ mod tests {
     }
 
     #[test]
-    fn upsample_nearest_replicates() {
-        let x = t(&[1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let y = upsample_nearest2d(&x, 2).unwrap();
-        assert_eq!(y.dims(), &[1, 1, 4, 4]);
-        assert_eq!(y.at(&[0, 0, 0, 0]), 1.0);
-        assert_eq!(y.at(&[0, 0, 0, 1]), 1.0);
-        assert_eq!(y.at(&[0, 0, 3, 3]), 4.0);
-        let g = Tensor::ones(&[1, 1, 4, 4]);
-        let dx = upsample_nearest2d_backward(&g, 2).unwrap();
-        assert_eq!(dx.data(), &[4.0, 4.0, 4.0, 4.0]);
-    }
-
-    #[test]
     fn pool_and_conv_validate_shapes() {
         let x = Tensor::zeros(&[2, 2]);
         assert!(max_pool2d(&x, 2, 2).is_err());
+        let small = Tensor::zeros(&[1, 1, 2, 2]);
+        assert!(max_pool2d(&small, 3, 3).is_err(), "window must fit");
         let w = Tensor::zeros(&[1, 3, 3, 3]);
         let x4 = Tensor::zeros(&[1, 2, 5, 5]);
         assert!(conv2d(&x4, &w, None, ConvSpec::new(1, 0)).is_err());

@@ -8,7 +8,7 @@
 use crate::autograd::Var;
 use crate::conv::{
     conv2d, conv2d_backward, conv_transpose2d, conv_transpose2d_backward, max_pool2d,
-    max_pool2d_backward, upsample_nearest2d, upsample_nearest2d_backward, ConvSpec,
+    max_pool2d_backward, ConvSpec,
 };
 use crate::error::TensorError;
 use crate::linalg;
@@ -556,24 +556,6 @@ impl Var {
         ))
     }
 
-    /// Nearest-neighbour upsampling by an integer factor.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the raw kernel.
-    pub fn upsample_nearest2d(&self, factor: usize) -> Result<Var> {
-        let out = upsample_nearest2d(&self.value(), factor)?;
-        Ok(Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
-                vec![Some(
-                    upsample_nearest2d_backward(g, factor).expect("upsample backward"),
-                )]
-            }),
-        ))
-    }
-
     // ------------------------------------------------------------------
     // Softmax / attention / embedding
     // ------------------------------------------------------------------
@@ -875,8 +857,15 @@ mod tests {
         x.max_pool2d(2, 2).unwrap().sum().backward();
         assert_eq!(x.grad().unwrap().sum_all(), 4.0);
 
+        // ×3 replication as the decoder upsamples: a stride-3 transposed
+        // conv (all-ones 3×3 kernel here), every cell feeding 9 outputs.
         let y = v(&pseudo_random(4, 42), &[1, 1, 2, 2]);
-        y.upsample_nearest2d(3).unwrap().sum().backward();
+        let ones = Var::constant(Tensor::ones(&[1, 1, 3, 3]));
+        let up = y
+            .conv_transpose2d(&ones, None, ConvSpec::new(3, 0))
+            .unwrap();
+        assert_eq!(up.dims(), vec![1, 1, 6, 6]);
+        up.sum().backward();
         assert_eq!(y.grad().unwrap().data(), &[9.0, 9.0, 9.0, 9.0]);
     }
 
