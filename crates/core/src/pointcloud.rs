@@ -149,7 +149,7 @@ impl PointCloud {
         if self.points.len() <= max_points {
             return self.clone();
         }
-        let tier = |p: &NetlistPoint| -> usize {
+        let tier = |p: &NetlistPoint| -> u8 {
             if p.kind == 2 {
                 0 // pads
             } else if p.is_via() {
@@ -160,19 +160,44 @@ impl PointCloud {
                 3 // wires
             }
         };
-        let mut tiers: [Vec<NetlistPoint>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-        for p in &self.points {
-            tiers[tier(p)].push(*p);
+        // One pass over the cloud labels every point with its tier; counting
+        // and picking then walk the labels run by run (a netlist lists its
+        // wires, vias, loads and pads in blocks), so no tier is copied out —
+        // `encode_cloud` subsamples on every forward.
+        let tiers: Vec<u8> = self.points.iter().map(tier).collect();
+        let runs = || {
+            tiers
+                .chunk_by(|a, b| a == b)
+                .map(|run| (usize::from(run[0]), run.len()))
+        };
+        let mut counts = [0usize; 4];
+        for (t, len) in runs() {
+            counts[t] += len;
         }
-        let mut out = Vec::with_capacity(max_points);
-        for t in tiers {
-            let remaining = max_points - out.len();
-            if remaining == 0 {
-                break;
+        // Per tier, in priority order: the rank within the tier of each of
+        // its picks — a stride over the tier, which is every member (step
+        // 1.0) while the budget lasts.
+        let mut remaining = max_points;
+        let mut picks = counts.map(|count| {
+            let take = count.min(remaining);
+            remaining -= take;
+            let step = count as f64 / take as f64;
+            (0..take)
+                .map(move |i| (i as f64 * step) as usize)
+                .peekable()
+        });
+        let mut picked: [Vec<NetlistPoint>; 4] = Default::default();
+        let (mut start, mut rank) = (0, [0usize; 4]);
+        for (t, len) in runs() {
+            while let Some(r) = picks[t].next_if(|&r| r < rank[t] + len) {
+                picked[t].push(self.points[start + r - rank[t]]);
             }
-            out.extend(stride_sample(&t, remaining));
+            start += len;
+            rank[t] += len;
         }
-        PointCloud { points: out }
+        PointCloud {
+            points: picked.concat(),
+        }
     }
 
     /// Packs continuous features into a `[len, 5]` matrix plus the discrete
@@ -191,19 +216,6 @@ impl PointCloud {
         }
         (feats, kinds, l1, l2)
     }
-}
-
-fn stride_sample(points: &[NetlistPoint], budget: usize) -> Vec<NetlistPoint> {
-    if budget == 0 || points.is_empty() {
-        return Vec::new();
-    }
-    if points.len() <= budget {
-        return points.to_vec();
-    }
-    let step = points.len() as f64 / budget as f64;
-    (0..budget)
-        .map(|i| points[(i as f64 * step) as usize])
-        .collect()
 }
 
 #[cfg(test)]
@@ -280,6 +292,61 @@ mod tests {
         assert_eq!(pads, case.netlist.stats().voltage_sources);
         // Vias survive.
         assert_eq!(sub.via_count(), pc.via_count());
+    }
+
+    /// `subsample` as it was before it stopped copying the cloud into four
+    /// tier vectors: the reference the rank-based version must equal.
+    fn subsample_by_tier_copies(cloud: &PointCloud, max_points: usize) -> PointCloud {
+        fn stride_sample(points: &[NetlistPoint], budget: usize) -> Vec<NetlistPoint> {
+            if budget == 0 || points.is_empty() {
+                return Vec::new();
+            }
+            if points.len() <= budget {
+                return points.to_vec();
+            }
+            let step = points.len() as f64 / budget as f64;
+            (0..budget)
+                .map(|i| points[(i as f64 * step) as usize])
+                .collect()
+        }
+        if cloud.points.len() <= max_points {
+            return cloud.clone();
+        }
+        let mut tiers: [Vec<NetlistPoint>; 4] = Default::default();
+        for p in &cloud.points {
+            let tier = match (p.kind, p.is_via()) {
+                (2, _) => 0,
+                (_, true) => 1,
+                (1, _) => 2,
+                _ => 3,
+            };
+            tiers[tier].push(*p);
+        }
+        let mut out = Vec::with_capacity(max_points);
+        for t in tiers {
+            let remaining = max_points - out.len();
+            out.extend(stride_sample(&t, remaining));
+        }
+        PointCloud { points: out }
+    }
+
+    #[test]
+    fn subsample_equals_the_tier_copy_reference() {
+        let (blocks, _) = cloud();
+        // The same points with the tiers interleaved instead of in blocks.
+        let mut mixed = blocks.clone();
+        let len = mixed.len();
+        mixed.points = (0..len).map(|i| blocks.points[i * 7 % len]).collect();
+        assert_ne!(len % 7, 0, "i·7 mod len must be a permutation");
+        for cloud in [&blocks, &mixed] {
+            for budget in [0, 1, 5, 64, 512, len - 1, len, len + 10] {
+                assert_eq!(
+                    cloud.subsample(budget),
+                    subsample_by_tier_copies(cloud, budget),
+                    "budget {budget} of {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -101,15 +101,31 @@ fn build_channel(power: &PowerMap, netlist: &Netlist, dbu: i64, kind: FeatureCha
 }
 
 impl FeatureStack {
-    /// Rasterizes `kinds` from the raw design parts, one channel per pool
-    /// worker (the channels are independent and the ordered fan-out keeps
-    /// them in the requested order).
+    /// Rasterizes `kinds` from the raw design parts. The distance map forks
+    /// over its own rows and outweighs every other channel past ~100 µm, so
+    /// it is built first, at pool width; the rest fan out one channel per
+    /// pool worker (independent, kept in the requested order), each kernel
+    /// inline on its worker. The CG-backed effective-resistance channel stays
+    /// in the fan-out: its solve is below the solver's fork gate at 64 µm, so
+    /// pulled out it would only run sequentially ahead of the others.
     fn rasterize(power: &PowerMap, netlist: &Netlist, dbu: i64, kinds: &[FeatureChannel]) -> Self {
-        let rasters =
-            lmmir_par::par_map_slice(kinds, |kind| build_channel(power, netlist, dbu, *kind));
-        FeatureStack {
-            channels: kinds.iter().copied().zip(rasters).collect(),
-        }
+        let pooled = FeatureChannel::EffectiveDistance;
+        let build = |kind: &FeatureChannel| build_channel(power, netlist, dbu, *kind);
+        let mut distance = kinds.contains(&pooled).then(|| build(&pooled));
+        let rest: Vec<FeatureChannel> = kinds.iter().copied().filter(|k| *k != pooled).collect();
+        let mut rasters = lmmir_par::par_map_slice(&rest, build).into_iter();
+        let channels = kinds
+            .iter()
+            .map(|&kind| {
+                let raster = if kind == pooled {
+                    distance.take()
+                } else {
+                    rasters.next()
+                };
+                (kind, raster.expect("one raster per requested channel"))
+            })
+            .collect();
+        FeatureStack { channels }
     }
 
     /// The basic 3-channel stack (current, effective distance, PDN density)

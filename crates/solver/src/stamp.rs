@@ -103,7 +103,7 @@ pub fn stamp(netlist: &Netlist) -> Result<PdnSystem, StampNetlistError> {
                         (Some(n), true) => *n,
                         _ => {
                             return Err(StampNetlistError::UngroundedVoltageSource {
-                                name: e.name.clone(),
+                                name: e.name.to_string(),
                             })
                         }
                     }
@@ -180,7 +180,7 @@ pub fn stamp(netlist: &Netlist) -> Result<PdnSystem, StampNetlistError> {
                         (Some(nm), true) => (*nm, -1.0),
                         _ => {
                             return Err(StampNetlistError::UngroundedCurrentSource {
-                                name: e.name.clone(),
+                                name: e.name.to_string(),
                             })
                         }
                     },

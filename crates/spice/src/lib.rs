@@ -37,6 +37,6 @@ pub mod parse;
 pub mod validate;
 pub mod write;
 
-pub use model::{Element, ElementKind, Netlist, NetlistStats, NodeName, NodeRef};
+pub use model::{Element, ElementKind, ElementName, Netlist, NetlistStats, NodeName, NodeRef};
 pub use parse::ParseNetlistError;
 pub use validate::{validate, Finding, ValidationReport};

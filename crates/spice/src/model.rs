@@ -107,11 +107,76 @@ impl fmt::Display for ElementKind {
     }
 }
 
+/// An element's instance name, stored without a heap allocation when it
+/// fits: [`ElementName::INLINE`] bytes sit inside the value (which is the
+/// size of a `String`), longer names fall back to one boxed `str`. A parsed
+/// netlist holds one name per element and contest names are `R` + a counter,
+/// so parsing allocates nothing per element. Reads as a `&str` through
+/// `Deref` / `Display`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ElementName(NameRepr);
+
+/// Names of at most `INLINE` bytes are always `Inline` with the unused tail
+/// zeroed, so the derived comparisons agree with comparing the text.
+#[derive(Clone, PartialEq, Eq)]
+enum NameRepr {
+    Inline {
+        len: u8,
+        bytes: [u8; ElementName::INLINE],
+    },
+    Heap(Box<str>),
+}
+
+impl ElementName {
+    /// Longest name, in bytes, that is stored inline.
+    pub const INLINE: usize = 22;
+}
+
+impl From<&str> for ElementName {
+    fn from(name: &str) -> Self {
+        if name.len() <= Self::INLINE {
+            let mut bytes = [0; Self::INLINE];
+            bytes[..name.len()].copy_from_slice(name.as_bytes());
+            ElementName(NameRepr::Inline {
+                len: name.len() as u8,
+                bytes,
+            })
+        } else {
+            ElementName(NameRepr::Heap(name.into()))
+        }
+    }
+}
+
+impl std::ops::Deref for ElementName {
+    type Target = str;
+    fn deref(&self) -> &str {
+        match &self.0 {
+            NameRepr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("inline bytes are copied from a whole str"),
+            NameRepr::Heap(name) => name,
+        }
+    }
+}
+
+impl fmt::Debug for ElementName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for ElementName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
 /// One two-terminal element of the PDN netlist.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Element {
-    /// Instance name as written in the file (e.g. `R12`).
-    pub name: String,
+    /// Instance name as written in the file (e.g. `R12`); inline up to
+    /// [`ElementName::INLINE`] bytes, so building an element from a short
+    /// `&str` does not allocate.
+    pub name: ElementName,
     /// Element kind, derived from the name prefix.
     pub kind: ElementKind,
     /// First terminal.
@@ -127,14 +192,14 @@ impl Element {
     /// construction in the parser/generator.
     #[must_use]
     pub fn new(
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         kind: ElementKind,
         a: NodeRef,
         b: NodeRef,
         value: f64,
     ) -> Self {
         Element {
-            name: name.into(),
+            name: name.as_ref().into(),
             kind,
             a,
             b,
@@ -348,6 +413,27 @@ mod tests {
         let n = NodeName::new(1, 4, 2000, 36000);
         assert_eq!(n.to_string(), "n1_m4_2000_36000");
         assert_eq!(NodeRef::Ground.to_string(), "0");
+    }
+
+    #[test]
+    fn element_name_is_string_sized_and_reads_as_str() {
+        assert_eq!(
+            std::mem::size_of::<ElementName>(),
+            std::mem::size_of::<String>()
+        );
+        let at_capacity = "R".repeat(ElementName::INLINE);
+        let beyond = "R".repeat(ElementName::INLINE + 1);
+        for text in ["", "R12", "Rµ", at_capacity.as_str(), beyond.as_str()] {
+            let name = ElementName::from(text);
+            assert_eq!(&*name, text);
+            assert_eq!(name.to_string(), text);
+            assert_eq!(format!("{name:?}"), format!("{text:?}"));
+        }
+        assert_ne!(ElementName::from("R1"), ElementName::from("R10"));
+        assert_ne!(
+            ElementName::from(&*at_capacity),
+            ElementName::from(&*beyond)
+        );
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub fn validate(netlist: &Netlist) -> ValidationReport {
             ElementKind::Resistor => {
                 if e.value <= 0.0 || e.value > 1e9 {
                     report.findings.push(Finding::SuspiciousResistance {
-                        name: e.name.clone(),
+                        name: e.name.to_string(),
                         value: e.value,
                     });
                 }

@@ -27,11 +27,15 @@ proptest! {
 
     #[test]
     fn print_parse_round_trip(elems in prop::collection::vec((0usize..1).prop_flat_map(|_| arb_element(0)), 0..40)) {
-        // Re-name elements with unique indices (names are free-form).
+        // Re-name elements with unique indices (names are free-form); every
+        // fourth name is longer than `ElementName` stores inline.
         let elems: Vec<Element> = elems
             .into_iter()
             .enumerate()
-            .map(|(i, e)| Element::new(format!("{}{}", e.kind.prefix(), i), e.kind, e.a, e.b, e.value))
+            .map(|(i, e)| {
+                let tail = if i % 4 == 3 { "_instance_name_beyond_the_inline_capacity" } else { "" };
+                Element::new(format!("{}{i}{tail}", e.kind.prefix()), e.kind, e.a, e.b, e.value)
+            })
             .collect();
         let nl = Netlist::from_elements(elems);
         let text = nl.to_spice();
