@@ -1,8 +1,8 @@
 //! Load generator for the `lmmir-serve` inference server.
 //!
 //! Generates a handful of designs, hammers `POST /predict` from concurrent
-//! client threads (repeating designs, so the result cache, feature cache
-//! and in-batch dedup engage), verifies responses are bitwise
+//! client threads (repeating designs, so the result cache and the
+//! shared-forward dedup engage), verifies responses are bitwise
 //! self-consistent per design, and reports throughput plus the server's
 //! own cache/batch metrics.
 //!
@@ -344,7 +344,6 @@ fn main() -> ExitCode {
             None => String::new(),
         },
     );
-    let mut feature_hit_rate = f64::NAN;
     let mut result_hit_rate = f64::NAN;
     match client::get_text(&addr, "/metrics") {
         Ok((_, text)) => {
@@ -356,9 +355,6 @@ fn main() -> ExitCode {
                     line.strip_prefix(name)
                         .and_then(|rest| rest.trim().parse::<f64>().ok())
                 };
-                if let Some(v) = gauge("lmmir_cache_hit_rate ") {
-                    feature_hit_rate = v;
-                }
                 if let Some(v) = gauge("lmmir_result_cache_hit_rate ") {
                     result_hit_rate = v;
                 }
@@ -377,7 +373,7 @@ fn main() -> ExitCode {
              \"designs\": {},\n  \"size\": {},\n  \"windows\": {},\n  \"mix\": {},\n  \
              \"keep_alive\": {},\n  \"elapsed_s\": {elapsed:.4},\n  \
              \"req_per_s\": {rate:.2},\n  \"p50_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \
-             \"feature_cache_hit_rate\": {},\n  \"result_cache_hit_rate\": {}\n}}\n",
+             \"result_cache_hit_rate\": {}\n}}\n",
             o.requests,
             o.designs,
             o.size,
@@ -386,7 +382,6 @@ fn main() -> ExitCode {
             o.keep_alive,
             pct(0.50),
             pct(0.99),
-            json_num(feature_hit_rate),
             json_num(result_hit_rate),
         );
         if let Err(e) = std::fs::write(path, record) {

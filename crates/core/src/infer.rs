@@ -23,9 +23,9 @@ use std::time::Instant;
 
 /// The input contract of a predictor, as plain copyable data.
 ///
-/// Extracted from the model so feature preparation can run on worker
-/// threads (and be cached) without touching the model itself — model
-/// internals are `Rc`-based and pinned to the inference thread.
+/// Extracted from the model so feature preparation needs no model at
+/// hand: clients and tests compute the offline reference from the spec
+/// alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InputSpec {
     /// Image channels the model consumes (1, 3 or 6 for static models;
@@ -62,8 +62,7 @@ impl InputSpec {
 /// images, the optional point cloud, and the spatial bookkeeping needed to
 /// map predictions back to chip coordinates.
 ///
-/// Plain data (no autograd handles), so it is `Send` — the serving layer
-/// prepares inputs on pool workers and caches them across requests.
+/// Plain data (no autograd handles).
 #[derive(Debug, Clone)]
 pub struct PreparedInput {
     /// Model input images `[1, C, S, S]`.
@@ -308,9 +307,9 @@ impl<'m> InferenceSession<'m> {
     /// Runs the model forward pass, returning the raw prediction
     /// `[1, 1, S, S]` and the wall-clock seconds it took (TAT).
     ///
-    /// Copies the input images into the forward graph — the right call when
-    /// the input is shared (the serving layer's feature cache); callers
-    /// done with the input should prefer [`InferenceSession::forward_owned`].
+    /// Shares the input images with the forward graph (a handle copy) —
+    /// the right call when the caller keeps the input; callers done with it
+    /// should prefer [`InferenceSession::forward_owned`].
     ///
     /// # Errors
     ///

@@ -13,7 +13,12 @@ use rand::{Rng, SeedableRng};
 /// Common interface of every IR-drop predictor in the reproduction
 /// (LMM-IR and all baselines), so the trainer and the benchmark harness
 /// treat them uniformly.
-pub trait IrPredictor {
+///
+/// `Send + Sync` is a supertrait: one loaded model serves every inference
+/// lane of `lmmir-serve` at once (a forward only reads parameters; see
+/// [`lmmir_tensor::Var`]), so a predictor that cannot be shared across
+/// threads does not compile.
+pub trait IrPredictor: Send + Sync {
     /// The architecture descriptor this model is an instance of — the
     /// single identity the registry, the checkpoint layer and the benchmark
     /// harness dispatch on.

@@ -17,9 +17,9 @@ use std::collections::HashMap;
 /// the samples).
 ///
 /// Evaluation proceeds in waves of [`EVAL_WAVE`] cases: within a wave,
-/// forward passes run one case at a time on the calling thread — the
-/// autograd tape is deliberately `Rc`-based, so cross-case parallelism
-/// comes from the parallel kernels *inside* each forward — and then the
+/// forward passes run one case at a time on the calling thread — each at
+/// the full pool width, so the TAT column times an uncontended forward;
+/// parallelism comes from the kernels *inside* it — and then the
 /// per-case scoring (prediction restore, F1, MAE) fans out across the
 /// `lmmir-par` pool. Each case keeps the TAT measured around its own
 /// forward call, and at most one wave of predictions is buffered at a

@@ -49,7 +49,7 @@ pub mod stack;
 pub mod violations;
 pub mod windows;
 
-pub use fingerprint::Fnv1a;
+pub use fingerprint::{Fnv1a, WordHasher};
 pub use maps::{
     current_map, current_source_map, effective_distance_map, ir_drop_map, pdn_density_map,
     resistance_map, voltage_source_map,

@@ -111,8 +111,7 @@ impl WindowStack {
     }
 
     /// Stable 64-bit content hash over the ordered, bit-exact window
-    /// rasters — the serving layer's feature-cache key component for
-    /// dynamic requests.
+    /// rasters (the determinism suites compare stacks by it).
     #[must_use]
     pub fn content_hash(&self) -> u64 {
         let mut h = crate::fingerprint::Fnv1a::new();

@@ -5,7 +5,7 @@ use lmmir_tensor::conv::{conv2d_quantized, ConvSpec};
 use lmmir_tensor::quant::QuantConvWeight;
 use lmmir_tensor::{init, Result, Var};
 use rand::Rng;
-use std::cell::RefCell;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// 2-D convolution layer with weight `[out, in, k, k]`.
 ///
@@ -19,7 +19,7 @@ use std::cell::RefCell;
 pub struct Conv2d {
     weight: Var,
     bias: Option<Var>,
-    quant: RefCell<Option<QuantConvWeight>>,
+    quant: RwLock<Option<QuantConvWeight>>,
     spec: ConvSpec,
     in_channels: usize,
     out_channels: usize,
@@ -50,7 +50,7 @@ impl Conv2d {
         Conv2d {
             weight,
             bias,
-            quant: RefCell::new(None),
+            quant: RwLock::new(None),
             spec,
             in_channels,
             out_channels,
@@ -93,11 +93,21 @@ impl Conv2d {
     pub fn kernel(&self) -> usize {
         self.kernel
     }
+
+    /// The int8 state, if quantized. The lock recovers from poisoning: the
+    /// slot is only ever replaced whole.
+    fn quant(&self) -> RwLockReadGuard<'_, Option<QuantConvWeight>> {
+        self.quant.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn set_quant(&self, quant: Option<QuantConvWeight>) {
+        *self.quant.write().unwrap_or_else(PoisonError::into_inner) = quant;
+    }
 }
 
 impl Module for Conv2d {
     fn forward(&self, x: &Var) -> Result<Var> {
-        if let Some(qw) = self.quant.borrow().as_ref() {
+        if let Some(qw) = self.quant().as_ref() {
             let bias = self.bias.as_ref().map(Var::value);
             let y = conv2d_quantized(&x.value(), qw, bias.as_deref(), self.spec)?;
             return Ok(Var::constant(y));
@@ -117,14 +127,14 @@ impl Layer for Conv2d {
 
     fn set_training(&self, training: bool) {
         if training {
-            *self.quant.borrow_mut() = None;
+            self.set_quant(None);
         }
     }
 
     fn quantize(&self) -> usize {
         let qw = QuantConvWeight::from_tensor(&self.weight.value())
             .expect("conv weight is rank-4 by construction");
-        *self.quant.borrow_mut() = Some(qw);
+        self.set_quant(Some(qw));
         1
     }
 }

@@ -4,7 +4,7 @@ use crate::module::{Layer, Module};
 use lmmir_tensor::quant::{matmul_nd_quantized, QuantLinearWeight};
 use lmmir_tensor::{init, Result, Tensor, Var};
 use rand::Rng;
-use std::cell::RefCell;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// Affine transform `y = x W + b` with `W: [in, out]`.
 ///
@@ -19,7 +19,7 @@ use std::cell::RefCell;
 pub struct Linear {
     weight: Var,
     bias: Option<Var>,
-    quant: RefCell<Option<QuantLinearWeight>>,
+    quant: RwLock<Option<QuantLinearWeight>>,
     in_features: usize,
     out_features: usize,
 }
@@ -40,7 +40,7 @@ impl Linear {
         Linear {
             weight,
             bias,
-            quant: RefCell::new(None),
+            quant: RwLock::new(None),
             in_features,
             out_features,
         }
@@ -63,11 +63,21 @@ impl Linear {
     pub fn weight(&self) -> &Var {
         &self.weight
     }
+
+    /// The int8 state, if quantized. The lock recovers from poisoning: the
+    /// slot is only ever replaced whole.
+    fn quant(&self) -> RwLockReadGuard<'_, Option<QuantLinearWeight>> {
+        self.quant.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn set_quant(&self, quant: Option<QuantLinearWeight>) {
+        *self.quant.write().unwrap_or_else(PoisonError::into_inner) = quant;
+    }
 }
 
 impl Module for Linear {
     fn forward(&self, x: &Var) -> Result<Var> {
-        if let Some(qw) = self.quant.borrow().as_ref() {
+        if let Some(qw) = self.quant().as_ref() {
             let mut y = matmul_nd_quantized(&x.value(), qw)?;
             if let Some(b) = &self.bias {
                 let bv = b.value();
@@ -98,14 +108,14 @@ impl Layer for Linear {
 
     fn set_training(&self, training: bool) {
         if training {
-            *self.quant.borrow_mut() = None;
+            self.set_quant(None);
         }
     }
 
     fn quantize(&self) -> usize {
         let qw = QuantLinearWeight::from_tensor(&self.weight.value())
             .expect("linear weight is rank-2 by construction");
-        *self.quant.borrow_mut() = Some(qw);
+        self.set_quant(Some(qw));
         1
     }
 }
@@ -129,7 +139,7 @@ impl Linear {
         Linear {
             weight: Var::parameter(weight),
             bias: bias.map(Var::parameter),
-            quant: RefCell::new(None),
+            quant: RwLock::new(None),
             in_features,
             out_features,
         }

@@ -18,7 +18,12 @@ use lmmir_tensor::{Result, TensorError, Var};
 /// children are `Box<dyn Module>`, which cannot be viewed as `&dyn Layer`
 /// without trait-object upcasting (newer than this workspace's
 /// `rust-version`).
-pub trait Layer {
+///
+/// `Send + Sync` is a supertrait: every layer can be shared by the threads
+/// of a multi-lane server (forward passes only read parameters), and a
+/// layer that grows an `Rc` or a `RefCell` stops compiling here rather
+/// than at the first cross-thread use.
+pub trait Layer: Send + Sync {
     /// The sub-layers, in parameter order (default: none — a leaf).
     fn children(&self) -> Vec<&dyn Layer> {
         Vec::new()

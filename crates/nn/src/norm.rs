@@ -2,7 +2,8 @@
 
 use crate::module::{Layer, Module};
 use lmmir_tensor::{Result, Tensor, TensorError, Var};
-use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{PoisonError, RwLock};
 
 /// Batch normalization over `[N, C, H, W]` activations.
 ///
@@ -14,12 +15,13 @@ use std::cell::{Cell, RefCell};
 pub struct BatchNorm2d {
     gamma: Var,
     beta: Var,
-    running_mean: RefCell<Tensor>,
-    running_var: RefCell<Tensor>,
+    running_mean: RwLock<Tensor>,
+    running_var: RwLock<Tensor>,
     channels: usize,
     momentum: f32,
     eps: f32,
-    training: Cell<bool>,
+    /// Train/eval switch. `Relaxed` everywhere: it publishes no other data.
+    training: AtomicBool,
 }
 
 impl BatchNorm2d {
@@ -29,12 +31,12 @@ impl BatchNorm2d {
         BatchNorm2d {
             gamma: Var::parameter(Tensor::ones(&[1, channels, 1, 1])),
             beta: Var::parameter(Tensor::zeros(&[1, channels, 1, 1])),
-            running_mean: RefCell::new(Tensor::zeros(&[1, channels, 1, 1])),
-            running_var: RefCell::new(Tensor::ones(&[1, channels, 1, 1])),
+            running_mean: RwLock::new(Tensor::zeros(&[1, channels, 1, 1])),
+            running_var: RwLock::new(Tensor::ones(&[1, channels, 1, 1])),
             channels,
             momentum: 0.1,
             eps: 1e-5,
-            training: Cell::new(true),
+            training: AtomicBool::new(true),
         }
     }
 
@@ -47,14 +49,21 @@ impl BatchNorm2d {
     /// Snapshot of the running mean (for tests/diagnostics).
     #[must_use]
     pub fn running_mean(&self) -> Tensor {
-        self.running_mean.borrow().clone()
+        snapshot(&self.running_mean)
     }
 
     /// Snapshot of the running variance.
     #[must_use]
     pub fn running_var(&self) -> Tensor {
-        self.running_var.borrow().clone()
+        snapshot(&self.running_var)
     }
+}
+
+/// Handle copy of a running statistic. The lock recovers from poisoning:
+/// the EMA below updates a realized buffer element by element, so a panic
+/// mid-update leaves a valid tensor.
+fn snapshot(stat: &RwLock<Tensor>) -> Tensor {
+    stat.read().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
 impl Module for BatchNorm2d {
@@ -65,7 +74,7 @@ impl Module for BatchNorm2d {
                 reason: format!("BatchNorm2d expects [N, {}, H, W]", self.channels),
             });
         }
-        if self.training.get() {
+        if self.training.load(Ordering::Relaxed) {
             let mean = x.mean_axes(&[0, 2, 3], true)?;
             let centered = x.sub(&mean)?;
             let var = centered.square().mean_axes(&[0, 2, 3], true)?;
@@ -76,15 +85,16 @@ impl Module for BatchNorm2d {
             let m = self.momentum;
             for (running, batch) in [(&self.running_mean, &mean), (&self.running_var, &var)] {
                 let batch = batch.to_tensor();
-                for (r, &b) in running.borrow_mut().data_mut().iter_mut().zip(batch.data()) {
+                let mut running = running.write().unwrap_or_else(PoisonError::into_inner);
+                for (r, &b) in running.data_mut().iter_mut().zip(batch.data()) {
                     *r = *r * (1.0 - m) + b * m;
                 }
             }
             let denom = var.add_scalar(self.eps).sqrt();
             centered.div(&denom)?.mul(&self.gamma)?.add(&self.beta)
         } else {
-            let rm = Var::constant(self.running_mean.borrow().clone());
-            let rv = Var::constant(self.running_var.borrow().clone());
+            let rm = Var::constant(self.running_mean());
+            let rv = Var::constant(self.running_var());
             let denom = rv.add_scalar(self.eps).sqrt();
             x.sub(&rm)?.div(&denom)?.mul(&self.gamma)?.add(&self.beta)
         }
@@ -97,7 +107,7 @@ impl Layer for BatchNorm2d {
     }
 
     fn set_training(&self, training: bool) {
-        self.training.set(training);
+        self.training.store(training, Ordering::Relaxed);
     }
 }
 

@@ -1,32 +1,33 @@
-//! The inference thread: job queue, batching, dedup, cache, forward.
+//! The inference lanes: job queue, take policy, dedup, forward.
 //!
-//! Event-loop threads enqueue decoded predict jobs on an MPSC channel; the
-//! single inference thread (models are `Rc`-based and not `Send`) blocks
-//! for one job, takes what else is already queued up to `max_batch` (no
-//! timed wait: jobs pile up behind a running forward), then processes the
-//! batch:
+//! Event-loop threads enqueue decoded predict jobs on an MPSC channel.
+//! `threads` inference **lanes** (`ServeConfig::threads`; models are
+//! `Send + Sync`, so every lane runs forwards on the one loaded registry)
+//! share its receiving end. The lanes are work-conserving, not
+//! batch-synchronous — a free lane never waits for another to finish:
 //!
-//! 1. jobs are **grouped** by `(model, design content hash)` — duplicates
-//!    in one batch share a single forward pass;
-//! 2. each group's prepared input comes from the **LRU feature cache** or,
-//!    on a miss, is rasterized — misses of one batch fan out across the
-//!    `lmmir-par` pool (feature preparation is plain data work);
-//! 3. one **forward pass per unique group** runs on the inference thread,
-//!    its internal kernels parallelized by the same pool;
+//! 1. it locks the queue and moves what has already arrived into the
+//!    shared backlog, up to `max_batch` entries (no timed wait: jobs pile
+//!    up behind the running forwards);
+//! 2. it **takes** the backlog's head plus every backlog job with the same
+//!    `(canonical model, design content hash)` — duplicates share a single
+//!    forward pass — and unlocks;
+//! 3. it prepares the input, runs **one forward pass** and encodes the
+//!    response — at the full `lmmir-par` pool width when it is the only
+//!    busy lane, at `threads / busy` otherwise;
 //! 4. every job of the group receives the identical response.
 //!
-//! The loop exits when every sender is gone (event loops drained and
-//! exited), which is exactly the graceful-shutdown order.
+//! When several lanes are idle the lowest takes the work, so sequential
+//! traffic stays on lane 0 and the other lanes' memory is never touched.
 //!
-//! Completion delivery is a callback, not a channel the submitter blocks
-//! on: event-loop threads park the connection and hand the job a boxed
-//! notifier that posts a readiness event back to the loop that owns the
-//! connection. Successful predictions are **encoded exactly once** here —
-//! the same `Arc`'d frame goes to every duplicate job of the group and
-//! into the result cache, so neither duplicates nor later cache hits pay
-//! the re-encode.
+//! With one lane this is the single inference thread it replaces. A
+//! `POST /reload` is a queue entry like any other: the lane that meets it
+//! takes the registry's write lock while still holding the queue, so it
+//! runs between takes, never during a forward. The lanes exit when every
+//! sender is gone (event loops drained and exited), which is exactly the
+//! graceful-shutdown order.
 
-use crate::cache::{LruCache, ResultCache};
+use crate::cache::ResultCache;
 use crate::metrics::{model_label, Health, Metrics};
 use crate::proto::{PredictRequest, PredictResponse};
 use crate::registry::{ModelRegistry, RegistrySpec};
@@ -34,23 +35,26 @@ use crate::server::ServeConfig;
 use crate::ServeError;
 use lmm_ir::{prepare_parts, prepare_window_parts, InferenceSession, InputSpec, PreparedInput};
 use lmmir_spice::Netlist;
-use std::rc::Rc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
-
-/// The feature cache: prepared inputs are shared by `Rc`, so a cache hit
-/// never copies the images or the point cloud (the cache and the models
-/// live on the same thread).
-type FeatureCache = LruCache<(String, u64), Rc<PreparedInput>>;
 
 /// Reply to one predict job: the **encoded response frame** (shared with
 /// the result cache and every duplicate job of the batch group), or a
 /// client-visible error message.
-pub type PredictReply = Result<Arc<Vec<u8>>, String>;
+///
+/// `Arc<[u8]>`, not `Arc<Vec<u8>>`: one allocation per frame. The `Vec`
+/// flavour's 40-byte control block, carved right after a forward from the
+/// space its buffers had vacated, lives as long as the cached frame, and
+/// the allocator could not trim a lane's ~15 MiB of freed heap past it.
+pub type PredictReply = Result<Arc<[u8]>, String>;
 
-/// Completion notifier for one queued job: invoked exactly once, on the
-/// inference thread, when the job's outcome is known.
+/// Completion notifier for one queued job: invoked exactly once, on an
+/// inference lane, when the job's outcome is known. (A callback, not a
+/// channel the submitter blocks on: the event loop parks the connection,
+/// and the notifier posts a readiness event back to it.)
 pub type ReplyFn<T> = Box<dyn FnOnce(T) + Send>;
 
 /// One queued prediction.
@@ -114,50 +118,108 @@ pub fn prepare_request(spec: InputSpec, request: &PredictRequest) -> Result<Prep
     .map_err(|e| e.to_string())
 }
 
-/// Reorders a drained batch's groups so forward passes **interleave
-/// across models** round-robin: `[A1 A2 A3 B1 B2]` runs as
-/// `[A1 B1 A2 B2 A3]`. Within one model the first-seen order is kept, so
-/// replies stay deterministic; across models no family waits for another
-/// family's whole backlog — a slow dynamic forward cannot starve static
-/// traffic queued in the same drain cycle.
-pub fn interleave_groups<T>(groups: Vec<T>, model_of: impl Fn(&T) -> String) -> Vec<T> {
-    let mut lanes: Vec<(String, std::collections::VecDeque<T>)> = Vec::new();
-    for group in groups {
-        let model = model_of(&group);
-        match lanes.iter_mut().find(|(name, _)| *name == model) {
-            Some((_, lane)) => lane.push_back(group),
-            None => lanes.push((model, std::collections::VecDeque::from([group]))),
-        }
-    }
-    let mut out = Vec::new();
-    while lanes.iter().any(|(_, lane)| !lane.is_empty()) {
-        for (_, lane) in &mut lanes {
-            if let Some(group) = lane.pop_front() {
-                out.push(group);
-            }
-        }
-    }
-    out
+/// What a free lane does next.
+enum Take {
+    /// Jobs that share a canonical model and a design fingerprint: one
+    /// forward pass answers them all.
+    Group(Vec<PredictJob>),
+    /// A registry reload, met in queue order.
+    Reload(ReplyFn<Result<usize, String>>),
 }
 
-/// Runs the inference loop until the job channel disconnects.
+/// The job queue as the lanes see it: the channel's receiving end plus the
+/// entries already taken off it and not yet claimed by a lane.
+struct Queue {
+    jobs: Receiver<Job>,
+    backlog: VecDeque<Job>,
+}
+
+impl Queue {
+    /// Tops the backlog up to `max_batch` entries with what has already
+    /// arrived, blocking only when there is nothing at all to do — so an
+    /// idle server adds no latency, and under load the dedup window is
+    /// whatever queued up behind the running forwards. Returns `false`
+    /// once every sender is gone and the backlog is empty.
+    fn fill(&mut self, max_batch: usize) -> bool {
+        if self.backlog.is_empty() {
+            match self.jobs.recv() {
+                Ok(job) => self.backlog.push_back(job),
+                Err(_) => return false,
+            }
+        }
+        while self.backlog.len() < max_batch {
+            match self.jobs.try_recv() {
+                Ok(job) => self.backlog.push_back(job),
+                Err(_) => break, // empty — or disconnected, which the next `recv` reports
+            }
+        }
+        true
+    }
+
+    /// Takes the backlog's head and, for a predict job, every later job
+    /// with the same `key`. The scan stops at a reload: jobs queued behind
+    /// one must be answered by the weights it loads. Arrival order is the
+    /// fairness — nothing overtakes the head. `None` on an empty backlog.
+    fn take<K: PartialEq>(&mut self, key: impl Fn(&PredictJob) -> K) -> Option<Take> {
+        let head = match self.backlog.pop_front()? {
+            Job::Predict(job) => job,
+            Job::Reload(reply) => return Some(Take::Reload(reply)),
+        };
+        let head_key = key(&head);
+        let mut group = vec![head];
+        let mut fenced = false;
+        for job in std::mem::take(&mut self.backlog) {
+            match job {
+                Job::Predict(job) if !fenced && key(&job) == head_key => group.push(job),
+                other => {
+                    fenced |= matches!(other, Job::Reload(_));
+                    self.backlog.push_back(other);
+                }
+            }
+        }
+        Some(Take::Group(group))
+    }
+}
+
+/// State shared by the inference lanes.
+struct Lanes<'a> {
+    queue: Mutex<Queue>,
+    /// Forwards hold the read lock, a reload the write lock — so a reload
+    /// waits for every in-flight forward and none starts during it.
+    registry: RwLock<ModelRegistry>,
+    /// Per lane: whether it is idle (waiting for the queue or holding it)
+    /// rather than answering a group. Cleared under the queue lock. The
+    /// lane count is also the `lmmir-par` width the busy lanes divide.
+    idle: Vec<AtomicBool>,
+    /// Signalled after every take: a lane that left the backlog to an idle
+    /// lower lane looks again.
+    taken: Condvar,
+    max_batch: usize,
+    /// `None` when the result cache is disabled (capacity 0): it is then
+    /// never locked, here or in the handlers.
+    results: Option<&'a ResultCache>,
+    metrics: &'a Metrics,
+    health: &'a Health,
+}
+
+/// Runs the inference lanes until the job channel disconnects.
 ///
 /// Sends the registry-load outcome over `ready` exactly once before
-/// entering the loop, so `Server::start` can fail fast on a bad checkpoint.
+/// serving, so `Server::start` can fail fast on a bad checkpoint.
 pub(crate) fn run(
     cfg: &ServeConfig,
     spec: RegistrySpec,
     jobs: Receiver<Job>,
-    metrics: &Arc<Metrics>,
-    health: &Arc<Health>,
+    metrics: &Metrics,
+    health: &Health,
     results: &ResultCache,
     ready: &Sender<Result<(), ServeError>>,
 ) {
-    // The inference thread owns its thread-count override (`lmmir-par`
-    // overrides are thread-local): every kernel and fan-out below honours
-    // `cfg.threads`, falling back to `LMMIR_THREADS` / core count.
+    // `cfg.threads`, falling back to `LMMIR_THREADS` / core count, is both
+    // the lane count and the pool width the busy lanes divide.
     lmmir_par::set_thread_override(cfg.threads);
-    let mut registry = match ModelRegistry::load(spec) {
+    let threads = lmmir_par::num_threads();
+    let registry = match ModelRegistry::load(spec) {
         Ok(r) => {
             health.set_ready(&r.summaries());
             let _ = ready.send(Ok(()));
@@ -168,279 +230,198 @@ pub(crate) fn run(
             return;
         }
     };
-    metrics
-        .models_loaded
-        .store(registry.len() as u64, std::sync::atomic::Ordering::Relaxed);
-    let mut cache: FeatureCache = LruCache::new(cfg.cache_capacity);
-    // A disabled result cache (capacity 0) is never locked: inserts and
-    // the reload clear are skipped along with the handlers' lookups.
-    let results = (cfg.result_cache_capacity > 0).then_some(results);
-
-    // `None` ends the loop: all senders gone — drained, shut down.
-    while let Some(batch) = next_batch(&jobs, cfg.max_batch, |reply| {
-        reload(reply, &mut registry, &mut cache, results, metrics, health);
-    }) {
-        if !batch.is_empty() {
-            process_batch(batch, &registry, &mut cache, results, metrics);
+    Metrics::set(&metrics.models_loaded, registry.len());
+    Metrics::set(&metrics.inference_lanes, threads);
+    let lanes = Lanes {
+        queue: Mutex::new(Queue {
+            jobs,
+            backlog: VecDeque::new(),
+        }),
+        registry: RwLock::new(registry),
+        idle: (0..threads).map(|_| AtomicBool::new(true)).collect(),
+        taken: Condvar::new(),
+        max_batch: cfg.max_batch,
+        results: (cfg.result_cache_capacity > 0).then_some(results),
+        metrics,
+        health,
+    };
+    // The calling thread is lane 0; every lane returns when the senders
+    // are gone and the backlog is empty — drained, shut down.
+    std::thread::scope(|scope| {
+        let lanes = &lanes;
+        for k in 1..threads {
+            std::thread::Builder::new()
+                .name(format!("lmmir-lane-{k}"))
+                .spawn_scoped(scope, move || lanes.serve(k))
+                .expect("spawn inference lane");
         }
-    }
+        lanes.serve(0);
+    });
 }
 
-/// Takes one drain cycle off the queue: blocks for the first entry, then
-/// takes what is already queued without waiting, until the queue is empty
-/// or `max_batch` predict jobs are in hand. An idle server therefore adds
-/// no latency, and under load the batch is whatever arrived during the
-/// previous forward. Admin entries run through `on_reload` as they are
-/// met — always between two batches, never during a forward. Returns
-/// `None` once every sender is gone and the queue is empty.
-fn next_batch(
-    jobs: &Receiver<Job>,
-    max_batch: usize,
-    mut on_reload: impl FnMut(ReplyFn<Result<usize, String>>),
-) -> Option<Vec<PredictJob>> {
-    let mut job = jobs.recv().ok()?;
-    let mut batch = Vec::with_capacity(max_batch);
-    loop {
-        match job {
-            Job::Predict(p) => batch.push(p),
-            Job::Reload(reply) => on_reload(reply),
-        }
-        if batch.len() >= max_batch {
-            break;
-        }
-        match jobs.try_recv() {
-            Ok(next) => job = next,
-            Err(_) => break, // empty — or disconnected, which the next `recv` reports
-        }
-    }
-    Some(batch)
-}
-
-/// Reloads the registry from disk and, on success, invalidates both caches.
-fn reload(
-    reply: ReplyFn<Result<usize, String>>,
-    registry: &mut ModelRegistry,
-    cache: &mut FeatureCache,
-    results: Option<&ResultCache>,
-    metrics: &Arc<Metrics>,
-    health: &Arc<Health>,
-) {
-    // Flip readiness *before* touching the registry: the router drains this
-    // worker as soon as the next health probe lands, so a slow reload never
-    // races new dispatches.
-    health.begin_reload();
-    let outcome = registry.reload().map_err(|e| e.to_string());
-    if outcome.is_ok() {
-        // Both caches are per-model-weights and must not outlive a swap.
-        // Holding the result-cache lock across both clears makes the
-        // invalidation atomic from the handler threads' view: no handler
-        // can serve a stale prediction after observing any effect of this
-        // reload. A *failed* reload clears nothing — the old models keep
-        // serving, and their cached artifacts stay valid.
-        let mut results = results.map(|r| r.lock().expect("result cache lock"));
-        if let Some(results) = results.as_mut() {
-            results.clear();
-        }
-        cache.clear();
-        drop(results);
-        Metrics::inc(&metrics.reloads_total);
-        metrics
-            .models_loaded
-            .store(registry.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        health.set_ready(&registry.summaries());
-    } else {
-        health.reload_failed();
-    }
-    reply(outcome);
-}
-
-/// One group: jobs of a batch that share a model and a design fingerprint,
-/// answered by a single forward pass.
-struct Group {
-    model: String,
-    fingerprint: u64,
-    jobs: Vec<PredictJob>,
-}
-
-fn process_batch(
-    batch: Vec<PredictJob>,
-    registry: &ModelRegistry,
-    cache: &mut FeatureCache,
-    results: Option<&ResultCache>,
-    metrics: &Arc<Metrics>,
-) {
-    metrics.observe_batch(batch.len());
-
-    // Group by (canonical model name, fingerprint), preserving first-seen
-    // order so replies are deterministic. The canonical name makes `""`
-    // and the default model's explicit name share forwards and cache.
-    let mut groups: Vec<Group> = Vec::new();
-    for job in batch {
-        let Some(name) = registry
-            .canonical_name(&job.request.model)
-            .map(str::to_string)
-        else {
-            Metrics::dec(&metrics.model(model_label(&job.request.model)).queue_depth);
-            (job.reply)(Err(format!(
-                "unknown model '{}' (loaded: {})",
-                job.request.model,
-                registry.names().join(", ")
-            )));
-            Metrics::inc(&metrics.predict_error_total);
-            continue;
-        };
-        match groups
-            .iter_mut()
-            .find(|g| g.fingerprint == job.fingerprint && g.model == name)
-        {
-            Some(g) => g.jobs.push(job),
-            None => groups.push(Group {
-                model: name,
-                fingerprint: job.fingerprint,
-                jobs: vec![job],
-            }),
-        }
-    }
-
-    // Record each model's share of this drain, then interleave the groups
-    // across models so no family's forwards wait behind another family's
-    // whole backlog within the cycle.
-    {
-        let mut counted: Vec<&str> = Vec::new();
-        for i in 0..groups.len() {
-            if counted.contains(&groups[i].model.as_str()) {
-                continue;
+impl Lanes<'_> {
+    /// Lane `lane`: claim work under the queue lock, answer it outside.
+    fn serve(&self, lane: usize) {
+        let mut queue = self.queue.lock().expect("queue lock");
+        while queue.fill(self.max_batch) {
+            // The lowest idle lane takes the work. The lane left listening
+            // on the channel (this one) need not be it: a lower lane may
+            // have gone idle since. Leaving it the work — it is blocked on
+            // the queue lock and gets it as this lane waits — keeps a
+            // lightly loaded server on one warm lane: a lane that never
+            // answers a group never touches the ~20 MiB a forward leaves
+            // in its buffers and allocator arena.
+            if self.idle[..lane].iter().any(|l| l.load(Ordering::SeqCst)) {
+                queue = self.taken.wait(queue).expect("queue lock");
+                continue; // the backlog may be empty again: listen, or look again
             }
-            let jobs: usize = groups
-                .iter()
-                .filter(|g| g.model == groups[i].model)
-                .map(|g| g.jobs.len())
-                .sum();
-            metrics.model(&groups[i].model).observe_batch(jobs);
-            counted.push(groups[i].model.as_str());
-        }
-    }
-    let mut groups = interleave_groups(groups, |g| g.model.clone());
-
-    // Resolve cached features per group; collect the misses.
-    let mut prepared: Vec<Option<(Rc<PreparedInput>, bool)>> = Vec::with_capacity(groups.len());
-    let mut misses: Vec<(usize, InputSpec)> = Vec::new();
-    for (i, group) in groups.iter().enumerate() {
-        let loaded = registry
-            .resolve(&group.model)
-            .expect("group built from resolvable jobs");
-        let key = (group.model.clone(), group.fingerprint);
-        if let Some(hit) = cache.get(&key) {
-            Metrics::inc(&metrics.cache_hits_total);
-            prepared.push(Some((Rc::clone(hit), true)));
-        } else {
-            Metrics::inc(&metrics.cache_misses_total);
-            prepared.push(None);
-            misses.push((i, InputSpec::of(loaded.model.as_ref())));
-        }
-    }
-
-    // Rasterize the misses in parallel: feature prep is pure data work, so
-    // it fans out across the pool while the models stay on this thread.
-    // Borrow only the plain-data requests — the groups also hold the
-    // one-shot reply notifiers, which are `Send` but not `Sync` and must
-    // stay off the worker threads.
-    let miss_inputs: Vec<(InputSpec, &PredictRequest)> = misses
-        .iter()
-        .map(|(gi, spec)| (*spec, &groups[*gi].jobs[0].request))
-        .collect();
-    let miss_results: Vec<Result<PreparedInput, String>> =
-        lmmir_par::par_map(miss_inputs.len(), |k| {
-            let (spec, request) = &miss_inputs[k];
-            prepare_request(*spec, request)
-        });
-    drop(miss_inputs);
-    for ((gi, _), result) in misses.iter().zip(miss_results) {
-        match result {
-            Ok(input) => {
-                let key = (groups[*gi].model.clone(), groups[*gi].fingerprint);
-                let input = Rc::new(input);
-                cache.insert(key, Rc::clone(&input));
-                prepared[*gi] = Some((input, false));
-            }
-            Err(msg) => {
-                // Leave `prepared[gi]` empty (the forward loop skips the
-                // group) and notify every job now; `take` consumes the
-                // one-shot notifiers.
-                for job in std::mem::take(&mut groups[*gi].jobs) {
-                    Metrics::dec(&metrics.model(model_label(&job.request.model)).queue_depth);
-                    (job.reply)(Err(msg.clone()));
-                    Metrics::inc(&metrics.predict_error_total);
+            // Taken under the queue lock, so a reload (which holds that
+            // lock while it waits to write) never races a new forward.
+            let registry = self.registry.read().expect("registry lock");
+            // The canonical name makes `""` and the default model's
+            // explicit name share a forward.
+            let take = queue.take(|job| {
+                let model = registry.canonical_name(&job.request.model);
+                (model.map(str::to_string), job.fingerprint)
+            });
+            match take.expect("filled backlog") {
+                Take::Reload(reply) => {
+                    drop(registry);
+                    self.reload(reply);
+                    self.taken.notify_all();
+                }
+                Take::Group(jobs) => {
+                    self.idle[lane].store(false, Ordering::SeqCst);
+                    let busy = self.idle.iter().filter(|l| !l.load(Ordering::SeqCst));
+                    // A lane alone gets the whole pool (a lone request is
+                    // as fast as on a one-lane server); lanes busy together
+                    // split it. Any width gives the same bits.
+                    let width = (self.idle.len() / busy.count()).max(1);
+                    drop(queue);
+                    self.taken.notify_all();
+                    let replies = lmmir_par::with_threads(width, || self.answer(jobs, &registry));
+                    drop(registry);
+                    // Idle from *before* the replies go out: a client's
+                    // next request must find this lane idle however late
+                    // the scheduler lets it reach the queue.
+                    self.idle[lane].store(true, Ordering::SeqCst);
+                    for (job, reply) in replies {
+                        self.finish(job, reply);
+                    }
+                    queue = self.queue.lock().expect("queue lock");
                 }
             }
         }
+        // Drained. (No lane is left waiting on `taken`: that takes a
+        // non-empty backlog, which `fill` never reports as drained.)
     }
 
-    // One forward pass per group; every job of the group gets the result.
-    for (group, slot) in groups.into_iter().zip(prepared) {
-        let Some((input, cache_hit)) = slot else {
-            continue; // preparation failed; already replied
+    /// Reloads the registry from disk and, on success, invalidates the
+    /// result cache. Runs with the queue lock held, so groups claimed
+    /// before it finish on the old weights (the write lock waits for them)
+    /// and jobs queued behind it see the new ones.
+    fn reload(&self, reply: ReplyFn<Result<usize, String>>) {
+        // Flip readiness *before* touching the registry: the router drains
+        // this worker as soon as the next health probe lands, so a slow
+        // reload never races new dispatches.
+        self.health.begin_reload();
+        let mut registry = self.registry.write().expect("registry lock");
+        let outcome = registry.reload().map_err(|e| e.to_string());
+        if outcome.is_ok() {
+            // Cached frames must not outlive the weights that made them,
+            // and no forward is in flight to re-insert a stale one. A
+            // *failed* reload clears nothing: the old models keep serving.
+            if let Some(results) = self.results {
+                results.lock().expect("result cache lock").clear();
+            }
+            Metrics::inc(&self.metrics.reloads_total);
+            Metrics::set(&self.metrics.models_loaded, registry.len());
+            self.health.set_ready(&registry.summaries());
+        } else {
+            self.health.reload_failed();
+        }
+        reply(outcome);
+    }
+
+    /// Answers one group — prepare, forward, encode once — and pairs every
+    /// job with its reply.
+    fn answer(
+        &self,
+        jobs: Vec<PredictJob>,
+        registry: &ModelRegistry,
+    ) -> Vec<(PredictJob, PredictReply)> {
+        let metrics = self.metrics;
+        metrics.observe_batch(jobs.len());
+        let first = &jobs[0].request;
+        // The whole group shares the resolution (it is part of the group
+        // key); each job's error names the model *it* asked for.
+        let Some(name) = registry.canonical_name(&first.model) else {
+            let loaded = registry.names().join(", ");
+            let unknown = |job: &PredictJob| {
+                format!("unknown model '{}' (loaded: {loaded})", job.request.model)
+            };
+            return jobs
+                .into_iter()
+                .map(|job| {
+                    let reply = Err(unknown(&job));
+                    (job, reply)
+                })
+                .collect();
         };
-        let loaded = registry
-            .resolve(&group.model)
-            .expect("group built from resolvable jobs");
-        let session = InferenceSession::new(loaded.model.as_ref());
-        let forward_started = Instant::now();
-        let outcome = session.predict(&input).map_err(|e| e.to_string());
-        metrics
-            .model(&group.model)
-            .observe_forward(forward_started.elapsed());
+        let series = metrics.model(name);
+        series.observe_batch(jobs.len());
+        let model = registry.resolve(name).expect("canonical names resolve");
+        let session = InferenceSession::new(model.model.as_ref());
+        let outcome = prepare_request(session.spec(), first).and_then(|input| {
+            let forward_started = Instant::now();
+            let prediction = session.predict(&input).map_err(|e| e.to_string());
+            series.observe_forward(forward_started.elapsed());
+            prediction
+        });
         // Encode the frame exactly once per group: duplicates and future
         // result-cache hits all share these bytes by `Arc`.
-        let frame = match &outcome {
-            Ok(p) => {
-                // Count only passes actually saved: a failed forward saved
-                // none.
-                metrics.dedup_saved_total.fetch_add(
-                    (group.jobs.len() - 1) as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-                let response = PredictResponse {
-                    width: p.map.width() as u32,
-                    height: p.map.height() as u32,
-                    threshold: p.threshold,
-                    cache_hit,
-                    map: p.map.data().to_vec(),
-                    mask: p.mask.clone(),
-                };
-                Some(Arc::new(response.encode()))
-            }
-            Err(_) => None,
-        };
-        // Layer the result cache over the feature cache: the finished
-        // frame is stored under every *requested* model name of the group
-        // (the connection layer looks up by the name it was given; the
-        // empty default alias populates its own entry), so repeated
-        // queries are pure lookups on the event-loop threads.
-        if let (Some(results), Some(frame)) = (results, &frame) {
-            let mut store = results.lock().expect("result cache lock");
-            for job in &group.jobs {
-                store.insert(
-                    (job.request.model.clone(), group.fingerprint),
-                    Arc::clone(frame),
-                );
-            }
-        }
-        for job in group.jobs {
-            Metrics::dec(&metrics.model(model_label(&job.request.model)).queue_depth);
-            let reply = match (&frame, &outcome) {
-                (Some(frame), _) => {
-                    Metrics::inc(&metrics.predict_ok_total);
-                    Ok(Arc::clone(frame))
-                }
-                (None, Err(msg)) => {
-                    Metrics::inc(&metrics.predict_error_total);
-                    Err(msg.clone())
-                }
-                (None, Ok(_)) => unreachable!("frame built from ok outcome"),
+        let outcome: PredictReply = outcome.map(|p| {
+            let response = PredictResponse {
+                width: p.map.width() as u32,
+                height: p.map.height() as u32,
+                threshold: p.threshold,
+                cache_hit: false,
+                map: p.map.data().to_vec(),
+                mask: p.mask,
             };
-            (job.reply)(reply);
+            Arc::from(response.encode())
+        });
+        if let Ok(frame) = &outcome {
+            // Count only passes actually saved: a failed forward saved none.
+            metrics
+                .dedup_saved_total
+                .fetch_add((jobs.len() - 1) as u64, Ordering::Relaxed);
+            // Stored under every *requested* model name of the group: the
+            // connection layer looks up by the name it was given, so the
+            // empty default alias populates its own entry.
+            if let Some(results) = self.results {
+                let mut store = results.lock().expect("result cache lock");
+                for job in &jobs {
+                    store.insert(
+                        (job.request.model.clone(), job.fingerprint),
+                        Arc::clone(frame),
+                    );
+                }
+            }
         }
+        jobs.into_iter().map(|job| (job, outcome.clone())).collect()
+    }
+
+    /// Hands one job its outcome and settles its counters.
+    fn finish(&self, job: PredictJob, reply: PredictReply) {
+        let metrics = self.metrics;
+        Metrics::dec(&metrics.model(model_label(&job.request.model)).queue_depth);
+        Metrics::inc(if reply.is_ok() {
+            &metrics.predict_ok_total
+        } else {
+            &metrics.predict_error_total
+        });
+        (job.reply)(reply);
     }
 }
 
@@ -448,80 +429,97 @@ fn process_batch(
 mod tests {
     use super::*;
 
-    /// A predict job tagged through its design id; the reply is dropped.
-    fn predict(design: &str) -> Job {
+    /// `"reload"`, or a predict job tagged through its design id; replies
+    /// are dropped.
+    fn job(entry: &str) -> Job {
+        if entry == "reload" {
+            return Job::Reload(Box::new(|_| {}));
+        }
         let power = lmmir_pdn::PowerMap::zeros(1, 1);
         Job::Predict(PredictJob {
-            request: PredictRequest::from_parts(design, &power, None),
+            request: PredictRequest::from_parts(entry, &power, None),
             fingerprint: 0,
             reply: Box::new(|_| {}),
         })
     }
 
-    fn no_reload(_: ReplyFn<Result<usize, String>>) {
-        panic!("no reload queued");
+    fn queue_of(entries: &[&str]) -> (Sender<Job>, Queue) {
+        let (tx, jobs) = std::sync::mpsc::channel();
+        entries.iter().for_each(|e| tx.send(job(e)).unwrap());
+        let backlog = VecDeque::new();
+        (tx, Queue { jobs, backlog })
     }
 
-    fn designs(batch: &[PredictJob]) -> Vec<&str> {
-        batch.iter().map(|j| j.request.design.as_str()).collect()
+    /// The next take, as the design ids of its group (`["reload"]` for a
+    /// reload); jobs group on the first letter of their design id.
+    fn take(queue: &mut Queue, max_batch: usize) -> Option<Vec<String>> {
+        if !queue.fill(max_batch) {
+            return None;
+        }
+        let take = queue.take(|job| job.request.design[..1].to_string());
+        Some(match take.expect("filled backlog") {
+            Take::Group(jobs) => jobs.into_iter().map(|j| j.request.design).collect(),
+            Take::Reload(_) => vec!["reload".to_string()],
+        })
+    }
+
+    fn takes(entries: &[&str], max_batch: usize) -> Vec<Vec<String>> {
+        let (tx, mut queue) = queue_of(entries);
+        drop(tx);
+        std::iter::from_fn(|| take(&mut queue, max_batch)).collect()
+    }
+
+    #[test]
+    fn take_is_the_head_plus_its_duplicates_in_arrival_order() {
+        assert_eq!(
+            takes(&["A1", "B1", "A2", "C1", "A3"], 8),
+            [vec!["A1", "A2", "A3"], vec!["B1"], vec!["C1"]]
+        );
+        // `max_batch` is the dedup window: `A3` is beyond it.
+        assert_eq!(
+            takes(&["A1", "B1", "A2", "C1", "A3"], 3),
+            [vec!["A1", "A2"], vec!["B1"], vec!["C1"], vec!["A3"]]
+        );
+        assert_eq!(
+            takes(&["A1", "A2", "A3"], 1),
+            [["A1"], ["A2"], ["A3"]],
+            "max_batch 1 never shares a forward"
+        );
     }
 
     #[test]
     fn drain_takes_what_is_queued_up_to_max_batch_without_waiting() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        for d in ["a", "b", "c", "d", "e"] {
-            tx.send(predict(d)).unwrap();
+        let (tx, mut queue) = queue_of(&["a", "b", "c", "d", "e"]);
+        // The sender stays alive: a take never waits for company.
+        assert_eq!(take(&mut queue, 3).unwrap(), ["a"]);
+        assert_eq!(queue.backlog.len(), 2, "3 moved in, the head taken");
+        for rest in ["b", "c", "d", "e"] {
+            assert_eq!(take(&mut queue, 3).unwrap(), [rest]);
         }
-        // The sender stays alive and sends nothing more: each drain returns
-        // on an empty queue instead of waiting for company.
-        let batch = next_batch(&rx, 3, no_reload).unwrap();
-        assert_eq!(designs(&batch), ["a", "b", "c"]);
-        let batch = next_batch(&rx, 3, no_reload).unwrap();
-        assert_eq!(
-            designs(&batch),
-            ["d", "e"],
-            "min(N, max_batch) of what is left"
-        );
+        assert!(queue.backlog.is_empty());
 
-        // One job on an otherwise empty queue is a batch of one.
-        tx.send(predict("f")).unwrap();
-        let batch = next_batch(&rx, 3, no_reload).unwrap();
-        assert_eq!(designs(&batch), ["f"]);
+        // One job on an otherwise empty queue is a take of one.
+        tx.send(job("f")).unwrap();
+        assert_eq!(take(&mut queue, 3).unwrap(), ["f"]);
 
         drop(tx);
-        assert!(next_batch(&rx, 3, no_reload).is_none(), "senders gone");
+        assert!(take(&mut queue, 3).is_none(), "senders gone");
     }
 
     #[test]
     fn drain_runs_a_reload_between_batches() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        tx.send(predict("a")).unwrap();
-        tx.send(Job::Reload(Box::new(|_| {}))).unwrap();
-        tx.send(predict("b")).unwrap();
-        let mut reloads = 0;
-        // The first batch fills before the reload is met...
-        let batch = next_batch(&rx, 1, |_| reloads += 1).unwrap();
-        assert_eq!((designs(&batch), reloads), (vec!["a"], 0));
-        // ...so it runs at the head of the next drain, ahead of `b`'s forward.
-        let batch = next_batch(&rx, 1, |_| reloads += 1).unwrap();
-        assert_eq!((designs(&batch), reloads), (vec!["b"], 1));
-        // A reload alone yields an empty batch, not a blocked drain.
-        tx.send(Job::Reload(Box::new(|_| {}))).unwrap();
-        let batch = next_batch(&rx, 1, |_| reloads += 1).unwrap();
-        assert_eq!((batch.len(), reloads), (0, 2));
-    }
-
-    #[test]
-    fn interleave_round_robins_across_models_preserving_lane_order() {
-        let groups = vec!["A1", "A2", "A3", "B1", "B2"];
-        let order = interleave_groups(groups, |g| g[..1].to_string());
-        assert_eq!(order, vec!["A1", "B1", "A2", "B2", "A3"]);
-    }
-
-    #[test]
-    fn interleave_is_identity_for_a_single_model() {
-        let groups = vec!["A1", "A2", "A3"];
-        let order = interleave_groups(groups, |g| g[..1].to_string());
-        assert_eq!(order, vec!["A1", "A2", "A3"]);
+        let (tx, mut queue) = queue_of(&["a", "reload", "b"]);
+        assert_eq!(take(&mut queue, 1).unwrap(), ["a"]);
+        assert_eq!(take(&mut queue, 1).unwrap(), ["reload"]);
+        assert_eq!(take(&mut queue, 1).unwrap(), ["b"]);
+        // A reload alone is a take of its own, not a blocked drain.
+        tx.send(job("reload")).unwrap();
+        assert_eq!(take(&mut queue, 1).unwrap(), ["reload"]);
+        // Met in the backlog, it fences duplicates: `A2` is queued behind
+        // it and must see the new weights, so it does not join `A1`.
+        assert_eq!(
+            takes(&["A1", "reload", "A2", "B1", "A3"], 8),
+            [vec!["A1"], vec!["reload"], vec!["A2", "A3"], vec!["B1"]]
+        );
     }
 }

@@ -26,7 +26,7 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  serve [--addr A] --ckpt NAME=PATH [--ckpt ...] [--default NAME] \
-         [--max-batch N] [--cache N] [--result-cache N] \
+         [--max-batch N] [--result-cache N] \
          [--idle-timeout-ms N] [--max-requests-per-conn N] [--max-connections N] \
          [--event-threads N] [--threads N] [--quantized] \
          [--watch-checkpoints] [--watch-interval-ms N]\n  \
@@ -112,9 +112,6 @@ const WORKER_FLAGS: &[(&str, ApplyFlag)] = &[
     }),
     ("max-batch", |cfg, _, v| {
         parse("max-batch", v).map(|n: usize| cfg.max_batch = n.max(1))
-    }),
-    ("cache", |cfg, _, v| {
-        parse("cache", v).map(|n| cfg.cache_capacity = n)
     }),
     ("result-cache", |cfg, _, v| {
         parse("result-cache", v).map(|n| cfg.result_cache_capacity = n)
@@ -210,13 +207,12 @@ fn run_server(args: &[String]) -> ExitCode {
         }
     };
     eprintln!(
-        "[serve] listening on http://{} (max_batch {}, cache {}, \
+        "[serve] listening on http://{} (max_batch {}, \
          result-cache {}, idle-timeout {:?}, max-reqs/conn {}, max-conns {}, \
          event-threads {}, weights {}) — \
          POST /predict, GET /healthz, GET /metrics, POST /reload, POST /shutdown",
         server.addr(),
         cfg.max_batch,
-        cfg.cache_capacity,
         cfg.result_cache_capacity,
         cfg.idle_timeout,
         cfg.max_requests_per_conn,

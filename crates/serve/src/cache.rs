@@ -1,33 +1,32 @@
-//! A small LRU cache for prepared feature inputs.
+//! The result cache: a small LRU of finished predictions.
 //!
-//! Rasterizing a design's feature stack dominates request latency for
-//! repeated queries, so the batcher keeps the last `capacity` prepared
-//! inputs keyed by `(model, content hash)`. Recency is a monotonic tick
-//! per entry; eviction scans for the minimum tick — O(capacity), which is
-//! deliberate: capacities are tens of designs, and the scan is branch-
-//! predictable, far below the cost of one rasterization it saves.
+//! Answering a repeated query from its encoded frame skips the whole
+//! pipeline, so the server keeps the last `capacity` responses keyed by
+//! `(model, content hash)`. Recency is a monotonic tick per entry;
+//! eviction scans for the minimum tick — O(capacity), which is deliberate:
+//! capacities are tens of designs, and the scan is branch-predictable, far
+//! below the cost of the one forward pass it saves.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 /// The **result cache**: finished predictions keyed by
-/// `(requested model name, design content hash)`, layered over the feature
-/// cache. Event-loop threads consult it *before enqueueing a job* — a hit
-/// serves the whole prediction without ever waking the inference thread —
-/// and the inference thread inserts after each successful forward and
-/// clears it atomically with the feature cache on a successful `/reload`.
+/// `(requested model name, design content hash)`. Event-loop threads
+/// consult it *before enqueueing a job* — a hit serves the whole
+/// prediction without ever waking an inference lane — and the lanes insert
+/// after each successful forward and clear it on a successful `/reload`.
 ///
 /// The value is the **encoded response frame**, not the decoded
 /// [`crate::proto::PredictResponse`]: a hit is written to the socket as-is,
 /// skipping the re-encode (which at 870 px full-scale maps copies megabytes
-/// per hit). The frame is built exactly once, on the inference thread,
-/// right after the forward pass that produced it.
+/// per hit). The frame is built exactly once, on the lane that ran the
+/// forward pass which produced it.
 ///
 /// Keyed by the *requested* name (not the registry-canonical one) because
-/// the connection layer must not block on the inference thread to resolve
+/// the connection layer must not wait on the registry lock to resolve
 /// aliases; the empty default-model alias simply populates its own entries.
-pub type ResultCache = Arc<Mutex<LruCache<(String, u64), Arc<Vec<u8>>>>>;
+pub type ResultCache = Arc<Mutex<LruCache<(String, u64), Arc<[u8]>>>>;
 
 /// Builds a fresh shared result cache of the given capacity (0 disables).
 #[must_use]
@@ -117,14 +116,8 @@ impl<K: Eq + Hash + Clone + Ord, V> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Drops every entry (used on model reload: prepared inputs are
-    /// per-model-contract and must not outlive an architecture swap).
+    /// Drops every entry (used on model reload: predictions are
+    /// per-model-weights and must not outlive a swap).
     pub fn clear(&mut self) {
         self.map.clear();
     }

@@ -32,10 +32,10 @@
 //!
 //! **Wakeups.** The event channel doubles as the readiness token the issue
 //! of a self-pipe would carry: the acceptor posts new connections on it,
-//! and when the inference thread finishes a parked job its completion
+//! and when an inference lane finishes a parked job its completion
 //! callback posts `Event::Predict`/`Event::Reload` on it, cutting any park
 //! short. Result-cache hits are served inline on the event-loop thread and
-//! never wake the inference thread at all.
+//! never wake an inference lane at all.
 //!
 //! **Deadlines subsume the idle timeout.** Each state carries its own
 //! deadline, armed on entry and deliberately *not* refreshed by trickling
@@ -94,22 +94,22 @@ const BUF_RETAIN: usize = 16 * 1024;
 pub(crate) enum Event {
     /// A freshly accepted connection (already non-blocking, NODELAY set).
     Conn(TcpStream),
-    /// The inference thread finished predict `seq` for connection `id`.
-    Predict(u64, u64, Result<Arc<Vec<u8>>, String>),
-    /// The inference thread finished reload `seq` for connection `id`.
+    /// An inference lane finished predict `seq` for connection `id`.
+    Predict(u64, u64, Result<Arc<[u8]>, String>),
+    /// An inference lane finished reload `seq` for connection `id`.
     Reload(u64, u64, Result<usize, String>),
 }
 
 /// Everything one event loop shares with the rest of the server.
 pub(crate) struct LoopCtx {
-    /// Queue into the inference thread.
+    /// Queue into the inference lanes.
     pub job_tx: Sender<Job>,
     /// Server-wide shutdown flag.
     pub shutdown: Arc<AtomicBool>,
     /// Shared counters/gauges.
     pub metrics: Arc<Metrics>,
-    /// Readiness state `/healthz` renders (the inference thread — or the
-    /// shard supervisor, in router mode — keeps it current).
+    /// Readiness state `/healthz` renders (the inference lanes — or the
+    /// shard supervisor, in router mode — keep it current).
     pub health: Arc<Health>,
     /// Extra exposition lines appended to `/metrics` (the shard router's
     /// per-worker series); `None` for a plain worker.
@@ -133,7 +133,7 @@ enum State {
     ReadingHead,
     /// Head parsed; the declared body is still arriving.
     ReadingBody,
-    /// A predict job is queued on the inference thread; only the matching
+    /// A predict job is queued for the inference lanes; only the matching
     /// `Event::Predict` (or the deadline) moves this connection again.
     AwaitingInference {
         /// Matches the completion event (stale completions are dropped).
@@ -143,7 +143,7 @@ enum State {
         /// Close decision captured at dispatch.
         close: bool,
     },
-    /// A reload is queued on the inference thread.
+    /// A reload is queued for the inference lanes.
     AwaitingReload {
         /// Matches the completion event.
         seq: u64,
@@ -321,7 +321,7 @@ impl EventLoop {
             self.scan_ids = ids;
             if shutting_down && self.conns.is_empty() {
                 // Dropping `self` drops our `job_tx` clone; once every
-                // event loop exits the inference thread drains and exits
+                // event loop exits the inference lanes drain and exit
                 // too — the graceful-shutdown order.
                 return;
             }
@@ -601,7 +601,7 @@ impl EventLoop {
 
     /// Routes one parsed request. Immediate endpoints respond in place;
     /// `/predict` misses and `/reload` park the connection on the
-    /// inference thread.
+    /// inference lanes.
     fn dispatch(&mut self, id: u64, conn: &mut Conn, request: &Request) {
         conn.served += 1;
         Metrics::inc(&self.ctx.metrics.requests_total);
@@ -673,7 +673,7 @@ impl EventLoop {
         Metrics::inc(&series.requests_total);
 
         // Layer 1: the result cache. A hit writes the already-encoded
-        // frame without enqueueing a job — the inference thread never
+        // frame without enqueueing a job — no inference lane
         // wakes. With the cache disabled this path (lock, counters) is
         // skipped entirely.
         if let Some(results) = &self.ctx.results {
@@ -699,7 +699,7 @@ impl EventLoop {
             fingerprint,
             reply: self.notifier(id, seq, Event::Predict),
         });
-        // Gauge up *before* the send so the inference thread can never
+        // Gauge up *before* the send so an inference lane can never
         // observe (and decrement for) a job the gauge missed; a failed
         // send backs the increment out.
         Metrics::inc(&series.queue_depth);

@@ -19,12 +19,16 @@
 //!                                        │ mpsc jobs (result-cache misses;
 //!                                        │ connection parks)
 //!                                        v
-//!                               inference thread (owns the models)
-//!                               │ block for a job, drain what is
-//!                               │ queued (≤ max_batch), no timed wait
-//!                               │ dedupe by content hash
-//!                               │ feature cache (LRU) / prepare on pool
-//!                               │ forward per unique input, encode once
+//!                               one queue, `threads` inference lanes
+//!                               over one RwLock<ModelRegistry>; a
+//!                               free lane:
+//!                               │ moves what has arrived into the
+//!                               │ shared backlog (≤ max_batch), no
+//!                               │ timed wait
+//!                               │ takes the head + its duplicates
+//!                               │ (same model and content hash)
+//!                               │ prepare, one forward, encode once
+//!                               │ — pool width threads / busy lanes
 //!                               │ result cache insert (encoded frames)
 //!                               └─> completion events wake parked
 //!                                   connections on their event loop
@@ -38,21 +42,22 @@
 //! state carries its own deadline (subsuming the old idle timeout — a
 //! peer trickling a body is cut off just like a silent one), and the
 //! per-connection request cap closes with `Connection: close`. The
-//! **result cache** is layered over the feature cache and stores
-//! **encoded response frames**: a repeated query for an unchanged design
-//! is answered on the event-loop thread — no inference-thread wakeup, no
-//! re-encode; `POST /reload` atomically invalidates both caches.
+//! **result cache** stores **encoded response frames**: a repeated query
+//! for an unchanged design is answered on the event-loop thread — no
+//! inference-lane wakeup, no re-encode; `POST /reload` invalidates it.
 //!
-//! Model internals are `Rc`-based (the autograd tape is deliberately not
-//! thread-safe), so every model lives on the single inference thread; the
-//! parallelism inside a forward pass comes from `lmmir-par`, and request
-//! concurrency comes from batching: the jobs that queued up behind the
-//! running forward are drained together, and those sharing a design
-//! content hash are served by **one** forward pass.
+//! Models are `Send + Sync` (parameters sit behind `Arc` + locks that a
+//! forward only reads), so the one loaded registry is shared by
+//! `ServeConfig::threads` **inference lanes**: distinct designs run as
+//! concurrent forwards, one per lane, and requests sharing a design
+//! content hash that are queued together are served by **one** forward
+//! pass. A lane that is the only busy one parallelizes its forward across
+//! the whole `lmmir-par` pool; lanes busy together divide it. A reload
+//! takes the registry's write lock, so it never overlaps a forward.
 //!
 //! ## Scaling out
 //!
-//! One process has one inference thread; [`Server::start_router`] (the
+//! One process shares one machine's cores; [`Server::start_router`] (the
 //! [`shard`] module) lifts that ceiling: N worker processes, each a full
 //! replica of this server, behind a thin router that reuses the exact
 //! same front end and dispatches each predict by **consistent hash** on
@@ -96,7 +101,7 @@ pub mod shard;
 mod event;
 mod server;
 
-pub use batch::{interleave_groups, prepare_request};
+pub use batch::prepare_request;
 pub use cache::{result_cache, LruCache, ResultCache};
 pub use client::Client;
 pub use metrics::{model_label, Health, LoadState, Metrics, MetricsExtra, ModelSeries};

@@ -111,9 +111,9 @@ pub struct ModelSeries {
     /// including result-cache hits and requests that later fail).
     pub requests_total: AtomicU64,
     /// Predict jobs currently queued for (or in flight on) the inference
-    /// thread for this model (gauge).
+    /// lanes for this model (gauge).
     pub queue_depth: AtomicU64,
-    /// Batch-size histogram: jobs of this model per drained batch.
+    /// Batch-size histogram: jobs of this model per take (one forward).
     batch: Histogram,
     /// Forward-pass latency histogram (one observation per group forward).
     forward: Histogram,
@@ -131,7 +131,7 @@ impl Default for ModelSeries {
 }
 
 impl ModelSeries {
-    /// Records this model's share of one drained batch (`jobs ≥ 1`).
+    /// Records one take of `jobs ≥ 1` jobs of this model.
     pub fn observe_batch(&self, jobs: usize) {
         self.batch.observe(jobs as u64);
     }
@@ -172,7 +172,7 @@ pub struct Metrics {
     /// Connections answered `503 connection limit reached` at accept time.
     pub connections_refused_total: AtomicU64,
     /// Connections currently parked in `AwaitingInference`/`AwaitingReload`
-    /// (gauge): their request is queued on the inference thread and the
+    /// (gauge): their request is queued for the inference lanes and the
     /// event loop will only touch them again on a completion wakeup.
     pub connections_parked: AtomicU64,
     /// Size of the event-loop thread pool (gauge, set once at startup).
@@ -183,7 +183,7 @@ pub struct Metrics {
     /// every request after the first on one socket).
     pub keepalive_reuses_total: AtomicU64,
     /// Result-cache lookups that hit (whole prediction served without
-    /// touching the inference thread).
+    /// touching an inference lane).
     pub result_cache_hits_total: AtomicU64,
     /// Result-cache lookups that missed (and enqueued a job).
     pub result_cache_misses_total: AtomicU64,
@@ -191,16 +191,12 @@ pub struct Metrics {
     pub predict_ok_total: AtomicU64,
     /// Predictions answered with an error frame.
     pub predict_error_total: AtomicU64,
-    /// Batches the inference thread drained.
+    /// Takes the inference lanes made: groups of jobs answered together.
     pub batches_total: AtomicU64,
-    /// Predict jobs across all batches (÷ batches = mean batch size).
+    /// Predict jobs across all takes (÷ batches = mean jobs per forward).
     pub batched_jobs_total: AtomicU64,
-    /// Largest batch drained so far (gauge).
+    /// Largest take so far (gauge).
     pub batch_max_size: AtomicU64,
-    /// Feature-cache lookups that hit.
-    pub cache_hits_total: AtomicU64,
-    /// Feature-cache lookups that missed (and rasterized).
-    pub cache_misses_total: AtomicU64,
     /// Forward passes saved by in-batch deduplication (jobs sharing a
     /// design content hash answered by one pass).
     pub dedup_saved_total: AtomicU64,
@@ -208,6 +204,9 @@ pub struct Metrics {
     pub reloads_total: AtomicU64,
     /// Models currently loaded (gauge).
     pub models_loaded: AtomicU64,
+    /// Inference lanes serving the job queue (gauge, set once at startup;
+    /// 0 on a shard router, which runs no forward).
+    pub inference_lanes: AtomicU64,
     /// Per-event-loop open-connection gauges, registered once at startup.
     /// The acceptor deals each new connection to the loop with the lowest
     /// gauge, so one saturated loop stops receiving work while others idle.
@@ -249,6 +248,11 @@ impl Metrics {
         });
     }
 
+    /// Sets a gauge.
+    pub fn set(gauge: &AtomicU64, value: usize) {
+        gauge.store(value as u64, Ordering::Relaxed);
+    }
+
     /// Registers the per-event-loop open-connection gauges (once, at
     /// server startup) so `render` can expose them as labelled series.
     pub fn set_loop_gauges(&self, gauges: Vec<Arc<AtomicU64>>) {
@@ -279,7 +283,7 @@ impl Metrics {
             .collect()
     }
 
-    /// Records one drained batch of `jobs` predict jobs.
+    /// Records one take of `jobs` predict jobs.
     pub fn observe_batch(&self, jobs: usize) {
         self.batches_total.fetch_add(1, Ordering::Relaxed);
         self.batched_jobs_total
@@ -301,24 +305,11 @@ impl Metrics {
         self.latency.quantile_seconds(q)
     }
 
-    /// Feature-cache hit rate in `[0, 1]` (`0` before any lookup).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        Self::rate(&self.cache_hits_total, &self.cache_misses_total)
-    }
-
     /// Result-cache hit rate in `[0, 1]` (`0` before any lookup).
     #[must_use]
     pub fn result_cache_hit_rate(&self) -> f64 {
-        Self::rate(
-            &self.result_cache_hits_total,
-            &self.result_cache_misses_total,
-        )
-    }
-
-    fn rate(hits: &AtomicU64, misses: &AtomicU64) -> f64 {
-        let hits = hits.load(Ordering::Relaxed);
-        let misses = misses.load(Ordering::Relaxed);
+        let hits = self.result_cache_hits_total.load(Ordering::Relaxed);
+        let misses = self.result_cache_misses_total.load(Ordering::Relaxed);
         if hits + misses == 0 {
             0.0
         } else {
@@ -374,12 +365,6 @@ impl Metrics {
             g(&self.batched_jobs_total).to_string(),
         );
         line("batch_max_size", g(&self.batch_max_size).to_string());
-        line("cache_hits_total", g(&self.cache_hits_total).to_string());
-        line(
-            "cache_misses_total",
-            g(&self.cache_misses_total).to_string(),
-        );
-        line("cache_hit_rate", format!("{:.4}", self.cache_hit_rate()));
         line(
             "result_cache_hits_total",
             g(&self.result_cache_hits_total).to_string(),
@@ -395,6 +380,7 @@ impl Metrics {
         line("dedup_saved_total", g(&self.dedup_saved_total).to_string());
         line("reloads_total", g(&self.reloads_total).to_string());
         line("models_loaded", g(&self.models_loaded).to_string());
+        line("inference_lanes", g(&self.inference_lanes).to_string());
         for (q, label) in [(0.5, "0.5"), (0.99, "0.99")] {
             if let Some(v) = self.latency_quantile(q) {
                 line(
@@ -481,8 +467,8 @@ pub enum LoadState {
     ReloadFailed,
 }
 
-/// Worker readiness, shared between the inference thread (which owns the
-/// registry and flips the state around loads and reloads) and the event
+/// Worker readiness, shared between the inference lanes (which own the
+/// registry and flip the state around loads and reloads) and the event
 /// loops (which render it at `GET /healthz`).
 ///
 /// The body is line-oriented so the shard router can parse it without a
@@ -630,10 +616,14 @@ mod tests {
         assert_eq!(m.batches_total.load(Ordering::Relaxed), 2);
         assert_eq!(m.batched_jobs_total.load(Ordering::Relaxed), 10);
         assert_eq!(m.batch_max_size.load(Ordering::Relaxed), 7);
-        Metrics::inc(&m.cache_hits_total);
-        Metrics::inc(&m.cache_hits_total);
-        Metrics::inc(&m.cache_misses_total);
-        assert!((m.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert!(
+            (m.result_cache_hit_rate() - 0.0).abs() < 1e-12,
+            "no lookup yet"
+        );
+        Metrics::inc(&m.result_cache_hits_total);
+        Metrics::inc(&m.result_cache_hits_total);
+        Metrics::inc(&m.result_cache_misses_total);
+        assert!((m.result_cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -648,7 +638,7 @@ mod tests {
             "lmmir_connections_parked",
             "lmmir_event_threads",
             "lmmir_keepalive_reuses_total",
-            "lmmir_cache_hit_rate",
+            "lmmir_inference_lanes",
             "lmmir_result_cache_hits_total",
             "lmmir_result_cache_misses_total",
             "lmmir_result_cache_hit_rate",
@@ -710,15 +700,5 @@ mod tests {
         Metrics::dec(&m.connections_open);
         Metrics::dec(&m.connections_open); // double-dec must not wrap
         assert_eq!(m.connections_open.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn result_cache_rate_is_independent_of_feature_cache() {
-        let m = Metrics::new();
-        Metrics::inc(&m.result_cache_hits_total);
-        Metrics::inc(&m.result_cache_misses_total);
-        Metrics::inc(&m.cache_misses_total);
-        assert!((m.result_cache_hit_rate() - 0.5).abs() < 1e-12);
-        assert!((m.cache_hit_rate() - 0.0).abs() < 1e-12);
     }
 }

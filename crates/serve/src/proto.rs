@@ -32,7 +32,7 @@
 //! ```
 
 use crate::ServeError;
-use lmmir_features::Fnv1a;
+use lmmir_features::WordHasher;
 use lmmir_pdn::{Case, DynamicCase, PowerMap, MAX_WINDOWS};
 use lmmir_spice::Netlist;
 
@@ -157,35 +157,31 @@ impl PredictRequest {
     }
 
     /// Content fingerprint of the design payload (dimensions, bit-exact
-    /// power values, netlist text). The model and design names are *not*
-    /// hashed: the cache keys on content per model separately, and renaming
-    /// a design must not defeat it.
+    /// power values, netlist text, window maps): the result-cache, dedup
+    /// and shard key. The model and design names are *not* hashed: the
+    /// cache keys on content per model separately, and renaming a design
+    /// must not defeat it.
+    ///
+    /// Runs on the event-loop thread over the whole body, so it goes eight
+    /// bytes per step ([`WordHasher`]). The keys live only in memory — no
+    /// file or wire format holds one.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = WordHasher::new();
         h.write_u64(u64::from(self.width));
         h.write_u64(u64::from(self.height));
         h.write_u64(u64::from(self.dbu_per_um));
-        for &v in &self.power {
-            h.write_f32(v);
-        }
-        match &self.netlist {
-            Some(nl) => {
-                h.write_u64(1);
-                h.write(nl.as_bytes());
-            }
-            None => h.write_u64(0),
-        }
-        // Static requests hash exactly as they always did (nothing is
-        // written for an absent window block), so existing cache keys and
-        // shard-hash ranges survive the protocol extension.
-        if !self.windows.is_empty() {
-            h.write_u64(self.windows.len() as u64);
-            for window in &self.windows {
-                for &v in window {
-                    h.write_f32(v);
-                }
-            }
+        h.write_u64(self.power.len() as u64);
+        h.write_f32s(&self.power);
+        // Every variable-sized field goes behind its length (`+ 1` keeps
+        // an empty netlist apart from an absent one).
+        let netlist = self.netlist.as_deref().unwrap_or_default();
+        h.write_u64(self.netlist.as_ref().map_or(0, |nl| nl.len() as u64 + 1));
+        h.write(netlist.as_bytes());
+        h.write_u64(self.windows.len() as u64);
+        for window in &self.windows {
+            h.write_u64(window.len() as u64);
+            h.write_f32s(window);
         }
         h.finish()
     }
@@ -336,7 +332,9 @@ pub struct PredictResponse {
     pub height: u32,
     /// Hotspot threshold in volts (90 % of the map maximum).
     pub threshold: f32,
-    /// Whether the feature cache served this request's prepared input.
+    /// Always `false` from this server: the byte reported a hit in the
+    /// feature cache, which is gone. It stays so the frame layout (and
+    /// every deployed client's decoder) is unchanged.
     pub cache_hit: bool,
     /// Row-major IR-drop map in volts.
     pub map: Vec<f32>,
@@ -572,6 +570,56 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         a.power[0] += 1.0;
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// Every single-bit flip of a power value, a netlist byte or a window
+    /// value is a different key (the hasher makes same-layout inputs that
+    /// differ in one word never collide — checked here exhaustively, not
+    /// sampled); renaming the model or the design is not.
+    #[test]
+    fn every_single_bit_flip_of_the_content_changes_the_fingerprint() {
+        let mut base = dynamic_request();
+        let netlist = request().netlist.expect("static case carries a netlist");
+        base.netlist = Some(netlist[..netlist.len().min(515)].to_string());
+        let key = base.fingerprint();
+        let mut flips = 0;
+        let mut check = |flipped: &PredictRequest, what: &str, at: usize, bit: usize| {
+            assert_ne!(flipped.fingerprint(), key, "{what} {at}, bit {bit}");
+            flips += 1;
+        };
+        let flip = |v: &mut f32, bit: usize| *v = f32::from_bits(v.to_bits() ^ 1 << bit);
+        for bit in 0..32 {
+            for at in 0..base.power.len() {
+                let mut r = base.clone();
+                flip(&mut r.power[at], bit);
+                check(&r, "power value", at, bit);
+            }
+            for at in 0..base.windows[2].len() {
+                let mut r = base.clone();
+                flip(&mut r.windows[2][at], bit);
+                check(&r, "window value", at, bit);
+            }
+        }
+        for bit in 0..7 {
+            // Bit 7 would leave ASCII; the text stays valid UTF-8.
+            for at in 0..base.netlist.as_ref().map_or(0, String::len) {
+                let mut r = base.clone();
+                let mut text = r.netlist.take().expect("netlist").into_bytes();
+                text[at] ^= 1 << bit;
+                r.netlist = Some(String::from_utf8(text).expect("ascii"));
+                check(&r, "netlist byte", at, bit);
+            }
+        }
+        assert!(flips > 8_000, "only {flips} flips checked");
+        let mut renamed = base.clone();
+        renamed.model = "other".to_string();
+        renamed.design = "renamed".to_string();
+        assert_eq!(renamed.fingerprint(), key);
+        // An empty netlist is not an absent one.
+        let (mut empty, mut absent) = (base.clone(), base);
+        empty.netlist = Some(String::new());
+        absent.netlist = None;
+        assert_ne!(empty.fingerprint(), absent.fingerprint());
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! even though offline loading tolerates them: a server must not guess
 //! which architecture a parameter list belongs to.
 //!
-//! The registry lives on the inference thread (model internals are
-//! `Rc`-based); `/reload` re-reads every checkpoint path and swaps the
+//! The registry is `Send + Sync` (every predictor is): the inference lanes
+//! share one behind an `RwLock`, forwards under its read lock. `/reload`
+//! takes the write lock, re-reads every checkpoint path and swaps the
 //! table only if *all* of them load, so a half-broken reload never takes
 //! down serving.
 
@@ -134,6 +135,13 @@ fn load_one(spec: &ModelSpec, quantized: bool) -> Result<LoadedModel, ServeError
         quantized_layers,
     })
 }
+
+// What the lanes share across threads; an `Rc` anywhere inside a model
+// fails the build here.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<ModelRegistry>();
+};
 
 /// Named, loaded models plus the default route.
 pub struct ModelRegistry {

@@ -2,7 +2,7 @@
 //! pool, and graceful shutdown — for both a plain worker server
 //! ([`Server::start`]) and the shard router ([`Server::start_router`]),
 //! which share the whole front end and differ only in the backend draining
-//! the job queue (inference thread vs forwarder pool).
+//! the job queue (inference lanes vs forwarder pool).
 //!
 //! The accept loop only accepts: each admitted connection is handed to the
 //! event loop with the **fewest open connections** (per-loop gauges, so a
@@ -42,10 +42,9 @@ const REFUSAL_WRITE_DEADLINE: Duration = Duration::from_millis(250);
 pub struct ServeConfig {
     /// Bind address (port 0 picks an ephemeral port).
     pub addr: String,
-    /// Most predict jobs answered by one drain cycle.
+    /// Most queue entries held in the lanes' shared backlog — the window
+    /// in which requests for one design share a forward pass (1 = never).
     pub max_batch: usize,
-    /// Feature-cache capacity in designs (0 disables).
-    pub cache_capacity: usize,
     /// Result-cache capacity in predictions (0 disables).
     pub result_cache_capacity: usize,
     /// Per-state read deadline: a keep-alive connection may sit idle this
@@ -58,14 +57,16 @@ pub struct ServeConfig {
     /// Most concurrently open connections; excess get `503` (floor 1).
     pub max_connections: usize,
     /// Event-loop threads driving all connections (floor 1). A small fixed
-    /// number — the loops are I/O-bound; inference parallelism lives in
-    /// `lmmir-par`.
+    /// number — the loops are I/O-bound; inference parallelism is
+    /// `threads`.
     pub event_threads: usize,
-    /// Thread-count override for the inference thread's `lmmir-par` pool
+    /// Inference lanes, which is also the `lmmir-par` pool width the busy
+    /// lanes divide between them: 1 is a single inference thread, N runs
+    /// up to N forwards at once over the one loaded registry
     /// (`None` = `LMMIR_THREADS` / available cores).
     pub threads: Option<usize>,
     /// Watch every checkpoint file's mtime and hot-reload on change,
-    /// clearing both caches atomically exactly as `POST /reload` does (the
+    /// clearing the result cache exactly as `POST /reload` does (the
     /// `--watch-checkpoints` flag) — so sharded workers pick up new
     /// checkpoints without router coordination.
     pub watch_checkpoints: bool,
@@ -78,7 +79,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
             max_batch: 8,
-            cache_capacity: 64,
             result_cache_capacity: 64,
             idle_timeout: Duration::from_secs(10),
             max_requests_per_conn: 1024,
@@ -92,7 +92,7 @@ impl Default for ServeConfig {
 }
 
 /// A running server: bound address, background threads, shutdown control.
-/// Built by [`Server::start`] (worker: inference-thread backend) or
+/// Built by [`Server::start`] (worker: inference-lane backend) or
 /// [`Server::start_router`] (shard router: forwarder-pool backend).
 pub struct Server {
     addr: SocketAddr,
@@ -101,8 +101,8 @@ pub struct Server {
     acceptor: JoinHandle<()>,
     event_loops: Vec<JoinHandle<()>>,
     /// Backend threads joined after the front end drains: the inference
-    /// thread and optional checkpoint watcher (worker), or the forwarder
-    /// pool and supervisor (router).
+    /// lanes (lane 0 joins the rest) and optional checkpoint watcher
+    /// (worker), or the forwarder pool and supervisor (router).
     backend: Vec<JoinHandle<()>>,
     /// Shard state when this server is a router.
     router: Option<Arc<shard::Router>>,
@@ -145,7 +145,7 @@ impl Server {
             let health = Arc::clone(&health);
             let results = Arc::clone(&results);
             thread::Builder::new()
-                .name("lmmir-inference".to_string())
+                .name("lmmir-lane-0".to_string())
                 .spawn(move || {
                     batch::run(&cfg, spec, job_rx, &metrics, &health, &results, &ready_tx);
                 })?
@@ -160,14 +160,14 @@ impl Server {
             }
             Err(_) => {
                 return Err(ServeError::Registry(
-                    "inference thread did not come up within 120 s".to_string(),
+                    "inference lanes did not come up within 120 s".to_string(),
                 ))
             }
         }
 
         // The mtime-poll checkpoint watcher holds its own job sender; it
         // polls the shutdown flag in short slices and drops the sender on
-        // exit, so it never stalls the drain (the inference thread exits
+        // exit, so it never stalls the drain (the inference lanes exit
         // when the last sender is gone).
         if !watched.is_empty() {
             let job_tx = job_tx.clone();
@@ -316,7 +316,7 @@ fn start_frontend(
     job_tx: &Sender<Job>,
 ) -> Result<(JoinHandle<()>, Vec<JoinHandle<()>>), ServeError> {
     let pool = cfg.event_threads.max(1);
-    metrics.event_threads.store(pool as u64, Ordering::Relaxed);
+    Metrics::set(&metrics.event_threads, pool);
     let mut loop_handles: Vec<LoopHandle> = Vec::with_capacity(pool);
     let mut event_loops = Vec::with_capacity(pool);
     for k in 0..pool {
@@ -462,7 +462,7 @@ fn write_refusal(stream: &mut TcpStream) {
 
 /// The `--watch-checkpoints` poller: stats every checkpoint each interval
 /// and enqueues the same `Job::Reload` that `POST /reload` does (all-or-
-/// nothing registry swap, both caches cleared atomically) when any mtime
+/// nothing registry swap, result cache cleared) when any mtime
 /// changes. A failed reload (e.g. a half-written file) re-arms the watch,
 /// so the next poll retries even without another mtime bump.
 fn watch_checkpoints(
@@ -478,7 +478,7 @@ fn watch_checkpoints(
     let slice = Duration::from_millis(50).min(interval);
     loop {
         // Sleep one interval in slices, so shutdown drops our job sender
-        // promptly (the inference thread drains only when all senders go).
+        // promptly (the inference lanes drain only when all senders go).
         let wake = Instant::now() + interval;
         while Instant::now() < wake {
             if shutdown.load(Ordering::SeqCst) {
@@ -499,7 +499,7 @@ fn watch_checkpoints(
             let _ = done_tx.send(outcome);
         });
         if job_tx.send(Job::Reload(notify)).is_err() {
-            return; // inference thread is gone; nothing left to reload
+            return; // inference lanes are gone; nothing left to reload
         }
         match done_rx.recv_timeout(Duration::from_secs(120)) {
             Ok(Ok(n)) => eprintln!("[serve] checkpoint change detected; reloaded {n} model(s)"),

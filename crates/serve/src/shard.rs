@@ -2,7 +2,7 @@
 //!
 //! The router is an ordinary `lmmir-serve` front end (acceptor + event
 //! loops, the same non-blocking connection state machines) whose *backend*
-//! is swapped: instead of the single inference thread draining the job
+//! is swapped: instead of the inference lanes draining the job
 //! channel, a pool of **forwarder** threads drains it and proxies each
 //! predict to one of N worker processes, each of which owns a full model
 //! replica.
@@ -451,7 +451,7 @@ fn forward_predict(router: &Arc<Router>, clients: &mut HashMap<usize, Client>, p
         match client.request("POST", "/predict", &body) {
             Ok((200, bytes)) => {
                 shard.dispatch_total.fetch_add(1, Ordering::Relaxed);
-                (p.reply)(Ok(Arc::new(bytes)));
+                (p.reply)(Ok(Arc::from(bytes)));
                 return;
             }
             Ok((_, bytes)) => {

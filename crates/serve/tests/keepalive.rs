@@ -116,7 +116,7 @@ fn keepalive_connection_serves_sequential_predicts_with_result_cache() {
             >= 3
     );
     // Requests 2..4 were answered by the result cache on the handler
-    // thread; only the first reached the inference thread.
+    // thread; only the first reached an inference lane.
     assert!(
         metrics
             .result_cache_hits_total

@@ -1,7 +1,7 @@
 //! End-to-end server tests: checkpoint → serve → predict round trips,
-//! concurrent mixed-design load with cache hits, bitwise parity with the
-//! offline [`InferenceSession`], thread-count invariance, admin endpoints
-//! and graceful shutdown.
+//! concurrent mixed-design load over 1, 2 and 4 inference lanes, bitwise
+//! parity with the offline [`InferenceSession`], reload under load, admin
+//! endpoints and graceful shutdown.
 
 use lmm_ir::{iredge, save_predictor, InferenceSession, IrPredictor};
 use lmmir_pdn::{Case, CaseKind, CaseSpec};
@@ -91,8 +91,9 @@ fn concurrent_mixed_load_is_bitwise_stable_across_thread_counts() {
     let path = tmp("concurrent.lmmt");
     save_predictor(&model, &path).unwrap();
 
-    // Three designs, one of them requested far more often than the others
-    // (repeated-design load exercising cache hits and in-batch dedup).
+    // Three designs, one of them requested far more often than the others:
+    // distinct designs run as concurrent forwards on different lanes,
+    // repeats queued together share one.
     let designs: Vec<PredictRequest> = (0..3).map(|s| design(100 + s).1).collect();
     let expected: Vec<_> = designs
         .iter()
@@ -100,9 +101,9 @@ fn concurrent_mixed_load_is_bitwise_stable_across_thread_counts() {
         .collect();
 
     let mut responses_by_threads: Vec<Vec<PredictResponse>> = Vec::new();
-    for threads in [1, 4] {
-        // Result cache off: this test pins the *feature* cache + in-batch
-        // dedup layer, which the result cache would otherwise absorb.
+    for threads in [1, 2, 4] {
+        // Result cache off: every request reaches the lanes, which the
+        // result cache would otherwise absorb.
         let cfg = ServeConfig {
             result_cache_capacity: 0,
             ..config(threads, 8)
@@ -135,19 +136,20 @@ fn concurrent_mixed_load_is_bitwise_stable_across_thread_counts() {
                 flat[which].push(resp);
             }
         }
-        let metrics = server.metrics();
+        let (_, text) = client::get_text(addr, "/metrics").unwrap();
         assert!(
-            metrics.cache_hit_rate() > 0.0,
-            "repeated designs must hit the feature cache: {}",
-            metrics.render()
+            text.contains(&format!("lmmir_inference_lanes {threads}\n")),
+            "one lane per thread:\n{text}"
         );
         responses_by_threads.push(flat.into_iter().flatten().collect());
         server.stop();
     }
-    // Same payloads at 1 and 4 inference threads: identical bit patterns
+    // Same payloads at 1, 2 and 4 inference lanes: identical bit patterns
     // (responses are already pinned to the offline reference above; this
     // asserts the references agree across servers too).
-    assert_eq!(responses_by_threads[0].len(), responses_by_threads[1].len());
+    for other in &responses_by_threads[1..] {
+        assert_eq!(responses_by_threads[0].len(), other.len());
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -185,7 +187,7 @@ fn reload_swaps_weights_and_metrics_report() {
         "lmmir_requests_total",
         "lmmir_predict_ok_total",
         "lmmir_batches_total",
-        "lmmir_cache_hit_rate",
+        "lmmir_inference_lanes 2",
         "lmmir_reloads_total 1",
         "lmmir_models_loaded 1",
         "lmmir_predict_latency_seconds_count",
@@ -193,6 +195,95 @@ fn reload_swaps_weights_and_metrics_report() {
         assert!(text.contains(key), "missing {key} in:\n{text}");
     }
     server.stop();
+    std::fs::remove_file(&path).ok();
+}
+
+struct StopOnExit<'a>(&'a std::sync::atomic::AtomicBool);
+
+impl Drop for StopOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+/// `POST /reload` while every lane is busy: the reload waits for the
+/// forwards in flight (it needs the registry's write lock), so each reply
+/// is entirely the old weights' or entirely the new ones', and a request
+/// sent after the reload returned is always answered by the new ones.
+#[test]
+fn reload_under_load_never_mixes_weights() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    let path = tmp("reload_load.lmmt");
+    let (old, new) = (iredge(SIZE, 71), iredge(SIZE, 72));
+    let designs: Vec<PredictRequest> = (0..6).map(|s| design(200 + s).1).collect();
+    let reference = |model: &dyn IrPredictor| -> Vec<_> {
+        designs
+            .iter()
+            .map(|r| offline_reference(model, r))
+            .collect()
+    };
+    let (expect_old, expect_new) = (reference(&old), reference(&new));
+    for threads in [1, 2, 4] {
+        save_predictor(&old, &path).unwrap();
+        // Result cache off, so every request is a forward on some lane.
+        let cfg = ServeConfig {
+            result_cache_capacity: 0,
+            ..config(threads, 8)
+        };
+        let server = Server::start(cfg, RegistrySpec::single("m", &path)).unwrap();
+        let addr = server.addr();
+        let (answered, reloaded, stop) = (
+            AtomicUsize::new(0),
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+        );
+        std::thread::scope(|scope| {
+            for (which, request) in designs.iter().enumerate() {
+                let (answered, reloaded, stop) = (&answered, &reloaded, &stop);
+                let (expect_old, expect_new) = (&expect_old[which], &expect_new[which]);
+                scope.spawn(move || {
+                    let same = |resp: &PredictResponse, want: &(Vec<f32>, Vec<u8>, f32)| {
+                        resp.map
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .eq(want.0.iter().map(|v| v.to_bits()))
+                            && resp.mask == want.1
+                            && resp.threshold.to_bits() == want.2.to_bits()
+                    };
+                    // A failed assertion here must end the test, not leave
+                    // the main thread waiting for replies that never come.
+                    let _stop_on_exit = StopOnExit(stop);
+                    while !stop.load(Ordering::SeqCst) {
+                        let sent_after_reload = reloaded.load(Ordering::SeqCst);
+                        let resp = client::predict(addr, request).unwrap();
+                        if sent_after_reload {
+                            assert_matches_offline(&resp, expect_new);
+                        } else {
+                            assert!(
+                                same(&resp, expect_old) || same(&resp, expect_new),
+                                "design {which}: a reply is neither model's output"
+                            );
+                        }
+                        answered.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+            // Reload once the load is flowing, stop once it has flowed on.
+            let wait_for = |n: usize| {
+                while answered.load(Ordering::SeqCst) < n && !stop.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            };
+            wait_for(12);
+            save_predictor(&new, &path).unwrap();
+            let (status, _) = client::request(addr, "POST", "/reload", &[]).unwrap();
+            assert_eq!(status, 200);
+            reloaded.store(true, Ordering::SeqCst);
+            wait_for(answered.load(Ordering::SeqCst) + 18);
+            stop.store(true, Ordering::SeqCst);
+        });
+        server.stop();
+    }
     std::fs::remove_file(&path).ok();
 }
 

@@ -23,7 +23,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
-/// A worker server config: ephemeral port, one inference thread.
+/// A worker server config: ephemeral port, one inference lane.
 fn worker_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),

@@ -1,7 +1,7 @@
 //! Zoo-variant serving tests: the CFIRSTNET and WACA-UNet families end to
 //! end — checkpoint → serve → predict with comprehensive (8-channel)
 //! features, bitwise parity with the offline [`InferenceSession`] at 1 and
-//! 4 inference threads, and a precise client error for netlist-less
+//! 4 inference lanes, and a precise client error for netlist-less
 //! requests against a comprehensive-feature model.
 
 use lmm_ir::{save_predictor, ArchSpec, InferenceSession, IrPredictor, UNetConfig, UNetPredictor};

@@ -130,6 +130,16 @@ enum NameRepr {
 impl ElementName {
     /// Longest name, in bytes, that is stored inline.
     pub const INLINE: usize = 22;
+
+    /// The name's UTF-8 bytes, without the validation pass `Deref<str>`
+    /// makes over an inline name (the writer's per-element path).
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            NameRepr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            NameRepr::Heap(name) => name.as_bytes(),
+        }
+    }
 }
 
 impl From<&str> for ElementName {

@@ -6,8 +6,20 @@
 //! [`Var::backward`] on a scalar loss walks the graph in reverse topological
 //! order and accumulates gradients on every parameter leaf.
 //!
-//! The graph is a DAG of `Rc` nodes built per forward pass and freed when the
+//! The graph is a DAG of `Arc` nodes built per forward pass and freed when the
 //! loss variable is dropped, mirroring PyTorch's define-by-run semantics.
+//!
+//! A [`Var`] is `Send + Sync`: the value sits behind an `RwLock` and the
+//! gradient behind a `Mutex`, so any number of threads can run forward
+//! passes over one set of parameters at once (each pass builds its own
+//! graph and only *reads* the shared leaves). Writers — optimizer steps and
+//! checkpoint loads — take the value's write lock per parameter; running
+//! them concurrently with a forward is a caller-level race (the pass may
+//! see some parameters updated and others not), not a memory-safety one.
+//! Both locks recover from poisoning with `PoisonError::into_inner`: what
+//! they guard is a tensor handle, which a panic on another thread leaves
+//! valid (at worst partially stepped by the optimizer that panicked) and a
+//! forward never writes at all.
 //!
 //! Values are lazy [`Tensor`]s (see [`crate::lazy`]): elementwise forward
 //! chains record fused programs instead of materializing per-op buffers, and
@@ -18,22 +30,21 @@
 //! and the optimizer's reads realize buffers at the usual boundaries.
 
 use crate::tensor::Tensor;
-use std::cell::{Ref, RefCell};
 use std::collections::HashSet;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Closure mapping the gradient at a node to gradients for each parent
 /// (aligned with the `parents` vector; `None` skips a parent).
-pub type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Option<Tensor>>>;
+pub type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Option<Tensor>> + Send + Sync>;
 
 pub(crate) struct Node {
     id: u64,
-    value: RefCell<Tensor>,
-    grad: RefCell<Option<Tensor>>,
+    value: RwLock<Tensor>,
+    grad: Mutex<Option<Tensor>>,
     /// Leaf created with `parameter` (receives gradient accumulation).
     is_param: bool,
     /// Whether gradient must flow through this node at all.
@@ -58,17 +69,17 @@ pub(crate) struct Node {
 /// # }
 /// ```
 #[derive(Clone)]
-pub struct Var(pub(crate) Rc<Node>);
+pub struct Var(pub(crate) Arc<Node>);
 
 impl Var {
     /// Creates a trainable leaf. Gradients accumulate here during
     /// [`Var::backward`].
     #[must_use]
     pub fn parameter(value: Tensor) -> Self {
-        Var(Rc::new(Node {
+        Var(Arc::new(Node {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            value: RefCell::new(value),
-            grad: RefCell::new(None),
+            value: RwLock::new(value),
+            grad: Mutex::new(None),
             is_param: true,
             needs_grad: true,
             parents: Vec::new(),
@@ -79,10 +90,10 @@ impl Var {
     /// Creates a non-trainable leaf (inputs, targets, masks).
     #[must_use]
     pub fn constant(value: Tensor) -> Self {
-        Var(Rc::new(Node {
+        Var(Arc::new(Node {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            value: RefCell::new(value),
-            grad: RefCell::new(None),
+            value: RwLock::new(value),
+            grad: Mutex::new(None),
             is_param: false,
             needs_grad: false,
             parents: Vec::new(),
@@ -97,10 +108,10 @@ impl Var {
     #[must_use]
     pub fn from_op(value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Self {
         let needs_grad = parents.iter().any(Var::needs_grad);
-        Var(Rc::new(Node {
+        Var(Arc::new(Node {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            value: RefCell::new(value),
-            grad: RefCell::new(None),
+            value: RwLock::new(value),
+            grad: Mutex::new(None),
             is_param: false,
             needs_grad,
             parents: if needs_grad { parents } else { Vec::new() },
@@ -126,54 +137,51 @@ impl Var {
         self.0.is_param
     }
 
-    /// Borrow of the current value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is mutably borrowed (only optimizers borrow
-    /// mutably, and never during a forward/backward pass).
-    #[must_use]
-    pub fn value(&self) -> Ref<'_, Tensor> {
-        self.0.value.borrow()
+    /// Read guard on the current value. Any number of threads may hold one
+    /// at once; it blocks only while an optimizer step or checkpoint load
+    /// is replacing this very value, so do not hold it across
+    /// [`Var::set_value`] / [`Var::update_value`] of the same variable.
+    pub fn value(&self) -> RwLockReadGuard<'_, Tensor> {
+        self.0.value.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Copy of the current value (cheap: the buffer is shared
     /// copy-on-write and any pending fused chain stays pending).
     #[must_use]
     pub fn to_tensor(&self) -> Tensor {
-        self.0.value.borrow().clone()
+        self.value().clone()
     }
 
     /// Shape of the current value.
     #[must_use]
     pub fn dims(&self) -> Vec<usize> {
-        self.0.value.borrow().dims().to_vec()
+        self.value().dims().to_vec()
     }
 
     /// Deep copy of the accumulated gradient, if any.
     #[must_use]
     pub fn grad(&self) -> Option<Tensor> {
-        self.0.grad.borrow().clone()
+        self.0.grad_slot().clone()
     }
 
     /// Clears the accumulated gradient.
     pub fn zero_grad(&self) {
-        *self.0.grad.borrow_mut() = None;
+        self.set_grad(None);
     }
 
     /// Replaces the accumulated gradient (used by gradient clipping).
     pub fn set_grad(&self, grad: Option<Tensor>) {
-        *self.0.grad.borrow_mut() = grad;
+        *self.0.grad_slot() = grad;
     }
 
     /// Replaces the stored value (used by optimizers and checkpoint loading).
     pub fn set_value(&self, value: Tensor) {
-        *self.0.value.borrow_mut() = value;
+        self.update_value(|v| *v = value);
     }
 
     /// Applies `f` to the stored value in place (used by optimizers).
     pub fn update_value(&self, f: impl FnOnce(&mut Tensor)) {
-        f(&mut self.0.value.borrow_mut());
+        f(&mut self.0.value.write().unwrap_or_else(PoisonError::into_inner));
     }
 
     /// Runs reverse-mode differentiation seeded with `dL/dself = 1`.
@@ -207,12 +215,8 @@ impl Var {
             let Some(backward) = node.0.backward.as_ref() else {
                 continue;
             };
-            let grad = {
-                let g = node.0.grad.borrow();
-                match g.as_ref() {
-                    Some(g) => g.clone(),
-                    None => continue, // branch never reached by the seed
-                }
+            let Some(grad) = node.grad() else {
+                continue; // branch never reached by the seed
             };
             let parent_grads = backward(&grad);
             debug_assert_eq!(parent_grads.len(), node.0.parents.len());
@@ -225,7 +229,7 @@ impl Var {
             }
             // Interior gradients are scratch space; free them eagerly.
             if !node.0.is_param {
-                *node.0.grad.borrow_mut() = None;
+                node.zero_grad();
             }
         }
     }
@@ -256,8 +260,22 @@ impl Var {
     }
 }
 
-fn accumulate(node: &Rc<Node>, grad: Tensor) {
-    let mut slot = node.grad.borrow_mut();
+// Every model in the workspace is built from these two; the compiler
+// refuses the next `Rc` or `RefCell` inside them.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Var>();
+    assert_send_sync::<Tensor>();
+};
+
+impl Node {
+    fn grad_slot(&self) -> MutexGuard<'_, Option<Tensor>> {
+        self.grad.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+fn accumulate(node: &Node, grad: Tensor) {
+    let mut slot = node.grad_slot();
     match slot.as_mut() {
         Some(existing) => {
             existing

@@ -98,7 +98,27 @@ struct PlaneGeom {
     spec: ConvSpec,
 }
 
-/// Unfolds one `[C, H, W]` image into a `[C*KH*KW, OH*OW]` column matrix.
+impl PlaneGeom {
+    /// Whether the unfold is the identity — a 1×1 kernel at stride 1 with
+    /// no padding — so the image plane *is* its column matrix.
+    fn unfold_is_identity(&self) -> bool {
+        (self.kh, self.kw, self.spec.stride, self.spec.padding) == (1, 1, 1, 0)
+    }
+}
+
+/// One stretch of a column row, in output order.
+enum Span<'a, T> {
+    /// This many columns read the zero padding.
+    Pad(usize),
+    /// Columns copied from consecutive image elements (stride 1).
+    Run(&'a [T]),
+    /// Columns gathered from every `.1`-th element of the slice.
+    Gather(&'a [T], usize),
+}
+
+/// The column matrix `[C*KH*KW, OH*OW]` of one `[C, H, W]` image: the plane
+/// itself when the unfold is the identity, else unfolded into `scratch`
+/// (which a caller reuses across the samples of a batch).
 ///
 /// Generic over the element type because the unfold is pure data movement
 /// (copies plus zero padding): the f32 forward/backward passes and the int8
@@ -106,51 +126,106 @@ struct PlaneGeom {
 /// (`quantize(0.0) == 0`), so the int8 path never materializes an f32
 /// column matrix.
 ///
-/// Column rows are independent, so large planes are split across threads by
-/// contiguous row runs; each row is written by the same code at any thread
-/// count, keeping the unfold bitwise deterministic.
-fn im2col_plane<T: Copy + Default + Send + Sync>(x: &[T], g: PlaneGeom, cols: &mut [T]) {
+/// A plane below the fork gate is appended to the cleared scratch span by
+/// span, so its buffer is never zero-filled first. Column rows are
+/// independent, so large planes are split across threads by contiguous row
+/// runs over a sized buffer; the spans are the same at any thread count,
+/// keeping the unfold bitwise deterministic.
+fn im2col_plane<'a, T: Copy + Default + Send + Sync>(
+    x: &'a [T],
+    g: PlaneGeom,
+    scratch: &'a mut Vec<T>,
+) -> &'a [T] {
+    if g.unfold_is_identity() {
+        return x;
+    }
     let l = g.oh * g.ow;
     let ckk = g.c * g.kh * g.kw;
-    debug_assert_eq!(cols.len(), ckk * l);
+    scratch.clear();
     if l == 0 {
-        return;
+        return scratch;
     }
-    if par_worth_elems(ckk, cols.len()) {
-        lmmir_par::par_chunks_mut(cols, l, |r0, chunk| im2col_rows(x, g, r0, chunk));
+    if par_worth_elems(ckk, ckk * l) {
+        scratch.resize(ckk * l, T::default());
+        lmmir_par::par_chunks_mut(scratch, l, |r0, chunk| im2col_rows(x, g, r0, chunk));
     } else {
-        im2col_rows(x, g, 0, cols);
+        scratch.reserve_exact(ckk * l);
+        im2col_spans(x, g, 0..ckk, |span| match span {
+            Span::Pad(n) => scratch.resize(scratch.len() + n, T::default()),
+            Span::Run(run) => scratch.extend_from_slice(run),
+            Span::Gather(taps, stride) => scratch.extend(taps.iter().step_by(stride)),
+        });
     }
+    debug_assert_eq!(scratch.len(), ckk * l);
+    scratch
 }
 
-/// [`im2col_plane`] restricted to column rows `r0..r0 + rows.len() / (oh*ow)`;
-/// row `r` covers kernel tap `(ci, ki, kj) = (r / (kh·kw), (r / kw) % kh,
-/// r % kw)`.
-fn im2col_rows<T: Copy + Default>(x: &[T], g: PlaneGeom, r0: usize, rows: &mut [T]) {
-    let l = g.oh * g.ow;
-    for (dr, row_out) in rows.chunks_mut(l).enumerate() {
-        let r = r0 + dr;
+/// [`im2col_plane`] restricted to column rows `r0..r0 + rows.len() / (oh*ow)`,
+/// written into their sized slice of the column matrix.
+fn im2col_rows<T: Copy + Default>(x: &[T], g: PlaneGeom, r0: usize, mut rows: &mut [T]) {
+    let nrows = rows.len() / (g.oh * g.ow);
+    im2col_spans(x, g, r0..r0 + nrows, |span| {
+        let len = match span {
+            Span::Pad(n) => n,
+            Span::Run(run) => run.len(),
+            Span::Gather(taps, stride) => taps.len().div_ceil(stride),
+        };
+        let (out, rest) = std::mem::take(&mut rows).split_at_mut(len);
+        rows = rest;
+        match span {
+            Span::Pad(_) => out.fill(T::default()),
+            Span::Run(run) => out.copy_from_slice(run),
+            Span::Gather(taps, stride) => {
+                for (v, &tap) in out.iter_mut().zip(taps.iter().step_by(stride)) {
+                    *v = tap;
+                }
+            }
+        }
+    });
+}
+
+/// Emits column rows `rows` of [`im2col_plane`] as [`Span`]s; row `r`
+/// covers kernel tap `(ci, ki, kj) = (r / (kh·kw), (r / kw) % kh, r % kw)`.
+///
+/// Per tap the in-bounds output columns are one range `ox_lo..ox_hi` that
+/// depends only on `kj`, so each output row is a pad, one run of the image
+/// row and a pad — no per-element bounds branch.
+fn im2col_spans<'a, T>(
+    x: &'a [T],
+    g: PlaneGeom,
+    rows: std::ops::Range<usize>,
+    mut emit: impl FnMut(Span<'a, T>),
+) {
+    let (stride, pad) = (g.spec.stride, g.spec.padding);
+    for r in rows {
         let ci = r / (g.kh * g.kw);
         let ki = (r / g.kw) % g.kh;
         let kj = r % g.kw;
+        // `ix = ox·stride + kj − pad` lies in `0..w` exactly for these `ox`.
+        let ox_lo = pad.saturating_sub(kj).div_ceil(stride).min(g.ow);
+        let ox_hi = (g.w + pad)
+            .checked_sub(kj)
+            .map_or(0, |reach| reach.div_ceil(stride))
+            .clamp(ox_lo, g.ow);
         for oy in 0..g.oh {
-            let iy = (oy * g.spec.stride + ki) as isize - g.spec.padding as isize;
-            let dst = oy * g.ow;
-            if iy < 0 || iy >= g.h as isize {
-                // Entire output row reads from the zero pad.
-                for v in &mut row_out[dst..dst + g.ow] {
-                    *v = T::default();
-                }
+            let iy = oy * stride + ki;
+            if iy < pad || iy - pad >= g.h || ox_lo == ox_hi {
+                emit(Span::Pad(g.ow)); // the whole output row reads the pad
                 continue;
             }
-            let src_row = (ci * g.h + iy as usize) * g.w;
-            for ox in 0..g.ow {
-                let ix = (ox * g.spec.stride + kj) as isize - g.spec.padding as isize;
-                row_out[dst + ox] = if ix < 0 || ix >= g.w as isize {
-                    T::default()
-                } else {
-                    x[src_row + ix as usize]
-                };
+            let src = &x[(ci * g.h + iy - pad) * g.w..][..g.w];
+            let first = ox_lo * stride + kj - pad;
+            let count = ox_hi - ox_lo;
+            if ox_lo > 0 {
+                emit(Span::Pad(ox_lo));
+            }
+            emit(if stride == 1 {
+                Span::Run(&src[first..first + count])
+            } else {
+                Span::Gather(&src[first..=first + (count - 1) * stride], stride)
+            });
+            if ox_hi < g.ow {
+                emit(Span::Pad(g.ow - ox_hi));
             }
         }
     }
@@ -286,19 +361,15 @@ pub fn conv2d(
     let l = oh * ow;
     let ckk = c * kh * kw;
     let mut out = Tensor::zeros(&[n, o, oh, ow]);
-    let mut cols = vec![0.0f32; ckk * l];
+    let mut scratch = Vec::new();
     for ni in 0..n {
-        im2col_plane(
-            &x.data()[ni * c * h * w..(ni + 1) * c * h * w],
-            geom,
-            &mut cols,
-        );
+        let plane = &x.data()[ni * c * h * w..(ni + 1) * c * h * w];
         gemm_par(
             o,
             ckk,
             l,
             weight.data(),
-            &cols,
+            im2col_plane(plane, geom, &mut scratch),
             &mut out.data_mut()[ni * o * l..(ni + 1) * o * l],
         );
     }
@@ -374,17 +445,16 @@ pub fn conv2d_quantized(
     let l = oh * ow;
     let ckk = c * kh * kw;
     let mut out = Tensor::zeros(&[n, o, oh, ow]);
-    let mut cols_q = vec![0i8; ckk * l];
+    let mut scratch = Vec::new();
     for ni in 0..n {
         let (plane_q, scale) = quantize_per_tensor(&x.data()[ni * c * h * w..(ni + 1) * c * h * w]);
-        im2col_plane(&plane_q, geom, &mut cols_q);
         qgemm_wa_par(
             o,
             ckk,
             l,
             &weight.q,
             &weight.scales,
-            &cols_q,
+            im2col_plane(&plane_q, geom, &mut scratch),
             scale,
             &mut out.data_mut()[ni * o * l..(ni + 1) * o * l],
         );
@@ -422,6 +492,21 @@ pub fn conv2d_backward(
     grad_out: &Tensor,
     spec: ConvSpec,
 ) -> Result<(Tensor, Tensor, Tensor)> {
+    let (dx, dw, db) = conv2d_backward_for(x, weight, grad_out, spec, true)?;
+    Ok((dx.expect("dx was asked for"), dw, db))
+}
+
+/// [`conv2d_backward`] that computes `dx` only when `want_dx`: an input that
+/// needs no gradient (the stem's image) skips its `W^T·g` product and the
+/// `col2im` scatter, the larger half of the pass. `dweight` and `dbias` do
+/// not depend on it.
+pub(crate) fn conv2d_backward_for(
+    x: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: ConvSpec,
+    want_dx: bool,
+) -> Result<(Option<Tensor>, Tensor, Tensor)> {
     let ConvDims {
         n,
         c,
@@ -452,11 +537,11 @@ pub fn conv2d_backward(
     };
     let l = oh * ow;
     let ckk = c * kh * kw;
-    let mut dx = Tensor::zeros(x.dims());
+    let mut dx = want_dx.then(|| Tensor::zeros(x.dims()));
     let mut dw = Tensor::zeros(weight.dims());
     let mut db = Tensor::zeros(&[o]);
-    let mut cols = vec![0.0f32; ckk * l];
-    let mut dcols = vec![0.0f32; ckk * l];
+    let mut scratch = Vec::new();
+    let mut dcols = Vec::new();
     for ni in 0..n {
         let g = &grad_out.data()[ni * o * l..(ni + 1) * o * l];
         // dbias
@@ -464,20 +549,20 @@ pub fn conv2d_backward(
             db.data_mut()[oi] += g[oi * l..(oi + 1) * l].iter().sum::<f32>();
         }
         // dweight += g [O,L] x cols^T [L,CKK]
-        im2col_plane(
-            &x.data()[ni * c * h * w..(ni + 1) * c * h * w],
-            geom,
-            &mut cols,
-        );
-        gemm_nt_par(o, l, ckk, g, &cols, dw.data_mut());
+        let plane = &x.data()[ni * c * h * w..(ni + 1) * c * h * w];
+        let cols = im2col_plane(plane, geom, &mut scratch);
+        gemm_nt_par(o, l, ckk, g, cols, dw.data_mut());
         // dx = col2im( W^T [CKK,O] x g [O,L] )
-        dcols.iter_mut().for_each(|v| *v = 0.0);
-        gemm_tn_par(ckk, o, l, weight.data(), g, &mut dcols);
-        col2im_plane(
-            &dcols,
-            geom,
-            &mut dx.data_mut()[ni * c * h * w..(ni + 1) * c * h * w],
-        );
+        if let Some(dx) = dx.as_mut() {
+            dcols.clear();
+            dcols.resize(ckk * l, 0.0);
+            gemm_tn_par(ckk, o, l, weight.data(), g, &mut dcols);
+            col2im_plane(
+                &dcols,
+                geom,
+                &mut dx.data_mut()[ni * c * h * w..(ni + 1) * c * h * w],
+            );
+        }
     }
     Ok((dx, dw, db))
 }
@@ -637,7 +722,7 @@ pub fn conv_transpose2d_backward(
     let mut dx = Tensor::zeros(x.dims());
     let mut dw = Tensor::zeros(weight.dims());
     let mut db = Tensor::zeros(&[o]);
-    let mut gcols = vec![0.0f32; okk * l];
+    let mut scratch = Vec::new();
     for ni in 0..n {
         let g = &grad_out.data()[ni * o * oh * ow..(ni + 1) * o * oh * ow];
         // dbias
@@ -646,14 +731,14 @@ pub fn conv_transpose2d_backward(
             db.data_mut()[oi] += g[oi * plane..(oi + 1) * plane].iter().sum::<f32>();
         }
         // gcols [OKK, L] = im2col(grad_out[n])
-        im2col_plane(g, geom, &mut gcols);
+        let gcols = im2col_plane(g, geom, &mut scratch);
         // dx[n] [C, L] = W [C, OKK] x gcols [OKK, L]
         gemm_par(
             c,
             okk,
             l,
             weight.data(),
-            &gcols,
+            gcols,
             &mut dx.data_mut()[ni * c * l..(ni + 1) * c * l],
         );
         // dW [C, OKK] += x[n] [C, L] x gcols^T [L, OKK]
@@ -662,7 +747,7 @@ pub fn conv_transpose2d_backward(
             l,
             okk,
             &x.data()[ni * c * l..(ni + 1) * c * l],
-            &gcols,
+            gcols,
             dw.data_mut(),
         );
     }
@@ -837,6 +922,107 @@ mod tests {
                 assert!((a - b).abs() < 1e-4, "conv mismatch: {a} vs {b}");
             }
         }
+    }
+
+    /// Both unfold writers — the appending one a small plane takes and the
+    /// sized-slice one the forked path takes — against the per-element
+    /// definition, over kernels wider than the image, padding wider than the
+    /// kernel and strides that skip the last column.
+    #[test]
+    fn im2col_matches_the_per_element_unfold_on_every_geometry() {
+        let mut geometries = 0;
+        for (kh, kw) in [(1, 1), (2, 2), (3, 3), (1, 3), (3, 2), (7, 7)] {
+            for stride in 1..=3 {
+                for padding in 0..=4 {
+                    for (h, w) in [(1, 1), (2, 5), (5, 2), (6, 7), (9, 8)] {
+                        let spec = ConvSpec::new(stride, padding);
+                        let (Ok(oh), Ok(ow)) = (spec.conv_out(h, kh), spec.conv_out(w, kw)) else {
+                            continue; // kernel does not fit
+                        };
+                        let c = 2;
+                        #[rustfmt::skip]
+                        let g = PlaneGeom { c, h, w, kh, kw, oh, ow, spec };
+                        // Every image element distinct and non-zero, so a
+                        // misplaced copy or pad cannot go unnoticed.
+                        let x: Vec<u16> = (1..=(c * h * w) as u16).collect();
+                        let mut expect = Vec::with_capacity(c * kh * kw * oh * ow);
+                        for (ci, ki, kj) in (0..c).flat_map(|ci| {
+                            (0..kh).flat_map(move |ki| (0..kw).map(move |kj| (ci, ki, kj)))
+                        }) {
+                            for oy in 0..oh {
+                                for ox in 0..ow {
+                                    let iy = (oy * stride + ki).wrapping_sub(padding);
+                                    let ix = (ox * stride + kj).wrapping_sub(padding);
+                                    let inside = iy < h && ix < w;
+                                    expect.push(if inside { x[(ci * h + iy) * w + ix] } else { 0 });
+                                }
+                            }
+                        }
+                        let mut scratch = vec![77; 3]; // stale contents are dropped
+                        let what =
+                            format!("k {kh}x{kw} stride {stride} pad {padding} image {h}x{w}");
+                        assert_eq!(
+                            im2col_plane(&x, g, &mut scratch),
+                            expect,
+                            "appended, {what}"
+                        );
+                        let mut sized = vec![77u16; expect.len()];
+                        if !sized.is_empty() {
+                            im2col_rows(&x, g, 0, &mut sized);
+                        }
+                        assert_eq!(sized, expect, "sized, {what}");
+                        geometries += 1;
+                    }
+                }
+            }
+        }
+        assert!(geometries > 300, "only {geometries} geometries fit");
+    }
+
+    /// A pointwise convolution's column matrix is the image plane itself:
+    /// nothing is unfolded, and the gemm reads the input in place.
+    #[test]
+    fn pointwise_unfold_is_the_plane_itself() {
+        let spec = ConvSpec::new(1, 0);
+        #[rustfmt::skip]
+        let g = PlaneGeom { c: 3, h: 4, w: 5, kh: 1, kw: 1, oh: 4, ow: 5, spec };
+        let x: Vec<f32> = (0..60).map(|i| i as f32).collect();
+        let mut scratch = Vec::new();
+        assert!(std::ptr::eq(
+            im2col_plane(&x, g, &mut scratch),
+            x.as_slice()
+        ));
+        assert_eq!(scratch.capacity(), 0, "no scratch was allocated");
+        // Any stride or padding is a real unfold again.
+        #[rustfmt::skip]
+        let strided = PlaneGeom { oh: 2, ow: 3, spec: ConvSpec::new(2, 0), ..g };
+        assert_eq!(im2col_plane(&x, strided, &mut scratch).len(), 3 * 6);
+    }
+
+    /// `want_dx = false` skips the input gradient and nothing else:
+    /// `dweight` and `dbias` are the full pass's, bit for bit.
+    #[test]
+    fn backward_without_dx_keeps_weight_and_bias_gradients_bitwise() {
+        let mut seed = 11u64;
+        let mut next = || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((seed >> 33) as f32 / (1u64 << 31) as f32) - 1.0
+        };
+        // The stem's shape class: several samples, 7x7 "same" kernel.
+        let x =
+            Tensor::from_vec((0..2 * 3 * 9 * 9).map(|_| next()).collect(), &[2, 3, 9, 9]).unwrap();
+        let w =
+            Tensor::from_vec((0..4 * 3 * 7 * 7).map(|_| next()).collect(), &[4, 3, 7, 7]).unwrap();
+        let spec = ConvSpec::new(1, 3);
+        let g =
+            Tensor::from_vec((0..2 * 4 * 9 * 9).map(|_| next()).collect(), &[2, 4, 9, 9]).unwrap();
+        let (dx, dw, db) = conv2d_backward(&x, &w, &g, spec).unwrap();
+        let (no_dx, dw_only, db_only) = conv2d_backward_for(&x, &w, &g, spec, false).unwrap();
+        assert!(no_dx.is_none());
+        assert!(dx.data().iter().any(|&v| v != 0.0));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dw_only), bits(&dw));
+        assert_eq!(bits(&db_only), bits(&db));
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! Every op computes its result eagerly on the underlying [`Tensor`]s and
 //! registers a backward closure. Backward closures capture parent `Var`s
-//! (cheap `Rc` clones) and read their values lazily at backward time, plus
+//! (cheap `Arc` clones) and read their values lazily at backward time, plus
 //! small saved tensors (e.g. the softmax output) where the math needs them.
 
 use crate::autograd::Var;
 use crate::conv::{
-    conv2d, conv2d_backward, conv_transpose2d, conv_transpose2d_backward, max_pool2d,
+    conv2d, conv2d_backward_for, conv_transpose2d, conv_transpose2d_backward, max_pool2d,
     max_pool2d_backward, ConvSpec,
 };
 use crate::error::TensorError;
@@ -488,12 +488,15 @@ impl Var {
             out,
             parents,
             Box::new(move |g| {
-                let (dx, dw, db) = conv2d_backward(&x.value(), &w.value(), g, spec)
-                    .expect("conv2d backward shapes");
+                // A constant input (the stem's image) is not worth a `dx`:
+                // `backward_with` would drop it.
+                let (dx, dw, db) =
+                    conv2d_backward_for(&x.value(), &w.value(), g, spec, x.needs_grad())
+                        .expect("conv2d backward shapes");
                 if has_bias {
-                    vec![Some(dx), Some(dw), Some(db)]
+                    vec![dx, Some(dw), Some(db)]
                 } else {
-                    vec![Some(dx), Some(dw)]
+                    vec![dx, Some(dw)]
                 }
             }),
         ))
@@ -626,7 +629,11 @@ impl Var {
 
 /// Helper for unary ops with a simple `g -> dx` rule.
 #[allow(non_snake_case)]
-fn Ok_unary(x: &Var, out: Tensor, df: impl Fn(&Tensor, &Var) -> Tensor + 'static) -> Var {
+fn Ok_unary(
+    x: &Var,
+    out: Tensor,
+    df: impl Fn(&Tensor, &Var) -> Tensor + Send + Sync + 'static,
+) -> Var {
     let parent = x.clone();
     Var::from_op(
         out,
@@ -825,6 +832,33 @@ mod tests {
         assert_close(&w.grad().unwrap(), &numw, 3e-2);
         // bias gradient: each output position contributes 1.
         assert_close(&b.grad().unwrap(), &Tensor::full(&[3], 25.0), 1e-3);
+    }
+
+    /// The stem's case: a constant image. Its weight and bias gradients are
+    /// bitwise the ones a trainable input gets, and no `dx` is produced.
+    #[test]
+    fn conv2d_on_a_constant_input_skips_dx_and_keeps_parameter_grads_bitwise() {
+        let x0 = Tensor::from_vec(pseudo_random(3 * 8 * 8, 41), &[1, 3, 8, 8]).unwrap();
+        let w0 = Tensor::from_vec(pseudo_random(4 * 3 * 7 * 7, 42), &[4, 3, 7, 7]).unwrap();
+        let b0 = Tensor::from_vec(pseudo_random(4, 43), &[4]).unwrap();
+        let spec = ConvSpec::new(1, 3);
+        let grads = |x: &Var| {
+            let (w, b) = (Var::parameter(w0.clone()), Var::parameter(b0.clone()));
+            x.conv2d(&w, Some(&b), spec)
+                .unwrap()
+                .square()
+                .sum()
+                .backward();
+            let bits = |v: &Var| -> Vec<u32> {
+                let grad = v.grad().expect("parameter gradient");
+                grad.data().iter().map(|g| g.to_bits()).collect()
+            };
+            (bits(&w), bits(&b))
+        };
+        let (constant, trainable) = (Var::constant(x0.clone()), Var::parameter(x0));
+        assert_eq!(grads(&constant), grads(&trainable));
+        assert!(constant.grad().is_none());
+        assert!(trainable.grad().is_some());
     }
 
     #[test]

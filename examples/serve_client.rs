@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     save_predictor(&model, &ckpt)?;
     println!("checkpoint: {}", ckpt.display());
 
-    // 2. Serve it on an ephemeral port (2 inference threads, batches of 8).
+    // 2. Serve it on an ephemeral port (2 inference lanes, dedup window of 8).
     let server = Server::start(
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -56,13 +56,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let hotspots: usize = resp.mask.iter().map(|&m| usize::from(m)).sum();
         println!(
             "round {round}: {}×{} map in {:.1} ms — worst drop {:.2} mV, \
-             {hotspots} hotspot px over {:.2} mV (feature cache {})",
+             {hotspots} hotspot px over {:.2} mV",
             resp.width,
             resp.height,
             t0.elapsed().as_secs_f64() * 1e3,
             worst * 1e3,
             resp.threshold * 1e3,
-            if resp.cache_hit { "hit" } else { "miss" },
         );
     }
     drop(cli); // close the keep-alive connection before draining
