@@ -46,11 +46,10 @@ fn score(model: &dyn IrPredictor, hidden: &[Sample]) -> Result<(f64, f64, f64, f
     let (mut m, mut c, mut f, mut tat) = (0.0, 0.0, 0.0, 0.0);
     for sample in hidden {
         let prepared = session.prepare_sample(sample);
-        let info = prepared.info;
         let (pred, seconds) = session
-            .forward_owned(prepared)
+            .forward(&prepared)
             .map_err(|e| format!("forward failed on {}: {e}", sample.id))?;
-        let restored = restore_prediction(info, &pred);
+        let restored = restore_prediction(prepared.info, &pred);
         m += mae(&restored, &sample.truth) * 1e4;
         c += cc(&restored, &sample.truth);
         f += lmm_ir::f1_score(&restored, &sample.truth);

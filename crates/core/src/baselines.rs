@@ -56,7 +56,7 @@ pub fn second_place(input_size: usize, seed: u64) -> UNetPredictor {
 pub struct IrpNet {
     input_size: usize,
     convs: Vec<Conv2d>,
-    norms: Vec<BatchNorm2d>,
+    pub(crate) norms: Vec<BatchNorm2d>,
     out: Conv2d,
 }
 

@@ -6,14 +6,14 @@
 //! IR map, and golden solves make the loop hours long. With a trained
 //! predictor each what-if costs one inference, so a designer can sweep a
 //! grid of candidate C4-pad sites and pick the best — exactly the loop this
-//! module implements.
+//! module implements. Every candidate goes through the one
+//! [`InferenceSession`] chain the server and the evaluation pipeline use.
 
-use crate::data::TARGET_SCALE;
+use crate::infer::InferenceSession;
 use crate::model::IrPredictor;
-use crate::pointcloud::PointCloud;
-use lmmir_features::{spatial::spatial_restore, FeatureStack, Raster};
+use lmmir_features::Raster;
 use lmmir_pdn::CaseSpec;
-use lmmir_tensor::{Result, Var};
+use lmmir_tensor::Result;
 
 /// One evaluated what-if fix.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,35 +24,22 @@ pub struct PadFix {
     pub predicted_worst: f64,
 }
 
-/// Predicts the IR map of a case variant without running the golden solver.
+/// Predicts the IR map of a case variant without running the golden solver:
+/// [`InferenceSession::prepare`] + [`InferenceSession::predict`] on the
+/// generated design, at the model's own input contract.
 ///
 /// # Errors
 ///
-/// Returns tensor errors when the model and features disagree in shape.
-pub fn predict_case(spec: &CaseSpec, model: &dyn IrPredictor, input_size: usize) -> Result<Raster> {
+/// Returns tensor errors when the model cannot consume a static design
+/// (a dynamic model needs per-window power maps).
+pub fn predict_case(spec: &CaseSpec, model: &dyn IrPredictor) -> Result<Raster> {
+    predict_with(&InferenceSession::new(model), spec)
+}
+
+fn predict_with(session: &InferenceSession<'_>, spec: &CaseSpec) -> Result<Raster> {
     let case = spec.generate();
-    let stack = match model.input_channels() {
-        6 => FeatureStack::extended(&case),
-        _ => FeatureStack::basic(&case),
-    };
-    let (adjusted, info) = stack.adjusted_normalized(input_size);
-    let mut tensor = adjusted.to_tensor();
-    if model.input_channels() == 1 {
-        tensor = tensor.slice_axis(0, 0, 1)?;
-    }
-    let d = tensor.dims().to_vec();
-    let images = Var::constant(tensor.reshape(&[1, d[0], d[1], d[2]])?);
-    let cloud = PointCloud::from_netlist(
-        &case.netlist,
-        case.tech.dbu_per_um,
-        case.power.width() as f64,
-        case.power.height() as f64,
-    );
-    let pred = model.forward(&images, model.uses_netlist().then_some(&cloud))?;
-    let pt = pred.to_tensor();
-    let pd = pt.dims().to_vec();
-    let flat = pt.reshape(&[pd[2], pd[3]])?.scale(1.0 / TARGET_SCALE);
-    Ok(spatial_restore(&Raster::from_tensor(&flat), info))
+    let input = session.prepare(&case.power, Some(&case.netlist), case.tech.dbu_per_um)?;
+    Ok(session.predict(&input)?.map)
 }
 
 /// Sweeps a `grid × grid` lattice of candidate pad positions and returns all
@@ -64,9 +51,9 @@ pub fn predict_case(spec: &CaseSpec, model: &dyn IrPredictor, input_size: usize)
 pub fn suggest_pad_fixes(
     spec: &CaseSpec,
     model: &dyn IrPredictor,
-    input_size: usize,
     grid: usize,
 ) -> Result<Vec<PadFix>> {
+    let session = InferenceSession::new(model);
     let mut fixes = Vec::with_capacity(grid * grid);
     for gy in 0..grid {
         for gx in 0..grid {
@@ -74,7 +61,7 @@ pub fn suggest_pad_fixes(
             let y = (gy as f64 + 0.5) * spec.height as f64 / grid as f64;
             let mut variant = spec.clone();
             variant.extra_pads.push((x, y));
-            let pred = predict_case(&variant, model, input_size)?;
+            let pred = predict_with(&session, &variant)?;
             fixes.push(PadFix {
                 position_um: (x, y),
                 predicted_worst: f64::from(pred.max()),
@@ -92,9 +79,14 @@ pub fn suggest_pad_fixes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::iredge;
+    use crate::baselines::{iredge, irpnet};
+    use crate::{ArchSpec, CheckpointMeta};
     use lmmir_pdn::CaseKind;
     use lmmir_solver::{solve_ir_drop, CgConfig};
+
+    fn bits(map: &Raster) -> Vec<u32> {
+        map.data().iter().map(|v| v.to_bits()).collect()
+    }
 
     #[test]
     fn extra_pad_reduces_golden_worst_drop() {
@@ -131,16 +123,63 @@ mod tests {
     fn predict_case_matches_truth_shape() {
         let spec = CaseSpec::new("pred", 20, 20, 3, CaseKind::Fake);
         let model = iredge(16, 4);
-        let pred = predict_case(&spec, &model, 16).unwrap();
+        let pred = predict_case(&spec, &model).unwrap();
         assert_eq!(pred.width(), 20);
         assert_eq!(pred.height(), 20);
+    }
+
+    #[test]
+    fn predict_case_is_the_session_map_for_every_family() {
+        let spec = CaseSpec::new("family", 16, 16, 8, CaseKind::Hidden);
+        let case = spec.generate();
+        for arch in ArchSpec::ALL {
+            let meta = CheckpointMeta {
+                model: arch.name().to_string(),
+                input_channels: arch.default_input_channels(),
+                input_size: 16,
+                config: None,
+                quant_scales: Default::default(),
+            };
+            let model = arch.build(&meta).unwrap();
+            let got = predict_case(&spec, model.as_ref());
+            if arch == ArchSpec::DynIr {
+                let err = got.unwrap_err().to_string();
+                assert!(err.contains("per-window"), "DynIR: {err}");
+                continue;
+            }
+            let session = InferenceSession::new(model.as_ref());
+            let input = session
+                .prepare(&case.power, Some(&case.netlist), case.tech.dbu_per_um)
+                .unwrap();
+            let want = session.predict(&input).unwrap().map;
+            assert_eq!(bits(&got.unwrap()), bits(&want), "{}", arch.name());
+        }
+    }
+
+    #[test]
+    fn predict_case_runs_a_fresh_model_in_eval_mode() {
+        // A freshly built model is in training mode; batch statistics would
+        // both decide the prediction and rewrite the running statistics.
+        let spec = CaseSpec::new("fresh", 16, 16, 2, CaseKind::Fake);
+        let model = irpnet(16, 5);
+        let stats = |m: &crate::IrpNet| -> Vec<Vec<f32>> {
+            m.norms
+                .iter()
+                .flat_map(|n| [n.running_mean().into_vec(), n.running_var().into_vec()])
+                .collect()
+        };
+        let before = stats(&model);
+        let first = predict_case(&spec, &model).unwrap();
+        let second = predict_case(&spec, &model).unwrap();
+        assert_eq!(bits(&first), bits(&second));
+        assert_eq!(stats(&model), before, "running statistics rewritten");
     }
 
     #[test]
     fn suggest_returns_sorted_grid() {
         let spec = CaseSpec::new("sweep", 16, 16, 9, CaseKind::Fake);
         let model = iredge(16, 4);
-        let fixes = suggest_pad_fixes(&spec, &model, 16, 2).unwrap();
+        let fixes = suggest_pad_fixes(&spec, &model, 2).unwrap();
         assert_eq!(fixes.len(), 4);
         for w in fixes.windows(2) {
             assert!(w[0].predicted_worst <= w[1].predicted_worst);

@@ -8,6 +8,13 @@
 //! [`Sample`]s, serving wraps raw request payloads (power map + optional
 //! netlist), and both meet at [`InferenceSession::forward`] /
 //! [`restore_prediction`].
+//!
+//! A session runs its model in eval mode and without an autograd tape
+//! ([`no_grad`]): the forward keeps no intermediate alive past its
+//! consumer, so a request's working set is its live activations, not the
+//! whole graph, and the predictions are bitwise those of a recording
+//! forward. Every caller — the serving lanes, [`crate::pipeline::evaluate`],
+//! [`crate::fixer`] and the bench binaries — gets this without asking.
 
 use crate::arch::FeatureSet;
 use crate::data::{Sample, TARGET_SCALE};
@@ -18,6 +25,7 @@ use lmmir_features::spatial::{normalize_channel, spatial_adjust, spatial_restore
 use lmmir_features::{current_map, FeatureStack, Raster, SpatialInfo, WindowStack};
 use lmmir_pdn::PowerMap;
 use lmmir_spice::Netlist;
+use lmmir_tensor::autograd::no_grad;
 use lmmir_tensor::{Result, Tensor, TensorError, Var};
 use std::time::Instant;
 
@@ -238,7 +246,8 @@ pub fn restore_prediction(info: SpatialInfo, pred: &Tensor) -> Raster {
     spatial_restore(&Raster::from_tensor(&flat), info)
 }
 
-/// A model wrapped for inference: eval mode, shared prepare/forward/restore.
+/// A model wrapped for inference: eval mode, no tape, shared
+/// prepare/forward/restore.
 ///
 /// Holds only a borrow — sessions are cheap to construct per call site.
 pub struct InferenceSession<'m> {
@@ -307,39 +316,28 @@ impl<'m> InferenceSession<'m> {
     /// Runs the model forward pass, returning the raw prediction
     /// `[1, 1, S, S]` and the wall-clock seconds it took (TAT).
     ///
-    /// Shares the input images with the forward graph (a handle copy) —
-    /// the right call when the caller keeps the input; callers done with it
-    /// should prefer [`InferenceSession::forward_owned`].
+    /// The pass runs inside [`no_grad`]: it records no tape, so each
+    /// intermediate is freed as soon as its consumer has run and the
+    /// thread's buffer pool recycles it for the next op. The input images
+    /// are shared by handle. Values are bitwise those of a recording
+    /// forward.
     ///
     /// # Errors
     ///
     /// Returns tensor errors when the input does not match the model's
     /// contract.
     pub fn forward(&self, input: &PreparedInput) -> Result<(Tensor, f64)> {
-        self.forward_images(input.images.clone(), input.cloud.as_ref())
-    }
-
-    /// [`InferenceSession::forward`] consuming the input, so the images
-    /// move into the forward graph without a copy (the evaluation pipeline
-    /// prepares each sample exactly once and discards it after the pass).
-    ///
-    /// # Errors
-    ///
-    /// See [`InferenceSession::forward`].
-    pub fn forward_owned(&self, input: PreparedInput) -> Result<(Tensor, f64)> {
-        self.forward_images(input.images, input.cloud.as_ref())
-    }
-
-    fn forward_images(&self, images: Tensor, cloud: Option<&PointCloud>) -> Result<(Tensor, f64)> {
-        let images = Var::constant(images);
-        let t0 = Instant::now();
-        let pred = self.model.forward(&images, cloud)?;
-        // Serving boundary: force any pending fused chain *inside* the
-        // timed region, so TAT measures the full compute rather than
-        // deferring the tail onto whoever reads the prediction next.
-        pred.value().force();
-        let tat = t0.elapsed().as_secs_f64();
-        Ok((pred.to_tensor(), tat))
+        let images = Var::constant(input.images.clone());
+        no_grad(|| {
+            let t0 = Instant::now();
+            let pred = self.model.forward(&images, input.cloud.as_ref())?;
+            // Serving boundary: force any pending fused chain *inside* the
+            // timed region, so TAT measures the full compute rather than
+            // deferring the tail onto whoever reads the prediction next.
+            pred.value().force();
+            let tat = t0.elapsed().as_secs_f64();
+            Ok((pred.to_tensor(), tat))
+        })
     }
 
     /// Full prediction: forward, restore to chip resolution, hotspot mask

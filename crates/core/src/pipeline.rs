@@ -35,13 +35,11 @@ pub fn evaluate(model: &dyn IrPredictor, samples: &[Sample]) -> Result<Vec<CaseM
     for wave in samples.chunks(EVAL_WAVE) {
         let mut preds: Vec<(SpatialInfo, Tensor, f64)> = Vec::with_capacity(wave.len());
         for sample in wave {
-            // The prepared input is consumed by its forward pass so only
-            // one input buffer is alive at a time; the wave keeps just the
-            // (small) predictions and restore bookkeeping.
+            // One prepared input is alive at a time; the wave keeps just
+            // the (small) predictions and restore bookkeeping.
             let prepared = session.prepare_sample(sample);
-            let info = prepared.info;
-            let (pred, tat) = session.forward_owned(prepared)?;
-            preds.push((info, pred, tat));
+            let (pred, tat) = session.forward(&prepared)?;
+            preds.push((prepared.info, pred, tat));
         }
         rows.extend(lmmir_par::par_map(wave.len(), |i| {
             let (info, pred, tat) = &preds[i];

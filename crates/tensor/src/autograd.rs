@@ -9,6 +9,13 @@
 //! The graph is a DAG of `Arc` nodes built per forward pass and freed when the
 //! loss variable is dropped, mirroring PyTorch's define-by-run semantics.
 //!
+//! A tape is built only outside [`no_grad`]. Inside it, every op result is a
+//! plain value with no parents and no backward closure, whatever its inputs,
+//! so an intermediate is freed as soon as its last consumer has run — the
+//! inference path (`lmm_ir::InferenceSession::forward`) runs there. The
+//! switch is per thread, like `lmmir_par::with_threads` and
+//! [`crate::lazy::with_eager`]: a thread spawned inside the scope records.
+//!
 //! A [`Var`] is `Send + Sync`: the value sits behind an `RwLock` and the
 //! gradient behind a `Mutex`, so any number of threads can run forward
 //! passes over one set of parameters at once (each pass builds its own
@@ -30,12 +37,39 @@
 //! and the optimizer's reads realize buffers at the usual boundaries.
 
 use crate::tensor::Tensor;
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    static NO_GRAD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether ops on this thread record a tape: false inside [`no_grad`].
+fn grad_enabled() -> bool {
+    !NO_GRAD.with(Cell::get)
+}
+
+/// Runs `f` with tape recording off on this thread: every op result inside
+/// is a value without parents or backward closure, so nothing it computes
+/// outlives its consumers and [`Var::backward`] on it is a no-op. Values are
+/// bitwise those of a recording run (same kernels, same order). Restores the
+/// previous setting on exit (also on panic). Threads spawned inside record:
+/// a fork that should not must enter `no_grad` itself.
+pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            NO_GRAD.with(|g| g.set(self.0));
+        }
+    }
+    let _restore = Restore(NO_GRAD.with(|g| g.replace(true)));
+    f()
+}
 
 /// Closure mapping the gradient at a node to gradients for each parent
 /// (aligned with the `parents` vector; `None` skips a parent).
@@ -104,10 +138,11 @@ impl Var {
     /// Builds an interior graph node from an op result.
     ///
     /// `backward` receives the gradient flowing into this node and must
-    /// return one optional gradient per entry of `parents`.
+    /// return one optional gradient per entry of `parents`. Neither is kept
+    /// when no parent needs a gradient or inside [`no_grad`].
     #[must_use]
     pub fn from_op(value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Self {
-        let needs_grad = parents.iter().any(Var::needs_grad);
+        let needs_grad = grad_enabled() && parents.iter().any(Var::needs_grad);
         Var(Arc::new(Node {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             value: RwLock::new(value),
@@ -377,5 +412,65 @@ mod tests {
         loss.backward();
         assert!(mid.grad().is_none(), "interior grad should be freed");
         assert_eq!(x.grad().unwrap().data(), &[3.0]);
+    }
+
+    #[test]
+    fn no_grad_records_no_tape_and_backward_is_a_noop() {
+        let w = Var::parameter(Tensor::from_vec(vec![2.0, 3.0], &[2]).unwrap());
+        let b = Var::parameter(Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap());
+        let recorded = w.mul(&w).unwrap().add(&b).unwrap().sum();
+        let y = no_grad(|| {
+            let mid = w.mul(&w).unwrap();
+            assert!(!mid.needs_grad());
+            assert!(mid.0.parents.is_empty() && mid.0.backward.is_none());
+            mid.add(&b).unwrap().sum()
+        });
+        assert!(!y.needs_grad());
+        assert!(y.0.parents.is_empty() && y.0.backward.is_none());
+        assert_eq!(y.value().data(), recorded.value().data(), "same value");
+        y.backward(); // must not panic
+        assert!(w.grad().is_none() && b.grad().is_none());
+        // The parameters themselves are untouched by the scope.
+        assert!(w.needs_grad() && w.is_parameter());
+    }
+
+    #[test]
+    fn no_grad_nests_and_restores_the_outer_state() {
+        assert!(grad_enabled());
+        no_grad(|| {
+            no_grad(|| assert!(!grad_enabled()));
+            assert!(!grad_enabled(), "inner exit keeps the outer scope off");
+        });
+        assert!(grad_enabled());
+    }
+
+    #[test]
+    fn no_grad_restores_recording_after_a_panic() {
+        let x = Var::parameter(Tensor::from_vec(vec![1.0], &[1]).unwrap());
+        no_grad(|| {
+            let caught = std::panic::catch_unwind(|| no_grad(|| panic!("inside")));
+            assert!(caught.is_err());
+            assert!(!grad_enabled(), "back to the enclosing scope's state");
+        });
+        let caught = std::panic::catch_unwind(|| no_grad(|| panic!("inside")));
+        assert!(caught.is_err());
+        assert!(grad_enabled(), "recording is back on");
+        x.scale(2.0).sum().backward();
+        assert_eq!(x.grad().unwrap().data(), &[2.0]);
+    }
+
+    #[test]
+    fn no_grad_is_per_thread() {
+        // A fork inside the scope records unless it enters `no_grad` itself.
+        let x = Var::parameter(Tensor::from_vec(vec![1.0], &[1]).unwrap());
+        no_grad(|| {
+            let spawned = std::thread::scope(|s| {
+                s.spawn(|| (grad_enabled(), x.scale(2.0).needs_grad()))
+                    .join()
+                    .unwrap()
+            });
+            assert_eq!(spawned, (true, true));
+            assert!(!x.scale(2.0).needs_grad());
+        });
     }
 }

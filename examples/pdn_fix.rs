@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Sweep candidate pads with the predictor (fast loop).
     println!("\nsweeping a 4x4 grid of candidate pad sites with the predictor...");
     let t0 = std::time::Instant::now();
-    let fixes = suggest_pad_fixes(&victim, &model, input_size, 4)?;
+    let fixes = suggest_pad_fixes(&victim, &model, 4)?;
     println!(
         "  16 what-ifs in {:.2}s ({:.0} ms each)",
         t0.elapsed().as_secs_f64(),
