@@ -28,7 +28,7 @@
 //! for GEMM and fusion, 5 for forwards), so one scheduler hiccup cannot
 //! flake the gate; the speed guards additionally allow 5% noise.
 
-use lmm_ir::{InferenceSession, IrPredictor, LmmIr, LmmIrConfig};
+use lmm_ir::{InferenceSession, Layer, LmmIr, LmmIrConfig};
 use lmmir_pdn::{CaseKind, CaseSpec};
 use lmmir_tensor::lazy;
 use lmmir_tensor::linalg::{gemm_reference, gemm_tiled};

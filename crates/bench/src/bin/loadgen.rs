@@ -151,7 +151,7 @@ fn model_schedule(o: &Options) -> (Vec<String>, Vec<usize>) {
     let models: Vec<String> = o.mix.iter().map(|(name, _)| name.clone()).collect();
     let mut schedule = Vec::new();
     for (mi, (_, weight)) in o.mix.iter().enumerate() {
-        schedule.extend(std::iter::repeat(mi).take(*weight));
+        schedule.extend(std::iter::repeat_n(mi, *weight));
     }
     (models, schedule)
 }

@@ -7,7 +7,8 @@
 //! `lmm_ir::build_predictor` — the same constructor serving uses — then
 //! trained, evaluated (MAE / CC / F1 / inference latency) on the hidden
 //! suite, and round-tripped through a checkpoint + `ModelRegistry` load to
-//! assert it serves. `DynIR` is skipped (and logged): it trains on
+//! assert it serves: same weights and, bitwise, the same eval prediction on
+//! the first hidden case. `DynIR` is skipped (and logged): it trains on
 //! per-window vector workloads, not the static dataset this comparison
 //! holds fixed.
 //!
@@ -60,15 +61,18 @@ fn score(model: &dyn IrPredictor, hidden: &[Sample]) -> Result<(f64, f64, f64, f
 }
 
 /// Saves the trained variant and loads it back through the serving
-/// registry, asserting a bitwise weight restore — "trains" is only half
-/// the guard; the checkpoint must also serve.
-fn assert_serves(model: &dyn IrPredictor, arch: ArchSpec) -> Result<(), String> {
+/// registry, asserting a bitwise weight restore *and* a bitwise eval
+/// prediction on `probe` — "trains" is only half the guard; the checkpoint
+/// must also serve the model that trained (weights alone pass when state
+/// such as BatchNorm running statistics is dropped).
+fn assert_serves(model: &dyn IrPredictor, arch: ArchSpec, probe: &Sample) -> Result<(), String> {
     let dir = std::env::temp_dir().join("lmmir_bench_models");
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     let path = dir.join(format!("{}.lmmt", arch.name().replace(' ', "_")));
     save_predictor(model, &path).map_err(|e| format!("save: {e}"))?;
     let reg = ModelRegistry::load(RegistrySpec::single("m", &path))
         .map_err(|e| format!("registry load: {e}"))?;
+    std::fs::remove_file(&path).ok();
     let loaded = reg.resolve("m").ok_or("model not resolvable")?;
     let (a, b) = (model.parameters(), loaded.model.parameters());
     if a.len() != b.len() {
@@ -84,7 +88,20 @@ fn assert_serves(model: &dyn IrPredictor, arch: ArchSpec) -> Result<(), String> 
             return Err(format!("{}: weights drifted through serving", arch.name()));
         }
     }
-    std::fs::remove_file(&path).ok();
+    let predict = |m: &dyn IrPredictor| {
+        let session = InferenceSession::new(m);
+        let (pred, _) = session
+            .forward(&session.prepare_sample(probe))
+            .map_err(|e| format!("forward failed on {}: {e}", probe.id))?;
+        Ok::<_, String>(pred.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+    };
+    if predict(model)? != predict(loaded.model.as_ref())? {
+        return Err(format!(
+            "{}: the served prediction on {} differs from the trained model's",
+            arch.name(),
+            probe.id
+        ));
+    }
     Ok(())
 }
 
@@ -126,6 +143,11 @@ fn main() -> ExitCode {
         t0.elapsed().as_secs_f64()
     );
 
+    let Some(probe) = hidden.first() else {
+        eprintln!("[models] the hidden suite is empty");
+        return ExitCode::FAILURE;
+    };
+
     let mut rows: Vec<Row> = Vec::new();
     for arch in ArchSpec::ALL {
         if arch.features() == FeatureSet::Windows {
@@ -163,7 +185,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if let Err(e) = assert_serves(model.as_ref(), arch) {
+        if let Err(e) = assert_serves(model.as_ref(), arch, probe) {
             eprintln!("[models] {}: serving check failed: {e}", arch.name());
             return ExitCode::FAILURE;
         }

@@ -207,15 +207,14 @@ impl ArchSpec {
             .find(|a| a.config_entry() == Some(entry))
     }
 
-    /// Constructs the family at the metadata's recorded input size (weights
-    /// are overwritten by the subsequent restore, so the seed is
-    /// irrelevant).
+    /// Constructs the family at the metadata's recorded input size (a
+    /// checkpoint load then overwrites every parameter and buffer, so the
+    /// seed is irrelevant).
     ///
-    /// A checkpoint carrying a full config (format v3+) rebuilds from
-    /// **exactly** that config; a config-less file falls back to the
-    /// family's `quick()` preset with the size (and, for the dynamic family,
-    /// the window count) overridden — matching what a config-less writer
-    /// could have produced.
+    /// Metadata carrying a full config rebuilds from **exactly** that
+    /// config; without one, the family's `quick()` preset is built with the
+    /// size (and, for the dynamic family, the window count) overridden —
+    /// the default build of a family, and what every baseline is.
     ///
     /// # Errors
     ///
@@ -303,7 +302,7 @@ pub fn build_predictor(meta: &CheckpointMeta) -> std::result::Result<Box<dyn IrP
 }
 
 /// A family-tagged full model configuration, as carried by checkpoint
-/// metadata (format v3+) and reported by [`IrPredictor::arch_config`].
+/// metadata and reported by [`IrPredictor::arch_config`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArchConfig {
     /// Full LMM-IR configuration (`config.lmmir`).
@@ -437,40 +436,12 @@ impl ArchConfig {
         }
     }
 
-    /// Whether two configurations describe the same trainable architecture
-    /// (everything except the weight-init seed, which the restored weights
-    /// override). Cross-family comparisons are never equal.
-    #[must_use]
-    pub fn same_trunk(&self, other: &ArchConfig) -> bool {
-        match (self, other) {
-            (ArchConfig::LmmIr(a), ArchConfig::LmmIr(b)) => {
-                a.widths == b.widths
-                    && a.stem_kernel == b.stem_kernel
-                    && a.lnt == b.lnt
-                    && a.use_lnt == b.use_lnt
-                    && a.use_attention_gates == b.use_attention_gates
-            }
-            (ArchConfig::Dynamic(a), ArchConfig::Dynamic(b)) => {
-                a.widths == b.widths && a.stem_kernel == b.stem_kernel && a.windows == b.windows
-            }
-            (ArchConfig::UNet(a), ArchConfig::UNet(b)) => {
-                a.arch == b.arch
-                    && a.widths == b.widths
-                    && a.stem_kernel == b.stem_kernel
-                    && a.attention_gates == b.attention_gates
-                    && a.channel_attention == b.channel_attention
-            }
-            _ => false,
-        }
-    }
-
     /// Serializes into the family's `config.*` checkpoint entry.
     ///
     /// Every field is an exact integer in `f32` (all ≪ 2²⁴) except the
     /// 64-bit seed, which rides as four 16-bit chunks. Payloads lead with a
     /// layout version so they can evolve independently of the checkpoint
-    /// format. The `config.lmmir` and `config.dynamic` encodings are
-    /// byte-identical to what earlier format revisions wrote.
+    /// format.
     #[must_use]
     pub fn entry(&self) -> (String, Tensor) {
         let mut payload = vec![CONFIG_LAYOUT as f32];
@@ -527,12 +498,8 @@ impl ArchConfig {
     }
 
     /// Parses a `config.*` entry previously written by [`ArchConfig::entry`]
-    /// for the given family, rejecting malformed or hostile payloads.
-    ///
-    /// Configs of families introduced after `config.lmmir` additionally run
-    /// their own [`ArchConfig::validate`] here; the LMM-IR payload keeps
-    /// the original laxer contract (structural checks only) so every v3
-    /// file that loaded before still loads.
+    /// for the given family, rejecting malformed or hostile payloads and
+    /// configurations that fail their own [`ArchConfig::validate`].
     ///
     /// # Errors
     ///
@@ -610,10 +577,8 @@ impl ArchConfig {
                 )))
             }
         };
-        if !matches!(cfg, ArchConfig::LmmIr(_)) {
-            cfg.validate()
-                .map_err(|e| TensorError::Io(format!("malformed '{entry}' entry: {e}")))?;
-        }
+        cfg.validate()
+            .map_err(|e| TensorError::Io(format!("malformed '{entry}' entry: {e}")))?;
         Ok(cfg)
     }
 }
@@ -777,34 +742,7 @@ mod tests {
             assert_eq!(name, cfg.entry_name());
             let back = ArchConfig::decode(cfg.arch(), &payload).unwrap();
             assert_eq!(back, cfg, "{name} must round-trip exactly");
-            assert!(cfg.same_trunk(&back));
         }
-    }
-
-    #[test]
-    fn same_trunk_ignores_seed_but_not_family_or_plan() {
-        let a = ArchConfig::UNet(UNetConfig {
-            seed: 1,
-            ..UNetConfig::quick(ArchSpec::WacaUnet)
-        });
-        let b = ArchConfig::UNet(UNetConfig {
-            seed: 2,
-            ..UNetConfig::quick(ArchSpec::WacaUnet)
-        });
-        assert!(a.same_trunk(&b));
-        let c = ArchConfig::UNet(UNetConfig {
-            channel_attention: Some(8),
-            ..UNetConfig::quick(ArchSpec::WacaUnet)
-        });
-        assert!(!a.same_trunk(&c));
-        let d = ArchConfig::UNet(UNetConfig::quick(ArchSpec::CfirstNet));
-        assert!(!a.same_trunk(&d), "cross-family is never the same trunk");
-        let e = ArchConfig::UNet(UNetConfig {
-            arch: ArchSpec::SecondPlace,
-            in_channels: 8,
-            ..UNetConfig::quick(ArchSpec::CfirstNet)
-        });
-        assert!(!d.same_trunk(&e), "same plan, other U-Net family");
     }
 
     #[test]

@@ -119,7 +119,9 @@ impl IrPredictor for IrpNet {
         }
         self.out.forward(&h)
     }
+}
 
+impl Layer for IrpNet {
     fn children(&self) -> Vec<&dyn Layer> {
         let mut c: Vec<&dyn Layer> = Vec::new();
         for (conv, norm) in self.convs.iter().zip(&self.norms) {

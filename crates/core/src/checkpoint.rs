@@ -1,43 +1,37 @@
-//! Saving and restoring trained predictors.
+//! Saving and restoring trained predictors: checkpoint format v5, the
+//! only one this reader accepts.
 //!
-//! Parameter order is defined by each model's `parameters()` and is
-//! deterministic for a fixed architecture, so checkpoints restore exactly
-//! into a freshly constructed model with the same configuration.
+//! A checkpoint is a tensor file (`lmmir_tensor::io`) of named entries, in
+//! this order:
 //!
-//! Since checkpoint format v2, [`save_predictor`] also writes a metadata
-//! entry recording the architecture (model name, input channels, input
-//! size). [`load_predictor`] — and the serving layer's model registry —
-//! reject checkpoints whose metadata disagrees with the target model, so a
-//! wrong file fails with an attributable message instead of a bare
-//! parameter-count mismatch deep in the tensor list. Checkpoints written
-//! before the metadata entry existed (format v1) still load.
+//! * `meta.{model name}` — `[input channels, input size]`;
+//! * `config.*` — the family's full configuration (an [`ArchConfig`]:
+//!   widths, stem kernel, per-family extras, seed), for families that own
+//!   an entry ([`ArchSpec::config_entry`]); baselines are fully determined
+//!   by name, channels and size;
+//! * `param.{i}` then `buffer.{i}` — the model's
+//!   [`lmmir_nn::state_dict`]: every parameter and every buffer (the
+//!   BatchNorm running statistics an eval forward normalises with), in walk
+//!   order;
+//! * `quant.{i}` — the int8 weight scales of every rank-2/rank-4
+//!   `param.{i}`, computed by [`lmmir_tensor::quant::weight_scales`] — the
+//!   function the layers use when they quantize — so the loader
+//!   cross-checks each vector bitwise against its parameter and rejects a
+//!   tampered or corrupted file.
 //!
-//! Format v3 additionally serializes the **full model configuration** (an
-//! [`ArchConfig`]: widths, stem kernel, per-family extras, seed) into one
-//! family-specific `config.*` entry when the saved model carries one
-//! (`config.lmmir`, `config.dynamic`, `config.cfirstnet`, `config.waca`).
-//! A v3 reader reconstructs the exact trained architecture instead of
-//! assuming the `quick()` widths — which is what makes paper-scale
-//! checkpoints servable. The entry names and payload layouts live with
-//! [`ArchSpec`] in the `arch` module, so this module has no per-family
-//! branches. v1 and v2 files still load: the config entry is simply absent
-//! and [`CheckpointMeta::config`] is `None`.
+//! [`load_predictor`] reads a file once, builds the architecture its own
+//! metadata and config name, and restores the state dict into it, so the
+//! model it returns forwards bitwise like the model that was saved.
 //!
-//! Format v4 additionally records **post-training int8 weight scales**: one
-//! `quant.{i}` entry (a rank-1 scale vector, one scale per output channel)
-//! for every rank-2/rank-4 `param.{i}`. Weights themselves stay `f32` on
-//! the wire — the scales make the quantization *reproducible and
-//! verifiable*: they are computed by [`lmmir_tensor::quant::weight_scales`],
-//! the same function the layers use when [`IrPredictor::quantize`] runs, so
-//! the loader cross-checks each stored vector bitwise against a
-//! recomputation from the adjacent parameter tensor and rejects tampered or
-//! corrupted files. v1–v3 files simply have no `quant.` entries and still
-//! load (quantized serving of an old file computes the identical scales at
-//! load time).
+//! Files from earlier writers (v1–v4) carry no `buffer.*` entry: their
+//! running statistics were never written, and the model they describe
+//! cannot be recovered from them. They are rejected with a message asking
+//! for a re-save from the trained model.
 
-use crate::arch::{ArchConfig, ArchSpec};
+use crate::arch::{build_predictor, ArchConfig, ArchSpec};
 use crate::dynamic::DynamicIrConfig;
 use crate::model::{IrPredictor, LmmIrConfig};
+use lmmir_nn::{load_state_dict, state_dict};
 use lmmir_tensor::quant::weight_scales;
 use lmmir_tensor::{io, Result, Tensor, TensorError};
 use std::collections::BTreeMap;
@@ -47,15 +41,15 @@ use std::path::Path;
 /// name itself (entry names are the only string-typed field in the format).
 const META_PREFIX: &str = "meta.";
 
-/// Name prefix of every family-specific full-config entry (format v3+);
-/// the suffix is owned by [`ArchSpec::config_entry`].
+/// Name prefix of every family-specific full-config entry; the suffix is
+/// owned by [`ArchSpec::config_entry`].
 const CONFIG_PREFIX: &str = "config.";
 
-/// Name prefix of the per-parameter int8 scale entries written since
-/// format v4 (`quant.{i}` describes `param.{i}`).
+/// Name prefix of the per-parameter int8 scale entries (`quant.{i}`
+/// describes `param.{i}`).
 const QUANT_PREFIX: &str = "quant.";
 
-/// Architecture metadata stored alongside checkpoint parameters.
+/// Architecture metadata stored alongside the model state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointMeta {
     /// Model name as reported by [`IrPredictor::name`].
@@ -64,19 +58,18 @@ pub struct CheckpointMeta {
     pub input_channels: usize,
     /// Square input size the model was configured for.
     pub input_size: usize,
-    /// Full family-tagged configuration (format v3; `None` for v1/v2 files
-    /// and for baseline architectures, which are fully determined by name,
-    /// channels and size).
+    /// Full family-tagged configuration (`None` for baseline
+    /// architectures, which are fully determined by name, channels and
+    /// size).
     pub config: Option<ArchConfig>,
-    /// Per-parameter int8 weight scales keyed by parameter index
-    /// (format v4; empty for older files). Every rank-2/rank-4 parameter
-    /// has an entry.
+    /// Per-parameter int8 weight scales keyed by parameter index. Every
+    /// rank-2/rank-4 parameter has an entry.
     pub quant_scales: BTreeMap<usize, Vec<f32>>,
 }
 
 impl CheckpointMeta {
     /// Reads the metadata off a live model, including the int8 scales of
-    /// every quantizable parameter (so a save captures format v4).
+    /// every quantizable parameter.
     #[must_use]
     pub fn of(model: &dyn IrPredictor) -> Self {
         let quant_scales = model
@@ -91,21 +84,6 @@ impl CheckpointMeta {
             input_size: model.input_size(),
             config: model.arch_config(),
             quant_scales,
-        }
-    }
-
-    /// The checkpoint format version this metadata corresponds to: 4 when
-    /// int8 scales are recorded, 3 when the full config is, 2 otherwise
-    /// (1 — no metadata at all — is represented by `split_meta` returning
-    /// `None`).
-    #[must_use]
-    pub fn format_version(&self) -> u8 {
-        if !self.quant_scales.is_empty() {
-            4
-        } else if self.config.is_some() {
-            3
-        } else {
-            2
         }
     }
 
@@ -160,7 +138,7 @@ impl CheckpointMeta {
 }
 
 /// A named tensor as stored in a checkpoint file.
-pub type NamedTensor = (String, Tensor);
+type NamedTensor = (String, Tensor);
 
 /// Parses a `quant.{i}` entry name/payload into `(index, scales)`.
 fn parse_quant(name: &str, t: &Tensor) -> Result<(usize, Vec<f32>)> {
@@ -180,26 +158,25 @@ fn parse_quant(name: &str, t: &Tensor) -> Result<(usize, Vec<f32>)> {
     Ok((index, data.to_vec()))
 }
 
-/// Splits loaded entries into the optional metadata and the parameter list
-/// (order preserved). A v3 `config.*` entry is decoded by the family that
-/// owns the entry name ([`ArchSpec::for_config_entry`]), folded into
+/// Splits loaded entries into the metadata and the state dict (order
+/// preserved). The `config.*` entry is decoded by the family that owns the
+/// entry name ([`ArchSpec::for_config_entry`]), folded into
 /// [`CheckpointMeta::config`] and cross-checked against the meta entry;
-/// v4 `quant.{i}` entries are folded into [`CheckpointMeta::quant_scales`]
+/// `quant.{i}` entries are folded into [`CheckpointMeta::quant_scales`]
 /// and cross-checked **bitwise** against a recomputation from the
 /// `param.{i}` tensor they describe.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::Io`] for a malformed, unknown or duplicated
-/// meta/config/quant entry, a config or quant entry without a meta entry,
-/// a config that disagrees with the meta's architecture name, channel count
-/// or input size, or a quant entry whose scales disagree with its
-/// parameter.
-pub fn split_meta(entries: Vec<NamedTensor>) -> Result<(Option<CheckpointMeta>, Vec<NamedTensor>)> {
+/// Returns [`TensorError::Io`] for a missing, malformed, unknown or
+/// duplicated meta/config/quant entry, a config that disagrees with the
+/// meta's architecture name, channel count or input size, or a quant entry
+/// whose scales disagree with its parameter.
+fn split_meta(entries: Vec<NamedTensor>) -> Result<(CheckpointMeta, Vec<NamedTensor>)> {
     let mut meta: Option<CheckpointMeta> = None;
     let mut config: Option<ArchConfig> = None;
     let mut quant: BTreeMap<usize, Vec<f32>> = BTreeMap::new();
-    let mut params = Vec::with_capacity(entries.len());
+    let mut state = Vec::with_capacity(entries.len());
     for (name, t) in entries {
         if name.starts_with(CONFIG_PREFIX) {
             let Some(arch) = ArchSpec::for_config_entry(&name) else {
@@ -229,41 +206,36 @@ pub fn split_meta(entries: Vec<NamedTensor>) -> Result<(Option<CheckpointMeta>, 
             }
             meta = Some(CheckpointMeta::parse(&name, &t)?);
         } else {
-            params.push((name, t));
+            state.push((name, t));
         }
     }
-    if !quant.is_empty() {
-        if meta.is_none() {
-            return Err(TensorError::Io(
-                "checkpoint has quant entries but no meta entry".to_string(),
-            ));
-        }
-        // Stored scales must match a bitwise recomputation from the very
-        // parameter tensors in this file: `weight_scales` is the one
-        // function both the writer and the quantizing layers use, so any
-        // disagreement means corruption or tampering.
-        for (index, scales) in &quant {
-            let param_name = format!("param.{index}");
-            let Some((_, p)) = params.iter().find(|(n, _)| *n == param_name) else {
-                return Err(TensorError::Io(format!(
-                    "quant entry 'quant.{index}' has no matching '{param_name}'"
-                )));
-            };
-            if weight_scales(p).as_ref() != Some(scales) {
-                return Err(TensorError::Io(format!(
-                    "quant entry 'quant.{index}' disagrees with the scales \
-                     recomputed from '{param_name}'"
-                )));
-            }
+    let Some(mut meta) = meta else {
+        return Err(TensorError::Io(
+            "checkpoint has no meta entry: it carries no architecture metadata, \
+             so no model can be built for it"
+                .to_string(),
+        ));
+    };
+    // Stored scales must match a bitwise recomputation from the very
+    // parameter tensors in this file: `weight_scales` is the one function
+    // both the writer and the quantizing layers use, so any disagreement
+    // means corruption or tampering.
+    for (index, scales) in &quant {
+        let param_name = format!("param.{index}");
+        let Some((_, p)) = state.iter().find(|(n, _)| *n == param_name) else {
+            return Err(TensorError::Io(format!(
+                "quant entry 'quant.{index}' has no matching '{param_name}'"
+            )));
+        };
+        if weight_scales(p).as_ref() != Some(scales) {
+            return Err(TensorError::Io(format!(
+                "quant entry 'quant.{index}' disagrees with the scales \
+                 recomputed from '{param_name}'"
+            )));
         }
     }
     if let Some(cfg) = config {
         let entry = cfg.entry_name();
-        let Some(meta) = meta.as_mut() else {
-            return Err(TensorError::Io(format!(
-                "checkpoint has a '{entry}' entry but no meta entry"
-            )));
-        };
         if meta.model != cfg.arch().name() {
             return Err(TensorError::Io(format!(
                 "'{entry}' entry on a '{}' checkpoint (it describes '{}')",
@@ -283,132 +255,59 @@ pub fn split_meta(entries: Vec<NamedTensor>) -> Result<(Option<CheckpointMeta>, 
         }
         meta.config = Some(cfg);
     }
-    if !quant.is_empty() {
-        meta.as_mut().expect("checked above").quant_scales = quant;
-    }
-    Ok((meta, params))
+    meta.quant_scales = quant;
+    Ok((meta, state))
 }
 
-/// Reads only the metadata of a checkpoint file (`None` for pre-v2 files
-/// without one).
-///
-/// # Errors
-///
-/// Returns [`TensorError::Io`] when the file cannot be read or is malformed.
-pub fn load_meta(path: impl AsRef<Path>) -> Result<Option<CheckpointMeta>> {
-    let (meta, _) = split_meta(io::load(path)?)?;
-    Ok(meta)
-}
-
-/// Serializes a predictor's parameters (plus architecture metadata, plus —
-/// for models that carry one — the full family configuration, plus the
-/// int8 weight scales of every quantizable parameter; format v4)
-/// to the binary checkpoint format.
+/// Serializes a predictor: metadata, the full family configuration (for
+/// families that own one), the [`state_dict`] — every parameter, then
+/// every buffer — and the int8 weight scales of every quantizable
+/// parameter.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::Io`] on filesystem failure.
 pub fn save_predictor(model: &dyn IrPredictor, path: impl AsRef<Path>) -> Result<()> {
     let meta = CheckpointMeta::of(model);
-    let mut entries: Vec<(String, Tensor)> = vec![meta.entry()];
-    if let Some(cfg) = &meta.config {
-        entries.push(cfg.entry());
-    }
-    for (i, p) in model.parameters().iter().enumerate() {
-        entries.push((format!("param.{i}"), p.to_tensor()));
-        if let Some(scales) = meta.quant_scales.get(&i) {
-            let len = scales.len();
-            entries.push((
-                format!("{QUANT_PREFIX}{i}"),
-                Tensor::from_vec(scales.clone(), &[len]).expect("scales are rank 1"),
-            ));
-        }
-    }
+    let mut entries = vec![meta.entry()];
+    entries.extend(meta.config.as_ref().map(ArchConfig::entry));
+    entries.extend(state_dict(model));
+    entries.extend(meta.quant_scales.iter().map(|(i, scales)| {
+        let len = scales.len();
+        (
+            format!("{QUANT_PREFIX}{i}"),
+            Tensor::from_vec(scales.clone(), &[len]).expect("scales are rank 1"),
+        )
+    }));
     io::save(path, &entries)
 }
 
-/// Restores a predictor's parameters from a checkpoint file.
-///
-/// When the checkpoint carries metadata, the target model's name, input
-/// channel count and input size must match; a v1 checkpoint without
-/// metadata is accepted and validated by parameter count/shape alone.
-///
-/// # Errors
-///
-/// Returns [`TensorError::Io`] when the file cannot be read, the metadata
-/// names a different architecture, or the parameter count differs; and
-/// [`TensorError::ShapeMismatch`] when a tensor's shape disagrees with the
-/// model architecture.
-pub fn load_predictor(model: &dyn IrPredictor, path: impl AsRef<Path>) -> Result<()> {
-    let (meta, entries) = split_meta(io::load(path)?)?;
-    if let Some(meta) = meta {
-        let target = CheckpointMeta::of(model);
-        if meta.model != target.model
-            || meta.input_channels != target.input_channels
-            || meta.input_size != target.input_size
-        {
-            return Err(TensorError::Io(format!(
-                "checkpoint architecture mismatch: file was saved from \
-                 '{}' ({} channels, {} px) but the target model is \
-                 '{}' ({} channels, {} px)",
-                meta.model,
-                meta.input_channels,
-                meta.input_size,
-                target.model,
-                target.input_channels,
-                target.input_size,
-            )));
-        }
-        // The full config is compared only when both sides record one: a
-        // v2 checkpoint (no config) restores into any same-shape model, and
-        // restore_parameters still validates every tensor shape below. Seed
-        // differences are fine — weights are restored.
-        if let (Some(file_cfg), Some(model_cfg)) = (&meta.config, &target.config) {
-            if !file_cfg.same_trunk(model_cfg) {
-                return Err(TensorError::Io(format!(
-                    "checkpoint configuration mismatch: file records \
-                     {file_cfg:?} but the target model is built as \
-                     {model_cfg:?}"
-                )));
-            }
-        }
-    }
-    restore_parameters(model, entries)
-}
-
-/// Assigns already-loaded (and meta-stripped) parameter entries into a
-/// model, validating count and shapes first — the restore half of
-/// [`load_predictor`], exposed so callers that already parsed a checkpoint
-/// (e.g. the serving registry, which reads meta and weights from one
-/// `io::load`) need not read the file twice.
+/// Loads a checkpoint: reads the file once, builds the architecture its
+/// metadata names (from its recorded config, when the family has one) and
+/// restores the full state dict into it. The returned model forwards
+/// bitwise like the model [`save_predictor`] was given, in train and eval
+/// mode.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::Io`] when the parameter count differs and
-/// [`TensorError::ShapeMismatch`] when a tensor's shape disagrees with the
-/// model architecture.
-pub fn restore_parameters(model: &dyn IrPredictor, entries: Vec<NamedTensor>) -> Result<()> {
-    let params = model.parameters();
-    if entries.len() != params.len() {
-        return Err(TensorError::Io(format!(
-            "checkpoint has {} tensors but model has {} parameters",
-            entries.len(),
-            params.len()
-        )));
+/// Returns [`TensorError::Io`] when the file cannot be read, its metadata
+/// is missing, malformed or names an architecture that cannot be built,
+/// the file predates format v5 (no `buffer.*` entry), or the state dict
+/// does not fit the built model; and [`TensorError::ShapeMismatch`] when a
+/// tensor's shape disagrees with it.
+pub fn load_predictor(path: impl AsRef<Path>) -> Result<(CheckpointMeta, Box<dyn IrPredictor>)> {
+    let (meta, state) = split_meta(io::load(path)?)?;
+    let model = build_predictor(&meta).map_err(TensorError::Io)?;
+    if !model.buffers().is_empty() && !state.iter().any(|(n, _)| n.starts_with("buffer.")) {
+        return Err(TensorError::Io(
+            "checkpoint predates format v5: it holds no 'buffer.*' entries, so \
+             the BatchNorm running statistics were never written; re-save it \
+             from the trained model with the current `save_predictor`"
+                .to_string(),
+        ));
     }
-    for (p, (_, t)) in params.iter().zip(&entries) {
-        if p.value().dims() != t.dims() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: p.value().dims().to_vec(),
-                rhs: t.dims().to_vec(),
-                op: "load_predictor",
-            });
-        }
-    }
-    for (p, (_, t)) in params.iter().zip(entries) {
-        p.set_value(t);
-    }
-    Ok(())
+    load_state_dict(model.as_ref(), &state)?;
+    Ok((meta, model))
 }
 
 #[cfg(test)]
@@ -416,7 +315,8 @@ mod tests {
     use super::*;
     use crate::baselines::{iredge, irpnet};
     use crate::lnt::LntConfig;
-    use crate::model::IrPredictor;
+    use crate::model::{IrPredictor, LmmIr};
+    use lmmir_nn::Layer;
     use lmmir_tensor::{Tensor, Var};
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -425,51 +325,82 @@ mod tests {
         dir.join(name)
     }
 
+    /// Saves `model`, rewrites the file's entries through `edit`, and
+    /// returns the loader's error — the edited file must not load.
+    fn rejection(
+        model: &dyn IrPredictor,
+        name: &str,
+        edit: impl FnOnce(&mut Vec<NamedTensor>),
+    ) -> String {
+        let path = tmp(name);
+        save_predictor(model, &path).unwrap();
+        let mut entries = io::load(&path).unwrap();
+        edit(&mut entries);
+        io::save(&path, &entries).unwrap();
+        let loaded = load_predictor(&path);
+        std::fs::remove_file(&path).ok();
+        match loaded {
+            Ok(_) => panic!("{name}: the edited checkpoint loaded"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// An edit that re-encodes the file's `config.*` entry after `change`.
+    fn edit_config(change: impl FnOnce(&mut ArchConfig)) -> impl FnOnce(&mut Vec<NamedTensor>) {
+        move |entries| {
+            let entry = entries
+                .iter_mut()
+                .find(|(n, _)| n.starts_with(CONFIG_PREFIX))
+                .expect("a config entry");
+            let arch = ArchSpec::for_config_entry(&entry.0).unwrap();
+            let mut cfg = ArchConfig::decode(arch, &entry.1).unwrap();
+            change(&mut cfg);
+            *entry = cfg.entry();
+        }
+    }
+
+    /// The loaded model's parameters are bitwise the saved model's.
+    fn assert_same_parameters(a: &dyn IrPredictor, b: &dyn IrPredictor) {
+        let (pa, pb) = (a.parameters(), b.parameters());
+        assert_eq!(pa.len(), pb.len());
+        for (x, y) in pa.iter().zip(&pb) {
+            assert_eq!(x.value().data(), y.value().data());
+        }
+    }
+
     #[test]
     fn save_load_round_trip() {
         let a = iredge(16, 1);
         let path = tmp("iredge.lmmt");
         save_predictor(&a, &path).unwrap();
-        let b = iredge(16, 2); // different seed => different weights
+        let (_, b) = load_predictor(&path).unwrap();
         let x = Var::constant(Tensor::ones(&[1, 3, 16, 16]));
         a.set_training(false);
         b.set_training(false);
         let ya = a.forward(&x, None).unwrap().to_tensor();
-        let yb_before = b.forward(&x, None).unwrap().to_tensor();
-        assert_ne!(ya.data(), yb_before.data());
-        load_predictor(&b, &path).unwrap();
-        let yb_after = b.forward(&x, None).unwrap().to_tensor();
-        assert_eq!(ya.data(), yb_after.data());
+        let yb = b.forward(&x, None).unwrap().to_tensor();
+        assert_eq!(ya.data(), yb.data());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn load_rejects_wrong_architecture_by_name() {
-        let a = iredge(16, 1);
-        let path = tmp("mismatch.lmmt");
-        save_predictor(&a, &path).unwrap();
-        let other = irpnet(16, 1);
-        let err = load_predictor(&other, &path).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("IREDGe") && msg.contains("IRPnet"),
-            "mismatch error should name both architectures: {msg}"
-        );
-        std::fs::remove_file(&path).ok();
+        // A meta entry naming another family than the state was saved from.
+        let err = rejection(&iredge(16, 1), "mismatch.lmmt", |entries| {
+            entries[0].0 = "meta.IRPnet".to_string();
+        });
+        assert!(err.contains("IRPnet"), "got {err}");
     }
 
     #[test]
     fn load_rejects_same_model_different_input_size() {
-        let a = iredge(16, 1);
-        let path = tmp("sizes.lmmt");
-        save_predictor(&a, &path).unwrap();
-        // Same architecture family and parameter shapes — only the
-        // configured input size differs; the meta check catches it where
-        // shape validation could not.
-        let other = iredge(32, 1);
-        let err = load_predictor(&other, &path).unwrap_err();
-        assert!(err.to_string().contains("16 px"), "got {err}");
-        std::fs::remove_file(&path).ok();
+        // Same family and parameter shapes, only the recorded input size
+        // edited: the config / meta cross-check catches it where shape
+        // validation could not.
+        let err = rejection(&LmmIr::new(custom_lmmir_cfg()), "sizes.lmmt", |entries| {
+            entries[0].1 = Tensor::from_vec(vec![6.0, 32.0], &[2]).unwrap();
+        });
+        assert!(err.contains("16 px"), "got {err}");
     }
 
     #[test]
@@ -477,29 +408,11 @@ mod tests {
         let a = iredge(16, 1);
         let path = tmp("meta.lmmt");
         save_predictor(&a, &path).unwrap();
-        let meta = load_meta(&path).unwrap().expect("v2 checkpoints have meta");
+        let (meta, _) = load_predictor(&path).unwrap();
         assert_eq!(meta, CheckpointMeta::of(&a));
         assert_eq!(meta.model, "IREDGe");
         assert_eq!(meta.input_channels, 3);
         assert_eq!(meta.input_size, 16);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_checkpoint_without_meta_still_loads() {
-        let a = iredge(16, 1);
-        // Write the raw parameter entries only, as a pre-meta writer did.
-        let entries: Vec<(String, Tensor)> = a
-            .parameters()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (format!("param.{i}"), p.to_tensor()))
-            .collect();
-        let path = tmp("legacy.lmmt");
-        io::save(&path, &entries).unwrap();
-        let b = iredge(16, 2);
-        load_predictor(&b, &path).unwrap();
-        assert!(load_meta(&path).unwrap().is_none());
         std::fs::remove_file(&path).ok();
     }
 
@@ -525,13 +438,12 @@ mod tests {
 
     #[test]
     fn load_missing_file_errors() {
-        let a = iredge(16, 1);
-        assert!(load_predictor(&a, tmp("does_not_exist.lmmt")).is_err());
+        assert!(load_predictor(tmp("does_not_exist.lmmt")).is_err());
     }
 
     fn custom_lmmir_cfg() -> LmmIrConfig {
         // Deliberately NOT the quick() widths/LNT plan: this is the exact
-        // case a v2 reader could not serve.
+        // case only the config record can rebuild.
         LmmIrConfig {
             in_channels: 6,
             widths: vec![4, 8, 16],
@@ -553,99 +465,29 @@ mod tests {
 
     #[test]
     fn v3_full_config_round_trips() {
-        use crate::model::LmmIr;
         let cfg = custom_lmmir_cfg();
         let a = LmmIr::new(cfg.clone());
         let path = tmp("v3_config.lmmt");
         save_predictor(&a, &path).unwrap();
-        let meta = load_meta(&path).unwrap().expect("v3 checkpoints have meta");
-        // Fresh saves always carry int8 scales now (format v4); the point
-        // of this test — the full config surviving the round trip — holds.
-        assert_eq!(meta.format_version(), 4);
+        let (meta, b) = load_predictor(&path).unwrap();
         assert_eq!(meta.lmmir_config(), Some(&cfg), "config must survive");
         assert_eq!(meta.lmmir_config().unwrap().seed, 0xDEAD_BEEF_CAFE_F00D);
-        // And the weights restore into a model built from that config.
-        let b = LmmIr::new(LmmIrConfig {
-            seed: 1,
-            ..custom_lmmir_cfg()
-        });
-        load_predictor(&b, &path).unwrap();
+        assert!(!meta.quant_scales.is_empty(), "saves carry int8 scales");
+        // And the weights restore into the model built from that config.
+        assert_same_parameters(&a, b.as_ref());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn v3_rejects_config_width_mismatch() {
-        use crate::model::LmmIr;
-        let a = LmmIr::new(custom_lmmir_cfg());
-        let path = tmp("v3_mismatch.lmmt");
-        save_predictor(&a, &path).unwrap();
-        let mut other_cfg = custom_lmmir_cfg();
-        other_cfg.widths = vec![4, 8];
-        let b = LmmIr::new(other_cfg);
-        let err = load_predictor(&b, &path).unwrap_err().to_string();
-        assert!(err.contains("configuration mismatch"), "got {err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v2_layout_checkpoint_loads_through_v3_reader() {
-        use crate::model::LmmIr;
-        // Pinned v2 writer shape: one `meta.{name}` entry of [channels,
-        // size] followed by `param.{i}` entries — exactly what PR 3's
-        // save_predictor produced, hand-written so the current writer
-        // cannot mask a compatibility break.
-        let cfg = LmmIrConfig {
-            input_size: 16,
-            widths: vec![12, 24],
-            ..LmmIrConfig::quick()
-        };
-        let a = LmmIr::new(cfg.clone());
-        let mut entries = vec![(
-            "meta.LMM-IR".to_string(),
-            Tensor::from_vec(vec![6.0, 16.0], &[2]).unwrap(),
-        )];
-        entries.extend(
-            a.parameters()
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (format!("param.{i}"), p.to_tensor())),
-        );
-        let path = tmp("v2_layout.lmmt");
-        io::save(&path, &entries).unwrap();
-        let meta = load_meta(&path).unwrap().expect("v2 files carry meta");
-        assert_eq!(meta.format_version(), 2);
-        assert!(meta.config.is_none());
-        // A v2 file restores into a same-shape model even though the model
-        // itself carries a full config (the file predates configs).
-        let b = LmmIr::new(LmmIrConfig { seed: 9, ..cfg });
-        load_predictor(&b, &path).unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v3_layout_checkpoint_loads_through_v4_reader() {
-        use crate::model::LmmIr;
-        // Pinned v3 writer shape: meta + config + `param.{i}` entries and
-        // nothing else — what PR 4's save_predictor produced. Built by
-        // stripping the quant entries from a fresh save, so the parameter
-        // payload is bit-identical to a real v3 file's.
-        let cfg = custom_lmmir_cfg();
-        let a = LmmIr::new(cfg.clone());
-        let path = tmp("v3_layout.lmmt");
-        save_predictor(&a, &path).unwrap();
-        let entries: Vec<NamedTensor> = io::load(&path)
-            .unwrap()
-            .into_iter()
-            .filter(|(n, _)| !n.starts_with("quant."))
-            .collect();
-        io::save(&path, &entries).unwrap();
-        let meta = load_meta(&path).unwrap().expect("v3 files carry meta");
-        assert_eq!(meta.format_version(), 3);
-        assert!(meta.quant_scales.is_empty());
-        assert_eq!(meta.lmmir_config(), Some(&cfg), "config must survive");
-        let b = LmmIr::new(LmmIrConfig { seed: 9, ..cfg });
-        load_predictor(&b, &path).unwrap();
-        std::fs::remove_file(&path).ok();
+        // A config whose width plan no longer matches the stored state.
+        let edit = edit_config(|cfg| {
+            if let ArchConfig::LmmIr(c) = cfg {
+                c.widths = vec![4, 8, 12];
+            }
+        });
+        let err = rejection(&LmmIr::new(custom_lmmir_cfg()), "v3_mismatch.lmmt", edit);
+        assert!(err.contains("load_state_dict"), "got {err}");
     }
 
     #[test]
@@ -669,8 +511,7 @@ mod tests {
         }
         let path = tmp("v4_scales.lmmt");
         save_predictor(&a, &path).unwrap();
-        let meta = load_meta(&path).unwrap().expect("v4 files carry meta");
-        assert_eq!(meta.format_version(), 4);
+        let (meta, _) = load_predictor(&path).unwrap();
         assert_eq!(meta.quant_scales, expected.quant_scales);
         std::fs::remove_file(&path).ok();
     }
@@ -729,42 +570,33 @@ mod tests {
 
     #[test]
     fn dynamic_config_round_trips() {
-        use crate::dynamic::{DynamicIrConfig, DynamicIrPredictor};
+        use crate::dynamic::DynamicIrPredictor;
         let cfg = custom_dynamic_cfg();
         let a = DynamicIrPredictor::new(cfg.clone());
         let path = tmp("dynamic_config.lmmt");
         save_predictor(&a, &path).unwrap();
-        let meta = load_meta(&path)
-            .unwrap()
-            .expect("dynamic checkpoints have meta");
+        let (meta, b) = load_predictor(&path).unwrap();
         assert_eq!(meta.model, "DynIR");
         assert_eq!(meta.input_channels, 5, "channels record the window count");
-        assert_eq!(meta.format_version(), 4, "fresh saves carry int8 scales");
+        assert!(!meta.quant_scales.is_empty(), "saves carry int8 scales");
         assert_eq!(meta.dynamic_config(), Some(&cfg), "config must survive");
         assert_eq!(meta.dynamic_config().unwrap().seed, 0xFEED_FACE_BEEF_1234);
         assert!(meta.lmmir_config().is_none(), "no LMM-IR config here");
-        // Weights restore into a model built from that config (fresh seed).
-        let b = DynamicIrPredictor::new(DynamicIrConfig {
-            seed: 1,
-            ..custom_dynamic_cfg()
-        });
-        load_predictor(&b, &path).unwrap();
+        assert_same_parameters(&a, b.as_ref());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn dynamic_rejects_trunk_mismatch() {
-        use crate::dynamic::{DynamicIrConfig, DynamicIrPredictor};
-        let a = DynamicIrPredictor::new(custom_dynamic_cfg());
-        let path = tmp("dynamic_mismatch.lmmt");
-        save_predictor(&a, &path).unwrap();
-        let b = DynamicIrPredictor::new(DynamicIrConfig {
-            widths: vec![4, 8],
-            ..custom_dynamic_cfg()
+        use crate::dynamic::DynamicIrPredictor;
+        let edit = edit_config(|cfg| {
+            if let ArchConfig::Dynamic(c) = cfg {
+                c.widths = vec![4, 8];
+            }
         });
-        let err = load_predictor(&b, &path).unwrap_err().to_string();
-        assert!(err.contains("mismatch"), "got {err}");
-        std::fs::remove_file(&path).ok();
+        let model = DynamicIrPredictor::new(custom_dynamic_cfg());
+        let err = rejection(&model, "dynamic_mismatch.lmmt", edit);
+        assert!(err.contains("state dict has"), "got {err}");
     }
 
     #[test]
@@ -786,7 +618,6 @@ mod tests {
         let good = vec![1.0, 5.0, 5.0, 16.0, 0.0, 0.0, 0.0, 0.0, 3.0, 4.0, 8.0, 16.0];
         // Well-formed parses.
         let (m, _) = split_meta(vec![meta(5.0, 16.0), payload(good.clone())]).unwrap();
-        let m = m.unwrap();
         let cfg = m.dynamic_config().unwrap();
         assert_eq!(cfg.windows, 5);
         assert_eq!(cfg.widths, vec![4, 8, 16]);
@@ -860,9 +691,8 @@ mod tests {
         assert!(split_meta(vec![big_meta, cfg_payload(good.clone())]).is_err());
         // The well-formed payload parses.
         let (meta_out, params) = split_meta(vec![meta, cfg_payload(good)]).unwrap();
-        let meta_out = meta_out.unwrap();
         assert!(params.is_empty());
-        assert_eq!(meta_out.format_version(), 3);
+        assert!(meta_out.quant_scales.is_empty());
         let cfg = meta_out.lmmir_config().unwrap();
         assert_eq!(cfg.widths, vec![12, 24]);
         assert_eq!(cfg.stem_kernel, 7);
@@ -919,53 +749,113 @@ mod tests {
             seed: 0x1234_5678_9ABC_DEF0,
             ..UNetConfig::quick(ArchSpec::WacaUnet)
         };
-
-        let a = UNetPredictor::new(ccfg.clone());
-        let path = tmp("cfirstnet_config.lmmt");
-        save_predictor(&a, &path).unwrap();
-        let meta = load_meta(&path)
-            .unwrap()
-            .expect("zoo checkpoints have meta");
-        assert_eq!(meta.model, "CFIRSTNET");
-        assert_eq!(meta.input_channels, 8);
-        assert_eq!(meta.format_version(), 4, "fresh saves carry int8 scales");
-        assert_eq!(meta.config, Some(ArchConfig::UNet(ccfg.clone())));
-        // Weights restore into a model built from that config (fresh seed).
-        let b = UNetPredictor::new(UNetConfig {
-            seed: 1,
-            ..ccfg.clone()
-        });
-        load_predictor(&b, &path).unwrap();
-        // A different trunk plan is rejected by the config cross-check.
-        let wrong = UNetPredictor::new(UNetConfig {
-            widths: vec![4, 8],
-            ..ccfg
-        });
-        let err = load_predictor(&wrong, &path).unwrap_err().to_string();
-        assert!(err.contains("mismatch"), "got {err}");
-        std::fs::remove_file(&path).ok();
-
-        let a = UNetPredictor::new(wcfg.clone());
-        let path = tmp("waca_config.lmmt");
-        save_predictor(&a, &path).unwrap();
-        let meta = load_meta(&path)
-            .unwrap()
-            .expect("zoo checkpoints have meta");
-        assert_eq!(meta.model, "WACA-UNet");
-        assert_eq!(meta.config, Some(ArchConfig::UNet(wcfg.clone())));
-        let b = UNetPredictor::new(UNetConfig {
-            seed: 2,
-            ..wcfg.clone()
-        });
-        load_predictor(&b, &path).unwrap();
+        for (cfg, name, channels) in [(ccfg, "CFIRSTNET", 8), (wcfg, "WACA-UNet", 8)] {
+            let a = UNetPredictor::new(cfg.clone());
+            let path = tmp(&format!("{name}_config.lmmt"));
+            save_predictor(&a, &path).unwrap();
+            let (meta, b) = load_predictor(&path).unwrap();
+            assert_eq!(meta.model, name);
+            assert_eq!(meta.input_channels, channels);
+            assert!(!meta.quant_scales.is_empty(), "saves carry int8 scales");
+            assert_eq!(meta.config, Some(ArchConfig::UNet(cfg)));
+            assert_same_parameters(&a, b.as_ref());
+            std::fs::remove_file(&path).ok();
+            // A config edited to another trunk plan no longer fits the state.
+            let edit = edit_config(|cfg| {
+                if let ArchConfig::UNet(c) = cfg {
+                    c.widths = vec![4, 8];
+                }
+            });
+            rejection(&a, &format!("{name}_mismatch.lmmt"), edit);
+        }
         // A different attention reduction changes the trunk; reject it.
-        let wrong = UNetPredictor::new(UNetConfig {
-            channel_attention: Some(1),
-            ..wcfg
+        let edit = edit_config(|cfg| {
+            if let ArchConfig::UNet(c) = cfg {
+                c.channel_attention = Some(1);
+            }
         });
-        let err = load_predictor(&wrong, &path).unwrap_err().to_string();
-        assert!(err.contains("configuration mismatch"), "got {err}");
-        std::fs::remove_file(&path).ok();
+        let waca = UNetPredictor::new(UNetConfig {
+            widths: vec![4, 8, 16],
+            channel_attention: Some(2),
+            input_size: 16,
+            ..UNetConfig::quick(ArchSpec::WacaUnet)
+        });
+        let err = rejection(&waca, "waca_reduction.lmmt", edit);
+        assert!(err.contains("load_state_dict"), "got {err}");
+    }
+
+    /// Hostile `buffer.*` entries: each fails to load, none panics.
+    #[test]
+    fn hostile_buffer_entries_are_rejected() {
+        let model = iredge(16, 1);
+        let buffers = model.buffers().len();
+        assert!(buffers >= 2, "IREDGe normalises");
+        let at = |entries: &[NamedTensor], name: &str| {
+            entries.iter().position(|(n, _)| n == name).unwrap()
+        };
+        let last = format!("buffer.{}", buffers - 1);
+        let err = rejection(&model, "buffer_shape.lmmt", |e| {
+            let i = at(e, "buffer.0");
+            e[i].1 = Tensor::zeros(&[2, 2]);
+        });
+        assert!(err.contains("load_state_dict"), "wrong shape: {err}");
+        let err = rejection(&model, "buffer_too_few.lmmt", |e| {
+            e.remove(at(e, &last));
+        });
+        assert!(err.contains("state dict has"), "one too few: {err}");
+        let err = rejection(&model, "buffer_too_many.lmmt", |e| {
+            let i = at(e, &last);
+            let extra = (format!("buffer.{buffers}"), e[i].1.clone());
+            e.insert(i + 1, extra);
+        });
+        assert!(err.contains("state dict has"), "one too many: {err}");
+        let err = rejection(&model, "buffer_duplicate.lmmt", |e| {
+            let i = at(e, "buffer.1");
+            e[i].0 = "buffer.0".to_string();
+        });
+        assert!(err.contains("'buffer.1' belongs"), "duplicate: {err}");
+        let err = rejection(&model, "buffer_gap.lmmt", |e| {
+            let i = at(e, &last);
+            e[i].0 = format!("buffer.{buffers}");
+        });
+        assert!(err.contains(&format!("'{last}' belongs")), "gap: {err}");
+        let err = rejection(&model, "buffer_headless.lmmt", |e| {
+            e.retain(|(n, _)| !n.starts_with(META_PREFIX));
+        });
+        assert!(err.contains("no meta entry"), "no meta: {err}");
+    }
+
+    /// Saves today's file, drops the entries an older writer never wrote
+    /// and checks the load fails with the re-save hint.
+    fn assert_pre_v5_layout_rejected(version: &str, dropped: &[&str]) {
+        let lmmir = LmmIr::new(custom_lmmir_cfg());
+        let err = rejection(&lmmir, &format!("{version}_layout.lmmt"), |e| {
+            e.retain(|(n, _)| !dropped.iter().any(|p| n.starts_with(p)));
+        });
+        assert!(
+            err.contains("running statistics were never written")
+                && err.contains("re-save it from the trained model"),
+            "{version}: {err}"
+        );
+    }
+
+    /// The v4 writer produced today's file without its buffers.
+    #[test]
+    fn v4_layout_checkpoint_is_rejected() {
+        assert_pre_v5_layout_rejected("v4", &["buffer."]);
+    }
+
+    /// v3 also lacked the quant entries.
+    #[test]
+    fn v3_layout_checkpoint_is_rejected() {
+        assert_pre_v5_layout_rejected("v3", &["buffer.", QUANT_PREFIX]);
+    }
+
+    /// v2 also lacked the config (the LMM-IR build would fall back to
+    /// `quick()` widths without it).
+    #[test]
+    fn v2_layout_checkpoint_is_rejected() {
+        assert_pre_v5_layout_rejected("v2", &["buffer.", QUANT_PREFIX, CONFIG_PREFIX]);
     }
 
     #[test]
@@ -988,7 +878,7 @@ mod tests {
         ])
         .unwrap();
         assert!(matches!(
-            m.unwrap().config,
+            m.config,
             Some(ArchConfig::UNet(ref c))
                 if c.arch == ArchSpec::CfirstNet && c.widths == vec![4, 8]
         ));
@@ -1037,7 +927,7 @@ mod tests {
         ])
         .unwrap();
         assert!(matches!(
-            m.unwrap().config,
+            m.config,
             Some(ArchConfig::UNet(ref c))
                 if c.arch == ArchSpec::WacaUnet && c.channel_attention == Some(2)
         ));

@@ -196,7 +196,7 @@ pub fn oversample_indices<S: TrainSample>(
             CaseKind::Real => real_times,
             CaseKind::Hidden => 0,
         };
-        out.extend(std::iter::repeat(i).take(times));
+        out.extend(std::iter::repeat_n(i, times));
     }
     out
 }

@@ -12,7 +12,7 @@
 //! differentiable channel slicing, combined with `max(a, b) = a + relu(b−a)`
 //! so gradients flow to every window's pass. It registers as a second model
 //! family ("DynIR") behind the same [`IrPredictor`] interface the serving
-//! registry dispatches on, and checkpoints through a v4-compatible
+//! registry dispatches on, and checkpoints its full configuration as a
 //! `config.dynamic` entry.
 
 use crate::data::TARGET_SCALE;
@@ -160,7 +160,9 @@ impl IrPredictor for DynamicIrPredictor {
         }
         Ok(worst.expect("windows >= 1 by validation"))
     }
+}
 
+impl Layer for DynamicIrPredictor {
     fn children(&self) -> Vec<&dyn Layer> {
         vec![&self.trunk]
     }

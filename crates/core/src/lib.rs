@@ -66,9 +66,7 @@ pub use ablation::AblationVariant;
 pub use arch::{build_predictor, ArchConfig, ArchSpec, FeatureSet};
 pub use baselines::{first_place, iredge, irpnet, second_place, IrpNet};
 pub use capabilities::{table1, ModelCapabilities};
-pub use checkpoint::{
-    load_meta, load_predictor, restore_parameters, save_predictor, split_meta, CheckpointMeta,
-};
+pub use checkpoint::{load_predictor, save_predictor, CheckpointMeta};
 pub use data::{build_dataset, build_sample, oversample_indices, Sample, TARGET_SCALE};
 pub use dynamic::{build_dynamic_sample, DynamicIrConfig, DynamicIrPredictor, DynamicSample};
 pub use fixer::{predict_case, suggest_pad_fixes, PadFix};
@@ -76,6 +74,9 @@ pub use infer::{
     prepare_parts, prepare_window_parts, restore_prediction, InferenceSession, InputSpec,
     Prediction, PreparedInput,
 };
+/// The walk every predictor is (the supertrait of [`IrPredictor`]):
+/// re-exported so crates that drive models need not depend on `lmmir-nn`.
+pub use lmmir_nn::Layer;
 pub use lnt::{Lnt, LntConfig};
 pub use metrics::{
     average, cc, confusion, f1_score, hotspot_mask, mae, CaseMetrics, Confusion, HOTSPOT_FRAC,

@@ -14,11 +14,13 @@ use rand::{Rng, SeedableRng};
 /// (LMM-IR and all baselines), so the trainer and the benchmark harness
 /// treat them uniformly.
 ///
-/// `Send + Sync` is a supertrait: one loaded model serves every inference
-/// lane of `lmmir-serve` at once (a forward only reads parameters; see
-/// [`lmmir_tensor::Var`]), so a predictor that cannot be shared across
-/// threads does not compile.
-pub trait IrPredictor: Send + Sync {
+/// A predictor is a [`Layer`]: its parts, parameters, buffers, train/eval
+/// switch and int8 switch are the one walk every layer has, and a
+/// checkpoint is its [`lmmir_nn::state_dict`]. `Layer`'s `Send + Sync`
+/// supertrait means one loaded model serves every inference lane of
+/// `lmmir-serve` at once (a forward only reads its state; see
+/// [`lmmir_tensor::Var`]).
+pub trait IrPredictor: Layer {
     /// The architecture descriptor this model is an instance of — the
     /// single identity the registry, the checkpoint layer and the benchmark
     /// harness dispatch on.
@@ -43,9 +45,9 @@ pub trait IrPredictor: Send + Sync {
 
     /// The full family-tagged configuration, for models that carry one.
     /// Baselines return `None` — their architecture is fully determined by
-    /// name, channel count and input size. Checkpoint format v3+ serializes
-    /// this into a `config.*` entry, so a trained non-`quick()` model
-    /// reconstructs exactly.
+    /// name, channel count and input size. A checkpoint serializes this into
+    /// a `config.*` entry, so a trained non-`quick()` model reconstructs
+    /// exactly.
     fn arch_config(&self) -> Option<crate::arch::ArchConfig> {
         None
     }
@@ -57,35 +59,6 @@ pub trait IrPredictor: Send + Sync {
     ///
     /// Returns shape errors for mismatched inputs.
     fn forward(&self, images: &Var, cloud: Option<&PointCloud>) -> Result<Var>;
-
-    /// The model's parts, in checkpoint (parameter) order — the one list
-    /// the three methods below walk (see [`Layer`]), so none of them can
-    /// miss a sub-layer.
-    fn children(&self) -> Vec<&dyn Layer>;
-
-    /// All trainable parameters, in [`IrPredictor::children`] order.
-    fn parameters(&self) -> Vec<Var> {
-        self.children()
-            .iter()
-            .flat_map(|c| c.parameters())
-            .collect()
-    }
-
-    /// Switches train/eval mode of every part.
-    fn set_training(&self, training: bool) {
-        for c in self.children() {
-            c.set_training(training);
-        }
-    }
-
-    /// Switches every eligible layer to int8 inference (per-output-channel
-    /// weight scales, dynamic per-tensor activation scales), returning how
-    /// many layers now run quantized (0 for a model with no int8-capable
-    /// layer, so callers can detect it). Quantized state is inference-only
-    /// and is dropped by `set_training(true)`.
-    fn quantize(&self) -> usize {
-        self.children().iter().map(|c| c.quantize()).sum()
-    }
 }
 
 /// Cross-attention fusion of circuit tokens (queries) with netlist tokens
@@ -307,7 +280,9 @@ impl IrPredictor for LmmIr {
         }
         self.decoder.decode(&features)
     }
+}
 
+impl Layer for LmmIr {
     fn children(&self) -> Vec<&dyn Layer> {
         let mut c: Vec<&dyn Layer> = vec![&self.encoder];
         c.extend(self.lnt.iter().map(|l| l as &dyn Layer));

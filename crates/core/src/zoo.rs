@@ -11,8 +11,8 @@
 //! [`crate::ArchSpec`] keeps selecting the family.
 //!
 //! Like every predictor, a `UNetPredictor` names its parts once
-//! ([`IrPredictor::children`]); parameters, train/eval mode and int8
-//! quantization all derive from that list.
+//! ([`lmmir_nn::Layer::children`]); parameters, buffers, train/eval mode
+//! and int8 quantization all derive from that list.
 
 use crate::arch::{ArchConfig, ArchSpec};
 use crate::blocks::UNet;
@@ -186,7 +186,9 @@ impl IrPredictor for UNetPredictor {
     fn forward(&self, images: &Var, _cloud: Option<&PointCloud>) -> Result<Var> {
         self.trunk.forward(images)
     }
+}
 
+impl Layer for UNetPredictor {
     fn children(&self) -> Vec<&dyn Layer> {
         vec![&self.trunk]
     }

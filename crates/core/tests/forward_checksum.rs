@@ -5,8 +5,8 @@
 //! * the FNV-1a of the raw eval-mode prediction — identical at every thread
 //!   count and on both the lazy and the eager runtime, so a kernel PR that
 //!   reorders any arithmetic anywhere in `tensor`/`nn`/`core` moves it;
-//! * the FNV-1a of the bytes [`save_predictor`] writes — parameter order,
-//!   `config.*` payloads and int8 scales;
+//! * the FNV-1a of the bytes [`save_predictor`] writes — parameter and
+//!   buffer order, `config.*` payloads and int8 scales;
 //! * `parameters().len()` and the `quantize()` layer count — no sub-layer
 //!   dropped from (or added to) a model's walk.
 //!
@@ -21,17 +21,18 @@ use lmmir_tensor::lazy;
 /// LMM-IR's forward hash was taken at the parent of the PR that added this
 /// test (odometer broadcast, 2^18 fork threshold) and is unchanged since;
 /// the rest were taken before the model walk and the U-Net predictors were
-/// unified, as the oracle for that change.
+/// unified, as the oracle for that change. The checkpoint-bytes hashes are
+/// those of format v5 (buffers saved after the parameters).
 #[rustfmt::skip]
 const PINNED: [(ArchSpec, u64, u64, usize, usize); 8] = [
-    (ArchSpec::Iredge, 0x5085_a51e_7182_c62c, 0x4a06_8add_9745_8240, 46, 11),
-    (ArchSpec::FirstPlace, 0xec17_66b1_0a7a_9d7f, 0x546d_9bcb_a527_2d1c, 58, 17),
-    (ArchSpec::SecondPlace, 0xab76_08e5_5f06_2b18, 0x3cc0_390e_c95a_5219, 46, 11),
-    (ArchSpec::IrpNet, 0xe4b8_1dba_e2a3_a349, 0x6f23_335b_f2b6_45b3, 18, 5),
-    (ArchSpec::LmmIr, 0x1534_5119_eea5_0f1a, 0x479f_0116_68ee_a323, 106, 36),
-    (ArchSpec::DynIr, 0x7463_77ec_b7cd_1ef4, 0xb57f_843e_ef53_5b52, 46, 11),
-    (ArchSpec::CfirstNet, 0x5ecb_2ff2_d97b_8b14, 0x4145_976f_5503_0d8d, 46, 11),
-    (ArchSpec::WacaUnet, 0xf8e5_4da5_7e40_4234, 0xc62c_4c81_6a24_21e6, 58, 17),
+    (ArchSpec::Iredge, 0x5085_a51e_7182_c62c, 0xf847_9d74_6395_0436, 46, 11),
+    (ArchSpec::FirstPlace, 0xec17_66b1_0a7a_9d7f, 0x044b_2af0_7dc3_79c0, 58, 17),
+    (ArchSpec::SecondPlace, 0xab76_08e5_5f06_2b18, 0x2431_f44c_f6b5_3781, 46, 11),
+    (ArchSpec::IrpNet, 0xe4b8_1dba_e2a3_a349, 0xddf2_8227_2581_b325, 18, 5),
+    (ArchSpec::LmmIr, 0x1534_5119_eea5_0f1a, 0x7b9f_9dc2_eb86_5323, 106, 36),
+    (ArchSpec::DynIr, 0x7463_77ec_b7cd_1ef4, 0xc74c_e655_090b_1be6, 46, 11),
+    (ArchSpec::CfirstNet, 0x5ecb_2ff2_d97b_8b14, 0x74fe_2dda_22d0_72b5, 46, 11),
+    (ArchSpec::WacaUnet, 0xf8e5_4da5_7e40_4234, 0x2b3a_e57c_32be_8218, 58, 17),
 ];
 
 const SIZE: usize = 32;

@@ -9,7 +9,7 @@
 //! nothing to recycle. A change that puts the tape back on the inference
 //! path fails here by count.
 
-use lmm_ir::{InferenceSession, IrPredictor, LmmIr, LmmIrConfig};
+use lmm_ir::{InferenceSession, IrPredictor, Layer, LmmIr, LmmIrConfig};
 use lmmir_pdn::{CaseKind, CaseSpec};
 use lmmir_tensor::{lazy, Var};
 

@@ -3,7 +3,7 @@
 //! (features → forward → restore → hotspot mask), and `set_training(true)`
 //! must restore the f32 path bit-exactly.
 
-use lmm_ir::{InferenceSession, IrPredictor, LmmIr, LmmIrConfig};
+use lmm_ir::{InferenceSession, Layer, LmmIr, LmmIrConfig};
 use lmmir_pdn::{CaseKind, CaseSpec};
 
 /// Worst per-pixel divergence of the restored map, relative to the f32

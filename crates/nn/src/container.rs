@@ -73,21 +73,12 @@ impl Module for Sequential {
     }
 }
 
-/// Walks its boxes by hand: `Box<dyn Module>` cannot be handed out as
-/// `&dyn Layer` (see [`Layer`]).
 impl Layer for Sequential {
-    fn parameters(&self) -> Vec<Var> {
-        self.layers.iter().flat_map(|l| l.parameters()).collect()
-    }
-
-    fn set_training(&self, training: bool) {
-        for layer in &self.layers {
-            layer.set_training(training);
-        }
-    }
-
-    fn quantize(&self) -> usize {
-        self.layers.iter().map(|l| l.quantize()).sum()
+    fn children(&self) -> Vec<&dyn Layer> {
+        self.layers
+            .iter()
+            .map(|l| l.as_ref() as &dyn Layer)
+            .collect()
     }
 }
 

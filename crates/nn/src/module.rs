@@ -1,23 +1,20 @@
-//! The [`Layer`] walk, the [`Module`] trait and checkpoint helpers.
+//! The [`Layer`] walk, the [`Module`] trait and the state dict.
 
-use lmmir_tensor::{Result, TensorError, Var};
+use lmmir_tensor::{Result, Tensor, TensorError, Var};
+use std::sync::{PoisonError, RwLock};
 
 /// Anything that owns trainable state or is built from things that do.
 ///
 /// A composite names its sub-layers **once**, in [`Layer::children`], in
-/// the order its parameters are checkpointed; everything that is "all X of
-/// a model" — [`Layer::parameters`], [`Layer::set_training`],
-/// [`Layer::quantize`] — is a provided method over that list and visits
-/// every child, so no traversal can skip one. Only leaves that own state
-/// override the provided methods: parameters in [`crate::Linear`],
-/// [`crate::Conv2d`], [`crate::ConvTranspose2d`], [`crate::BatchNorm2d`],
-/// [`crate::LayerNorm`] and [`crate::Embedding`]; the train/eval flag in
-/// `BatchNorm2d`; int8 state in `Linear` and `Conv2d`.
-///
-/// The one container that walks by hand is [`crate::Sequential`]: its
-/// children are `Box<dyn Module>`, which cannot be viewed as `&dyn Layer`
-/// without trait-object upcasting (newer than this workspace's
-/// `rust-version`).
+/// the order its state is checkpointed; everything that is "all X of a
+/// model" — [`Layer::parameters`], [`Layer::buffers`],
+/// [`Layer::set_training`], [`Layer::quantize`] — is a provided method over
+/// that list and visits every child, so no traversal can skip one. Only
+/// leaves that own state override the provided methods: parameters in
+/// [`crate::Linear`], [`crate::Conv2d`], [`crate::ConvTranspose2d`],
+/// [`crate::BatchNorm2d`], [`crate::LayerNorm`] and [`crate::Embedding`];
+/// the running statistics and the train/eval flag in `BatchNorm2d`; int8
+/// state in `Linear` and `Conv2d`.
 ///
 /// `Send + Sync` is a supertrait: every layer can be shared by the threads
 /// of a multi-lane server (forward passes only read parameters), and a
@@ -35,6 +32,17 @@ pub trait Layer: Send + Sync {
         self.children()
             .iter()
             .flat_map(|c| c.parameters())
+            .collect()
+    }
+
+    /// Non-trainable state an eval forward reads (the running statistics
+    /// of [`crate::BatchNorm2d`]), in [`Layer::children`] order. It is
+    /// model state all the same: [`state_dict`] saves it beside the
+    /// parameters.
+    fn buffers(&self) -> Vec<&RwLock<Tensor>> {
+        self.children()
+            .into_iter()
+            .flat_map(|c| c.buffers())
             .collect()
     }
 
@@ -95,56 +103,77 @@ impl Module for Activation {
     }
 }
 
-/// Snapshot of a layer's parameters as `(index-name, tensor)` pairs.
-///
-/// Parameter ordering is defined by [`Layer::parameters`], which is
-/// deterministic for every layer in this crate, so the snapshot can be
-/// restored into a freshly constructed model of the same architecture.
+/// Reads a buffer. The lock recovers from poisoning: buffers are written
+/// whole or element by element on realized tensors, so a panic mid-write
+/// leaves a valid tensor.
+pub(crate) fn read_buffer(buffer: &RwLock<Tensor>) -> Tensor {
+    buffer
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone()
+}
+
+/// The complete state of a layer: `param.{i}` for every
+/// [`Layer::parameters`] entry, then `buffer.{i}` for every
+/// [`Layer::buffers`] entry, each in walk order. Restored by
+/// [`load_state_dict`] into a freshly built model of the same
+/// architecture, it gives bitwise the same forward in train and eval mode.
 #[must_use]
-pub fn state_dict(module: &dyn Layer) -> Vec<(String, lmmir_tensor::Tensor)> {
-    module
-        .parameters()
-        .iter()
-        .enumerate()
+pub fn state_dict(module: &dyn Layer) -> Vec<(String, Tensor)> {
+    let vars = module.parameters();
+    let params = vars.iter().map(Var::to_tensor).enumerate();
+    let buffers = module.buffers().into_iter().map(read_buffer).enumerate();
+    params
+        .map(|(i, t)| (format!("param.{i}"), t))
+        .chain(buffers.map(|(i, t)| (format!("buffer.{i}"), t)))
         // Checkpoint boundary: snapshots are realized so they stay valid
         // buffers regardless of what happens to the live graph afterwards.
-        .map(|(i, p)| {
-            let t = p.to_tensor();
+        .inspect(|(_, t)| {
             t.force();
-            (format!("param.{i}"), t)
         })
         .collect()
 }
 
-/// Restores a snapshot produced by [`state_dict`] into `module`.
+/// Restores a snapshot produced by [`state_dict`] into `module`. Nothing
+/// is written unless every entry fits.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::Io`] when the parameter count differs and
+/// Returns [`TensorError::Io`] when the entry count differs from the
+/// module's parameter plus buffer count or an entry is not the one its
+/// position holds (`param.0 … param.{P-1}`, then `buffer.0 …
+/// buffer.{B-1}`: a duplicate, gapped or misplaced index), and
 /// [`TensorError::ShapeMismatch`] when a tensor shape disagrees.
-pub fn load_state_dict(
-    module: &dyn Layer,
-    entries: &[(String, lmmir_tensor::Tensor)],
-) -> Result<()> {
-    let params = module.parameters();
-    if params.len() != entries.len() {
+pub fn load_state_dict(module: &dyn Layer, entries: &[(String, Tensor)]) -> Result<()> {
+    let current = state_dict(module);
+    if entries.len() != current.len() {
         return Err(TensorError::Io(format!(
-            "state dict has {} entries but module has {} parameters",
+            "state dict has {} entries but the module holds {} parameters and buffers",
             entries.len(),
-            params.len()
+            current.len()
         )));
     }
-    for (p, (_, t)) in params.iter().zip(entries) {
-        if p.value().dims() != t.dims() {
+    for ((want, now), (name, t)) in current.iter().zip(entries) {
+        if name != want {
+            return Err(TensorError::Io(format!(
+                "state dict entry '{name}' sits where '{want}' belongs"
+            )));
+        }
+        if now.dims() != t.dims() {
             return Err(TensorError::ShapeMismatch {
-                lhs: p.value().dims().to_vec(),
+                lhs: now.dims().to_vec(),
                 rhs: t.dims().to_vec(),
                 op: "load_state_dict",
             });
         }
     }
-    for (p, (_, t)) in params.iter().zip(entries) {
+    let params = module.parameters();
+    let (param_entries, buffer_entries) = entries.split_at(params.len());
+    for (p, (_, t)) in params.iter().zip(param_entries) {
         p.set_value(t.clone());
+    }
+    for (b, (_, t)) in module.buffers().into_iter().zip(buffer_entries) {
+        *b.write().unwrap_or_else(PoisonError::into_inner) = t.clone();
     }
     Ok(())
 }
@@ -206,5 +235,36 @@ mod tests {
             ("param.1".to_string(), Tensor::zeros(&[2])),
         ];
         assert!(load_state_dict(&m, &bad).is_err());
+    }
+
+    /// Running statistics are state: a fresh model restored from a trained
+    /// one's state dict answers bitwise the same in eval mode, and the
+    /// loader checks every entry's position, not only the count.
+    #[test]
+    fn state_dict_carries_batchnorm_running_statistics() {
+        use crate::{BatchNorm2d, Sequential};
+        let trained = Sequential::new().push(BatchNorm2d::new(2));
+        let x = Var::constant(
+            Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[1, 2, 2, 2]).unwrap(),
+        );
+        trained.forward(&x).unwrap();
+        let state = state_dict(&trained);
+        let names: Vec<&str> = state.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["param.0", "param.1", "buffer.0", "buffer.1"]);
+
+        let fresh = Sequential::new().push(BatchNorm2d::new(2));
+        let mut swapped = state.clone();
+        swapped.swap(2, 3);
+        assert!(
+            load_state_dict(&fresh, &swapped).is_err(),
+            "misplaced buffer"
+        );
+        load_state_dict(&fresh, &state).unwrap();
+        trained.set_training(false);
+        fresh.set_training(false);
+        assert_eq!(
+            trained.forward(&x).unwrap().value().data(),
+            fresh.forward(&x).unwrap().value().data()
+        );
     }
 }

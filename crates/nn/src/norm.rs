@@ -1,6 +1,6 @@
 //! Normalization layers: batch normalization (2-D) and layer normalization.
 
-use crate::module::{Layer, Module};
+use crate::module::{read_buffer, Layer, Module};
 use lmmir_tensor::{Result, Tensor, TensorError, Var};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{PoisonError, RwLock};
@@ -49,21 +49,14 @@ impl BatchNorm2d {
     /// Snapshot of the running mean (for tests/diagnostics).
     #[must_use]
     pub fn running_mean(&self) -> Tensor {
-        snapshot(&self.running_mean)
+        read_buffer(&self.running_mean)
     }
 
     /// Snapshot of the running variance.
     #[must_use]
     pub fn running_var(&self) -> Tensor {
-        snapshot(&self.running_var)
+        read_buffer(&self.running_var)
     }
-}
-
-/// Handle copy of a running statistic. The lock recovers from poisoning:
-/// the EMA below updates a realized buffer element by element, so a panic
-/// mid-update leaves a valid tensor.
-fn snapshot(stat: &RwLock<Tensor>) -> Tensor {
-    stat.read().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
 impl Module for BatchNorm2d {
@@ -104,6 +97,10 @@ impl Module for BatchNorm2d {
 impl Layer for BatchNorm2d {
     fn parameters(&self) -> Vec<Var> {
         vec![self.gamma.clone(), self.beta.clone()]
+    }
+
+    fn buffers(&self) -> Vec<&RwLock<Tensor>> {
+        vec![&self.running_mean, &self.running_var]
     }
 
     fn set_training(&self, training: bool) {

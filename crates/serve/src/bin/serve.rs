@@ -13,13 +13,11 @@
 //! (`LMMIR_THREADS`, read by `lmmir-par`, is the default behind `--threads`).
 
 use lmm_ir::{
-    build_dynamic_sample, build_sample, save_predictor, train, ArchConfig, ArchSpec,
-    CheckpointMeta, DynamicIrConfig, IrPredictor, LmmIrConfig, TrainConfig, TrainSample,
+    build_dynamic_sample, build_predictor, build_sample, save_predictor, train, ArchConfig,
+    ArchSpec, CheckpointMeta, DynamicIrConfig, IrPredictor, LmmIrConfig, TrainConfig, TrainSample,
 };
 use lmmir_pdn::{CaseKind, CaseSpec};
-use lmmir_serve::{
-    instantiate, ModelSpec, RegistrySpec, RouterSpec, ServeConfig, Server, WorkerCmd,
-};
+use lmmir_serve::{ModelSpec, RegistrySpec, RouterSpec, ServeConfig, Server, WorkerCmd};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -437,7 +435,7 @@ fn write_demo_ckpt(path: &str, o: &DemoOpts) -> Result<String, String> {
         config,
         quant_scales: Default::default(),
     };
-    let model = instantiate(&meta).map_err(|e| e.to_string())?;
+    let model = build_predictor(&meta)?;
 
     let case = |i: usize| {
         CaseSpec::new(

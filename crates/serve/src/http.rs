@@ -385,7 +385,7 @@ mod tests {
         // An unterminated line that already overflows the cap can never
         // recover, terminator or not.
         let mut long = b"GET / HTTP/1.1\r\nX: ".to_vec();
-        long.extend(std::iter::repeat(b'a').take(MAX_LINE + 10));
+        long.extend(std::iter::repeat_n(b'a', MAX_LINE + 10));
         assert!(parse_request(&long).is_err());
         let mut terminated = long;
         terminated.extend_from_slice(b"\r\n\r\n");

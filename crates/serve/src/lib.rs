@@ -106,7 +106,7 @@ pub use cache::{result_cache, LruCache, ResultCache};
 pub use client::Client;
 pub use metrics::{model_label, Health, LoadState, Metrics, MetricsExtra, ModelSeries};
 pub use proto::{PredictRequest, PredictResponse};
-pub use registry::{instantiate, ModelRegistry, ModelSpec, RegistrySpec};
+pub use registry::{ModelRegistry, ModelSpec, RegistrySpec};
 pub use server::{ServeConfig, Server};
 pub use shard::{RouterSpec, WorkerCmd};
 

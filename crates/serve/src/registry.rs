@@ -1,11 +1,10 @@
 //! The model registry: named checkpoints loaded into live predictors.
 //!
-//! Each checkpoint carries architecture metadata (`lmm_ir::CheckpointMeta`,
-//! format v2), so the registry can instantiate the right model family at
-//! the right input size and then let `load_predictor` restore — and
-//! validate — the weights. Checkpoints without metadata are rejected here
-//! even though offline loading tolerates them: a server must not guess
-//! which architecture a parameter list belongs to.
+//! Each model comes from `lmm_ir::load_predictor`, the one checkpoint
+//! reader: it builds the architecture the file's own metadata and config
+//! name and restores every parameter and buffer, so a served model is the
+//! model that was saved. Files without metadata, or from a writer older
+//! than checkpoint format v5, fail to load.
 //!
 //! The registry is `Send + Sync` (every predictor is): the inference lanes
 //! share one behind an `RwLock`, forwards under its read lock. `/reload`
@@ -14,7 +13,7 @@
 //! down serving.
 
 use crate::ServeError;
-use lmm_ir::{restore_parameters, split_meta, CheckpointMeta, IrPredictor};
+use lmm_ir::{load_predictor, CheckpointMeta, IrPredictor};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -36,11 +35,9 @@ pub struct RegistrySpec {
     /// to the first listed model.
     pub default_model: Option<String>,
     /// Serve every model through the int8 path (the `--quantized` flag):
-    /// after the weights restore,
-    /// each model is quantized in place (per-output-channel scales — the
-    /// same ones a v4 checkpoint records and the loader verifies).
-    /// Checkpoints of any format version can serve quantized; the scales
-    /// are a pure function of the weights.
+    /// after the state restores, each model is quantized in place
+    /// (per-output-channel scales — the same ones the checkpoint records
+    /// and the loader verifies; they are a pure function of the weights).
     pub quantized: bool,
 }
 
@@ -78,24 +75,6 @@ pub struct LoadedModel {
     pub quantized_layers: usize,
 }
 
-/// Constructs the architecture a checkpoint's metadata names, at the
-/// recorded input size (weights are overwritten by the subsequent restore,
-/// so the seed is irrelevant).
-///
-/// This is a thin serve-flavoured wrapper over [`lmm_ir::build_predictor`]:
-/// the architecture enumeration, config-aware reconstruction (a v3+
-/// checkpoint rebuilds from **exactly** its recorded config — widths, LNT
-/// plan, ablation switches) and legacy fallbacks all live in core, so a
-/// new registry variant never needs a change here.
-///
-/// # Errors
-///
-/// Returns [`ServeError::Registry`] for an unknown architecture name or an
-/// input size the architecture cannot be built at.
-pub fn instantiate(meta: &CheckpointMeta) -> Result<Box<dyn IrPredictor>, ServeError> {
-    lmm_ir::build_predictor(meta).map_err(ServeError::Registry)
-}
-
 fn load_one(spec: &ModelSpec, quantized: bool) -> Result<LoadedModel, ServeError> {
     let describe = |e: &dyn std::fmt::Display| {
         ServeError::Registry(format!(
@@ -104,18 +83,7 @@ fn load_one(spec: &ModelSpec, quantized: bool) -> Result<LoadedModel, ServeError
             spec.path.display()
         ))
     };
-    // One read serves both the meta check and the weight restore, so a
-    // file swapped mid-load cannot pass one and fail (or skew) the other.
-    let entries = lmmir_tensor::io::load(&spec.path).map_err(|e| describe(&e))?;
-    let (meta, params) = split_meta(entries).map_err(|e| describe(&e))?;
-    let meta = meta.ok_or_else(|| {
-        describe(
-            &"checkpoint carries no architecture metadata; re-save it with the \
-                   current `save_predictor`",
-        )
-    })?;
-    let model = instantiate(&meta).map_err(|e| describe(&e))?;
-    restore_parameters(model.as_ref(), params).map_err(|e| describe(&e))?;
+    let (meta, model) = load_predictor(&spec.path).map_err(|e| describe(&e))?;
     let quantized_layers = if quantized {
         let layers = model.quantize();
         if layers == 0 {
@@ -260,7 +228,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmm_ir::{iredge, save_predictor, ArchConfig, LmmIr, LmmIrConfig};
+    use lmm_ir::{build_predictor, iredge, save_predictor, ArchConfig, Layer, LmmIr, LmmIrConfig};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("lmmir_serve_registry");
@@ -302,7 +270,7 @@ mod tests {
                 config: None,
                 quant_scales: Default::default(),
             };
-            let model = instantiate(&meta).unwrap();
+            let model = build_predictor(&meta).unwrap();
             assert_eq!(model.name(), name);
             assert_eq!(model.input_channels(), channels);
             assert_eq!(model.input_size(), 16);
@@ -315,7 +283,7 @@ mod tests {
     #[test]
     fn instantiate_honours_full_lmmir_config() {
         use lmm_ir::LntConfig;
-        // A non-quick() width/LNT plan — a v2 reader could not rebuild this.
+        // A non-quick() width/LNT plan, rebuilt only from its config record.
         let cfg = LmmIrConfig {
             in_channels: 6,
             widths: vec![4, 8, 16],
@@ -341,19 +309,19 @@ mod tests {
             config: Some(ArchConfig::LmmIr(cfg)),
             quant_scales: Default::default(),
         };
-        let built = instantiate(&meta).unwrap();
+        let built = build_predictor(&meta).unwrap();
         // Exact architecture: same parameter count and tensor shapes.
         let (rp, bp) = (reference.parameters(), built.parameters());
         assert_eq!(rp.len(), bp.len());
         for (a, b) in rp.iter().zip(&bp) {
             assert_eq!(a.value().dims(), b.value().dims());
         }
-        // The quick()-width fallback (v2 path) builds something different.
-        let v2_meta = CheckpointMeta {
+        // Without the record, the quick()-width default builds another model.
+        let bare_meta = CheckpointMeta {
             config: None,
             ..meta
         };
-        let fallback = instantiate(&v2_meta).unwrap();
+        let fallback = build_predictor(&bare_meta).unwrap();
         assert_ne!(fallback.parameters().len(), rp.len());
     }
 
@@ -370,8 +338,11 @@ mod tests {
         let reg = ModelRegistry::load(RegistrySpec::single("big", &path)).unwrap();
         let loaded = reg.resolve("big").unwrap();
         assert_eq!(loaded.meta.lmmir_config(), Some(&cfg));
-        // The current writer records int8 scales alongside the config.
-        assert_eq!(loaded.meta.format_version(), 4);
+        // The writer records int8 scales alongside the config.
+        assert_eq!(
+            loaded.meta.quant_scales,
+            CheckpointMeta::of(&model).quant_scales
+        );
         // Weights restored into the exact architecture bit-for-bit.
         let (orig, srv) = (model.parameters(), loaded.model.parameters());
         assert_eq!(orig.len(), srv.len());
@@ -382,8 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn quantized_registry_serves_int8_even_from_legacy_formats() {
-        use lmm_ir::IrPredictor;
+    fn quantized_registry_serves_int8_within_quantization_error() {
         use lmmir_tensor::{Tensor, Var};
         let model = iredge(16, 7);
         model.set_training(false);
@@ -417,36 +387,7 @@ mod tests {
             worst < 0.05 * scale,
             "int8 serving diverged by {worst} (output scale {scale})"
         );
-        // A hand-written v2-layout file (no quant entries) also serves
-        // quantized: scales are recomputed from the weights at load.
-        let entries: Vec<(String, Tensor)> = std::iter::once((
-            "meta.IREDGe".to_string(),
-            Tensor::from_vec(vec![3.0, 16.0], &[2]).unwrap(),
-        ))
-        .chain(
-            model
-                .parameters()
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (format!("param.{i}"), p.to_tensor())),
-        )
-        .collect();
-        let v2_path = tmp("reg_quant_v2.lmmt");
-        lmmir_tensor::io::save(&v2_path, &entries).unwrap();
-        let spec = RegistrySpec::single("old", &v2_path).with_quantized(true);
-        let reg = ModelRegistry::load(spec).unwrap();
-        let old = reg.resolve("old").unwrap();
-        assert_eq!(old.meta.format_version(), 2);
-        assert!(old.quantized_layers > 0);
-        old.model.set_training(false);
-        let from_v2 = old.model.forward(&xv, None).unwrap().to_tensor();
-        assert_eq!(
-            quant.data(),
-            from_v2.data(),
-            "identical weights must quantize identically regardless of format"
-        );
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&v2_path).ok();
     }
 
     #[test]
@@ -519,7 +460,7 @@ mod tests {
         ] {
             let loaded = reg.resolve(name).unwrap();
             assert_eq!(loaded.meta.model, arch);
-            assert_eq!(loaded.meta.format_version(), 4);
+            assert!(!loaded.meta.quant_scales.is_empty(), "{arch} int8 scales");
             let (orig, srv) = (reference.parameters(), loaded.model.parameters());
             assert_eq!(orig.len(), srv.len(), "{arch} parameter count");
             for (a, b) in orig.iter().zip(&srv) {
@@ -575,7 +516,7 @@ mod tests {
             config: None,
             quant_scales: Default::default(),
         };
-        let err = instantiate(&meta).map(|_| ()).unwrap_err().to_string();
+        let err = build_predictor(&meta).map(|_| ()).unwrap_err().to_string();
         // The "known" list is derived from the enumeration, not maintained
         // by hand, so new variants appear in it automatically.
         assert!(err.contains("unknown architecture"), "got {err}");
@@ -588,12 +529,12 @@ mod tests {
             config: None,
             quant_scales: Default::default(),
         };
-        assert!(instantiate(&meta).is_err());
+        assert!(build_predictor(&meta).is_err());
     }
 
     #[test]
     fn rejects_metadata_less_checkpoint() {
-        // Raw entries without meta, as a legacy writer produced.
+        // Raw parameter entries without meta.
         let model = iredge(16, 7);
         let entries: Vec<(String, lmmir_tensor::Tensor)> = model
             .parameters()

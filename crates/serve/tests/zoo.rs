@@ -2,12 +2,18 @@
 //! end — checkpoint → serve → predict with comprehensive (8-channel)
 //! features, bitwise parity with the offline [`InferenceSession`] at 1 and
 //! 4 inference lanes, and a precise client error for netlist-less
-//! requests against a comprehensive-feature model.
+//! requests against a comprehensive-feature model — plus, for every
+//! family, a trained model served from its checkpoint is bitwise the
+//! trained model.
 
-use lmm_ir::{save_predictor, ArchSpec, InferenceSession, IrPredictor, UNetConfig, UNetPredictor};
-use lmmir_pdn::{Case, CaseKind, CaseSpec};
+use lmm_ir::{
+    build_dynamic_sample, build_predictor, build_sample, save_predictor, train, ArchSpec,
+    CheckpointMeta, InferenceSession, IrPredictor, TrainConfig, UNetConfig, UNetPredictor,
+};
+use lmmir_pdn::{Case, CaseKind, CaseSpec, DynamicCase};
 use lmmir_serve::{
-    client, prepare_request, PredictRequest, PredictResponse, RegistrySpec, ServeConfig, Server,
+    client, prepare_request, ModelRegistry, PredictRequest, PredictResponse, RegistrySpec,
+    ServeConfig, Server,
 };
 
 const SIZE: usize = 16;
@@ -130,4 +136,97 @@ fn comprehensive_model_without_netlist_is_a_client_error() {
 
     server.stop();
     std::fs::remove_file(&path).ok();
+}
+
+/// The eval-mode prediction of `model` on `spec`'s design, static or
+/// windowed as the model's input contract asks.
+fn eval_prediction(model: &dyn IrPredictor, spec: &CaseSpec) -> Vec<f32> {
+    let session = InferenceSession::new(model);
+    let input = match session.spec().windows {
+        0 => {
+            let case = spec.generate();
+            session.prepare(&case.power, Some(&case.netlist), case.tech.dbu_per_um)
+        }
+        w => session.prepare_windows(&DynamicCase::generate(spec, w).windows),
+    }
+    .unwrap();
+    session.predict(&input).unwrap().map.data().to_vec()
+}
+
+/// Every family trained for one epoch on two tiny cases, saved, and loaded
+/// back through the registry: the served eval forward is bitwise the
+/// in-process model's, in f32 and under `--quantized`. BatchNorm running
+/// statistics are state an eval forward reads, so a checkpoint that drops
+/// them serves a different model from bitwise-identical weights.
+#[test]
+fn trained_checkpoints_serve_the_trained_model_in_every_family() {
+    let cfg = TrainConfig {
+        epochs: 1,
+        pretrain_epochs: 0,
+        batch: 2,
+        oversample: (1, 1),
+        ..TrainConfig::quick()
+    };
+    let cases: Vec<CaseSpec> = (0..2)
+        .map(|s| CaseSpec::new(format!("t{s}"), SIZE, SIZE, 900 + s, CaseKind::Fake))
+        .collect();
+    let probe = CaseSpec::new("probe", SIZE, SIZE, 950, CaseKind::Hidden);
+    let mut failures = Vec::new();
+    for arch in ArchSpec::ALL {
+        let name = arch.name();
+        let model = build_predictor(&CheckpointMeta {
+            model: name.to_string(),
+            input_channels: arch.default_input_channels(),
+            input_size: SIZE,
+            config: None,
+            quant_scales: Default::default(),
+        })
+        .unwrap();
+        match InferenceSession::new(model.as_ref()).spec().windows {
+            0 => {
+                let samples: Vec<_> = cases
+                    .iter()
+                    .map(|c| build_sample(c, SIZE).unwrap())
+                    .collect();
+                train(model.as_ref(), &samples, &cfg).unwrap();
+            }
+            w => {
+                let samples: Vec<_> = cases
+                    .iter()
+                    .map(|c| build_dynamic_sample(c, w, SIZE).unwrap())
+                    .collect();
+                train(model.as_ref(), &samples, &cfg).unwrap();
+            }
+        }
+        let path = tmp(&format!("{}_trained.lmmt", name.replace(' ', "_")));
+        save_predictor(model.as_ref(), &path).unwrap();
+        for quantized in [false, true] {
+            if quantized {
+                assert!(model.quantize() > 0, "{name}: nothing to quantize");
+            }
+            let spec = RegistrySpec::single(name, &path).with_quantized(quantized);
+            let registry = ModelRegistry::load(spec).unwrap();
+            let served = eval_prediction(registry.resolve("").unwrap().model.as_ref(), &probe);
+            let trained = eval_prediction(model.as_ref(), &probe);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            if bits(&served) != bits(&trained) {
+                let delta = served
+                    .iter()
+                    .zip(&trained)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0f32, f32::max);
+                let peak = trained.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                let mode = if quantized { "int8" } else { "f32" };
+                failures.push(format!(
+                    "{name} ({mode}): max |Δ| {delta:.4e} on a peak of {peak:.4e}"
+                ));
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+    assert!(
+        failures.is_empty(),
+        "served != trained:\n{}",
+        failures.join("\n")
+    );
 }

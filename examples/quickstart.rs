@@ -9,7 +9,7 @@
 //! prediction quality.
 
 use lmm_ir::{
-    build_sample, evaluate, train, IrPredictor, LmmIr, LmmIrConfig, LntConfig, TrainConfig,
+    build_sample, evaluate, train, IrPredictor, Layer, LmmIr, LmmIrConfig, LntConfig, TrainConfig,
 };
 use lmmir_pdn::{CaseKind, CaseSpec};
 

@@ -1,19 +1,10 @@
-//! Checkpointing across crates: model parameters round-trip through the
-//! binary tensor format and restore identical predictions.
+//! Checkpointing across crates: a model's state dict round-trips through
+//! the binary tensor format and restores identical predictions.
 
 use lmm_ir::{build_sample, IrPredictor, LmmIr, LmmIrConfig, LntConfig};
-use lmmir_nn::{load_state_dict, state_dict, Layer};
+use lmmir_nn::{load_state_dict, state_dict};
 use lmmir_pdn::{CaseKind, CaseSpec};
 use lmmir_tensor::io;
-
-/// A predictor's parts as one [`Layer`], for the `nn` state-dict helpers.
-struct AsLayer<'a>(&'a dyn IrPredictor);
-
-impl Layer for AsLayer<'_> {
-    fn children(&self) -> Vec<&dyn Layer> {
-        self.0.children()
-    }
-}
 
 fn tiny_cfg(seed: u64) -> LmmIrConfig {
     LmmIrConfig {
@@ -46,7 +37,7 @@ fn checkpoint_round_trip_restores_predictions() {
     let dir = std::env::temp_dir().join("lmmir_ckpt_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("model.lmmt");
-    io::save(&path, &state_dict(&AsLayer(&original))).unwrap();
+    io::save(&path, &state_dict(&original)).unwrap();
 
     // A *differently seeded* model restores the checkpoint exactly.
     let restored = LmmIr::new(tiny_cfg(2));
@@ -56,7 +47,7 @@ fn checkpoint_round_trip_restores_predictions() {
         .to_tensor();
     assert_ne!(before.data(), expected.data(), "different seeds differ");
     let entries = io::load(&path).unwrap();
-    load_state_dict(&AsLayer(&restored), &entries).unwrap();
+    load_state_dict(&restored, &entries).unwrap();
     let after = restored
         .forward(&images, Some(&sample.cloud))
         .unwrap()
@@ -71,6 +62,6 @@ fn checkpoint_rejects_architecture_mismatch() {
     let mut big_cfg = tiny_cfg(1);
     big_cfg.widths = vec![6, 12];
     let big = LmmIr::new(big_cfg);
-    let entries = state_dict(&AsLayer(&small));
-    assert!(load_state_dict(&AsLayer(&big), &entries).is_err());
+    let entries = state_dict(&small);
+    assert!(load_state_dict(&big, &entries).is_err());
 }
