@@ -8,9 +8,9 @@
 
 use crate::pointcloud::PointCloud;
 use crate::train::TrainSample;
-use lmmir_features::{ir_drop_map, FeatureStack, Raster, SpatialInfo};
+use lmmir_features::{effective_resistance_solved, ir_drop_map, FeatureStack, Raster, SpatialInfo};
 use lmmir_pdn::{CaseKind, CaseSpec};
-use lmmir_solver::SolveIrDropError;
+use lmmir_solver::{stamp, SolveIrDropError};
 use lmmir_tensor::{Tensor, Var};
 
 /// Fixed factor applied to IR targets during training (predictions are
@@ -129,20 +129,23 @@ impl Sample {
 /// Returns [`SolveIrDropError`] when the golden solve fails.
 pub fn build_sample(spec: &CaseSpec, input_size: usize) -> Result<Sample, SolveIrDropError> {
     let case = spec.generate();
-    let t0 = std::time::Instant::now();
-    let ir = case.solve()?;
-    let golden_seconds = t0.elapsed().as_secs_f64();
     let (w, h) = (case.power.width(), case.power.height());
     let dbu = case.tech.dbu_per_um;
 
+    // One stamp and one factor serve both solves: the golden map and the
+    // comprehensive stack's effective-resistance channel.
+    let t0 = std::time::Instant::now();
+    let sys = stamp(&case.netlist)?;
+    let factor = sys.factor()?;
+    let ir = sys.solve(&factor)?;
+    let golden_seconds = t0.elapsed().as_secs_f64();
+    let resistance = effective_resistance_solved(&case.netlist, &sys, &factor, w, h, dbu);
     let truth = ir_drop_map(&ir, &case.netlist, w, h, dbu);
     let (truth_adj, info) = lmmir_features::spatial::spatial_adjust(&truth, input_size);
 
-    let extended = FeatureStack::extended(&case);
-    let (ext_adj, _) = extended.adjusted_normalized(input_size);
-    let basic = FeatureStack::basic(&case);
-    let (basic_adj, _) = basic.adjusted_normalized(input_size);
-    let comprehensive = FeatureStack::comprehensive(&case);
+    // Basic and extended are prefixes of the comprehensive stack, channel
+    // for channel, so one rasterization and one adjustment yield all three.
+    let comprehensive = FeatureStack::comprehensive_with(&case, resistance);
     let (comp_adj, _) = comprehensive.adjusted_normalized(input_size);
 
     let cloud = PointCloud::from_netlist(&case.netlist, dbu, w as f64, h as f64);
@@ -155,8 +158,8 @@ pub fn build_sample(spec: &CaseSpec, input_size: usize) -> Result<Sample, SolveI
     Ok(Sample {
         id: spec.id.clone(),
         kind: spec.kind,
-        images_basic: basic_adj.to_tensor(),
-        images_extended: ext_adj.to_tensor(),
+        images_basic: comp_adj.prefix(3).to_tensor(),
+        images_extended: comp_adj.prefix(6).to_tensor(),
         images_comprehensive: comp_adj.to_tensor(),
         cloud,
         target,
@@ -221,6 +224,32 @@ mod tests {
         assert!(s.nodes > 0);
         assert!(s.golden_seconds > 0.0);
         assert!(!s.cloud.is_empty());
+    }
+
+    #[test]
+    fn one_factor_reproduces_every_stack_and_the_golden_map_built_alone() {
+        let spec = CaseSpec::new("big", 40, 40, 7, CaseKind::Fake);
+        let s = build_sample(&spec, 32).unwrap();
+        let case = spec.generate();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let alone = |stack: FeatureStack| bits(&stack.adjusted_normalized(32).0.to_tensor());
+        assert_eq!(
+            bits(&s.images_comprehensive),
+            alone(FeatureStack::comprehensive(&case))
+        );
+        assert_eq!(
+            bits(&s.images_extended),
+            alone(FeatureStack::extended(&case))
+        );
+        assert_eq!(bits(&s.images_basic), alone(FeatureStack::basic(&case)));
+        let golden = ir_drop_map(
+            &case.solve().unwrap(),
+            &case.netlist,
+            40,
+            40,
+            case.tech.dbu_per_um,
+        );
+        assert_eq!(s.truth.content_hash(), golden.content_hash());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::train::TrainSample;
 use lmmir_features::{ir_drop_map, Raster, SpatialInfo, WindowStack};
 use lmmir_nn::{Layer, Module};
 use lmmir_pdn::{CaseKind, CaseSpec, DynamicCase, MAX_WINDOWS};
-use lmmir_solver::{solve_ir_drop, CgConfig, SolveIrDropError};
+use lmmir_solver::{stamp, SolveIrDropError};
 use lmmir_tensor::{Result, Tensor, TensorError, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -190,8 +190,9 @@ pub struct DynamicSample {
 }
 
 /// Builds a dynamic sample: generates the vector workload, golden-solves
-/// **every window's** PDN, takes the pixelwise max as the target, and
-/// rasterizes the windows through the per-window feature pipeline.
+/// **every window's** PDN (on one shared factor while the windows' matrices
+/// agree), takes the pixelwise max as the target, and rasterizes the
+/// windows through the per-window feature pipeline.
 ///
 /// # Errors
 ///
@@ -205,25 +206,27 @@ pub fn build_dynamic_sample(
     let (w, h) = (dyn_case.case.power.width(), dyn_case.case.power.height());
     let dbu = dyn_case.case.tech.dbu_per_um;
 
+    // Windows change the currents, not the grid: the first window's factor
+    // serves every window whose stamped matrix equals it.
     let t0 = std::time::Instant::now();
-    let mut truth: Option<Raster> = None;
-    for wi in 0..windows {
+    let first_net = dyn_case.window_netlist(0);
+    let first = stamp(&first_net)?;
+    let factor = first.factor()?;
+    let mut truth = ir_drop_map(&first.solve(&factor)?, &first_net, w, h, dbu);
+    for wi in 1..windows {
         let net = dyn_case.window_netlist(wi);
-        let ir = solve_ir_drop(&net, CgConfig::default())?;
+        let sys = stamp(&net)?;
+        let ir = if sys.matrix == first.matrix {
+            sys.solve(&factor)?
+        } else {
+            sys.solve(&sys.factor()?)?
+        };
         let map = ir_drop_map(&ir, &net, w, h, dbu);
-        truth = Some(match truth {
-            None => map,
-            Some(mut acc) => {
-                let d = acc.data_mut();
-                for (a, b) in d.iter_mut().zip(map.data()) {
-                    *a = a.max(*b);
-                }
-                acc
-            }
-        });
+        for (a, b) in truth.data_mut().iter_mut().zip(map.data()) {
+            *a = a.max(*b);
+        }
     }
     let golden_seconds = t0.elapsed().as_secs_f64();
-    let truth = truth.expect("window count validated by DynamicCase");
 
     let (truth_adj, info) = lmmir_features::spatial::spatial_adjust(&truth, input_size);
     let stack = WindowStack::rasterize(&dyn_case.windows);
@@ -399,13 +402,41 @@ mod tests {
         };
         let report = train(&m, &[sample], &cfg).unwrap();
         // Pinned: the bits `train_dynamic` produced on this fixture before
-        // it was folded into `train` — same RNG draw order, same loop.
+        // it was folded into `train` — same RNG draw order, same loop. The
+        // direct golden solver moved losses 2, 3, 5 and 6 by one ULP each.
         let trace: Vec<u32> = report.losses.iter().map(|l| l.to_bits()).collect();
         let pinned = [
-            0x3dcce6e2, 0x3dc81ae0, 0x3dc3a190, 0x3dbed6ee, 0x3dbb4c17, 0x3db72353,
+            0x3dcce6e2, 0x3dc81adf, 0x3dc3a191, 0x3dbed6ee, 0x3dbb4c18, 0x3db72352,
         ];
         assert_eq!(trace, pinned, "loss trace drifted: {:?}", report.losses);
         assert!(report.pretrain_losses.is_empty());
+    }
+
+    #[test]
+    fn shared_factor_reproduces_every_window_solved_alone() {
+        let spec = CaseSpec::new("share", 24, 24, 11, CaseKind::Fake);
+        let dyn_case = DynamicCase::generate(&spec, 4);
+        let dbu = dyn_case.case.tech.dbu_per_um;
+        let first = stamp(&dyn_case.window_netlist(0)).unwrap();
+        let alone = (0..4)
+            .map(|wi| {
+                let net = dyn_case.window_netlist(wi);
+                assert!(
+                    stamp(&net).unwrap().matrix == first.matrix,
+                    "window {wi} changes currents only, so it reuses the factor"
+                );
+                let ir = lmmir_solver::solve_ir_drop(&net).unwrap();
+                ir_drop_map(&ir, &net, 24, 24, dbu)
+            })
+            .reduce(|mut acc, map| {
+                for (a, b) in acc.data_mut().iter_mut().zip(map.data()) {
+                    *a = a.max(*b);
+                }
+                acc
+            })
+            .unwrap();
+        let sample = build_dynamic_sample(&spec, 4, 16).unwrap();
+        assert_eq!(sample.truth.content_hash(), alone.content_hash());
     }
 
     #[test]
@@ -416,7 +447,7 @@ mod tests {
         let dyn_case = DynamicCase::generate(&spec, 3);
         let sample = build_dynamic_sample(&spec, 3, 16).unwrap();
         let net = dyn_case.window_netlist(0);
-        let ir = solve_ir_drop(&net, CgConfig::default()).unwrap();
+        let ir = lmmir_solver::solve_ir_drop(&net).unwrap();
         let map = ir_drop_map(&ir, &net, 16, 16, dyn_case.case.tech.dbu_per_um);
         for (t, m) in sample.truth.data().iter().zip(map.data()) {
             assert!(t + 1e-6 >= *m);

@@ -82,7 +82,7 @@ mod tests {
     use crate::baselines::{iredge, irpnet};
     use crate::{ArchSpec, CheckpointMeta};
     use lmmir_pdn::CaseKind;
-    use lmmir_solver::{solve_ir_drop, CgConfig};
+    use lmmir_solver::solve_ir_drop;
 
     fn bits(map: &Raster) -> Vec<u32> {
         map.data().iter().map(|v| v.to_bits()).collect()
@@ -94,7 +94,7 @@ mod tests {
         // at the worst-drop location must help.
         let spec = CaseSpec::new("fix", 24, 24, 31, CaseKind::Real);
         let base = spec.generate();
-        let ir0 = solve_ir_drop(&base.netlist, CgConfig::default()).unwrap();
+        let ir0 = solve_ir_drop(&base.netlist).unwrap();
         let (mut wx, mut wy, mut worst) = (0.0, 0.0, 0.0);
         for (node, drop) in ir0.iter_drops() {
             if drop > worst {
@@ -110,7 +110,7 @@ mod tests {
             fixed.netlist.stats().voltage_sources,
             base.netlist.stats().voltage_sources + 1
         );
-        let ir1 = solve_ir_drop(&fixed.netlist, CgConfig::default()).unwrap();
+        let ir1 = solve_ir_drop(&fixed.netlist).unwrap();
         assert!(
             ir1.worst_drop() < ir0.worst_drop(),
             "pad at hotspot must reduce worst drop: {} -> {}",

@@ -12,6 +12,9 @@
 //!
 //! Taken before the byte-level parser, the pixel-vectorised distance map
 //! and the copy-free `subsample` went in, as the oracle for those changes.
+//! The 192 µm comprehensive hash was re-pinned once when a sparse Cholesky
+//! replaced the iterative golden solver: its effective-resistance channel
+//! moved within the old solver's 1e-10 tolerance.
 
 use lmm_ir::PointCloud;
 use lmmir_features::{FeatureStack, Fnv1a};
@@ -28,7 +31,7 @@ const PINNED: [((usize, u64), Observed); 2] = [
     ((64, 5), (16_141, 5, 0x820f_921f_6620_efe8, 0x6674_fde8_009e_b799,
         [0xb172_c3f3_639b_d0ed, 0x7e1b_9924_9bff_8cd5, 0xcd41_cfe3_5081_2a78])),
     ((192, 50_338), (146_140, 196, 0x70d9_96f9_89c9_ff35, 0xb10a_9f00_cc8d_5d05,
-        [0x6085_a88b_f3e5_af2b, 0x24e9_054a_6bf1_3d30, 0xd055_a45f_36b3_cd81])),
+        [0x6085_a88b_f3e5_af2b, 0x24e9_054a_6bf1_3d30, 0x0be1_02de_ecf2_58dc])),
 ];
 
 fn cloud_checksum(cloud: &PointCloud) -> u64 {

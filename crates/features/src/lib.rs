@@ -14,7 +14,7 @@
 //! | voltage-source map | pad positions/values (paper's extra channel) |
 //! | current-source map | tap positions/values (paper's extra channel) |
 //! | resistance map | resistor values spread over covered pixels (extra) |
-//! | effective-resistance map | uniform-injection CG solve of the PDN (comprehensive) |
+//! | effective-resistance map | uniform-injection solve of the PDN (comprehensive) |
 //! | pad-distance map | shortest resistive path to a pad (comprehensive) |
 //!
 //! The first three form the **basic** (IREDGe) stack; the first six form the
@@ -55,7 +55,7 @@ pub use maps::{
     resistance_map, voltage_source_map,
 };
 pub use raster::Raster;
-pub use resistance::{effective_resistance_map, pad_distance_map};
+pub use resistance::{effective_resistance_map, effective_resistance_solved, pad_distance_map};
 pub use spatial::{normalize_channel, pad_to, resize_bilinear, spatial_adjust, SpatialInfo};
 pub use stack::{FeatureChannel, FeatureStack};
 pub use violations::{check_budget, find_violations, ViolationRegion, ViolationReport};

@@ -4,23 +4,23 @@
 //! Two channels computed from the *electrical* structure of the netlist:
 //!
 //! * [`effective_resistance_map`] — the voltage response of every node to a
-//!   uniform unit current draw, i.e. one conjugate-gradient solve of the
-//!   stamped conductance system against a uniform injection vector. Nodes
-//!   that are electrically far from the pads (high effective resistance to
-//!   the supply) light up; this is CFIRSTNET's strongest feature.
+//!   uniform unit current draw, i.e. one solve of the stamped conductance
+//!   system against a uniform injection vector. Nodes that are electrically
+//!   far from the pads (high effective resistance to the supply) light up;
+//!   this is CFIRSTNET's strongest feature.
 //! * [`pad_distance_map`] — the shortest *resistive* path from every node to
 //!   its nearest pad: a deterministic multi-source Dijkstra over the
 //!   resistor graph with edge weight = resistance.
 //!
 //! Both maps rasterize like the golden IR map: node values splat onto the
 //! lowest metal layer (max/min per pixel) and holes fill by neighbour
-//! averaging. Both are bitwise thread-count invariant: the CG solve uses the
-//! deterministic blocked SpMV from `lmmir-solver`, and the graph walk is
-//! sequential with a total-order heap.
+//! averaging. Both are bitwise thread-count invariant: the solver's factor
+//! and solve are sequential, and so is the graph walk, with a total-order
+//! heap.
 
 use crate::maps::{fill_holes, lowest_layer, to_px};
 use crate::raster::Raster;
-use lmmir_solver::{solve_cg, stamp, CgConfig};
+use lmmir_solver::{stamp, Cholesky, PdnSystem};
 use lmmir_spice::{ElementKind, Netlist, NodeName};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -70,13 +70,11 @@ fn rasterize_nodes(
 /// Effective-resistance map: per-pixel voltage response of the PDN to a
 /// uniform unit current draw spread over all non-pad nodes.
 ///
-/// Stamps the netlist into its conductance system `G`, replaces the real
-/// current vector with a uniform injection `1/n` per unknown, and solves
-/// `G·x = b` with the existing CG solver. `x_i` is then the superposed
-/// transfer resistance of node `i` towards the pads — small next to a pad,
-/// large in pad-starved corners — without depending on the workload's
-/// current pattern. Returns an all-zero raster when the netlist cannot be
-/// stamped or the solve fails (e.g. no pads).
+/// Stamps the netlist into its conductance system `G`, factors it, and
+/// solves `G·x = b` against a uniform injection `1/n` per unknown in place
+/// of the real current vector (see [`effective_resistance_solved`]).
+/// Returns an all-zero raster when the netlist cannot be stamped or the
+/// factor fails (e.g. no pads).
 #[must_use]
 pub fn effective_resistance_map(
     netlist: &Netlist,
@@ -84,18 +82,38 @@ pub fn effective_resistance_map(
     height: usize,
     dbu_per_um: i64,
 ) -> Raster {
-    let (Some(low), Ok(sys)) = (lowest_layer(netlist), stamp(netlist)) else {
+    let Ok(sys) = stamp(netlist) else {
         return Raster::zeros(width, height);
     };
+    let Ok(factor) = sys.factor() else {
+        return Raster::zeros(width, height);
+    };
+    effective_resistance_solved(netlist, &sys, &factor, width, height, dbu_per_um)
+}
+
+/// [`effective_resistance_map`] on a system the caller has already stamped
+/// from `netlist` and factored — the golden flow's own factor serves both
+/// solves. `x_i` is the superposed transfer resistance of node `i` towards
+/// the pads: small next to a pad, large in pad-starved corners, and
+/// independent of the workload's current pattern. Returns an all-zero
+/// raster when the netlist has no metal layer or the solve fails.
+#[must_use]
+pub fn effective_resistance_solved(
+    netlist: &Netlist,
+    sys: &PdnSystem,
+    factor: &Cholesky<'_>,
+    width: usize,
+    height: usize,
+    dbu_per_um: i64,
+) -> Raster {
     let n = sys.unknowns.len();
-    if n == 0 {
-        return Raster::zeros(width, height);
-    }
-    let rhs = vec![1.0 / n as f64; n];
-    let Ok(sol) = solve_cg(&sys.matrix, &rhs, CgConfig::default()) else {
+    let Some(low) = lowest_layer(netlist).filter(|_| n > 0) else {
         return Raster::zeros(width, height);
     };
-    let values = sys.unknowns.iter().copied().zip(sol.x.iter().copied());
+    let Ok(x) = factor.solve(&vec![1.0 / n as f64; n]) else {
+        return Raster::zeros(width, height);
+    };
+    let values = sys.unknowns.iter().copied().zip(x);
     rasterize_nodes(values, low, width, height, dbu_per_um, Extreme::Max)
 }
 

@@ -23,7 +23,7 @@ pub enum FeatureChannel {
     CurrentSource,
     /// Resistor mass per pixel.
     Resistance,
-    /// Effective resistance to the pads (uniform-injection CG solve).
+    /// Effective resistance to the pads (uniform-injection solve).
     EffectiveResistance,
     /// Shortest resistive path to the nearest pad (multi-source Dijkstra).
     PadDistance,
@@ -105,9 +105,9 @@ impl FeatureStack {
     /// over its own rows and outweighs every other channel past ~100 µm, so
     /// it is built first, at pool width; the rest fan out one channel per
     /// pool worker (independent, kept in the requested order), each kernel
-    /// inline on its worker. The CG-backed effective-resistance channel stays
-    /// in the fan-out: its solve is below the solver's fork gate at 64 µm, so
-    /// pulled out it would only run sequentially ahead of the others.
+    /// inline on its worker. The effective-resistance channel stays in the
+    /// fan-out: its factor and solve are sequential, so pulled out they
+    /// would only run ahead of the others.
     fn rasterize(power: &PowerMap, netlist: &Netlist, dbu: i64, kinds: &[FeatureChannel]) -> Self {
         let pooled = FeatureChannel::EffectiveDistance;
         let build = |kind: &FeatureChannel| build_channel(power, netlist, dbu, *kind);
@@ -167,6 +167,41 @@ impl FeatureStack {
     #[must_use]
     pub fn comprehensive_parts(power: &PowerMap, netlist: &Netlist, dbu_per_um: i64) -> Self {
         FeatureStack::rasterize(power, netlist, dbu_per_um, &COMPREHENSIVE_CHANNELS)
+    }
+
+    /// [`FeatureStack::comprehensive`] with the effective-resistance channel
+    /// supplied by a caller that already solved it on its own factor of the
+    /// design (see [`crate::effective_resistance_solved`]).
+    #[must_use]
+    pub fn comprehensive_with(case: &Case, effective_resistance: Raster) -> Self {
+        let solved = FeatureChannel::EffectiveResistance;
+        let kinds: Vec<FeatureChannel> = COMPREHENSIVE_CHANNELS
+            .iter()
+            .copied()
+            .filter(|k| *k != solved)
+            .collect();
+        let mut stack =
+            FeatureStack::rasterize(&case.power, &case.netlist, case.tech.dbu_per_um, &kinds);
+        let at = COMPREHENSIVE_CHANNELS
+            .iter()
+            .position(|k| *k == solved)
+            .expect("the comprehensive plan has an effective-resistance channel");
+        stack.channels.insert(at, (solved, effective_resistance));
+        stack
+    }
+
+    /// The first `channels` channels. The basic and extended stacks are
+    /// prefixes of the comprehensive one, channel for channel, so one
+    /// comprehensive stack yields all three.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the stack has fewer than `channels` channels.
+    #[must_use]
+    pub fn prefix(&self, channels: usize) -> Self {
+        FeatureStack {
+            channels: self.channels[..channels].to_vec(),
+        }
     }
 
     /// Builds a stack from explicit channels.

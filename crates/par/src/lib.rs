@@ -1,8 +1,8 @@
 //! # lmmir-par
 //!
 //! A dependency-free scoped fork-join layer for the compute-heavy crates of
-//! the workspace (tensor kernels, the golden solver, feature rasterization,
-//! batched evaluation). The build environment has no registry access, so
+//! the workspace (tensor kernels, feature rasterization, batched
+//! evaluation). The build environment has no registry access, so
 //! this crate plays the role rayon would otherwise play, following the
 //! vendored-stand-in pattern of `vendor/*`.
 //!
@@ -24,10 +24,7 @@
 //! * **Determinism first.** Every primitive partitions work into
 //!   *contiguous, caller-visible* pieces and writes disjoint outputs, so a
 //!   kernel that is bitwise deterministic sequentially stays bitwise
-//!   deterministic at any thread count. Reductions go through
-//!   [`par_sum_blocks`], whose block layout depends only on the problem
-//!   size — never on the thread count — and whose partials are folded in
-//!   ascending block order.
+//!   deterministic at any thread count.
 //! * **Thread count.** [`num_threads`] resolves, in order: the programmatic
 //!   override ([`set_thread_override`] / [`with_threads`]), the
 //!   `LMMIR_THREADS` environment variable, and finally
@@ -42,19 +39,11 @@
 //!   contiguous runs of fixed-size units (rows, planes, blocks).
 //! * [`par_map`] / [`par_map_slice`] — ordered map: results come back in
 //!   input order regardless of which thread produced them.
-//! * [`par_parts`] + [`Parts`] / [`UnitsMut`] — fused multi-buffer
-//!   partitioning for kernels that update several vectors in lockstep
-//!   (e.g. the CG `x`/`r`/`z` update).
-//! * [`par_sum_blocks`] — deterministic blocked reduction.
 
 mod ops;
-mod parts;
 mod pool;
 
-pub use ops::{
-    par_chunks_mut, par_map, par_map_slice, par_parts, par_sum_blocks, worth_parallelizing,
-};
-pub use parts::{units_mut, Parts, UnitsMut};
+pub use ops::{par_chunks_mut, par_map, par_map_slice, worth_parallelizing};
 pub use pool::{num_threads, scope, set_thread_override, thread_override, with_threads};
 
 #[cfg(test)]
@@ -173,57 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn par_sum_blocks_is_thread_count_invariant() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        // Values chosen so naive reassociation would change the rounding.
-        let v: Vec<f64> = (0..10_000)
-            .map(|i| (f64::from(i) * 0.718_281_828).sin() * 1e8)
-            .collect();
-        let sum_at = |t: usize| {
-            with_threads(t, || {
-                par_sum_blocks(v.len(), 128, |r| v[r].iter().sum::<f64>())
-            })
-        };
-        let reference = sum_at(1);
-        for t in [2, 3, 7] {
-            assert_eq!(reference.to_bits(), sum_at(t).to_bits());
-        }
-        assert_eq!(par_sum_blocks(0, 64, |_| unreachable!()), 0.0);
-    }
-
-    #[test]
-    fn par_parts_splits_tuples_in_lockstep() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let mut a = vec![0usize; 20]; // unit 4 => 5 units
-        let mut b = vec![0usize; 5]; // unit 1 => 5 units
-        with_threads(3, || {
-            par_parts(
-                (units_mut(&mut a, 4), units_mut(&mut b, 1)),
-                |u0, (pa, pb)| {
-                    let (sa, sb) = (pa.into_slice(), pb.into_slice());
-                    assert_eq!(sa.len(), sb.len() * 4, "lockstep split");
-                    for (i, unit) in sa.chunks_mut(4).enumerate() {
-                        unit.iter_mut().for_each(|v| *v = u0 + i);
-                        sb[i] = u0 + i;
-                    }
-                },
-            );
-        });
-        for (u, unit) in a.chunks(4).enumerate() {
-            assert!(unit.iter().all(|&v| v == u));
-            assert_eq!(b[u], u);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unit counts disagree")]
-    fn par_parts_rejects_mismatched_unit_counts() {
-        let mut a = vec![0u8; 8];
-        let mut b = vec![0u8; 9];
-        par_parts((units_mut(&mut a, 2), units_mut(&mut b, 2)), |_, _| {});
-    }
-
-    #[test]
     fn workers_run_with_nested_parallelism_pinned_off() {
         let _guard = ENV_LOCK.lock().unwrap();
         let counts = with_threads(4, || par_map(4, |_| num_threads()));
@@ -285,7 +223,7 @@ mod tests {
             assert_eq!(
                 thread_override(),
                 Some(3),
-                "override restored after par_parts"
+                "override restored after par_chunks_mut"
             );
         });
     }
@@ -307,7 +245,11 @@ mod tests {
                 par_chunks_mut(&mut data, 1, |u0, _| assert_ne!(u0, bad_span, "span died"));
             });
             assert!(res.is_err());
-            assert_eq!(thread_override(), Some(4), "par_parts, span at {bad_span}");
+            assert_eq!(
+                thread_override(),
+                Some(4),
+                "par_chunks_mut, span at {bad_span}"
+            );
         }
         set_thread_override(None);
     }

@@ -1,7 +1,5 @@
-//! Parallel drivers: ordered map, chunked mutation, fused multi-buffer
-//! partitioning and deterministic blocked reduction.
+//! Parallel drivers: ordered map and chunked mutation.
 
-use crate::parts::{units_mut, Parts};
 use crate::pool::{num_threads, scope, with_threads};
 use std::ops::Range;
 
@@ -38,54 +36,41 @@ fn spans(units: usize, threads: usize) -> impl Iterator<Item = Range<usize>> {
     })
 }
 
-/// Partitions `parts` into per-thread contiguous unit spans and runs
-/// `f(first_unit, span)` on each, in parallel.
+/// Partitions `data` into per-thread contiguous runs of `unit`-element
+/// chunks and runs `f(first_unit_index, run)` on each, in parallel.
 ///
-/// Work inside a span runs exactly as it would sequentially (same unit
-/// order, same code), so any kernel whose units are independent is bitwise
-/// deterministic at every thread count; with one thread (or one unit) `f`
-/// runs inline on the caller.
+/// The element offset of a run is `first_unit_index * unit`; the last unit
+/// of the slice may be short. Work inside a run happens exactly as it would
+/// sequentially (same unit order, same code), so any kernel whose units are
+/// independent is bitwise deterministic at every thread count; with one
+/// thread (or one unit) `f` runs inline on the caller. This is the
+/// workhorse behind row-partitioned matmul and raster scanline fills.
 ///
 /// # Panics
 ///
-/// Panics when the members of a tuple bundle disagree on their unit count,
-/// or when a worker panics (the panic is propagated).
-pub fn par_parts<P: Parts, F: Fn(usize, P) + Sync>(parts: P, f: F) {
-    let (lo, hi) = parts.unit_bounds();
-    assert_eq!(lo, hi, "par_parts: unit counts disagree across the bundle");
-    let units = parts.units();
+/// Panics when `unit == 0` or when a worker panics (the panic is
+/// propagated).
+pub fn par_chunks_mut<T: Send, F: Fn(usize, &mut [T]) + Sync>(data: &mut [T], unit: usize, f: F) {
+    assert!(unit > 0, "unit size must be positive");
+    let units = data.len().div_ceil(unit);
     let threads = num_threads().min(units);
     if threads <= 1 {
-        f(0, parts);
+        f(0, data);
         return;
     }
     scope(|s| {
         let f = &f;
         let mut spans = spans(units, threads);
         let first = spans.next().expect("threads >= 2");
-        let (mine, mut rest) = parts.split(first.len());
+        let (mine, mut rest) = data.split_at_mut(first.len() * unit);
         for span in spans {
-            let (head, tail) = rest.split(span.len());
+            let (head, tail) = rest.split_at_mut((span.len() * unit).min(rest.len()));
             rest = tail;
             s.spawn(move || run_pinned(|| f(span.start, head)));
         }
         // The caller is the first worker: one spawn fewer per fork.
         run_pinned(|| f(0, mine));
     });
-}
-
-/// Partitions `data` into per-thread contiguous runs of `unit`-element
-/// chunks and runs `f(first_unit_index, run)` on each.
-///
-/// The element offset of a run is `first_unit_index * unit`; the last unit
-/// of the slice may be short. This is the workhorse behind row-partitioned
-/// matmul, CSR SpMV and raster scanline fills.
-///
-/// # Panics
-///
-/// Panics when `unit == 0` or when a worker panics.
-pub fn par_chunks_mut<T: Send, F: Fn(usize, &mut [T]) + Sync>(data: &mut [T], unit: usize, f: F) {
-    par_parts(units_mut(data, unit), |u0, part| f(u0, part.into_slice()));
 }
 
 /// Maps `0..n` through `f` in parallel, returning results in index order.
@@ -124,28 +109,4 @@ pub fn par_map<R: Send, F: Fn(usize) -> R + Sync>(n: usize, f: F) -> Vec<R> {
 /// [`par_map`] over the items of a slice, preserving order.
 pub fn par_map_slice<I: Sync, R: Send, F: Fn(&I) -> R + Sync>(items: &[I], f: F) -> Vec<R> {
     par_map(items.len(), |i| f(&items[i]))
-}
-
-/// Deterministic blocked sum: `len` elements are cut into fixed blocks of
-/// `block` elements (layout depends only on `len` and `block`, never on
-/// the thread count), `partial` produces one `f64` per block, and the
-/// partials are folded left-to-right in block order.
-///
-/// Because both the block boundaries and the fold order are fixed, the
-/// result is bitwise identical at every thread count — this is the
-/// reduction primitive behind the solver's dot products and norms.
-///
-/// # Panics
-///
-/// Panics when `block == 0` or when a worker panics.
-pub fn par_sum_blocks<F: Fn(Range<usize>) -> f64 + Sync>(
-    len: usize,
-    block: usize,
-    partial: F,
-) -> f64 {
-    assert!(block > 0, "block size must be positive");
-    let blocks = len.div_ceil(block);
-    par_map(blocks, |b| partial(b * block..((b + 1) * block).min(len)))
-        .into_iter()
-        .sum()
 }

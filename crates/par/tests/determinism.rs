@@ -10,7 +10,8 @@
 //! A process-global mutex serializes the tests because the thread count is
 //! process-global state.
 
-use lmmir_solver::{grid_laplacian, solve_cg, solve_cg_forked, CgConfig};
+use lmmir_pdn::{CaseKind, CaseSpec};
+use lmmir_solver::{grid_laplacian, stamp, Cholesky, Csr};
 use lmmir_tensor::conv::{conv2d, conv2d_backward, ConvSpec};
 use lmmir_tensor::{linalg, Tensor};
 use std::sync::{Mutex, MutexGuard};
@@ -114,46 +115,52 @@ fn conv2d_forward_and_backward_are_bitwise_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn solve_cg_is_bitwise_identical_across_thread_counts() {
-    let _guard = lock();
-    // 116² = 13 456 unknowns -> 4 reduction blocks of 4096 rows. That is far
-    // below the size where `solve_cg` lets its phases fork, so the threaded
-    // runs take the ungated entry point: the CG phases genuinely fan out
-    // (and 7 threads see ragged block spans).
-    let side = 116;
-    let a = grid_laplacian(side);
-    let b: Vec<f64> = (0..side * side)
-        .map(|i| 1.0 + 0.25 * (i as f64 * 0.37).sin())
-        .collect();
-    let cfg = CgConfig {
-        max_iters: 2_000,
-        tol: 1e-8,
-        jacobi: true,
+/// Factors `matrix` and solves `rhs` at each of `LMMIR_THREADS` {1, 2, 4}:
+/// `nnz(L)` and every solution bit must match the single-thread run.
+fn assert_factor_and_solve_bitwise(what: &str, matrix: &Csr, coords: &[(i64, i64)], rhs: &[f64]) {
+    let run = |threads: usize| {
+        lmmir_par::with_threads(threads, || {
+            let factor = Cholesky::factor(matrix, coords).expect("SPD system factors");
+            (
+                factor.nnz(),
+                factor.solve(rhs).expect("solve passes its residual check"),
+            )
+        })
     };
-
-    let reference = lmmir_par::with_threads(1, || solve_cg(&a, &b, cfg).expect("converges"));
-    assert!(reference.iterations > 1, "non-trivial iteration count");
-    for threads in THREAD_COUNTS {
-        let sol =
-            lmmir_par::with_threads(threads, || solve_cg_forked(&a, &b, cfg).expect("converges"));
+    let (nnz, reference) = run(1);
+    assert!(nnz > matrix.n(), "{what}: the factor fills in");
+    for threads in [2, 4] {
+        let (other_nnz, x) = run(threads);
         assert_eq!(
-            sol.iterations, reference.iterations,
-            "iteration count drifted at {threads} threads"
+            nnz, other_nnz,
+            "{what}: nnz(L) drifted at {threads} threads"
         );
-        assert_eq!(
-            sol.residual.to_bits(),
-            reference.residual.to_bits(),
-            "residual drifted at {threads} threads"
-        );
-        for (i, (x, y)) in reference.x.iter().zip(&sol.x).enumerate() {
+        for (i, (a, b)) in reference.iter().zip(&x).enumerate() {
             assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "solution element {i} drifted at {threads} threads"
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: solution element {i} drifted at {threads} threads"
             );
         }
     }
+}
+
+#[test]
+fn factor_and_solve_are_bitwise_identical_across_thread_counts() {
+    let _guard = lock();
+    let side = 116;
+    let coords: Vec<(i64, i64)> = (0..side * side)
+        .map(|i| ((i % side) as i64, (i / side) as i64))
+        .collect();
+    let b: Vec<f64> = (0..side * side)
+        .map(|i| 1.0 + 0.25 * (i as f64 * 0.37).sin())
+        .collect();
+    assert_factor_and_solve_bitwise("grid Laplacian", &grid_laplacian(side), &coords, &b);
+
+    let case = CaseSpec::new("det", 64, 64, 5, CaseKind::Hidden).generate();
+    let sys = stamp(&case.netlist).expect("generated design stamps");
+    let coords: Vec<(i64, i64)> = sys.unknowns.iter().map(|n| (n.x, n.y)).collect();
+    assert_factor_and_solve_bitwise("64 um design", &sys.matrix, &coords, &sys.rhs);
 }
 
 #[test]

@@ -267,7 +267,7 @@ pub fn build_netlist(tech: &PdnTech, power: &PowerMap, opts: &BuildOptions) -> N
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmmir_solver::{solve_ir_drop, CgConfig};
+    use lmmir_solver::solve_ir_drop;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -298,7 +298,7 @@ mod tests {
             &small_power(1),
             &BuildOptions::default(),
         );
-        let ir = solve_ir_drop(&nl, CgConfig::default()).unwrap();
+        let ir = solve_ir_drop(&nl).unwrap();
         let worst = ir.worst_drop();
         assert!(worst > 0.0, "some drop expected");
         assert!(
@@ -353,12 +353,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let d0 = solve_ir_drop(&base, CgConfig::default())
-            .unwrap()
-            .worst_drop();
-        let d1 = solve_ir_drop(&starved, CgConfig::default())
-            .unwrap()
-            .worst_drop();
+        let d0 = solve_ir_drop(&base).unwrap().worst_drop();
+        let d1 = solve_ir_drop(&starved).unwrap().worst_drop();
         assert!(d1 > d0, "pad-starved region should sag more: {d1} vs {d0}");
     }
 
@@ -381,12 +377,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let ds = solve_ir_drop(&sparse, CgConfig::default())
-            .unwrap()
-            .worst_drop();
-        let dd = solve_ir_drop(&dense, CgConfig::default())
-            .unwrap()
-            .worst_drop();
+        let ds = solve_ir_drop(&sparse).unwrap().worst_drop();
+        let dd = solve_ir_drop(&dense).unwrap().worst_drop();
         assert!(dd < ds, "denser pads must reduce drop: {dd} vs {ds}");
     }
 
@@ -418,6 +410,6 @@ mod tests {
         let p = PowerMap::synth(4, 4, 1, 0.01, &mut rng);
         let nl = build_netlist(&PdnTech::standard(), &p, &BuildOptions::default());
         assert!(nl.stats().voltage_sources >= 1);
-        assert!(solve_ir_drop(&nl, CgConfig::default()).is_ok());
+        assert!(solve_ir_drop(&nl).is_ok());
     }
 }

@@ -12,7 +12,7 @@
 use crate::builder::{build_netlist, BuildOptions};
 use crate::power::PowerMap;
 use crate::tech::PdnTech;
-use lmmir_solver::{solve_ir_drop, CgConfig, IrDrop, SolveIrDropError};
+use lmmir_solver::{solve_ir_drop, IrDrop, SolveIrDropError};
 use lmmir_spice::{Netlist, NetlistStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -213,7 +213,7 @@ impl Case {
     /// Returns [`SolveIrDropError`] when the netlist cannot be solved
     /// (should not happen for generated cases).
     pub fn solve(&self) -> Result<IrDrop, SolveIrDropError> {
-        solve_ir_drop(&self.netlist, CgConfig::default())
+        solve_ir_drop(&self.netlist)
     }
 }
 

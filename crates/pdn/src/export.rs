@@ -4,7 +4,7 @@
 //! tools and the original PyTorch implementations.
 
 use crate::contest::{Case, CaseSpec};
-use lmmir_solver::{solve_ir_drop, CgConfig, SolveIrDropError};
+use lmmir_solver::{solve_ir_drop, SolveIrDropError};
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
@@ -80,7 +80,7 @@ pub fn export_case(case: &Case, dir: impl AsRef<Path>) -> Result<std::path::Path
     })?;
 
     // Golden IR map: nearest-node drop per pixel on the lowest layer.
-    let ir = solve_ir_drop(&case.netlist, CgConfig::default())?;
+    let ir = solve_ir_drop(&case.netlist)?;
     let dbu = case.tech.dbu_per_um;
     // Collect lowest-layer node drops into a per-pixel max grid.
     let mut grid = vec![0.0f64; w * h];

@@ -285,7 +285,7 @@ mod tests {
     fn dynamic_case_solves_per_window() {
         let d = DynamicCase::generate(&spec(), 2);
         let net = d.window_netlist(0);
-        let ir = lmmir_solver::solve_ir_drop(&net, lmmir_solver::CgConfig::default()).unwrap();
+        let ir = lmmir_solver::solve_ir_drop(&net).unwrap();
         assert!(ir.worst_drop() > 0.0);
         // Envelope netlist solves too (it is the Case netlist).
         assert!(d.case.solve().unwrap().worst_drop() >= ir.worst_drop() * 0.1);

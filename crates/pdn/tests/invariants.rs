@@ -2,7 +2,7 @@
 //! electrical invariants, for arbitrary generator parameters.
 
 use lmmir_pdn::{build_netlist, BuildOptions, CaseKind, CaseSpec, PdnTech, PowerMap};
-use lmmir_solver::{solve_ir_drop, stamp, CgConfig};
+use lmmir_solver::{solve_ir_drop, stamp};
 use lmmir_spice::ElementKind;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -45,7 +45,7 @@ proptest! {
     fn voltages_bounded_by_supply(side in 8usize..24, seed in 0u64..1_000) {
         let spec = CaseSpec::new("prop", side, side, seed, CaseKind::Fake);
         let case = spec.generate();
-        let ir = solve_ir_drop(&case.netlist, CgConfig::default()).unwrap();
+        let ir = solve_ir_drop(&case.netlist).unwrap();
         // Maximum principle: all node voltages lie in [0, vdd]; drops in
         // [0, vdd].
         for (_, drop) in ir.iter_drops() {

@@ -1,7 +1,7 @@
-//! End-to-end IR-drop extraction: stamp + solve + assemble.
+//! End-to-end IR-drop extraction: stamp + factor + solve + assemble.
 
-use crate::cg::{solve_cg, CgConfig, SolveCgError};
-use crate::stamp::{stamp, StampNetlistError};
+use crate::cholesky::{Cholesky, SolveError};
+use crate::stamp::{stamp, PdnSystem, StampNetlistError};
 use lmmir_spice::{Netlist, NodeName};
 use std::collections::HashMap;
 use std::fmt;
@@ -11,15 +11,15 @@ use std::fmt;
 pub enum SolveIrDropError {
     /// Netlist could not be stamped.
     Stamp(StampNetlistError),
-    /// Linear system could not be solved.
-    Cg(SolveCgError),
+    /// Linear system could not be factored or solved.
+    Solve(SolveError),
 }
 
 impl fmt::Display for SolveIrDropError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolveIrDropError::Stamp(e) => write!(f, "stamp failed: {e}"),
-            SolveIrDropError::Cg(e) => write!(f, "solve failed: {e}"),
+            SolveIrDropError::Solve(e) => write!(f, "solve failed: {e}"),
         }
     }
 }
@@ -28,7 +28,7 @@ impl std::error::Error for SolveIrDropError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SolveIrDropError::Stamp(e) => Some(e),
-            SolveIrDropError::Cg(e) => Some(e),
+            SolveIrDropError::Solve(e) => Some(e),
         }
     }
 }
@@ -39,9 +39,9 @@ impl From<StampNetlistError> for SolveIrDropError {
     }
 }
 
-impl From<SolveCgError> for SolveIrDropError {
-    fn from(e: SolveCgError) -> Self {
-        SolveIrDropError::Cg(e)
+impl From<SolveError> for SolveIrDropError {
+    fn from(e: SolveError) -> Self {
+        SolveIrDropError::Solve(e)
     }
 }
 
@@ -50,8 +50,6 @@ impl From<SolveCgError> for SolveIrDropError {
 pub struct IrDrop {
     voltages: HashMap<NodeName, f64>,
     vdd: f64,
-    /// CG iterations used (diagnostics / TAT accounting for the golden flow).
-    pub iterations: usize,
 }
 
 impl IrDrop {
@@ -100,27 +98,36 @@ impl IrDrop {
     }
 }
 
-/// Runs the full golden flow on a netlist: stamp, CG-solve, assemble
+/// Runs the full golden flow on a netlist: stamp, factor, solve, assemble
 /// per-node voltages (pads included at their fixed voltage).
 ///
 /// # Errors
 ///
-/// Returns [`SolveIrDropError`] when stamping or the CG solve fails.
-pub fn solve_ir_drop(netlist: &Netlist, cfg: CgConfig) -> Result<IrDrop, SolveIrDropError> {
+/// Returns [`SolveIrDropError`] when stamping, the factor or the solve
+/// fails.
+pub fn solve_ir_drop(netlist: &Netlist) -> Result<IrDrop, SolveIrDropError> {
     let sys = stamp(netlist)?;
-    let sol = solve_cg(&sys.matrix, &sys.rhs, cfg)?;
-    let mut voltages = HashMap::with_capacity(sys.unknowns.len() + sys.fixed.len());
-    for (name, v) in sys.unknowns.iter().zip(&sol.x) {
-        voltages.insert(*name, *v);
+    let factor = sys.factor()?;
+    Ok(sys.solve(&factor)?)
+}
+
+impl PdnSystem {
+    /// Solves this system's own right-hand side with `factor` — a factor of
+    /// this matrix or of an equal one — and assembles per-node voltages.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolveError`] when the solve fails its residual check.
+    pub fn solve(&self, factor: &Cholesky<'_>) -> Result<IrDrop, SolveError> {
+        let x = factor.solve(&self.rhs)?;
+        let mut voltages = HashMap::with_capacity(self.unknowns.len() + self.fixed.len());
+        voltages.extend(self.unknowns.iter().copied().zip(x));
+        voltages.extend(self.fixed.iter().map(|(name, v)| (*name, *v)));
+        Ok(IrDrop {
+            voltages,
+            vdd: self.vdd,
+        })
     }
-    for (name, v) in &sys.fixed {
-        voltages.insert(*name, *v);
-    }
-    Ok(IrDrop {
-        voltages,
-        vdd: sys.vdd,
-        iterations: sol.iterations,
-    })
 }
 
 #[cfg(test)]
@@ -139,7 +146,7 @@ mod tests {
             "V1 n1_m1_0_0 0 1.0\nR1 n1_m1_0_0 n1_m1_1_0 1.0\nR2 n1_m1_1_0 n1_m1_2_0 1.0\nI1 n1_m1_2_0 0 0.1\n",
         )
         .unwrap();
-        let ir = solve_ir_drop(&nl, CgConfig::default()).unwrap();
+        let ir = solve_ir_drop(&nl).unwrap();
         assert!((ir.voltage(&name(1, 1, 0)).unwrap() - 0.9).abs() < 1e-9);
         assert!((ir.voltage(&name(1, 2, 0)).unwrap() - 0.8).abs() < 1e-9);
         assert!((ir.drop_at(&name(1, 2, 0)).unwrap() - 0.2).abs() < 1e-9);
@@ -157,7 +164,7 @@ mod tests {
              I1 n1_m1_1_0 0 0.1\n",
         )
         .unwrap();
-        let ir = solve_ir_drop(&nl, CgConfig::default()).unwrap();
+        let ir = solve_ir_drop(&nl).unwrap();
         assert!((ir.drop_at(&name(1, 1, 0)).unwrap() - 0.1).abs() < 1e-9);
     }
 
@@ -171,7 +178,7 @@ mod tests {
              I1 n1_m1_1_0 0 0.2\n",
         )
         .unwrap();
-        let ir = solve_ir_drop(&nl, CgConfig::default()).unwrap();
+        let ir = solve_ir_drop(&nl).unwrap();
         // drop = 0.2 * (0.5 + 1.0) = 0.3 at the load.
         assert!((ir.drop_at(&name(1, 1, 0)).unwrap() - 0.3).abs() < 1e-9);
         assert!((ir.vdd() - 1.1).abs() < 1e-12);
@@ -189,7 +196,7 @@ mod tests {
              I2 n1_m1_3_0 0 0.2\n",
         )
         .unwrap();
-        let ir = solve_ir_drop(&nl, CgConfig::default()).unwrap();
+        let ir = solve_ir_drop(&nl).unwrap();
         // Center carries 0.3 A: v_center = 1 - 0.3 = 0.7.
         assert!((ir.voltage(&name(1, 1, 0)).unwrap() - 0.7).abs() < 1e-9);
         assert!((ir.voltage(&name(1, 2, 0)).unwrap() - 0.6).abs() < 1e-9);
@@ -218,7 +225,7 @@ mod tests {
             text += &format!("I{i} n1_m1_{x}_{y} 0 0.05\n");
         }
         let nl = Netlist::parse_str(&text).unwrap();
-        let ir = solve_ir_drop(&nl, CgConfig::default()).unwrap();
+        let ir = solve_ir_drop(&nl).unwrap();
         let d00 = ir.drop_at(&name(1, 0, 0)).unwrap();
         for (x, y) in [(2, 0), (0, 2), (2, 2)] {
             let d = ir.drop_at(&name(1, x, y)).unwrap();
@@ -230,14 +237,14 @@ mod tests {
     #[test]
     fn no_load_means_no_drop() {
         let nl = Netlist::parse_str("V1 n1_m1_0_0 0 1.0\nR1 n1_m1_0_0 n1_m1_1_0 1.0\n").unwrap();
-        let ir = solve_ir_drop(&nl, CgConfig::default()).unwrap();
+        let ir = solve_ir_drop(&nl).unwrap();
         assert!(ir.worst_drop().abs() < 1e-12);
     }
 
     #[test]
     fn errors_are_propagated_with_context() {
         let nl = Netlist::parse_str("R1 n1_m1_0_0 n1_m1_1_0 1.0\n").unwrap();
-        let err = solve_ir_drop(&nl, CgConfig::default()).unwrap_err();
+        let err = solve_ir_drop(&nl).unwrap_err();
         assert!(err.to_string().contains("stamp failed"));
         assert!(std::error::Error::source(&err).is_some());
     }

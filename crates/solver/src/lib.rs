@@ -9,8 +9,10 @@
 //!    ([`stamp`]): resistors contribute Laplacian conductance entries,
 //!    current sources contribute load currents, voltage sources fix pad
 //!    nodes (Dirichlet elimination keeps `G` symmetric positive definite).
-//! 2. **Solve** with Jacobi-preconditioned conjugate gradients
-//!    ([`solve_cg`]) — `G` is an SPD graph Laplacian plus pad couplings.
+//! 2. **Factor** `G` once with a sparse Cholesky ([`Cholesky`]) in a
+//!    geometric nested-dissection order — `G` is an SPD graph Laplacian
+//!    plus pad couplings — and **solve** each right-hand side that shares
+//!    it by two triangular solves, checking the true relative residual.
 //! 3. **Assemble** per-node voltages and IR drops ([`solve_ir_drop`]).
 //!
 //! ```
@@ -26,19 +28,19 @@
 //!      R2 n1_m1_1_0 n1_m1_2_0 1.0\n\
 //!      I1 n1_m1_2_0 0 0.1\n.end\n",
 //! )?;
-//! let ir = solve_ir_drop(&nl, Default::default())?;
+//! let ir = solve_ir_drop(&nl)?;
 //! let worst = ir.worst_drop();
 //! assert!((worst - 0.2).abs() < 1e-6);
 //! # Ok(())
 //! # }
 //! ```
 
-pub mod cg;
+pub mod cholesky;
 pub mod ir;
 pub mod sparse;
 pub mod stamp;
 
-pub use cg::{solve_cg, solve_cg_forked, CgConfig, CgSolution, SolveCgError};
+pub use cholesky::{Cholesky, SolveError, MAX_RESIDUAL};
 pub use ir::{solve_ir_drop, IrDrop, SolveIrDropError};
 pub use sparse::{grid_laplacian, Csr};
 pub use stamp::{stamp, PdnSystem, StampNetlistError};

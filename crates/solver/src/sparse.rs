@@ -79,43 +79,20 @@ impl Csr {
     pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        self.matvec_rows(x, 0, y);
-    }
-
-    /// Row-range matrix-vector product: `y_rows[i] = (A x)[r0 + i]`.
-    ///
-    /// Rows are computed with exactly the same accumulation order as
-    /// [`Csr::matvec`], so any row partition reproduces the full product
-    /// bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the row range exceeds the matrix or `x.len() != n`.
-    pub fn matvec_rows(&self, x: &[f64], r0: usize, y_rows: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert!(r0 + y_rows.len() <= self.n, "row range out of bounds");
-        for (i, out) in y_rows.iter_mut().enumerate() {
-            let r = r0 + i;
+        for (r, out) in y.iter_mut().enumerate() {
+            let (cols, vals) = self.row(r);
             let mut acc = 0.0;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * x[self.col_ix[k]];
+            for (&c, v) in cols.iter().zip(vals) {
+                acc += v * x[c];
             }
             *out = acc;
         }
     }
 
-    /// [`Csr::matvec`] with rows partitioned across the `lmmir-par` thread
-    /// pool. Always takes the parallel driver (no size gate), bitwise equal
-    /// to the sequential product at every thread count — used by the golden
-    /// parity tests and by callers that already know the system is large.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x.len() != n` or `y.len() != n`.
-    pub fn par_matvec(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        lmmir_par::par_chunks_mut(y, 1, |r0, rows| self.matvec_rows(x, r0, rows));
+    /// Column indices and values of row `r`, in ascending column order.
+    pub(crate) fn row(&self, r: usize) -> (&[usize], &[f64]) {
+        let span = self.row_ptr[r]..self.row_ptr[r + 1];
+        (&self.col_ix[span.clone()], &self.values[span])
     }
 
     /// The matrix diagonal (zeros where no entry is stored).
@@ -161,7 +138,7 @@ impl Csr {
 
 /// 5-point 2-D Dirichlet Laplacian on a `side × side` grid — the sparsity
 /// structure of a stamped PDN layer, and the standard SPD model problem
-/// the determinism tests and thread-scaling benchmarks solve.
+/// the solver tests factor.
 #[must_use]
 pub fn grid_laplacian(side: usize) -> Csr {
     let n = side * side;

@@ -1,5 +1,6 @@
 //! Nodal-analysis stamping: netlist → `G·v = i` with Dirichlet pads.
 
+use crate::cholesky::{Cholesky, SolveError};
 use crate::sparse::Csr;
 use lmmir_spice::{ElementKind, Netlist, NodeName};
 use std::collections::HashMap;
@@ -73,13 +74,24 @@ impl PdnSystem {
     pub fn unknown_count(&self) -> usize {
         self.unknowns.len()
     }
+
+    /// Factors [`PdnSystem::matrix`], ordered by the unknowns' `(x, y)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolveError::NotPositiveDefinite`] naming the row of an
+    /// unknown with no resistive path to a pad.
+    pub fn factor(&self) -> Result<Cholesky<'_>, SolveError> {
+        let coords: Vec<(i64, i64)> = self.unknowns.iter().map(|n| (n.x, n.y)).collect();
+        Cholesky::factor(&self.matrix, &coords)
+    }
 }
 
 /// Stamps a PDN netlist into a reduced nodal-analysis system.
 ///
 /// Pad nodes (terminals of voltage sources) are eliminated Dirichlet-style:
 /// their known voltage moves to the right-hand side, keeping the remaining
-/// matrix symmetric positive definite so CG applies.
+/// matrix symmetric positive definite so Cholesky applies.
 ///
 /// Sign conventions match SPICE: a current source `I n 0 v` draws `v`
 /// amperes out of node `n` into ground.

@@ -1,10 +1,10 @@
 //! Golden-solver regression tests: tiny hand-stampable resistive networks
 //! whose node voltages are known in closed form. These pin the solver's
-//! numerical behaviour — any stamping or CG regression shows up as a drift
-//! beyond 1e-6 from the analytic solution.
+//! numerical behaviour — any stamping or factor regression shows up as a
+//! drift beyond 1e-6 from the analytic solution.
 
-use lmmir_solver::{solve_cg, solve_ir_drop, stamp, CgConfig, Csr};
-use lmmir_spice::{Netlist, NodeName};
+use lmmir_solver::{solve_ir_drop, stamp, Cholesky, Csr, SolveError, SolveIrDropError};
+use lmmir_spice::{Element, ElementKind, Netlist, NodeName, NodeRef};
 
 const VDD: f64 = 1.0;
 
@@ -47,7 +47,7 @@ fn node(x: i64, y: i64) -> NodeName {
 #[test]
 fn ladder_matches_closed_form_within_1e6() {
     let (r1, r2, i1, i2) = (2.5, 0.75, 0.04, 0.01);
-    let ir = solve_ir_drop(&ladder(r1, r2, i1, i2), CgConfig::default()).expect("solves");
+    let ir = solve_ir_drop(&ladder(r1, r2, i1, i2)).expect("solves");
 
     let v1 = VDD - r1 * (i1 + i2);
     let v2 = v1 - r2 * i2;
@@ -59,7 +59,7 @@ fn ladder_matches_closed_form_within_1e6() {
 #[test]
 fn diamond_grid_matches_closed_form_within_1e6() {
     let (r, load) = (1.5, 0.08);
-    let ir = solve_ir_drop(&diamond(r, load), CgConfig::default()).expect("solves");
+    let ir = solve_ir_drop(&diamond(r, load)).expect("solves");
 
     let v_mid = VDD - r * load / 2.0;
     let v_far = VDD - r * load;
@@ -89,8 +89,10 @@ fn stamped_diamond_system_matches_hand_stamp() {
     }
 
     // The reduced system solved directly must agree with the closed form.
-    let sol = solve_cg(&sys.matrix, &sys.rhs, CgConfig::default()).expect("cg converges");
-    let mut v = sol.x.clone();
+    let mut v = sys
+        .factor()
+        .and_then(|f| f.solve(&sys.rhs))
+        .expect("factors and solves");
     v.sort_by(f64::total_cmp);
     let expect = {
         let mut e = vec![VDD - r * load, VDD - r * load / 2.0, VDD - r * load / 2.0];
@@ -103,35 +105,17 @@ fn stamped_diamond_system_matches_hand_stamp() {
 }
 
 #[test]
-fn cg_reaches_1e6_on_hand_built_spd_system() {
+fn factor_reaches_1e6_on_hand_built_spd_system() {
     // 2-node system built directly as CSR (no netlist): G = [[3,-1],[-1,2]],
     // b = [1, 0.5]. det = 5, inverse by hand: x = [2·1+1·0.5, 1·1+3·0.5]/5.
     let a = Csr::from_triplets(2, &[(0, 0, 3.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 2.0)]);
     let b = [1.0, 0.5];
-    let sol = solve_cg(&a, &b, CgConfig::default()).expect("cg converges");
+    let x = Cholesky::factor(&a, &[(0, 0), (1, 0)])
+        .and_then(|f| f.solve(&b))
+        .expect("factors and solves");
     let expect = [(2.0 + 0.5) / 5.0, (1.0 + 1.5) / 5.0];
-    assert!((sol.x[0] - expect[0]).abs() < 1e-6);
-    assert!((sol.x[1] - expect[1]).abs() < 1e-6);
-}
-
-#[test]
-fn ladder_parallel_spmv_matches_sequential_bitwise() {
-    // The ladder's stamped system pushed through the parallel SpMV path at
-    // several thread counts (including the odd 7) must reproduce the
-    // sequential product bit for bit — the row partition may not change a
-    // single rounding.
-    let sys = stamp(&ladder(2.5, 0.75, 0.04, 0.01)).expect("stamps");
-    let n = sys.matrix.n();
-    let x: Vec<f64> = (0..n).map(|i| 0.3 + 0.1 * i as f64).collect();
-    let mut seq = vec![0.0; n];
-    sys.matrix.matvec(&x, &mut seq);
-    for threads in [1, 2, 7] {
-        let mut par = vec![0.0; n];
-        lmmir_par::with_threads(threads, || sys.matrix.par_matvec(&x, &mut par));
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.to_bits(), b.to_bits(), "ladder SpMV drift at {threads}");
-        }
-    }
+    assert!((x[0] - expect[0]).abs() < 1e-6);
+    assert!((x[1] - expect[1]).abs() < 1e-6);
 }
 
 #[test]
@@ -140,13 +124,9 @@ fn ladder_solved_in_parallel_matches_closed_form_and_single_thread() {
     let nl = ladder(r1, r2, i1, i2);
     let v1 = VDD - r1 * (i1 + i2);
     let v2 = v1 - r2 * i2;
-    let single = lmmir_par::with_threads(1, || {
-        solve_ir_drop(&nl, CgConfig::default()).expect("solves")
-    });
+    let single = lmmir_par::with_threads(1, || solve_ir_drop(&nl).expect("solves"));
     for threads in [2, 7] {
-        let ir = lmmir_par::with_threads(threads, || {
-            solve_ir_drop(&nl, CgConfig::default()).expect("solves")
-        });
+        let ir = lmmir_par::with_threads(threads, || solve_ir_drop(&nl).expect("solves"));
         // Same golden values as the single-thread path…
         assert!((ir.voltage(&node(1, 0)).expect("n1 solved") - v1).abs() < 1e-6);
         assert!((ir.voltage(&node(2, 0)).expect("n2 solved") - v2).abs() < 1e-6);
@@ -163,37 +143,96 @@ fn ladder_solved_in_parallel_matches_closed_form_and_single_thread() {
 }
 
 #[test]
-fn diamond_parallel_spmv_and_solve_match_single_thread() {
+fn diamond_solved_at_every_thread_count_matches_closed_form_and_single_thread() {
     let (r, load) = (1.5, 0.08);
     let nl = diamond(r, load);
-    let sys = stamp(&nl).expect("stamps");
-    let mut seq = vec![0.0; sys.matrix.n()];
-    sys.matrix.matvec(&sys.rhs, &mut seq);
+    let single = lmmir_par::with_threads(1, || solve_ir_drop(&nl).expect("solves"));
     for threads in [1, 2, 7] {
-        let mut par = vec![0.0; sys.matrix.n()];
-        lmmir_par::with_threads(threads, || sys.matrix.par_matvec(&sys.rhs, &mut par));
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.to_bits(), b.to_bits(), "diamond SpMV drift at {threads}");
-        }
-
-        let ir = lmmir_par::with_threads(threads, || {
-            solve_ir_drop(&nl, CgConfig::default()).expect("solves")
-        });
+        let ir = lmmir_par::with_threads(threads, || solve_ir_drop(&nl).expect("solves"));
         let v_mid = VDD - r * load / 2.0;
         let v_far = VDD - r * load;
         assert!((ir.voltage(&node(0, 1)).expect("b solved") - v_mid).abs() < 1e-6);
         assert!((ir.voltage(&node(1, 0)).expect("c solved") - v_mid).abs() < 1e-6);
         assert!((ir.voltage(&node(1, 1)).expect("d solved") - v_far).abs() < 1e-6);
         assert!((ir.worst_drop() - r * load).abs() < 1e-6);
+        for (name, drop) in single.iter_drops() {
+            let other = ir.drop_at(name).expect("same node set");
+            assert_eq!(drop.to_bits(), other.to_bits(), "drift at {threads}");
+        }
     }
+}
+
+/// The ladder plus `extra` netlist lines: hostile additions that `stamp`
+/// accepts but that leave the reduced system singular.
+fn ladder_with(extra: &str) -> Netlist {
+    let text = format!(
+        "V1 n1_m1_0_0 0 {VDD}\n\
+         R1 n1_m1_0_0 n1_m1_1_0 1.0\n\
+         R2 n1_m1_1_0 n1_m1_2_0 1.0\n\
+         I1 n1_m1_2_0 0 0.01\n{extra}"
+    );
+    Netlist::parse_str(&text).expect("netlist parses")
+}
+
+/// Asserts the golden flow fails cleanly on `nl`, naming a singular row
+/// that belongs to one of `culprits`.
+fn assert_singular_at(nl: &Netlist, culprits: &[NodeName]) {
+    let sys = stamp(nl).expect("stamp accepts the netlist");
+    let err = sys.factor().expect_err("singular system must not factor");
+    let SolveError::NotPositiveDefinite { row, .. } = err else {
+        panic!("expected a singular pivot, got {err:?}");
+    };
+    assert!(
+        culprits.contains(&sys.unknowns[row]),
+        "row {row} is {:?}, not one of {culprits:?}",
+        sys.unknowns[row]
+    );
+    let err = solve_ir_drop(nl).expect_err("golden flow must fail");
+    assert!(matches!(err, SolveIrDropError::Solve(_)), "{err:?}");
+    assert!(err.to_string().contains(&format!("row {row}")), "{err}");
+}
+
+#[test]
+fn resistor_island_without_a_pad_fails_naming_its_row() {
+    // Two nodes joined to each other but to nothing else: their block of
+    // the conductance matrix is a singular Laplacian.
+    let island = [node(7, 7), node(8, 7)];
+    assert_singular_at(&ladder_with("R9 n1_m1_7_7 n1_m1_8_7 1.0\n"), &island);
+    // A load on the island does not make it solvable either.
+    assert_singular_at(
+        &ladder_with("R9 n1_m1_7_7 n1_m1_8_7 1.0\nI9 n1_m1_8_7 0 0.01\n"),
+        &island,
+    );
+}
+
+#[test]
+fn infinite_resistance_stamps_zero_conductance_and_fails_naming_its_row() {
+    // The parser refuses `inf`, so the element is built in code.
+    let far = node(3, 0);
+    let mut nl = ladder_with("");
+    nl.push(Element::new(
+        "R9",
+        ElementKind::Resistor,
+        NodeRef::Node(node(2, 0)),
+        NodeRef::Node(far),
+        f64::INFINITY,
+    ));
+    let sys = stamp(&nl).expect("stamp accepts an infinite resistance");
+    let row = sys
+        .unknowns
+        .iter()
+        .position(|n| *n == far)
+        .expect("stamped");
+    assert_eq!(sys.matrix.diag()[row], 0.0, "1/inf stamps zero conductance");
+    assert_singular_at(&nl, &[far]);
 }
 
 #[test]
 fn solve_ir_drop_is_bitwise_deterministic_across_runs() {
     let nl = diamond(1.25, 0.06);
-    let first = solve_ir_drop(&nl, CgConfig::default()).expect("first run solves");
+    let first = solve_ir_drop(&nl).expect("first run solves");
     for run in 0..3 {
-        let again = solve_ir_drop(&nl, CgConfig::default()).expect("repeat run solves");
+        let again = solve_ir_drop(&nl).expect("repeat run solves");
         assert_eq!(first.len(), again.len(), "node count stable (run {run})");
         for (name, drop) in first.iter_drops() {
             let other = again.drop_at(name).expect("same node set");

@@ -11,6 +11,7 @@
 use lmmir_features::io::{save_csv, save_pgm};
 use lmmir_features::{ir_drop_map, FeatureStack};
 use lmmir_pdn::{CaseKind, CaseSpec};
+use lmmir_solver::stamp;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -35,10 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let t0 = Instant::now();
-    let ir = case.solve()?;
+    let sys = stamp(&case.netlist)?;
+    let factor = sys.factor()?;
+    let ir = sys.solve(&factor)?;
     println!(
-        "  golden solve: {} CG iterations in {:.2}s, worst drop {:.4} V ({:.1}% of VDD)",
-        ir.iterations,
+        "  golden solve: {} unknowns, nnz(L) {} in {:.2}s, worst drop {:.4} V ({:.1}% of VDD)",
+        sys.unknown_count(),
+        factor.nnz(),
         t0.elapsed().as_secs_f64(),
         ir.worst_drop(),
         100.0 * ir.worst_drop() / case.tech.vdd

@@ -12,7 +12,7 @@
 use lmm_ir::{build_sample, suggest_pad_fixes, train, LmmIr, LmmIrConfig, LntConfig, TrainConfig};
 use lmmir_features::check_budget;
 use lmmir_pdn::{CaseKind, CaseSpec};
-use lmmir_solver::{solve_ir_drop, CgConfig};
+use lmmir_solver::solve_ir_drop;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let input_size = 32;
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. A pad-starved design with a violation.
     let victim = CaseSpec::new("victim", 32, 32, 4242, CaseKind::Real);
     let case = victim.generate();
-    let ir = solve_ir_drop(&case.netlist, CgConfig::default())?;
+    let ir = solve_ir_drop(&case.netlist)?;
     println!(
         "victim design: worst golden drop {:.2} mV ({} pads)",
         ir.worst_drop() * 1e3,
@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let best = &fixes[0];
     let mut fixed_spec = victim.clone();
     fixed_spec.extra_pads.push(best.position_um);
-    let fixed_ir = solve_ir_drop(&fixed_spec.generate().netlist, CgConfig::default())?;
+    let fixed_ir = solve_ir_drop(&fixed_spec.generate().netlist)?;
     println!(
         "\ngolden validation of the best fix: worst drop {:.2} mV -> {:.2} mV",
         ir.worst_drop() * 1e3,

@@ -11,7 +11,7 @@
 //! * [`tensor`] — dense f32 tensors + reverse-mode autograd (CPU substrate)
 //! * [`nn`] — neural-network layers (conv/norm/attention/embedding)
 //! * [`spice`] — ICCAD-2023 PDN SPICE dialect parser/writer
-//! * [`solver`] — golden static IR-drop analysis (stamping + CG)
+//! * [`solver`] — golden static IR-drop analysis (stamping + sparse Cholesky)
 //! * [`pdn`] — contest-style benchmark generation (BeGAN substitute)
 //! * [`features`] — circuit feature-map extraction
 //! * [`model`] — the LMM-IR model, baselines, training and metrics

@@ -3,18 +3,18 @@
 
 use lmmir_features::{effective_distance_map, ir_drop_map, FeatureStack};
 use lmmir_pdn::{hidden_suite, training_suite, CaseKind, CaseSpec};
-use lmmir_solver::{solve_ir_drop, CgConfig};
+use lmmir_solver::solve_ir_drop;
 use lmmir_spice::Netlist;
 
 #[test]
 fn spice_round_trip_preserves_golden_solution() {
     let case = CaseSpec::new("rt", 20, 20, 17, CaseKind::Real).generate();
-    let ir1 = solve_ir_drop(&case.netlist, CgConfig::default()).unwrap();
+    let ir1 = solve_ir_drop(&case.netlist).unwrap();
     // Write to the SPICE dialect and back.
     let text = case.netlist.to_spice();
     let reparsed = Netlist::parse_str(&text).unwrap();
     assert_eq!(case.netlist, reparsed);
-    let ir2 = solve_ir_drop(&reparsed, CgConfig::default()).unwrap();
+    let ir2 = solve_ir_drop(&reparsed).unwrap();
     assert!((ir1.worst_drop() - ir2.worst_drop()).abs() < 1e-12);
     // Feature maps from the reparsed netlist are identical too.
     let dbu = case.tech.dbu_per_um;
