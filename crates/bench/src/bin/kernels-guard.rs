@@ -2,20 +2,15 @@
 //! kernels, runnable locally and in CI.
 //!
 //! ```text
-//! kernels-guard [--json PATH] [--reps N] [--only gemm|int8|fusion]
+//! kernels-guard [--json PATH] [--reps N] [--only gemm|fusion]
 //! ```
 //!
-//! Four guards, any violation exits nonzero:
+//! Two guards, any violation exits nonzero:
 //!
 //! 1. **Tiled GEMM wins.** The cache-tiled packed kernel must be at least
 //!    as fast as the naive reference at 256³ — and bitwise identical to it
 //!    (the tiling contract the determinism suite relies on).
-//! 2. **int8 forward wins.** The quantized forward pass of the quick()
-//!    LMM-IR model must be at least as fast as the f32 pass.
-//! 3. **int8 stays close.** Worst per-pixel divergence of the quantized
-//!    prediction must stay under the same relative threshold the
-//!    `quantized_e2e` CI test pins.
-//! 4. **Fusion wins.** A conv-block-shaped elementwise chain (scale, bias,
+//! 2. **Fusion wins.** A conv-block-shaped elementwise chain (scale, bias,
 //!    relu ×2, plus the residual max head `skip + relu(t - skip)`) realized
 //!    through the lazy op-graph runtime must run at least
 //!    [`FUSION_TARGET`]× faster than the eager (`lazy::with_eager`) per-op path — and
@@ -24,12 +19,10 @@
 //! `--only` runs a single guard section (the CI matrix splits the sections
 //! across jobs); `--json` writes the measured numbers of the sections that
 //! ran as a machine-readable record (a full run is committed as
-//! `BENCH_kernels.json`). Timings are medians over `--reps` runs (default 9
-//! for GEMM and fusion, 5 for forwards), so one scheduler hiccup cannot
-//! flake the gate; the speed guards additionally allow 5% noise.
+//! `BENCH_kernels.json`). Timings are medians over `--reps` runs (default
+//! 9), so one scheduler hiccup cannot flake the gate; the speed guards
+//! additionally allow 5% noise.
 
-use lmm_ir::{InferenceSession, Layer, LmmIr, LmmIrConfig};
-use lmmir_pdn::{CaseKind, CaseSpec};
 use lmmir_tensor::lazy;
 use lmmir_tensor::linalg::{gemm_reference, gemm_tiled};
 use lmmir_tensor::Tensor;
@@ -38,10 +31,6 @@ use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
-
-/// Same bound as `crates/core/tests/quantized_e2e.rs` — worst per-pixel
-/// divergence relative to the f32 map's peak.
-const DIVERGENCE_THRESHOLD: f32 = 0.25;
 
 /// Speed guards tolerate this much measurement noise.
 const NOISE: f64 = 1.05;
@@ -57,7 +46,6 @@ const FUSION_DIMS: [usize; 3] = [16, 128, 128];
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Section {
     Gemm,
-    Int8,
     Fusion,
 }
 
@@ -91,7 +79,6 @@ fn main() -> ExitCode {
             },
             "--only" => match args.next().as_deref() {
                 Some("gemm") => only = Some(Section::Gemm),
-                Some("int8") => only = Some(Section::Int8),
                 Some("fusion") => only = Some(Section::Fusion),
                 _ => return usage(),
             },
@@ -143,61 +130,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // --- Guards 2+3: int8 vs f32 forward on the quick() LMM-IR model. ---
-    if run(Section::Int8) {
-        let model = LmmIr::new(LmmIrConfig::quick());
-        let case = CaseSpec::new("guard", 24, 24, 11, CaseKind::Hidden).generate();
-        let session = InferenceSession::new(&model);
-        let input = session
-            .prepare(&case.power, Some(&case.netlist), case.tech.dbu_per_um)
-            .expect("guard case prepares");
-        let fwd_reps = reps.min(5);
-        let exact = session.predict(&input).expect("f32 predict");
-        let f32_ms = 1e3
-            * median_secs(fwd_reps, || {
-                black_box(session.predict(black_box(&input)).expect("f32 predict"));
-            });
-        let layers = model.quantize();
-        assert!(layers > 0, "quick() model must have quantizable layers");
-        let quant = session.predict(&input).expect("int8 predict");
-        let int8_ms = 1e3
-            * median_secs(fwd_reps, || {
-                black_box(session.predict(black_box(&input)).expect("int8 predict"));
-            });
-        let peak = exact.map.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let worst = exact
-            .map
-            .data()
-            .iter()
-            .zip(quant.map.data())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max);
-        let divergence = worst / peak;
-        eprintln!(
-            "[kernels-guard] quick() forward: f32 {f32_ms:.2} ms, int8 {int8_ms:.2} ms \
-             ({:.2}x), divergence {divergence:.4} of peak ({layers} int8 layers)",
-            f32_ms / int8_ms
-        );
-        fields.push(format!("\"forward_f32_ms\": {f32_ms:.4}"));
-        fields.push(format!("\"forward_int8_ms\": {int8_ms:.4}"));
-        fields.push(format!("\"forward_speedup\": {:.4}", f32_ms / int8_ms));
-        fields.push(format!("\"int8_layers\": {layers}"));
-        fields.push(format!("\"int8_divergence_of_peak\": {divergence:.6}"));
-        fields.push(format!("\"divergence_threshold\": {DIVERGENCE_THRESHOLD}"));
-        if int8_ms > f32_ms * NOISE {
-            eprintln!("[kernels-guard] FAIL: int8 forward slower than f32");
-            failed = true;
-        }
-        if !(divergence > 0.0 && divergence < DIVERGENCE_THRESHOLD) {
-            eprintln!(
-                "[kernels-guard] FAIL: int8 divergence {divergence} outside \
-                 (0, {DIVERGENCE_THRESHOLD})"
-            );
-            failed = true;
-        }
-    }
-
-    // --- Guard 4: fused elementwise chain vs the eager per-op path. ---
+    // --- Guard 2: fused elementwise chain vs the eager per-op path. ---
     if run(Section::Fusion) {
         let elems: usize = FUSION_DIMS.iter().product();
         let mut rng = StdRng::seed_from_u64(7);
@@ -280,6 +213,6 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: kernels-guard [--json PATH] [--reps N] [--only gemm|int8|fusion]");
+    eprintln!("usage: kernels-guard [--json PATH] [--reps N] [--only gemm|fusion]");
     ExitCode::from(2)
 }

@@ -163,7 +163,6 @@ fn main() -> ExitCode {
             input_channels: arch.default_input_channels(),
             input_size: size,
             config: None,
-            quant_scales: Default::default(),
         };
         let model = match lmm_ir::build_predictor(&meta) {
             Ok(m) => m,

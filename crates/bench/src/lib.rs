@@ -147,7 +147,6 @@ impl Harness {
             input_channels: arch.default_input_channels(),
             input_size: self.lmm.input_size,
             config,
-            quant_scales: Default::default(),
         };
         arch.build(&meta)
             .unwrap_or_else(|e| panic!("harness model: {e}"))

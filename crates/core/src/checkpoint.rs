@@ -1,4 +1,4 @@
-//! Saving and restoring trained predictors: checkpoint format v5, the
+//! Saving and restoring trained predictors: checkpoint format v6, the
 //! only one this reader accepts.
 //!
 //! A checkpoint is a tensor file (`lmmir_tensor::io`) of named entries, in
@@ -12,12 +12,7 @@
 //! * `param.{i}` then `buffer.{i}` — the model's
 //!   [`lmmir_nn::state_dict`]: every parameter and every buffer (the
 //!   BatchNorm running statistics an eval forward normalises with), in walk
-//!   order;
-//! * `quant.{i}` — the int8 weight scales of every rank-2/rank-4
-//!   `param.{i}`, computed by [`lmmir_tensor::quant::weight_scales`] — the
-//!   function the layers use when they quantize — so the loader
-//!   cross-checks each vector bitwise against its parameter and rejects a
-//!   tampered or corrupted file.
+//!   order.
 //!
 //! [`load_predictor`] reads a file once, builds the architecture its own
 //! metadata and config name, and restores the state dict into it, so the
@@ -26,15 +21,16 @@
 //! Files from earlier writers (v1–v4) carry no `buffer.*` entry: their
 //! running statistics were never written, and the model they describe
 //! cannot be recovered from them. They are rejected with a message asking
-//! for a re-save from the trained model.
+//! for a re-save from the trained model. A v5 file is a v6 file plus
+//! `quant.{i}` weight-scale entries; those land in the state dict, whose
+//! entry count then disagrees with the model, so it is rejected too and
+//! must be re-saved.
 
 use crate::arch::{build_predictor, ArchConfig, ArchSpec};
 use crate::dynamic::DynamicIrConfig;
 use crate::model::{IrPredictor, LmmIrConfig};
 use lmmir_nn::{load_state_dict, state_dict};
-use lmmir_tensor::quant::weight_scales;
 use lmmir_tensor::{io, Result, Tensor, TensorError};
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Name prefix of the metadata entry; the model name rides in the entry
@@ -44,10 +40,6 @@ const META_PREFIX: &str = "meta.";
 /// Name prefix of every family-specific full-config entry; the suffix is
 /// owned by [`ArchSpec::config_entry`].
 const CONFIG_PREFIX: &str = "config.";
-
-/// Name prefix of the per-parameter int8 scale entries (`quant.{i}`
-/// describes `param.{i}`).
-const QUANT_PREFIX: &str = "quant.";
 
 /// Architecture metadata stored alongside the model state.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,28 +54,17 @@ pub struct CheckpointMeta {
     /// architectures, which are fully determined by name, channels and
     /// size).
     pub config: Option<ArchConfig>,
-    /// Per-parameter int8 weight scales keyed by parameter index. Every
-    /// rank-2/rank-4 parameter has an entry.
-    pub quant_scales: BTreeMap<usize, Vec<f32>>,
 }
 
 impl CheckpointMeta {
-    /// Reads the metadata off a live model, including the int8 scales of
-    /// every quantizable parameter.
+    /// Reads the metadata off a live model.
     #[must_use]
     pub fn of(model: &dyn IrPredictor) -> Self {
-        let quant_scales = model
-            .parameters()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| weight_scales(&p.value()).map(|s| (i, s)))
-            .collect();
         CheckpointMeta {
             model: model.name().to_string(),
             input_channels: model.input_channels(),
             input_size: model.input_size(),
             config: model.arch_config(),
-            quant_scales,
         }
     }
 
@@ -132,7 +113,6 @@ impl CheckpointMeta {
             input_channels: data[0] as usize,
             input_size: data[1] as usize,
             config: None,
-            quant_scales: BTreeMap::new(),
         })
     }
 }
@@ -140,42 +120,19 @@ impl CheckpointMeta {
 /// A named tensor as stored in a checkpoint file.
 type NamedTensor = (String, Tensor);
 
-/// Parses a `quant.{i}` entry name/payload into `(index, scales)`.
-fn parse_quant(name: &str, t: &Tensor) -> Result<(usize, Vec<f32>)> {
-    let bad = |why: String| TensorError::Io(format!("malformed quant entry '{name}': {why}"));
-    let index = name
-        .strip_prefix(QUANT_PREFIX)
-        .expect("caller checked the prefix")
-        .parse::<usize>()
-        .map_err(|_| bad("suffix must be a parameter index".to_string()))?;
-    if t.rank() != 1 {
-        return Err(bad(format!("scales must be rank-1, got {:?}", t.dims())));
-    }
-    let data = t.data();
-    if let Some(v) = data.iter().find(|v| !v.is_finite() || **v <= 0.0) {
-        return Err(bad(format!("scales must be finite and positive, got {v}")));
-    }
-    Ok((index, data.to_vec()))
-}
-
 /// Splits loaded entries into the metadata and the state dict (order
 /// preserved). The `config.*` entry is decoded by the family that owns the
 /// entry name ([`ArchSpec::for_config_entry`]), folded into
-/// [`CheckpointMeta::config`] and cross-checked against the meta entry;
-/// `quant.{i}` entries are folded into [`CheckpointMeta::quant_scales`]
-/// and cross-checked **bitwise** against a recomputation from the
-/// `param.{i}` tensor they describe.
+/// [`CheckpointMeta::config`] and cross-checked against the meta entry.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::Io`] for a missing, malformed, unknown or
-/// duplicated meta/config/quant entry, a config that disagrees with the
-/// meta's architecture name, channel count or input size, or a quant entry
-/// whose scales disagree with its parameter.
+/// duplicated meta/config entry, or a config that disagrees with the
+/// meta's architecture name, channel count or input size.
 fn split_meta(entries: Vec<NamedTensor>) -> Result<(CheckpointMeta, Vec<NamedTensor>)> {
     let mut meta: Option<CheckpointMeta> = None;
     let mut config: Option<ArchConfig> = None;
-    let mut quant: BTreeMap<usize, Vec<f32>> = BTreeMap::new();
     let mut state = Vec::with_capacity(entries.len());
     for (name, t) in entries {
         if name.starts_with(CONFIG_PREFIX) {
@@ -191,13 +148,6 @@ fn split_meta(entries: Vec<NamedTensor>) -> Result<(CheckpointMeta, Vec<NamedTen
                 ));
             }
             config = Some(ArchConfig::decode(arch, &t)?);
-        } else if name.starts_with(QUANT_PREFIX) {
-            let (index, scales) = parse_quant(&name, &t)?;
-            if quant.insert(index, scales).is_some() {
-                return Err(TensorError::Io(format!(
-                    "checkpoint has more than one '{name}' entry"
-                )));
-            }
         } else if name.starts_with(META_PREFIX) {
             if meta.is_some() {
                 return Err(TensorError::Io(
@@ -216,24 +166,6 @@ fn split_meta(entries: Vec<NamedTensor>) -> Result<(CheckpointMeta, Vec<NamedTen
                 .to_string(),
         ));
     };
-    // Stored scales must match a bitwise recomputation from the very
-    // parameter tensors in this file: `weight_scales` is the one function
-    // both the writer and the quantizing layers use, so any disagreement
-    // means corruption or tampering.
-    for (index, scales) in &quant {
-        let param_name = format!("param.{index}");
-        let Some((_, p)) = state.iter().find(|(n, _)| *n == param_name) else {
-            return Err(TensorError::Io(format!(
-                "quant entry 'quant.{index}' has no matching '{param_name}'"
-            )));
-        };
-        if weight_scales(p).as_ref() != Some(scales) {
-            return Err(TensorError::Io(format!(
-                "quant entry 'quant.{index}' disagrees with the scales \
-                 recomputed from '{param_name}'"
-            )));
-        }
-    }
     if let Some(cfg) = config {
         let entry = cfg.entry_name();
         if meta.model != cfg.arch().name() {
@@ -255,14 +187,12 @@ fn split_meta(entries: Vec<NamedTensor>) -> Result<(CheckpointMeta, Vec<NamedTen
         }
         meta.config = Some(cfg);
     }
-    meta.quant_scales = quant;
     Ok((meta, state))
 }
 
 /// Serializes a predictor: metadata, the full family configuration (for
-/// families that own one), the [`state_dict`] — every parameter, then
-/// every buffer — and the int8 weight scales of every quantizable
-/// parameter.
+/// families that own one) and the [`state_dict`] — every parameter, then
+/// every buffer.
 ///
 /// # Errors
 ///
@@ -272,13 +202,6 @@ pub fn save_predictor(model: &dyn IrPredictor, path: impl AsRef<Path>) -> Result
     let mut entries = vec![meta.entry()];
     entries.extend(meta.config.as_ref().map(ArchConfig::entry));
     entries.extend(state_dict(model));
-    entries.extend(meta.quant_scales.iter().map(|(i, scales)| {
-        let len = scales.len();
-        (
-            format!("{QUANT_PREFIX}{i}"),
-            Tensor::from_vec(scales.clone(), &[len]).expect("scales are rank 1"),
-        )
-    }));
     io::save(path, &entries)
 }
 
@@ -313,7 +236,7 @@ pub fn load_predictor(path: impl AsRef<Path>) -> Result<(CheckpointMeta, Box<dyn
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::{iredge, irpnet};
+    use crate::baselines::iredge;
     use crate::lnt::LntConfig;
     use crate::model::{IrPredictor, LmmIr};
     use lmmir_nn::Layer;
@@ -472,7 +395,6 @@ mod tests {
         let (meta, b) = load_predictor(&path).unwrap();
         assert_eq!(meta.lmmir_config(), Some(&cfg), "config must survive");
         assert_eq!(meta.lmmir_config().unwrap().seed, 0xDEAD_BEEF_CAFE_F00D);
-        assert!(!meta.quant_scales.is_empty(), "saves carry int8 scales");
         // And the weights restore into the model built from that config.
         assert_same_parameters(&a, b.as_ref());
         std::fs::remove_file(&path).ok();
@@ -488,74 +410,6 @@ mod tests {
         });
         let err = rejection(&LmmIr::new(custom_lmmir_cfg()), "v3_mismatch.lmmt", edit);
         assert!(err.contains("load_state_dict"), "got {err}");
-    }
-
-    #[test]
-    fn v4_quant_scales_round_trip() {
-        // The stored scales must be byte-for-byte what `CheckpointMeta::of`
-        // computes from the live model — the invariant that lets quantized
-        // serving recompute identical scales from any format version.
-        let a = irpnet(16, 3);
-        let expected = CheckpointMeta::of(&a);
-        assert!(
-            !expected.quant_scales.is_empty(),
-            "every conv/linear weight contributes scales"
-        );
-        for (i, p) in a.parameters().iter().enumerate() {
-            assert_eq!(
-                expected.quant_scales.contains_key(&i),
-                matches!(p.value().rank(), 2 | 4),
-                "param {i} rank {}",
-                p.value().rank()
-            );
-        }
-        let path = tmp("v4_scales.lmmt");
-        save_predictor(&a, &path).unwrap();
-        let (meta, _) = load_predictor(&path).unwrap();
-        assert_eq!(meta.quant_scales, expected.quant_scales);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn tampered_quant_entries_are_rejected() {
-        let a = iredge(16, 1);
-        let path = tmp("v4_tamper.lmmt");
-        save_predictor(&a, &path).unwrap();
-        let entries = io::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-
-        // Scales disagreeing with their parameter.
-        let mut tampered = entries.clone();
-        let q = tampered
-            .iter_mut()
-            .find(|(n, _)| n.starts_with("quant."))
-            .expect("fresh saves carry quant entries");
-        q.1 = q.1.scale(2.0);
-        let err = split_meta(tampered).unwrap_err().to_string();
-        assert!(err.contains("disagrees"), "got {err}");
-
-        // A quant entry with no matching parameter.
-        let mut orphan = entries.clone();
-        let scales = Tensor::from_vec(vec![1.0], &[1]).unwrap();
-        orphan.push(("quant.999".to_string(), scales.clone()));
-        let err = split_meta(orphan).unwrap_err().to_string();
-        assert!(err.contains("no matching"), "got {err}");
-
-        // Non-positive scales are rejected before any comparison.
-        let bad = vec![(
-            "quant.0".to_string(),
-            Tensor::from_vec(vec![0.0], &[1]).unwrap(),
-        )];
-        let err = split_meta(bad).unwrap_err().to_string();
-        assert!(err.contains("finite and positive"), "got {err}");
-
-        // Quant entries without a meta entry.
-        let headless: Vec<NamedTensor> = entries
-            .into_iter()
-            .filter(|(n, _)| !n.starts_with(META_PREFIX))
-            .collect();
-        let err = split_meta(headless).unwrap_err().to_string();
-        assert!(err.contains("no meta entry"), "got {err}");
     }
 
     fn custom_dynamic_cfg() -> crate::dynamic::DynamicIrConfig {
@@ -578,7 +432,6 @@ mod tests {
         let (meta, b) = load_predictor(&path).unwrap();
         assert_eq!(meta.model, "DynIR");
         assert_eq!(meta.input_channels, 5, "channels record the window count");
-        assert!(!meta.quant_scales.is_empty(), "saves carry int8 scales");
         assert_eq!(meta.dynamic_config(), Some(&cfg), "config must survive");
         assert_eq!(meta.dynamic_config().unwrap().seed, 0xFEED_FACE_BEEF_1234);
         assert!(meta.lmmir_config().is_none(), "no LMM-IR config here");
@@ -692,7 +545,6 @@ mod tests {
         // The well-formed payload parses.
         let (meta_out, params) = split_meta(vec![meta, cfg_payload(good)]).unwrap();
         assert!(params.is_empty());
-        assert!(meta_out.quant_scales.is_empty());
         let cfg = meta_out.lmmir_config().unwrap();
         assert_eq!(cfg.widths, vec![12, 24]);
         assert_eq!(cfg.stem_kernel, 7);
@@ -756,7 +608,6 @@ mod tests {
             let (meta, b) = load_predictor(&path).unwrap();
             assert_eq!(meta.model, name);
             assert_eq!(meta.input_channels, channels);
-            assert!(!meta.quant_scales.is_empty(), "saves carry int8 scales");
             assert_eq!(meta.config, Some(ArchConfig::UNet(cfg)));
             assert_same_parameters(&a, b.as_ref());
             std::fs::remove_file(&path).ok();
@@ -839,23 +690,25 @@ mod tests {
         );
     }
 
-    /// The v4 writer produced today's file without its buffers.
+    /// The v4 writer produced today's file without its buffers; the v5
+    /// writer produced it plus `quant.{i}` weight-scale entries, which land
+    /// in the state dict and overfill it.
     #[test]
     fn v4_layout_checkpoint_is_rejected() {
         assert_pre_v5_layout_rejected("v4", &["buffer."]);
-    }
-
-    /// v3 also lacked the quant entries.
-    #[test]
-    fn v3_layout_checkpoint_is_rejected() {
-        assert_pre_v5_layout_rejected("v3", &["buffer.", QUANT_PREFIX]);
+        let lmmir = LmmIr::new(custom_lmmir_cfg());
+        let err = rejection(&lmmir, "v5_layout.lmmt", |e| {
+            let scales = Tensor::from_vec(vec![0.01; 4], &[4]).unwrap();
+            e.push(("quant.0".to_string(), scales));
+        });
+        assert!(err.contains("state dict has"), "v5: {err}");
     }
 
     /// v2 also lacked the config (the LMM-IR build would fall back to
     /// `quick()` widths without it).
     #[test]
     fn v2_layout_checkpoint_is_rejected() {
-        assert_pre_v5_layout_rejected("v2", &["buffer.", QUANT_PREFIX, CONFIG_PREFIX]);
+        assert_pre_v5_layout_rejected("v2", &["buffer.", CONFIG_PREFIX]);
     }
 
     #[test]

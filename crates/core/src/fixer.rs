@@ -138,7 +138,6 @@ mod tests {
                 input_channels: arch.default_input_channels(),
                 input_size: 16,
                 config: None,
-                quant_scales: Default::default(),
             };
             let model = arch.build(&meta).unwrap();
             let got = predict_case(&spec, model.as_ref());

@@ -14,9 +14,9 @@ use rand::{Rng, SeedableRng};
 /// (LMM-IR and all baselines), so the trainer and the benchmark harness
 /// treat them uniformly.
 ///
-/// A predictor is a [`Layer`]: its parts, parameters, buffers, train/eval
-/// switch and int8 switch are the one walk every layer has, and a
-/// checkpoint is its [`lmmir_nn::state_dict`]. `Layer`'s `Send + Sync`
+/// A predictor is a [`Layer`]: its parts, parameters, buffers and train/eval
+/// switch are the one walk every layer has, and a checkpoint is its
+/// [`lmmir_nn::state_dict`]. `Layer`'s `Send + Sync`
 /// supertrait means one loaded model serves every inference lane of
 /// `lmmir-serve` at once (a forward only reads its state; see
 /// [`lmmir_tensor::Var`]).

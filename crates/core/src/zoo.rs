@@ -11,8 +11,8 @@
 //! [`crate::ArchSpec`] keeps selecting the family.
 //!
 //! Like every predictor, a `UNetPredictor` names its parts once
-//! ([`lmmir_nn::Layer::children`]); parameters, buffers, train/eval mode
-//! and int8 quantization all derive from that list.
+//! ([`lmmir_nn::Layer::children`]); parameters, buffers and train/eval
+//! mode all derive from that list.
 
 use crate::arch::{ArchConfig, ArchSpec};
 use crate::blocks::UNet;
@@ -315,18 +315,5 @@ mod tests {
             arch: ArchSpec::LmmIr,
             ..UNetConfig::quick(ArchSpec::Iredge)
         }));
-    }
-
-    #[test]
-    fn quantize_covers_trunk_and_attention() {
-        let c = UNetPredictor::new(tiny_cfirst());
-        let w = UNetPredictor::new(tiny_waca());
-        let (qc, qw) = (c.quantize(), w.quantize());
-        assert!(qc > 0);
-        assert_eq!(
-            qw,
-            qc + 2 * tiny_waca().widths.len(),
-            "each attention block quantizes its two linear layers"
-        );
     }
 }

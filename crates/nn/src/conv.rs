@@ -1,25 +1,18 @@
 //! Convolution layers.
 
 use crate::module::{Layer, Module};
-use lmmir_tensor::conv::{conv2d_quantized, ConvSpec};
-use lmmir_tensor::quant::QuantConvWeight;
+use lmmir_tensor::conv::ConvSpec;
 use lmmir_tensor::{init, Result, Var};
 use rand::Rng;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// 2-D convolution layer with weight `[out, in, k, k]`.
 ///
 /// The LMM-IR circuit encoder stacks `7×7` convolutions (first stage) and
 /// `3×3` convolutions (deeper stages), each followed by batch-norm and ReLU.
-///
-/// After [`Layer::quantize`], forward runs the int8 im2col kernel on a
-/// cached per-output-channel quantization of the weight (inference only).
-/// `set_training(true)` drops the cache.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Var,
     bias: Option<Var>,
-    quant: RwLock<Option<QuantConvWeight>>,
     spec: ConvSpec,
     in_channels: usize,
     out_channels: usize,
@@ -50,7 +43,6 @@ impl Conv2d {
         Conv2d {
             weight,
             bias,
-            quant: RwLock::new(None),
             spec,
             in_channels,
             out_channels,
@@ -93,25 +85,10 @@ impl Conv2d {
     pub fn kernel(&self) -> usize {
         self.kernel
     }
-
-    /// The int8 state, if quantized. The lock recovers from poisoning: the
-    /// slot is only ever replaced whole.
-    fn quant(&self) -> RwLockReadGuard<'_, Option<QuantConvWeight>> {
-        self.quant.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn set_quant(&self, quant: Option<QuantConvWeight>) {
-        *self.quant.write().unwrap_or_else(PoisonError::into_inner) = quant;
-    }
 }
 
 impl Module for Conv2d {
     fn forward(&self, x: &Var) -> Result<Var> {
-        if let Some(qw) = self.quant().as_ref() {
-            let bias = self.bias.as_ref().map(Var::value);
-            let y = conv2d_quantized(&x.value(), qw, bias.as_deref(), self.spec)?;
-            return Ok(Var::constant(y));
-        }
         x.conv2d(&self.weight, self.bias.as_ref(), self.spec)
     }
 }
@@ -123,19 +100,6 @@ impl Layer for Conv2d {
             p.push(b.clone());
         }
         p
-    }
-
-    fn set_training(&self, training: bool) {
-        if training {
-            self.set_quant(None);
-        }
-    }
-
-    fn quantize(&self) -> usize {
-        let qw = QuantConvWeight::from_tensor(&self.weight.value())
-            .expect("conv weight is rank-4 by construction");
-        self.set_quant(Some(qw));
-        1
     }
 }
 
@@ -207,7 +171,6 @@ impl Module for ConvTranspose2d {
     }
 }
 
-/// No int8 kernel: deconvolutions stay f32 under [`Layer::quantize`].
 impl Layer for ConvTranspose2d {
     fn parameters(&self) -> Vec<Var> {
         let mut p = vec![self.weight.clone()];
@@ -258,27 +221,6 @@ mod tests {
         let x = Var::constant(Tensor::zeros(&[1, 2, 12, 12]));
         let y = d.forward(&c.forward(&x).unwrap()).unwrap();
         assert_eq!(y.dims(), vec![1, 2, 12, 12]);
-    }
-
-    #[test]
-    fn quantized_conv_tracks_f32_and_training_restores_it() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let c = Conv2d::same(3, 8, 3, &mut rng);
-        let x = Var::constant(lmmir_tensor::init::uniform(&[2, 3, 8, 8], 1.0, &mut rng));
-        let exact = c.forward(&x).unwrap().to_tensor();
-        assert_eq!(c.quantize(), 1);
-        let approx = c.forward(&x).unwrap().to_tensor();
-        let worst = exact
-            .data()
-            .iter()
-            .zip(approx.data())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(worst > 0.0, "int8 path should actually run");
-        assert!(worst < 0.05, "divergence {worst} too large for a 3x3 conv");
-        c.set_training(true);
-        let restored = c.forward(&x).unwrap().to_tensor();
-        assert_eq!(exact.data(), restored.data());
     }
 
     #[test]

@@ -69,7 +69,6 @@ impl Embedding {
     }
 }
 
-/// A lookup (no GEMM): stays f32 under [`Layer::quantize`].
 impl Layer for Embedding {
     fn parameters(&self) -> Vec<Var> {
         vec![self.weight.clone()]

@@ -8,7 +8,7 @@
 //! its comparison families need (pooling is [`lmmir_tensor::Var::max_pool2d`]).
 //!
 //! Every layer implements [`Layer`] — the one walk over a model that
-//! `parameters`, `buffers`, `set_training` and `quantize` derive from, and
+//! `parameters`, `buffers` and `set_training` derive from, and
 //! that [`state_dict`] / [`load_state_dict`] save and restore — and those
 //! with a single-input forward also [`Module`]; constructors take an
 //! explicit RNG so weight initialization is reproducible under a fixed seed.

@@ -1,25 +1,18 @@
 //! Fully-connected layer.
 
 use crate::module::{Layer, Module};
-use lmmir_tensor::quant::{matmul_nd_quantized, QuantLinearWeight};
 use lmmir_tensor::{init, Result, Tensor, Var};
 use rand::Rng;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// Affine transform `y = x W + b` with `W: [in, out]`.
 ///
 /// Accepts inputs of shape `[..., in]`; all leading axes are preserved, so
 /// the same layer projects `[batch, features]` activations and
 /// `[batch, tokens, features]` sequences.
-///
-/// After [`Layer::quantize`], forward runs the int8 kernel on a cached
-/// per-output-channel quantization of the weight (inference only — the
-/// quantized path builds no graph). `set_training(true)` drops the cache.
 #[derive(Debug)]
 pub struct Linear {
     weight: Var,
     bias: Option<Var>,
-    quant: RwLock<Option<QuantLinearWeight>>,
     in_features: usize,
     out_features: usize,
 }
@@ -40,7 +33,6 @@ impl Linear {
         Linear {
             weight,
             bias,
-            quant: RwLock::new(None),
             in_features,
             out_features,
         }
@@ -63,32 +55,10 @@ impl Linear {
     pub fn weight(&self) -> &Var {
         &self.weight
     }
-
-    /// The int8 state, if quantized. The lock recovers from poisoning: the
-    /// slot is only ever replaced whole.
-    fn quant(&self) -> RwLockReadGuard<'_, Option<QuantLinearWeight>> {
-        self.quant.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn set_quant(&self, quant: Option<QuantLinearWeight>) {
-        *self.quant.write().unwrap_or_else(PoisonError::into_inner) = quant;
-    }
 }
 
 impl Module for Linear {
     fn forward(&self, x: &Var) -> Result<Var> {
-        if let Some(qw) = self.quant().as_ref() {
-            let mut y = matmul_nd_quantized(&x.value(), qw)?;
-            if let Some(b) = &self.bias {
-                let bv = b.value();
-                for row in y.data_mut().chunks_mut(self.out_features) {
-                    for (v, &bb) in row.iter_mut().zip(bv.data()) {
-                        *v += bb;
-                    }
-                }
-            }
-            return Ok(Var::constant(y));
-        }
         let y = x.matmul(&self.weight)?;
         match &self.bias {
             Some(b) => y.add(b),
@@ -104,19 +74,6 @@ impl Layer for Linear {
             p.push(b.clone());
         }
         p
-    }
-
-    fn set_training(&self, training: bool) {
-        if training {
-            self.set_quant(None);
-        }
-    }
-
-    fn quantize(&self) -> usize {
-        let qw = QuantLinearWeight::from_tensor(&self.weight.value())
-            .expect("linear weight is rank-2 by construction");
-        self.set_quant(Some(qw));
-        1
     }
 }
 
@@ -139,7 +96,6 @@ impl Linear {
         Linear {
             weight: Var::parameter(weight),
             bias: bias.map(Var::parameter),
-            quant: RwLock::new(None),
             in_features,
             out_features,
         }
@@ -179,28 +135,6 @@ mod tests {
         assert_eq!(l.parameters().len(), 2);
         let l2 = Linear::new(2, 2, false, &mut rng);
         assert_eq!(l2.parameters().len(), 1);
-    }
-
-    #[test]
-    fn quantized_forward_tracks_f32_and_training_restores_it() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let l = Linear::new(16, 8, true, &mut rng);
-        let x = Var::constant(init::uniform(&[4, 16], 1.0, &mut rng));
-        let exact = l.forward(&x).unwrap().to_tensor();
-        assert_eq!(l.quantize(), 1);
-        let approx = l.forward(&x).unwrap().to_tensor();
-        let worst = exact
-            .data()
-            .iter()
-            .zip(approx.data())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(worst > 0.0, "int8 path should actually run");
-        assert!(worst < 0.05, "divergence {worst} too large for 16-deep dot");
-        // Switching back to training drops the int8 state bit-exactly.
-        l.set_training(true);
-        let restored = l.forward(&x).unwrap().to_tensor();
-        assert_eq!(exact.data(), restored.data());
     }
 
     #[test]

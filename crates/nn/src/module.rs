@@ -7,14 +7,13 @@ use std::sync::{PoisonError, RwLock};
 ///
 /// A composite names its sub-layers **once**, in [`Layer::children`], in
 /// the order its state is checkpointed; everything that is "all X of a
-/// model" — [`Layer::parameters`], [`Layer::buffers`],
-/// [`Layer::set_training`], [`Layer::quantize`] — is a provided method over
-/// that list and visits every child, so no traversal can skip one. Only
-/// leaves that own state override the provided methods: parameters in
+/// model" — [`Layer::parameters`], [`Layer::buffers`] and
+/// [`Layer::set_training`] — is a provided method over that list and
+/// visits every child, so no traversal can skip one. Only leaves that own
+/// state override the provided methods: parameters in
 /// [`crate::Linear`], [`crate::Conv2d`], [`crate::ConvTranspose2d`],
 /// [`crate::BatchNorm2d`], [`crate::LayerNorm`] and [`crate::Embedding`];
-/// the running statistics and the train/eval flag in `BatchNorm2d`; int8
-/// state in `Linear` and `Conv2d`.
+/// the running statistics and the train/eval flag in `BatchNorm2d`.
 ///
 /// `Send + Sync` is a supertrait: every layer can be shared by the threads
 /// of a multi-lane server (forward passes only read parameters), and a
@@ -46,22 +45,11 @@ pub trait Layer: Send + Sync {
             .collect()
     }
 
-    /// Switches train/eval behaviour of every child. Layers with int8
-    /// inference support drop their quantized state when switched to
-    /// training.
+    /// Switches train/eval behaviour of every child.
     fn set_training(&self, training: bool) {
         for c in self.children() {
             c.set_training(training);
         }
-    }
-
-    /// Switches every child that supports it to int8 inference, quantizing
-    /// its current weights in place with per-output-channel scales. Returns
-    /// the number of layers now running quantized (0 for a leaf with
-    /// nothing to quantize). Quantized state is inference-only: it is
-    /// discarded by `set_training(true)` and never carries gradients.
-    fn quantize(&self) -> usize {
-        self.children().iter().map(|c| c.quantize()).sum()
     }
 }
 

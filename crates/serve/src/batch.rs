@@ -221,7 +221,7 @@ pub(crate) fn run(
     let threads = lmmir_par::num_threads();
     let registry = match ModelRegistry::load(spec) {
         Ok(r) => {
-            health.set_ready(&r.summaries());
+            health.set_ready(&r.names());
             let _ = ready.send(Ok(()));
             r
         }
@@ -337,7 +337,7 @@ impl Lanes<'_> {
             }
             Metrics::inc(&self.metrics.reloads_total);
             Metrics::set(&self.metrics.models_loaded, registry.len());
-            self.health.set_ready(&registry.summaries());
+            self.health.set_ready(&registry.names());
         } else {
             self.health.reload_failed();
         }

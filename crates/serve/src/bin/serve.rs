@@ -26,7 +26,7 @@ fn usage() -> ExitCode {
         "usage:\n  serve [--addr A] --ckpt NAME=PATH [--ckpt ...] [--default NAME] \
          [--max-batch N] [--result-cache N] \
          [--idle-timeout-ms N] [--max-requests-per-conn N] [--max-connections N] \
-         [--event-threads N] [--threads N] [--quantized] \
+         [--event-threads N] [--threads N] \
          [--watch-checkpoints] [--watch-interval-ms N]\n  \
          serve route --workers N --ckpt NAME=PATH [--ckpt ...] \
          [--worker-addr HOST:PORT ...] [--addr A] [--health-interval-ms N] \
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
 type Flag = (String, String);
 
 /// Flags that take no value; parsed as `(name, "true")`.
-const BOOL_FLAGS: &[&str] = &["quantized", "watch-checkpoints", "no-respawn"];
+const BOOL_FLAGS: &[&str] = &["watch-checkpoints", "no-respawn"];
 
 /// Parses `--flag VALUE` pairs into a list, rejecting unknown flags.
 fn parse_flags(args: &[String], positional_max: usize) -> Option<(Vec<String>, Vec<Flag>)> {
@@ -129,10 +129,6 @@ const WORKER_FLAGS: &[(&str, ApplyFlag)] = &[
     ("threads", |cfg, _, v| {
         parse("threads", v).map(|n: usize| cfg.threads = Some(n.max(1)))
     }),
-    ("quantized", |_, spec, _| {
-        spec.quantized = true;
-        Ok(())
-    }),
     ("watch-checkpoints", |cfg, _, _| {
         cfg.watch_checkpoints = true;
         Ok(())
@@ -169,7 +165,6 @@ fn worker_config(flags: &[Flag]) -> Result<(ServeConfig, RegistrySpec), String> 
     let mut spec = RegistrySpec {
         models: Vec::new(),
         default_model: None,
-        quantized: false,
     };
     for (name, value) in flags {
         let (_, apply) = WORKER_FLAGS
@@ -196,7 +191,6 @@ fn run_server(args: &[String]) -> ExitCode {
             return usage();
         }
     };
-    let weights = if spec.quantized { "int8" } else { "f32" };
     let server = match Server::start(cfg.clone(), spec) {
         Ok(s) => s,
         Err(e) => {
@@ -207,7 +201,7 @@ fn run_server(args: &[String]) -> ExitCode {
     eprintln!(
         "[serve] listening on http://{} (max_batch {}, \
          result-cache {}, idle-timeout {:?}, max-reqs/conn {}, max-conns {}, \
-         event-threads {}, weights {}) — \
+         event-threads {}) — \
          POST /predict, GET /healthz, GET /metrics, POST /reload, POST /shutdown",
         server.addr(),
         cfg.max_batch,
@@ -216,7 +210,6 @@ fn run_server(args: &[String]) -> ExitCode {
         cfg.max_requests_per_conn,
         cfg.max_connections,
         cfg.event_threads,
-        weights,
     );
     server.wait();
     eprintln!("[serve] drained, bye");
@@ -433,7 +426,6 @@ fn write_demo_ckpt(path: &str, o: &DemoOpts) -> Result<String, String> {
         input_channels: channels,
         input_size: size,
         config,
-        quant_scales: Default::default(),
     };
     let model = build_predictor(&meta)?;
 
@@ -507,8 +499,17 @@ mod tests {
         // ...and the worker's own parser accepts what it is handed.
         let (cfg, spec) = worker_config(&worker_flags).unwrap();
         assert_eq!((cfg.max_batch, cfg.event_threads), (3, 3));
-        assert!(spec.quantized && cfg.watch_checkpoints);
+        assert!(cfg.watch_checkpoints);
         assert_eq!(spec.models.len(), 1);
         assert!(!passes_through("workers"), "a router knob");
+        // A removed flag is refused by name, not ignored.
+        let removed = [
+            ("ckpt".to_string(), "m=/tmp/m.lmmt".to_string()),
+            ("quantized".to_string(), "true".to_string()),
+        ];
+        assert_eq!(
+            worker_config(&removed).err().as_deref(),
+            Some("unknown flag --quantized")
+        );
     }
 }

@@ -70,7 +70,7 @@
 //! | endpoint | method | body |
 //! |---|---|---|
 //! | `/predict` | POST | binary predict request ([`proto`]) → IR map + hotspot mask |
-//! | `/healthz` | GET | — → readiness: `ready` + per-model `quantized_layers`, or `503` while loading/reloading |
+//! | `/healthz` | GET | — → readiness: `ready` + one `model <name>` line per model, or `503` while loading/reloading |
 //! | `/metrics` | GET | — → Prometheus-style text ([`metrics`]) |
 //! | `/reload` | POST | — → reloads every checkpoint from disk |
 //! | `/shutdown` | POST | — → graceful shutdown (drain, then exit) |

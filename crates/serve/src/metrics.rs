@@ -473,13 +473,13 @@ pub enum LoadState {
 ///
 /// The body is line-oriented so the shard router can parse it without a
 /// format dependency: the first line is the state (`ready`, `loading`,
-/// `reloading`, `reload-failed`), followed by one
-/// `model <name> quantized_layers=<n>` line per loaded model.
+/// `reloading`, `reload-failed`), followed by one `model <name>` line per
+/// loaded model.
 #[derive(Debug, Default)]
 pub struct Health {
     /// Encoded [`LoadState`] (0..=3 in declaration order).
     state: AtomicU64,
-    /// Pre-rendered per-model lines (name + quantized layer count).
+    /// Pre-rendered per-model lines.
     models: Mutex<String>,
 }
 
@@ -490,14 +490,13 @@ impl Health {
         Arc::new(Health::default())
     }
 
-    /// Marks the registry ready, recording each model's name and int8
-    /// layer count for the readiness body.
-    pub fn set_ready(&self, models: &[(String, usize)]) {
-        use std::fmt::Write;
-        let mut body = String::new();
-        for (name, quantized_layers) in models {
-            let _ = writeln!(body, "model {name} quantized_layers={quantized_layers}");
-        }
+    /// Marks the registry ready, recording each model's name for the
+    /// readiness body.
+    pub fn set_ready(&self, models: &[String]) {
+        let body: String = models
+            .iter()
+            .map(|name| format!("model {name}\n"))
+            .collect();
         *self.models.lock().expect("health lock") = body;
         self.state.store(1, Ordering::SeqCst);
     }
@@ -555,12 +554,12 @@ mod tests {
         let h = Health::new();
         assert_eq!(h.state(), LoadState::Loading);
         assert_eq!(h.render().0, 503);
-        h.set_ready(&[("demo".to_string(), 0), ("big".to_string(), 7)]);
+        h.set_ready(&["demo".to_string(), "big net".to_string()]);
         let (status, body) = h.render();
         assert_eq!(status, 200);
         assert!(body.starts_with("ready\n"), "{body}");
-        assert!(body.contains("model demo quantized_layers=0"), "{body}");
-        assert!(body.contains("model big quantized_layers=7"), "{body}");
+        assert!(body.contains("model demo\n"), "{body}");
+        assert!(body.contains("model big net\n"), "{body}");
         // Mid-reload: not dispatchable, but the model list survives.
         h.begin_reload();
         let (status, body) = h.render();
@@ -573,7 +572,7 @@ mod tests {
         assert_eq!(status, 503);
         assert!(body.starts_with("reload-failed\n"), "{body}");
         // A later successful reload restores readiness.
-        h.set_ready(&[("demo".to_string(), 0)]);
+        h.set_ready(&["demo".to_string()]);
         assert_eq!(h.render().0, 200);
     }
 

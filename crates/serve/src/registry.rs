@@ -4,7 +4,8 @@
 //! reader: it builds the architecture the file's own metadata and config
 //! name and restores every parameter and buffer, so a served model is the
 //! model that was saved. Files without metadata, or from a writer older
-//! than checkpoint format v5, fail to load.
+//! than checkpoint format v6, fail to load: a v5 file carries `quant.{i}`
+//! weight-scale entries and must be re-saved.
 //!
 //! The registry is `Send + Sync` (every predictor is): the inference lanes
 //! share one behind an `RwLock`, forwards under its read lock. `/reload`
@@ -34,11 +35,6 @@ pub struct RegistrySpec {
     /// Name answering requests that leave the model field empty; defaults
     /// to the first listed model.
     pub default_model: Option<String>,
-    /// Serve every model through the int8 path (the `--quantized` flag):
-    /// after the state restores, each model is quantized in place
-    /// (per-output-channel scales — the same ones the checkpoint records
-    /// and the loader verifies; they are a pure function of the weights).
-    pub quantized: bool,
 }
 
 impl RegistrySpec {
@@ -51,15 +47,7 @@ impl RegistrySpec {
                 path: path.into(),
             }],
             default_model: None,
-            quantized: false,
         }
-    }
-
-    /// Same spec with the int8 serving path switched on.
-    #[must_use]
-    pub fn with_quantized(mut self, quantized: bool) -> Self {
-        self.quantized = quantized;
-        self
     }
 }
 
@@ -71,36 +59,20 @@ pub struct LoadedModel {
     pub model: Box<dyn IrPredictor>,
     /// The checkpoint path it came from.
     pub path: PathBuf,
-    /// How many layers run int8 (0 = plain f32 serving).
-    pub quantized_layers: usize,
 }
 
-fn load_one(spec: &ModelSpec, quantized: bool) -> Result<LoadedModel, ServeError> {
-    let describe = |e: &dyn std::fmt::Display| {
+fn load_one(spec: &ModelSpec) -> Result<LoadedModel, ServeError> {
+    let (meta, model) = load_predictor(&spec.path).map_err(|e| {
         ServeError::Registry(format!(
             "model '{}' ({}): {e}",
             spec.name,
             spec.path.display()
         ))
-    };
-    let (meta, model) = load_predictor(&spec.path).map_err(|e| describe(&e))?;
-    let quantized_layers = if quantized {
-        let layers = model.quantize();
-        if layers == 0 {
-            return Err(describe(
-                &"quantized serving requested but the architecture has no \
-                  quantizable layers",
-            ));
-        }
-        layers
-    } else {
-        0
-    };
+    })?;
     Ok(LoadedModel {
         meta,
         model,
         path: spec.path.clone(),
-        quantized_layers,
     })
 }
 
@@ -133,10 +105,7 @@ impl ModelRegistry {
         }
         let mut entries = HashMap::new();
         for m in &spec.models {
-            if entries
-                .insert(m.name.clone(), load_one(m, spec.quantized)?)
-                .is_some()
-            {
+            if entries.insert(m.name.clone(), load_one(m)?).is_some() {
                 return Err(ServeError::Registry(format!(
                     "duplicate model name '{}'",
                     m.name
@@ -199,19 +168,6 @@ impl ModelRegistry {
         names
     }
 
-    /// `(name, quantized_layers)` per loaded model, sorted by name — the
-    /// readiness detail `/healthz` exposes.
-    #[must_use]
-    pub fn summaries(&self) -> Vec<(String, usize)> {
-        let mut out: Vec<(String, usize)> = self
-            .entries
-            .iter()
-            .map(|(name, m)| (name.clone(), m.quantized_layers))
-            .collect();
-        out.sort();
-        out
-    }
-
     /// Number of loaded models.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -268,7 +224,6 @@ mod tests {
                 input_channels: channels,
                 input_size: 16,
                 config: None,
-                quant_scales: Default::default(),
             };
             let model = build_predictor(&meta).unwrap();
             assert_eq!(model.name(), name);
@@ -307,7 +262,6 @@ mod tests {
             input_channels: 6,
             input_size: 16,
             config: Some(ArchConfig::LmmIr(cfg)),
-            quant_scales: Default::default(),
         };
         let built = build_predictor(&meta).unwrap();
         // Exact architecture: same parameter count and tensor shapes.
@@ -338,55 +292,12 @@ mod tests {
         let reg = ModelRegistry::load(RegistrySpec::single("big", &path)).unwrap();
         let loaded = reg.resolve("big").unwrap();
         assert_eq!(loaded.meta.lmmir_config(), Some(&cfg));
-        // The writer records int8 scales alongside the config.
-        assert_eq!(
-            loaded.meta.quant_scales,
-            CheckpointMeta::of(&model).quant_scales
-        );
         // Weights restored into the exact architecture bit-for-bit.
         let (orig, srv) = (model.parameters(), loaded.model.parameters());
         assert_eq!(orig.len(), srv.len());
         for (a, b) in orig.iter().zip(&srv) {
             assert_eq!(a.value().data(), b.value().data());
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn quantized_registry_serves_int8_within_quantization_error() {
-        use lmmir_tensor::{Tensor, Var};
-        let model = iredge(16, 7);
-        model.set_training(false);
-        let path = tmp("reg_quant.lmmt");
-        save_predictor(&model, &path).unwrap();
-        let spec = RegistrySpec::single("a", &path).with_quantized(true);
-        let reg = ModelRegistry::load(spec).unwrap();
-        let loaded = reg.resolve("a").unwrap();
-        assert!(loaded.quantized_layers > 0, "int8 path must be active");
-        // The int8 predictions track the f32 model within quantization
-        // error on a real forward pass.
-        let x = Tensor::from_vec(
-            (0..3 * 16 * 16).map(|i| (i % 7) as f32 * 0.1).collect(),
-            &[1, 3, 16, 16],
-        )
-        .unwrap();
-        let xv = Var::constant(x);
-        let exact = model.forward(&xv, None).unwrap().to_tensor();
-        // Eval mode, as `InferenceSession::new` sets at serve time; it must
-        // keep the int8 state (only `set_training(true)` discards it).
-        loaded.model.set_training(false);
-        let quant = loaded.model.forward(&xv, None).unwrap().to_tensor();
-        let worst = exact
-            .data()
-            .iter()
-            .zip(quant.data())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        let scale = exact.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        assert!(
-            worst < 0.05 * scale,
-            "int8 serving diverged by {worst} (output scale {scale})"
-        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -451,7 +362,6 @@ mod tests {
                 },
             ],
             default_model: None,
-            quantized: false,
         })
         .unwrap();
         for (name, arch, reference) in [
@@ -460,7 +370,6 @@ mod tests {
         ] {
             let loaded = reg.resolve(name).unwrap();
             assert_eq!(loaded.meta.model, arch);
-            assert!(!loaded.meta.quant_scales.is_empty(), "{arch} int8 scales");
             let (orig, srv) = (reference.parameters(), loaded.model.parameters());
             assert_eq!(orig.len(), srv.len(), "{arch} parameter count");
             for (a, b) in orig.iter().zip(&srv) {
@@ -491,7 +400,6 @@ mod tests {
                 },
             ],
             default_model: Some("a".to_string()),
-            quantized: false,
         })
         .unwrap();
         assert_eq!(reg.len(), 2);
@@ -514,7 +422,6 @@ mod tests {
             input_channels: 3,
             input_size: 16,
             config: None,
-            quant_scales: Default::default(),
         };
         let err = build_predictor(&meta).map(|_| ()).unwrap_err().to_string();
         // The "known" list is derived from the enumeration, not maintained
@@ -527,7 +434,6 @@ mod tests {
             input_channels: 6,
             input_size: 16,
             config: None,
-            quant_scales: Default::default(),
         };
         assert!(build_predictor(&meta).is_err());
     }
@@ -571,7 +477,6 @@ mod tests {
                 },
             ],
             default_model: None,
-            quantized: false,
         };
         assert!(ModelRegistry::load(spec).is_err());
         std::fs::remove_file(&path).ok();

@@ -553,7 +553,7 @@ fn run_supervisor(
         .collect();
 
     while !shutdown.load(Ordering::SeqCst) {
-        let mut models: Option<Vec<(String, usize)>> = None;
+        let mut models: Option<Vec<String>> = None;
         for (i, shard) in router.shards.iter().enumerate() {
             let probe = &mut probes[i];
             let addr = shard.addr();
@@ -663,14 +663,10 @@ fn run_supervisor(
 }
 
 /// Parses the model lines of a worker's readiness body
-/// (`model <name> quantized_layers=<n>` per loaded model).
-fn parse_models(body: &str) -> Vec<(String, usize)> {
+/// (`model <name>` per loaded model).
+fn parse_models(body: &str) -> Vec<String> {
     body.lines()
-        .filter_map(|line| {
-            let rest = line.strip_prefix("model ")?;
-            let (name, q) = rest.rsplit_once(" quantized_layers=")?;
-            Some((name.to_string(), q.trim().parse().ok()?))
-        })
+        .filter_map(|line| line.strip_prefix("model ").map(str::to_string))
         .collect()
 }
 
@@ -797,11 +793,8 @@ mod tests {
 
     #[test]
     fn parses_readiness_model_lines() {
-        let body = "ready\nmodel demo quantized_layers=0\nmodel big net quantized_layers=7\n";
-        assert_eq!(
-            parse_models(body),
-            vec![("demo".to_string(), 0), ("big net".to_string(), 7),]
-        );
+        let body = "ready\nmodel demo\nmodel big net\n";
+        assert_eq!(parse_models(body), vec!["demo", "big net"]);
         assert!(parse_models("loading\n").is_empty());
     }
 

@@ -67,7 +67,7 @@ fn save_serve_predict_round_trip() {
     assert_eq!(status, 200);
     assert!(body.starts_with("ready"), "healthz body: {body:?}");
     assert!(
-        body.contains("model demo quantized_layers="),
+        body.contains("model demo\n"),
         "healthz reports per-model load state: {body:?}"
     );
 

@@ -156,7 +156,7 @@ fn router_is_bitwise_identical_and_proxies_reload() {
     let (status, body) = client::get_text(addr, "/healthz").unwrap();
     assert_eq!(status, 200);
     assert!(body.starts_with("ready"), "{body:?}");
-    assert!(body.contains("model demo quantized_layers=0"), "{body:?}");
+    assert!(body.contains("model demo\n"), "{body:?}");
 
     // Served-vs-offline stays bitwise identical *through the proxy*, on a
     // pipelined keep-alive connection.
@@ -350,7 +350,7 @@ fn serve_fake(mut stream: TcpStream, reloading: &AtomicBool, predicts: &AtomicU6
                     "/healthz" if reloading.load(Ordering::SeqCst) => {
                         (503, b"reloading\n".to_vec())
                     }
-                    "/healthz" => (200, b"ready\nmodel demo quantized_layers=0\n".to_vec()),
+                    "/healthz" => (200, b"ready\nmodel demo\n".to_vec()),
                     "/predict" => {
                         predicts.fetch_add(1, Ordering::SeqCst);
                         (200, canned_frame())

@@ -155,9 +155,9 @@ fn eval_prediction(model: &dyn IrPredictor, spec: &CaseSpec) -> Vec<f32> {
 
 /// Every family trained for one epoch on two tiny cases, saved, and loaded
 /// back through the registry: the served eval forward is bitwise the
-/// in-process model's, in f32 and under `--quantized`. BatchNorm running
-/// statistics are state an eval forward reads, so a checkpoint that drops
-/// them serves a different model from bitwise-identical weights.
+/// in-process model's. BatchNorm running statistics are state an eval
+/// forward reads, so a checkpoint that drops them serves a different model
+/// from bitwise-identical weights.
 #[test]
 fn trained_checkpoints_serve_the_trained_model_in_every_family() {
     let cfg = TrainConfig {
@@ -179,7 +179,6 @@ fn trained_checkpoints_serve_the_trained_model_in_every_family() {
             input_channels: arch.default_input_channels(),
             input_size: SIZE,
             config: None,
-            quant_scales: Default::default(),
         })
         .unwrap();
         match InferenceSession::new(model.as_ref()).spec().windows {
@@ -200,27 +199,20 @@ fn trained_checkpoints_serve_the_trained_model_in_every_family() {
         }
         let path = tmp(&format!("{}_trained.lmmt", name.replace(' ', "_")));
         save_predictor(model.as_ref(), &path).unwrap();
-        for quantized in [false, true] {
-            if quantized {
-                assert!(model.quantize() > 0, "{name}: nothing to quantize");
-            }
-            let spec = RegistrySpec::single(name, &path).with_quantized(quantized);
-            let registry = ModelRegistry::load(spec).unwrap();
-            let served = eval_prediction(registry.resolve("").unwrap().model.as_ref(), &probe);
-            let trained = eval_prediction(model.as_ref(), &probe);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            if bits(&served) != bits(&trained) {
-                let delta = served
-                    .iter()
-                    .zip(&trained)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f32, f32::max);
-                let peak = trained.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                let mode = if quantized { "int8" } else { "f32" };
-                failures.push(format!(
-                    "{name} ({mode}): max |Δ| {delta:.4e} on a peak of {peak:.4e}"
-                ));
-            }
+        let registry = ModelRegistry::load(RegistrySpec::single(name, &path)).unwrap();
+        let served = eval_prediction(registry.resolve("").unwrap().model.as_ref(), &probe);
+        let trained = eval_prediction(model.as_ref(), &probe);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        if bits(&served) != bits(&trained) {
+            let delta = served
+                .iter()
+                .zip(&trained)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f32, f32::max);
+            let peak = trained.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            failures.push(format!(
+                "{name}: max |Δ| {delta:.4e} on a peak of {peak:.4e}"
+            ));
         }
         std::fs::remove_file(&path).ok();
     }

@@ -9,7 +9,6 @@
 
 use crate::error::TensorError;
 use crate::linalg::{gemm_nt_par, gemm_par, gemm_tn_par};
-use crate::quant::{qgemm_wa_par, quantize_per_tensor, QuantConvWeight};
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -107,35 +106,25 @@ impl PlaneGeom {
 }
 
 /// One stretch of a column row, in output order.
-enum Span<'a, T> {
+enum Span<'a> {
     /// This many columns read the zero padding.
     Pad(usize),
     /// Columns copied from consecutive image elements (stride 1).
-    Run(&'a [T]),
+    Run(&'a [f32]),
     /// Columns gathered from every `.1`-th element of the slice.
-    Gather(&'a [T], usize),
+    Gather(&'a [f32], usize),
 }
 
 /// The column matrix `[C*KH*KW, OH*OW]` of one `[C, H, W]` image: the plane
 /// itself when the unfold is the identity, else unfolded into `scratch`
 /// (which a caller reuses across the samples of a batch).
 ///
-/// Generic over the element type because the unfold is pure data movement
-/// (copies plus zero padding): the f32 forward/backward passes and the int8
-/// forward share it, and quantizing the image *before* the unfold is exact
-/// (`quantize(0.0) == 0`), so the int8 path never materializes an f32
-/// column matrix.
-///
 /// A plane below the fork gate is appended to the cleared scratch span by
 /// span, so its buffer is never zero-filled first. Column rows are
 /// independent, so large planes are split across threads by contiguous row
 /// runs over a sized buffer; the spans are the same at any thread count,
 /// keeping the unfold bitwise deterministic.
-fn im2col_plane<'a, T: Copy + Default + Send + Sync>(
-    x: &'a [T],
-    g: PlaneGeom,
-    scratch: &'a mut Vec<T>,
-) -> &'a [T] {
+fn im2col_plane<'a>(x: &'a [f32], g: PlaneGeom, scratch: &'a mut Vec<f32>) -> &'a [f32] {
     if g.unfold_is_identity() {
         return x;
     }
@@ -146,12 +135,12 @@ fn im2col_plane<'a, T: Copy + Default + Send + Sync>(
         return scratch;
     }
     if par_worth_elems(ckk, ckk * l) {
-        scratch.resize(ckk * l, T::default());
+        scratch.resize(ckk * l, 0.0);
         lmmir_par::par_chunks_mut(scratch, l, |r0, chunk| im2col_rows(x, g, r0, chunk));
     } else {
         scratch.reserve_exact(ckk * l);
         im2col_spans(x, g, 0..ckk, |span| match span {
-            Span::Pad(n) => scratch.resize(scratch.len() + n, T::default()),
+            Span::Pad(n) => scratch.resize(scratch.len() + n, 0.0),
             Span::Run(run) => scratch.extend_from_slice(run),
             Span::Gather(taps, stride) => scratch.extend(taps.iter().step_by(stride)),
         });
@@ -162,7 +151,7 @@ fn im2col_plane<'a, T: Copy + Default + Send + Sync>(
 
 /// [`im2col_plane`] restricted to column rows `r0..r0 + rows.len() / (oh*ow)`,
 /// written into their sized slice of the column matrix.
-fn im2col_rows<T: Copy + Default>(x: &[T], g: PlaneGeom, r0: usize, mut rows: &mut [T]) {
+fn im2col_rows(x: &[f32], g: PlaneGeom, r0: usize, mut rows: &mut [f32]) {
     let nrows = rows.len() / (g.oh * g.ow);
     im2col_spans(x, g, r0..r0 + nrows, |span| {
         let len = match span {
@@ -173,7 +162,7 @@ fn im2col_rows<T: Copy + Default>(x: &[T], g: PlaneGeom, r0: usize, mut rows: &m
         let (out, rest) = std::mem::take(&mut rows).split_at_mut(len);
         rows = rest;
         match span {
-            Span::Pad(_) => out.fill(T::default()),
+            Span::Pad(_) => out.fill(0.0),
             Span::Run(run) => out.copy_from_slice(run),
             Span::Gather(taps, stride) => {
                 for (v, &tap) in out.iter_mut().zip(taps.iter().step_by(stride)) {
@@ -190,11 +179,11 @@ fn im2col_rows<T: Copy + Default>(x: &[T], g: PlaneGeom, r0: usize, mut rows: &m
 /// Per tap the in-bounds output columns are one range `ox_lo..ox_hi` that
 /// depends only on `kj`, so each output row is a pad, one run of the image
 /// row and a pad — no per-element bounds branch.
-fn im2col_spans<'a, T>(
-    x: &'a [T],
+fn im2col_spans<'a>(
+    x: &'a [f32],
     g: PlaneGeom,
     rows: std::ops::Range<usize>,
-    mut emit: impl FnMut(Span<'a, T>),
+    mut emit: impl FnMut(Span<'a>),
 ) {
     let (stride, pad) = (g.spec.stride, g.spec.padding);
     for r in rows {
@@ -379,92 +368,6 @@ pub fn conv2d(
                 lhs: vec![o],
                 rhs: b.dims().to_vec(),
                 op: "conv2d bias",
-            });
-        }
-        for ni in 0..n {
-            for oi in 0..o {
-                let bv = b.data()[oi];
-                let base = (ni * o + oi) * l;
-                for v in &mut out.data_mut()[base..base + l] {
-                    *v += bv;
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// int8 forward of [`conv2d`]: the same im2col structure, but the GEMM runs
-/// on a pre-quantized weight (`[O, C·KH·KW]`, per-output-channel scales)
-/// against activation columns quantized with one dynamic scale per sample.
-///
-/// The sample's `[C, H, W]` image is quantized **before** the unfold and
-/// the column matrix is built directly in int8: the unfold is pure data
-/// movement (copies plus zero padding, and `quantize(0.0) == 0`), so this
-/// is the same quantization applied `KH·KW`× cheaper — the scale is taken
-/// over the image rather than the expanded columns, and every column entry
-/// is the quantization of the image value it copies.
-///
-/// # Errors
-///
-/// Returns shape errors when operand layouts disagree or the kernel does
-/// not fit in the padded input.
-pub fn conv2d_quantized(
-    x: &Tensor,
-    weight: &QuantConvWeight,
-    bias: Option<&Tensor>,
-    spec: ConvSpec,
-) -> Result<Tensor> {
-    if x.rank() != 4 {
-        return Err(TensorError::InvalidShape {
-            dims: x.dims().to_vec(),
-            reason: "conv2d_quantized expects x [N,C,H,W]".to_string(),
-        });
-    }
-    let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-    if c != weight.c {
-        return Err(TensorError::ShapeMismatch {
-            lhs: x.dims().to_vec(),
-            rhs: vec![weight.o, weight.c, weight.kh, weight.kw],
-            op: "conv2d_quantized",
-        });
-    }
-    let (o, kh, kw) = (weight.o, weight.kh, weight.kw);
-    let oh = spec.conv_out(h, kh)?;
-    let ow = spec.conv_out(w, kw)?;
-    let geom = PlaneGeom {
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        oh,
-        ow,
-        spec,
-    };
-    let l = oh * ow;
-    let ckk = c * kh * kw;
-    let mut out = Tensor::zeros(&[n, o, oh, ow]);
-    let mut scratch = Vec::new();
-    for ni in 0..n {
-        let (plane_q, scale) = quantize_per_tensor(&x.data()[ni * c * h * w..(ni + 1) * c * h * w]);
-        qgemm_wa_par(
-            o,
-            ckk,
-            l,
-            &weight.q,
-            &weight.scales,
-            im2col_plane(&plane_q, geom, &mut scratch),
-            scale,
-            &mut out.data_mut()[ni * o * l..(ni + 1) * o * l],
-        );
-    }
-    if let Some(b) = bias {
-        if b.dims() != [o] {
-            return Err(TensorError::ShapeMismatch {
-                lhs: vec![o],
-                rhs: b.dims().to_vec(),
-                op: "conv2d_quantized bias",
             });
         }
         for ni in 0..n {
@@ -944,7 +847,7 @@ mod tests {
                         let g = PlaneGeom { c, h, w, kh, kw, oh, ow, spec };
                         // Every image element distinct and non-zero, so a
                         // misplaced copy or pad cannot go unnoticed.
-                        let x: Vec<u16> = (1..=(c * h * w) as u16).collect();
+                        let x: Vec<f32> = (1..=c * h * w).map(|v| v as f32).collect();
                         let mut expect = Vec::with_capacity(c * kh * kw * oh * ow);
                         for (ci, ki, kj) in (0..c).flat_map(|ci| {
                             (0..kh).flat_map(move |ki| (0..kw).map(move |kj| (ci, ki, kj)))
@@ -954,11 +857,15 @@ mod tests {
                                     let iy = (oy * stride + ki).wrapping_sub(padding);
                                     let ix = (ox * stride + kj).wrapping_sub(padding);
                                     let inside = iy < h && ix < w;
-                                    expect.push(if inside { x[(ci * h + iy) * w + ix] } else { 0 });
+                                    expect.push(if inside {
+                                        x[(ci * h + iy) * w + ix]
+                                    } else {
+                                        0.0
+                                    });
                                 }
                             }
                         }
-                        let mut scratch = vec![77; 3]; // stale contents are dropped
+                        let mut scratch = vec![77.0; 3]; // stale contents are dropped
                         let what =
                             format!("k {kh}x{kw} stride {stride} pad {padding} image {h}x{w}");
                         assert_eq!(
@@ -966,7 +873,7 @@ mod tests {
                             expect,
                             "appended, {what}"
                         );
-                        let mut sized = vec![77u16; expect.len()];
+                        let mut sized = vec![77.0f32; expect.len()];
                         if !sized.is_empty() {
                             im2col_rows(&x, g, 0, &mut sized);
                         }

@@ -38,7 +38,6 @@ pub mod lazy;
 pub mod linalg;
 pub mod ops;
 pub mod optim;
-pub mod quant;
 pub mod shape;
 pub mod tensor;
 

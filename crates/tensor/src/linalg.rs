@@ -42,11 +42,11 @@ use crate::Result;
 /// 32 px LMM-IR forward ran 13.5–15.3 ms at 2 threads against 10.6–11.9 ms
 /// at 1). `2^22` MACs is 0.5–2 ms: the fork stays under ~10 % of what it
 /// buys. The conv, fused-elementwise and raster gates scale the same way.
-pub(crate) const PAR_MIN_FLOPS: usize = 1 << 22;
+const PAR_MIN_FLOPS: usize = 1 << 22;
 
 /// Whether a kernel of `flops` multiply-accumulates across `rows`
 /// partitionable rows should take the parallel path.
-pub(crate) fn par_worth(rows: usize, flops: usize) -> bool {
+fn par_worth(rows: usize, flops: usize) -> bool {
     lmmir_par::worth_parallelizing(rows, flops, PAR_MIN_FLOPS)
 }
 

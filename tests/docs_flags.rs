@@ -1,0 +1,112 @@
+//! Docs that cannot drift: every `--flag` that README.md or the verify
+//! skill spells must be one that `serve`, `loadgen` or `benchmark` parses,
+//! or one of the few cargo flags the docs use to build and run them. A
+//! flag deleted from a parser fails here until the docs stop naming it.
+
+use std::collections::BTreeSet;
+use std::path::Path;
+
+/// The documents checked, relative to the workspace root.
+const DOCS: [&str; 2] = ["README.md", ".claude/skills/verify/SKILL.md"];
+
+/// Cargo's own flags, which the docs use to build and run the binaries.
+const CARGO_FLAGS: [&str; 5] = ["release", "bin", "offline", "manifest-path", "example"];
+
+fn read(rel: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+}
+
+fn is_flag_char(c: char) -> bool {
+    c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'
+}
+
+/// Every string literal in `src` that a flag parser matches on: the
+/// literal is followed by a `match` arm's `=>` or, in a flag table, by
+/// `, |` and the closure that applies it. With `dashed`, only literals
+/// spelled `--name` count (parsers matching the raw argument); without,
+/// only bare `name`s (parsers that stripped the dashes first).
+fn parsed_flags(src: &str, dashed: bool) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for line in src.lines() {
+        for (end, _) in line.match_indices('"') {
+            let after = line[end + 1..].trim_start();
+            if !(after.starts_with("=>") || after.starts_with(", |")) {
+                continue;
+            }
+            let Some(start) = line[..end].rfind('"') else {
+                continue;
+            };
+            let literal = &line[start + 1..end];
+            let name = match (dashed, literal.strip_prefix("--")) {
+                (true, Some(name)) => name,
+                (false, None) => literal,
+                _ => continue,
+            };
+            if name.starts_with(|c: char| c.is_ascii_lowercase()) && name.chars().all(is_flag_char)
+            {
+                out.insert(name.to_string());
+            }
+        }
+    }
+    out
+}
+
+/// Every `--name` spelled in `text`, where the dashes do not continue a
+/// longer run of dashes or a word (a table rule or `a--b` is no flag).
+fn documented_flags(text: &str) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for (at, _) in text.match_indices("--") {
+        let before = text[..at].chars().next_back();
+        if before.is_some_and(|c| c.is_ascii_alphanumeric() || c == '-') {
+            continue;
+        }
+        let name: String = text[at + 2..]
+            .chars()
+            .take_while(|&c| is_flag_char(c))
+            .collect();
+        let name = name.trim_end_matches('-');
+        if name.starts_with(|c: char| c.is_ascii_lowercase()) {
+            out.insert(name.to_string());
+        }
+    }
+    out
+}
+
+#[test]
+fn every_documented_flag_is_parsed_by_a_binary() {
+    let mut known: BTreeSet<String> = CARGO_FLAGS.iter().map(|f| f.to_string()).collect();
+    known.extend(parsed_flags(&read("crates/serve/src/bin/serve.rs"), false));
+    known.extend(parsed_flags(&read("crates/bench/src/bin/loadgen.rs"), true));
+    known.extend(parsed_flags(&read("benchmark/src/main.rs"), true));
+    let mut stale = Vec::new();
+    for doc in DOCS {
+        for flag in documented_flags(&read(doc)) {
+            if !known.contains(&flag) {
+                stale.push(format!("{doc}: --{flag}"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "flags documented but parsed by no binary:\n{}",
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn scanners_read_parser_arms_and_doc_flags() {
+    let src = r#"
+        ("addr", |cfg, _, v| {
+        "workers" => parse("workers", value),
+        "--size" => o.size = 1,
+        other => Err(format!("unknown flag --{other}")),
+    "#;
+    let bare: Vec<String> = parsed_flags(src, false).into_iter().collect();
+    assert_eq!(bare, ["addr", "workers"]);
+    let dashed: Vec<String> = parsed_flags(src, true).into_iter().collect();
+    assert_eq!(dashed, ["size"]);
+    let doc = "run `serve --ckpt a=b --max-batch 8`; |---|---| a--b --Upper";
+    let flags: Vec<String> = documented_flags(doc).into_iter().collect();
+    assert_eq!(flags, ["ckpt", "max-batch"]);
+}
