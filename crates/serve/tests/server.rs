@@ -317,6 +317,23 @@ fn request_errors_are_client_visible() {
 }
 
 #[test]
+fn a_huge_netlist_token_gets_a_small_error_reply() {
+    let path = tmp("huge_token.lmmt");
+    save_predictor(&iredge(SIZE, 6), &path).unwrap();
+    let server = Server::start(config(1, 2), RegistrySpec::single("m", &path)).unwrap();
+    // One 8 MiB node token: the 422 quotes an excerpt of it, not all of it.
+    let (_, mut req) = design(12);
+    req.netlist = Some(format!("R1 n{} 0 1.0\n", "x".repeat(8 << 20)));
+    let (status, body) = client::request(server.addr(), "POST", "/predict", &req.encode()).unwrap();
+    assert_eq!(status, 422);
+    assert!(body.len() < 1024, "{} bytes", body.len());
+    let err = PredictResponse::decode(&body).unwrap_err().to_string();
+    assert!(err.contains("malformed node name"), "{err}");
+    server.stop();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn watch_checkpoints_hot_reloads_on_mtime_change() {
     let path = tmp("watch.lmmt");
     save_predictor(&iredge(SIZE, 61), &path).unwrap();

@@ -1,12 +1,24 @@
 //! Byte-level parser for the contest SPICE dialect.
 //!
-//! Hand-rolled (no regex) because contest netlists reach millions of lines:
-//! one pass over `src.as_bytes()` cuts lines at `\n` and tokens at ASCII
-//! blanks, node names are read by one checked digit loop, and element names
-//! are stored inline ([`crate::ElementName`]), so nothing but the element
-//! list itself is allocated unless a name outgrows
+//! Hand-rolled (no regex) because contest netlists reach millions of lines.
+//! Two readers share the walk over `src`, one line per `\n`:
+//!
+//! * `canonical_line` reads the line `to_spice` writes and contest files
+//!   use — `<name> <node> <node> <value>`, one space between fields, the
+//!   `\n` right after the value — in one left-to-right pass over its bytes,
+//!   accumulating node fields as the digits go by, and gives up (`None`)
+//!   the moment the line is anything else.
+//! * `parse_line` reads every line the first one gives up on: it cuts
+//!   tokens at ASCII blanks, reads node names by one checked digit loop,
+//!   and is the only producer of a [`ParseNetlistError`]. Whatever the
+//!   canonical reader accepts, it would read to the same element, so the
+//!   accepted set, the elements, and every error line and message are its.
+//!
+//! Element names are stored inline ([`crate::ElementName`]), so nothing but
+//! the element list itself is allocated unless a name outgrows
 //! [`crate::ElementName::INLINE`] bytes. Only the value goes through
-//! `str::parse::<f64>`, which is correctly rounded.
+//! `str::parse::<f64>`, which is correctly rounded. An error message echoes
+//! at most 64 bytes of the offending token.
 //!
 //! A Unicode space (U+00A0, U+2003, …) is an ordinary byte of the token it
 //! sits in and is refused inside an element name, so no line reads
@@ -14,6 +26,7 @@
 //! lines are merely rejected.
 
 use crate::model::{Element, ElementKind, Netlist, NodeName, NodeRef};
+use std::borrow::Cow;
 use std::fmt;
 use std::io::Read;
 use std::path::Path;
@@ -47,6 +60,23 @@ impl fmt::Display for ParseNetlistError {
 }
 
 impl std::error::Error for ParseNetlistError {}
+
+/// Most bytes of an offending token that an error message echoes.
+const EXCERPT_BYTES: usize = 64;
+
+/// `token` as an error message quotes it: whole up to [`EXCERPT_BYTES`]
+/// bytes; beyond, its first at most 64 bytes, cut on a char boundary, and
+/// `… (N bytes)` — so a message stays small whatever the input's size.
+fn excerpt(token: &str) -> Cow<'_, str> {
+    if token.len() <= EXCERPT_BYTES {
+        return Cow::Borrowed(token);
+    }
+    let mut end = EXCERPT_BYTES;
+    while !token.is_char_boundary(end) {
+        end -= 1;
+    }
+    Cow::Owned(format!("{}… ({} bytes)", &token[..end], token.len()))
+}
 
 /// The ASCII characters `char::is_whitespace` accepts: space, tab, LF, VT,
 /// FF, CR.
@@ -127,7 +157,91 @@ fn parse_node(token: &str, line: usize) -> Result<NodeRef, ParseNetlistError> {
     }
     node_name(token.as_bytes())
         .map(NodeRef::Node)
-        .ok_or_else(|| ParseNetlistError::new(line, format!("malformed node name `{token}`")))
+        .ok_or_else(|| {
+            let message = format!("malformed node name `{}`", excerpt(token));
+            ParseNetlistError::new(line, message)
+        })
+}
+
+/// 1–18 decimal digits from `at`, after a `-` when `signed` allows one,
+/// accumulated as they go by (18 digits cannot leave `i64`), with the index
+/// after them. `None` without a digit or at a 19th, which
+/// [`int_field`]'s checked loop then decides.
+fn canonical_digits(bytes: &[u8], mut at: usize, signed: bool) -> Option<(i64, usize)> {
+    let negative = signed && bytes.get(at) == Some(&b'-');
+    at += usize::from(negative);
+    let (start, mut value) = (at, 0i64);
+    while let Some(&b) = bytes.get(at).filter(|b| b.is_ascii_digit()) {
+        if at - start == 18 {
+            return None;
+        }
+        value = value * 10 + i64::from(b - b'0');
+        at += 1;
+    }
+    let value = if negative { -value } else { value };
+    (at > start).then_some((value, at))
+}
+
+/// The node field of a canonical line that starts at `at`: `0` or
+/// `[nN]<d>_[mM]<d>_[-]<d>_[-]<d>`, ending at a `' '` whose index comes
+/// back with it.
+fn canonical_node(bytes: &[u8], at: usize) -> Option<(NodeRef, usize)> {
+    let (node, end) = match bytes.get(at)? {
+        b'0' => (NodeRef::Ground, at + 1),
+        b'n' | b'N' => {
+            let underscore = |at: usize| (bytes.get(at) == Some(&b'_')).then_some(at + 1);
+            let (net, at) = canonical_digits(bytes, at + 1, false)?;
+            let at = underscore(at)?;
+            let at = matches!(bytes.get(at), Some(b'm' | b'M')).then_some(at + 1)?;
+            let (layer, at) = canonical_digits(bytes, at, false)?;
+            let (x, at) = canonical_digits(bytes, underscore(at)?, true)?;
+            let (y, at) = canonical_digits(bytes, underscore(at)?, true)?;
+            let (net, layer) = (u32::try_from(net).ok()?, u8::try_from(layer).ok()?);
+            (NodeRef::Node(NodeName::new(net, layer, x, y)), at)
+        }
+        _ => return None,
+    };
+    (bytes.get(end) == Some(&b' ')).then_some((node, end))
+}
+
+/// The canonical element line `rest` starts with — `<name> <node> <node>
+/// <value>`, exactly one `' '` before each field, an ASCII name, then `\n`
+/// or the end of the text — read in one pass over its bytes, with the text
+/// after its `\n`. `None` the moment the line is anything else: such a line
+/// goes to [`parse_line`], which would read an accepted one to the same
+/// element, so declining is never wrong, only slower.
+fn canonical_line(rest: &str) -> Option<(Element, &str)> {
+    let bytes = rest.as_bytes();
+    let kind = match bytes.first()? {
+        b'R' | b'r' => ElementKind::Resistor,
+        b'I' | b'i' => ElementKind::CurrentSource,
+        b'V' | b'v' => ElementKind::VoltageSource,
+        _ => return None,
+    };
+    let mut name_end = 1;
+    while *bytes.get(name_end)? != b' ' {
+        if !bytes[name_end].is_ascii() || is_blank(bytes[name_end]) {
+            return None;
+        }
+        name_end += 1;
+    }
+    let (a, at) = canonical_node(bytes, name_end + 1)?;
+    let (b, at) = canonical_node(bytes, at + 1)?;
+    let start = at + 1;
+    let end = bytes[start..]
+        .iter()
+        .position(|&b| is_blank(b))
+        .map_or(bytes.len(), |len| start + len);
+    let value: f64 = rest[start..end].parse().ok()?;
+    if !value.is_finite() || (kind == ElementKind::Resistor && value < 0.0) {
+        return None;
+    }
+    let next = match bytes.get(end) {
+        None => "",
+        Some(b'\n') => &rest[end + 1..],
+        Some(_) => return None,
+    };
+    Some((Element::new(&rest[..name_end], kind, a, b, value), next))
 }
 
 /// Parses the line `rest` starts with, leaving `rest` somewhere on that line.
@@ -144,17 +258,20 @@ fn parse_line(rest: &mut &str, lineno: usize) -> Result<Option<Element>, ParseNe
                 "" => next_token(rest).unwrap_or(""),
                 word => word,
             };
-            return match word.to_ascii_lowercase().as_str() {
-                "end" | "ends" | "title" | "option" | "options" => Ok(None),
-                other => Err(err(&format!("unsupported directive `.{other}`"))),
-            };
+            let known = ["end", "ends", "title", "option", "options"];
+            if known.iter().any(|known| word.eq_ignore_ascii_case(known)) {
+                return Ok(None);
+            }
+            let word = excerpt(word).to_ascii_lowercase();
+            return Err(err(&format!("unsupported directive `.{word}`")));
         }
         b'R' | b'r' => ElementKind::Resistor,
         b'I' | b'i' => ElementKind::CurrentSource,
         b'V' | b'v' => ElementKind::VoltageSource,
         _ => {
             return Err(err(&format!(
-                "unknown element prefix in `{name}` (expected R/I/V)"
+                "unknown element prefix in `{}` (expected R/I/V)",
+                excerpt(name)
             )))
         }
     };
@@ -168,7 +285,7 @@ fn parse_line(rest: &mut &str, lineno: usize) -> Result<Option<Element>, ParseNe
     let b = parse_node(b_tok, lineno)?;
     let value: f64 = v_tok
         .parse()
-        .map_err(|_| err(&format!("bad value `{v_tok}`")))?;
+        .map_err(|_| err(&format!("bad value `{}`", excerpt(v_tok))))?;
     if !value.is_finite() {
         return Err(err("non-finite value"));
     }
@@ -176,7 +293,8 @@ fn parse_line(rest: &mut &str, lineno: usize) -> Result<Option<Element>, ParseNe
         return Err(err("negative resistance"));
     }
     if !name.is_ascii() && name.contains(char::is_whitespace) {
-        return Err(err(&format!("non-ASCII space in element name `{name}`")));
+        let message = format!("non-ASCII space in element name `{}`", excerpt(name));
+        return Err(err(&message));
     }
     Ok(Some(Element::new(name, kind, a, b, value)))
 }
@@ -193,6 +311,11 @@ impl Netlist {
         let (mut rest, mut lineno) = (src, 0);
         while !rest.is_empty() {
             lineno += 1;
+            if let Some((e, next)) = canonical_line(rest) {
+                elements.push(e);
+                rest = next;
+                continue;
+            }
             if let Some(e) = parse_line(&mut rest, lineno)? {
                 elements.push(e);
             }
@@ -335,6 +458,150 @@ V1 n1_m9_4000_4000 0 1.1
         assert_eq!(&*nl.elements()[0].name, "Rµ1");
     }
 
+    /// Netlists shaped like the contest generator's: rails on every layer,
+    /// vias, loads and pads to ground, names `R`/`I`/`V` + a counter, values
+    /// of every magnitude `to_spice` writes with and without a fraction.
+    fn generator_shaped(size: i64) -> Netlist {
+        let node = |layer: u8, x: i64, y: i64| NodeRef::Node(NodeName::new(1, layer, x, y));
+        let mut elements = Vec::new();
+        let mut rid = 0;
+        for layer in 1..=9u8 {
+            for step in 0..size {
+                let (x, y) = (
+                    step * 2000,
+                    (step * 7919 + i64::from(layer)) % (size * 2000),
+                );
+                let r = 0.26 * f64::from(layer) / (1.0 + step as f64);
+                elements.push(Element::new(
+                    format!("R{rid}"),
+                    ElementKind::Resistor,
+                    node(layer, x, y),
+                    node(layer.max(2) - 1, x + 2000, y),
+                    r,
+                ));
+                rid += 1;
+            }
+        }
+        for i in 0..size {
+            let load = 1.17e-5 * (1.0 + (i % 13) as f64) / 3.0;
+            let at = node(1, i * 2000, -i * 4000);
+            elements.push(Element::new(
+                format!("I{i}"),
+                ElementKind::CurrentSource,
+                at,
+                NodeRef::Ground,
+                load,
+            ));
+            let pad = node(9, i * 4000, 1_860_000);
+            elements.push(Element::new(
+                format!("V{i}"),
+                ElementKind::VoltageSource,
+                pad,
+                NodeRef::Ground,
+                1.1,
+            ));
+        }
+        elements.push(Element::new(
+            "r_lower",
+            ElementKind::Resistor,
+            NodeRef::Ground,
+            node(255, 0, 0),
+            0.0,
+        ));
+        elements.push(Element::new(
+            "i_neg",
+            ElementKind::CurrentSource,
+            node(4, -1, 5),
+            NodeRef::Ground,
+            -2.5e-300,
+        ));
+        elements.push(Element::new(
+            "v_big",
+            ElementKind::VoltageSource,
+            node(1, 999_999_999_999_999_999, -999_999_999_999_999_999),
+            NodeRef::Ground,
+            1e21,
+        ));
+        Netlist::from_elements(elements)
+    }
+
+    #[test]
+    fn canonical_reader_takes_every_line_to_spice_writes() {
+        for size in [16, 64] {
+            let netlist = generator_shaped(size);
+            let text = netlist.to_spice();
+            let mut read = Vec::new();
+            for line in text.lines().filter(|l| !l.starts_with(['*', '.'])) {
+                let (element, next) =
+                    canonical_line(line).unwrap_or_else(|| panic!("declined {line:?}"));
+                assert_eq!(next, "");
+                read.push(element);
+            }
+            assert_eq!(read, netlist.elements());
+            assert_eq!(Netlist::parse_str(&text).unwrap(), netlist);
+        }
+    }
+
+    #[test]
+    fn canonical_reader_declines_everything_else_and_parse_line_decides() {
+        let declined = [
+            "R1  n1_m1_0_0 0 1.0",
+            "R1\tn1_m1_0_0 0 1.0",
+            "R1 n1_m1_0_0 0 1.0\r\n",
+            "R1 n1_m1_0_0 0 1.0 ",
+            "R1 n1_m1_+5_0 0 1.0",
+            "R1 n1_m1_1000000000000000000_0 0 1.0",
+            "Rµ1 n1_m1_0_0 0 1.0",
+            "R1 n1_m1_0_0 0 -1",
+            "R1 n1_m1_0_0 0 nan",
+            "R1 n1_m1_0_0 0 1e400",
+            "R1 n1_m1_0_0 0 1.0 2.0",
+            "*",
+            ".end",
+        ];
+        for line in declined {
+            assert!(canonical_line(line).is_none(), "{line:?}");
+            assert_eq!(Netlist::parse_str(line), reference_parse(line), "{line:?}");
+        }
+        // Still the first line's element, and the text after its `\n`.
+        let (e, next) = canonical_line("v7 N2_M3_-4_-0 0 -5e-1\nrest").unwrap();
+        assert_eq!(next, "rest");
+        assert_eq!(
+            (&*e.name, e.kind, e.value),
+            ("v7", ElementKind::VoltageSource, -0.5)
+        );
+        assert_eq!(e.a, NodeRef::Node(NodeName::new(2, 3, -4, 0)));
+        assert_eq!(e.b, NodeRef::Ground);
+    }
+
+    #[test]
+    fn error_messages_echo_a_bounded_excerpt() {
+        let huge = "x".repeat(8 << 20);
+        let inputs = [
+            (format!("C{huge} 0 0 1.0"), "unknown element prefix"),
+            (format!(".{huge}"), "unsupported directive"),
+            (format!("R1 n{huge} 0 1.0"), "malformed node name"),
+            (format!("R1 0 0 {huge}"), "bad value"),
+            (format!("R\u{a0}{huge} 0 0 1.0"), "non-ASCII space"),
+        ];
+        for (src, what) in &inputs {
+            let err = Netlist::parse_str(src).unwrap_err();
+            assert!(err.message.contains(what), "{}", err.message);
+            assert!(err.message.contains(" bytes)`"), "{}", err.message);
+            assert!(
+                err.to_string().len() < 256,
+                "{what}: {} bytes",
+                err.message.len()
+            );
+        }
+        // The cut falls on a char boundary, never inside a two-byte `µ`.
+        let token = format!("a{}", "µ".repeat(100));
+        assert_eq!(excerpt(&token), format!("a{}… (201 bytes)", "µ".repeat(31)));
+        assert_eq!(excerpt("n1_m1_0_0x"), "n1_m1_0_0x");
+        let at_cap = "y".repeat(EXCERPT_BYTES);
+        assert_eq!(excerpt(&at_cap), at_cap);
+    }
+
     /// The `split_whitespace` + `from_str` parser this module had before the
     /// byte-level one, kept as the reference of the differential test.
     fn reference_parse(src: &str) -> Result<Netlist, ParseNetlistError> {
@@ -345,7 +612,7 @@ V1 n1_m9_4000_4000 0 1.1
             if token == "0" {
                 return Ok(NodeRef::Ground);
             }
-            let bad = || err(line, format!("malformed node name `{token}`"));
+            let bad = || err(line, format!("malformed node name `{}`", excerpt(token)));
             let mut parts = token.strip_prefix(['n', 'N']).ok_or_else(bad)?.split('_');
             let mut part = || parts.next().ok_or_else(bad);
             let net: u32 = part()?.parse().map_err(|_| bad())?;
@@ -368,7 +635,10 @@ V1 n1_m9_4000_4000 0 1.1
                 let word = directive.split_whitespace().next().unwrap_or("");
                 match word.to_ascii_lowercase().as_str() {
                     "end" | "ends" | "title" | "option" | "options" => continue,
-                    other => return Err(err(n, format!("unsupported directive `.{other}`"))),
+                    other => {
+                        let message = format!("unsupported directive `.{}`", excerpt(other));
+                        return Err(err(n, message));
+                    }
                 }
             }
             let tok: Vec<&str> = trimmed.split_whitespace().collect();
@@ -378,7 +648,10 @@ V1 n1_m9_4000_4000 0 1.1
                 Some('I') => ElementKind::CurrentSource,
                 Some('V') => ElementKind::VoltageSource,
                 _ => {
-                    let message = format!("unknown element prefix in `{name}` (expected R/I/V)");
+                    let message = format!(
+                        "unknown element prefix in `{}` (expected R/I/V)",
+                        excerpt(name)
+                    );
                     return Err(err(n, message));
                 }
             };
@@ -392,7 +665,7 @@ V1 n1_m9_4000_4000 0 1.1
             let (a, b) = (node(tok[1], n)?, node(tok[2], n)?);
             let value: f64 = tok[3]
                 .parse()
-                .map_err(|_| err(n, format!("bad value `{}`", tok[3])))?;
+                .map_err(|_| err(n, format!("bad value `{}`", excerpt(tok[3]))))?;
             if !value.is_finite() {
                 return Err(err(n, "non-finite value"));
             }
@@ -440,6 +713,7 @@ V1 n1_m9_4000_4000 0 1.1
                 "-9223372036854775808",
                 "-9223372036854775809",
                 "99999999999999999999999",
+                "999999999999999999",
                 "",
                 "+",
                 "-",
@@ -496,6 +770,8 @@ V1 n1_m9_4000_4000 0 1.1
                 "v6",
                 "R",
                 "Rname_longer_than_the_inline_capacity",
+                "R_name_of_22_bytes_xyz",
+                "R_name_of_23_bytes_xyzw",
             ],
             &["C1", "X", "1", "_R", "*R1", ".R1", "Rµ"],
         );
@@ -550,31 +826,53 @@ V1 n1_m9_4000_4000 0 1.1
             " .end ",
             ".endx",
             ". subckt",
+            "R0 0 0 1.0",
         ]);
         prop_oneof![4 => element, 1 => other.prop_map(String::from)]
+    }
+
+    /// Same `Ok` netlist, or same error line and message, as the reference —
+    /// line by line, and for the text as a whole.
+    fn agrees_with_reference(lines: &[(String, &str)], unterminated: usize) {
+        let mut src = String::new();
+        for (line, ending) in lines {
+            prop_assert_eq!(
+                Netlist::parse_str(line),
+                reference_parse(line),
+                "{:?}",
+                line
+            );
+            src.push_str(line);
+            src.push_str(ending);
+        }
+        if unterminated == 0 {
+            src.truncate(src.trim_end_matches(['\r', '\n']).len());
+        }
+        prop_assert_eq!(Netlist::parse_str(&src), reference_parse(&src), "{:?}", src);
+        prop_assert_eq!(Netlist::parse_reader(src.as_bytes()), reference_parse(&src));
+    }
+
+    fn lines() -> impl Strategy<Value = Vec<(String, &'static str)>> {
+        prop::collection::vec((line(), one_of(&["\n", "\n", "\n", "\r\n"])), 1..12)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Same `Ok` netlist, or same error line and message, as the
-        /// reference — line by line, and for the text as a whole.
         #[test]
-        fn agrees_with_the_split_whitespace_reference(
-            lines in prop::collection::vec((line(), one_of(&["\n", "\n", "\n", "\r\n"])), 1..12),
-            unterminated in 0usize..4,
-        ) {
-            let mut src = String::new();
-            for (line, ending) in &lines {
-                prop_assert_eq!(Netlist::parse_str(line), reference_parse(line), "{:?}", line);
-                src.push_str(line);
-                src.push_str(ending);
-            }
-            if unterminated == 0 {
-                src.truncate(src.trim_end_matches(['\r', '\n']).len());
-            }
-            prop_assert_eq!(Netlist::parse_str(&src), reference_parse(&src), "{:?}", src);
-            prop_assert_eq!(Netlist::parse_reader(src.as_bytes()), reference_parse(&src));
+        fn agrees_with_the_split_whitespace_reference(lines in lines(), unterminated in 0usize..4) {
+            agrees_with_reference(&lines, unterminated);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// The same property, deep: `cargo test --release -p lmmir-spice -- --ignored`.
+        #[test]
+        #[ignore = "20,000 cases; run with --ignored"]
+        fn agrees_with_the_split_whitespace_reference_deep(lines in lines(), unterminated in 0usize..4) {
+            agrees_with_reference(&lines, unterminated);
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Docs that cannot drift: every `--flag` that README.md or the verify
 //! skill spells must be one that `serve`, `loadgen` or `benchmark` parses,
-//! or one of the few cargo flags the docs use to build and run them. A
-//! flag deleted from a parser fails here until the docs stop naming it.
+//! or one of the few cargo flags the docs use to build and run them, and
+//! every `LMMIR_*` environment variable they name must be spelled as a
+//! string literal in the code. A flag or variable deleted from the code
+//! fails here until the docs stop naming it.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -16,6 +18,9 @@ fn read(rel: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
+
+/// The source trees whose string literals may name an `LMMIR_*` variable.
+const CODE: [&str; 4] = ["crates", "src", "examples", "benchmark/src"];
 
 fn is_flag_char(c: char) -> bool {
     c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'
@@ -73,6 +78,70 @@ fn documented_flags(text: &str) -> BTreeSet<String> {
     out
 }
 
+fn is_env_char(c: char) -> bool {
+    c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
+}
+
+/// Every `LMMIR_NAME` in `text` that does not continue a longer word, with
+/// `quoted` only those spelled as a string literal `"LMMIR_NAME"`.
+fn env_vars(text: &str, quoted: bool) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for (at, _) in text.match_indices("LMMIR_") {
+        let before = text[..at].chars().next_back();
+        if before.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
+            continue;
+        }
+        let len = text[at..]
+            .find(|c| !is_env_char(c))
+            .unwrap_or(text.len() - at);
+        let name = &text[at..at + len];
+        let literal = before == Some('"') && text[at + len..].starts_with('"');
+        if name.len() > "LMMIR_".len() && (literal || !quoted) {
+            out.insert(name.trim_end_matches('_').to_string());
+        }
+    }
+    out
+}
+
+/// Every `.rs` file under `dir` (relative to the workspace root), read.
+fn rust_sources(dir: &str, out: &mut Vec<String>) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut stack = vec![root.join(dir)];
+    while let Some(path) = stack.pop() {
+        for entry in std::fs::read_dir(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+        {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                out.push(std::fs::read_to_string(&path).unwrap());
+            }
+        }
+    }
+}
+
+#[test]
+fn every_documented_env_var_is_named_in_the_code() {
+    let mut sources = Vec::new();
+    for dir in CODE {
+        rust_sources(dir, &mut sources);
+    }
+    let known: BTreeSet<String> = sources.iter().flat_map(|src| env_vars(src, true)).collect();
+    let mut stale = Vec::new();
+    for doc in DOCS {
+        for var in env_vars(&read(doc), false) {
+            if !known.contains(&var) {
+                stale.push(format!("{doc}: {var}"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "environment variables documented but named nowhere in the code:\n{}",
+        stale.join("\n")
+    );
+}
+
 #[test]
 fn every_documented_flag_is_parsed_by_a_binary() {
     let mut known: BTreeSet<String> = CARGO_FLAGS.iter().map(|f| f.to_string()).collect();
@@ -109,4 +178,14 @@ fn scanners_read_parser_arms_and_doc_flags() {
     let doc = "run `serve --ckpt a=b --max-batch 8`; |---|---| a--b --Upper";
     let flags: Vec<String> = documented_flags(doc).into_iter().collect();
     assert_eq!(flags, ["ckpt", "max-batch"]);
+}
+
+#[test]
+fn env_scanner_reads_literals_and_doc_names() {
+    let src = r#"std::env::var("LMMIR_THREADS"); read("LMMIR_SEED_2") // LMMIR_NOTE "XLMMIR_A""#;
+    let quoted: Vec<String> = env_vars(src, true).into_iter().collect();
+    assert_eq!(quoted, ["LMMIR_SEED_2", "LMMIR_THREADS"]);
+    let doc = "set `LMMIR_SCALE`/`INPUT`, LMMIR_THREADS=1; not MY_LMMIR_X or LMMIR_*";
+    let named: Vec<String> = env_vars(doc, false).into_iter().collect();
+    assert_eq!(named, ["LMMIR_SCALE", "LMMIR_THREADS"]);
 }
