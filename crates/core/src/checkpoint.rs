@@ -412,6 +412,46 @@ mod tests {
         assert!(err.contains("load_state_dict"), "got {err}");
     }
 
+    #[test]
+    fn tampered_lnt_fields_are_rejected() {
+        // Each used to load: `chunk` 0 then hung every forward (a window
+        // that never advances), `heads` 0 or an indivisible `d_model`
+        // panicked inside the loader.
+        let base = custom_lmmir_cfg().lnt;
+        let cases = [
+            ("chunk", LntConfig { chunk: 0, ..base }),
+            ("heads", LntConfig { heads: 0, ..base }),
+            (
+                "d_model",
+                LntConfig {
+                    d_model: 15,
+                    ..base
+                },
+            ),
+            ("d_model", LntConfig { d_model: 0, ..base }),
+            (
+                "max_points",
+                LntConfig {
+                    max_points: 0,
+                    ..base
+                },
+            ),
+        ];
+        let model = LmmIr::new(custom_lmmir_cfg());
+        for (field, tampered) in cases {
+            let edit = edit_config(move |cfg| {
+                if let ArchConfig::LmmIr(c) = cfg {
+                    c.lnt = tampered;
+                }
+            });
+            let err = rejection(&model, &format!("lnt_{field}.lmmt"), edit);
+            assert!(
+                err.contains("config.lmmir") && err.contains(field),
+                "{field}: {err}"
+            );
+        }
+    }
+
     fn custom_dynamic_cfg() -> crate::dynamic::DynamicIrConfig {
         crate::dynamic::DynamicIrConfig {
             windows: 5,

@@ -63,6 +63,35 @@ impl LntConfig {
     }
 }
 
+impl LntConfig {
+    /// Validates the fields the LNT's construction and forward rely on:
+    /// attention needs at least one head and `d_model` split evenly among
+    /// them, and the chunked self-attention needs a non-empty window and a
+    /// non-empty point budget (a zero-token window would never advance).
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable description naming the violated field.
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        if self.heads == 0 {
+            return Err("lnt heads must be at least 1".to_string());
+        }
+        if self.d_model == 0 || self.d_model % self.heads != 0 {
+            return Err(format!(
+                "lnt d_model {} must be a positive multiple of heads {}",
+                self.d_model, self.heads
+            ));
+        }
+        if self.chunk == 0 {
+            return Err("lnt chunk must be at least 1".to_string());
+        }
+        if self.max_points == 0 {
+            return Err("lnt max_points must be at least 1".to_string());
+        }
+        Ok(())
+    }
+}
+
 /// One pre-LN transformer block: `x + Attn(LN(x))`, then `x + FF(LN(x))`.
 #[derive(Debug)]
 struct TransformerBlock {
@@ -257,6 +286,22 @@ mod tests {
             .filter(|p| p.grad().is_none())
             .count();
         assert_eq!(missing, 0, "all LNT parameters should receive gradient");
+    }
+
+    #[test]
+    fn validation_names_the_field() {
+        assert!(LntConfig::quick().validate().is_ok());
+        assert!(LntConfig::paper().validate().is_ok());
+        let bad = |edit: fn(&mut LntConfig)| {
+            let mut cfg = LntConfig::quick();
+            edit(&mut cfg);
+            cfg.validate().unwrap_err()
+        };
+        assert!(bad(|c| c.heads = 0).contains("heads"));
+        assert!(bad(|c| c.d_model = 30).contains("d_model"));
+        assert!(bad(|c| c.d_model = 0).contains("d_model"));
+        assert!(bad(|c| c.chunk = 0).contains("chunk"));
+        assert!(bad(|c| c.max_points = 0).contains("max_points"));
     }
 
     #[test]

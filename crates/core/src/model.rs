@@ -170,7 +170,8 @@ impl LmmIrConfig {
         }
     }
 
-    /// Validates internal consistency (pooling divisibility, non-empty plan).
+    /// Validates internal consistency (pooling divisibility, non-empty plan,
+    /// and the LNT's own [`LntConfig::validate`]).
     ///
     /// # Errors
     ///
@@ -189,7 +190,7 @@ impl LmmIrConfig {
         if self.in_channels == 0 {
             return Err("in_channels must be positive".to_string());
         }
-        Ok(())
+        self.lnt.validate()
     }
 }
 

@@ -19,6 +19,15 @@ use rand::Rng;
 /// may differ from the key/value stream, covering both the self-attention
 /// (`q = k = v`) and cross-attention (`q` = circuit tokens, `k = v` = netlist
 /// tokens) configurations of the paper.
+///
+/// The core `softmax(Q Kᵀ / √dh) V` over all heads is one graph node,
+/// [`Var::attention`]: a training tape keeps one `[B·H, Nq, Nk]` buffer
+/// per call (the attention weights its backward needs) where the composed
+/// `bmm` → `scale` → `softmax_last` → `bmm` chain kept three (the scores,
+/// their scaled copy and the weights). The op runs the chain's kernels in
+/// the chain's order, forward and backward, so outputs, gradients and
+/// therefore training runs have the chain's bits; the chain survives only
+/// as the op's test oracle.
 #[derive(Debug)]
 pub struct MultiHeadAttention {
     wq: Linear,
@@ -104,10 +113,8 @@ impl MultiHeadAttention {
         let kh = self.split_heads(&self.wk.forward(k)?)?;
         let vh = self.split_heads(&self.wv.forward(v)?)?;
         let dh = (self.d_model / self.heads) as f32;
-        // scores [B*H, Nq, Nk] = Q K^T / sqrt(dh)
-        let scores = qh.bmm(&kh.permute(&[0, 2, 1])?)?.scale(1.0 / dh.sqrt());
-        let attn = scores.softmax_last();
-        let ctx = attn.bmm(&vh)?;
+        // softmax(Q K^T / sqrt(dh)) V over [B*H] entries, as one graph node.
+        let ctx = Var::attention(&qh, &kh, &vh, 1.0 / dh.sqrt())?;
         let merged = self.merge_heads(&ctx, b, nq)?;
         self.wo.forward(&merged)
     }

@@ -30,7 +30,7 @@
 //! NaN per IEEE 754, and kernel timing must not depend on the data.
 
 use crate::error::TensorError;
-use crate::tensor::Tensor;
+use crate::tensor::{softmax_row, Tensor};
 use crate::Result;
 
 /// Minimum multiply-accumulate count before a kernel fans out.
@@ -655,6 +655,30 @@ struct BmmShape {
     b_stride: usize,
 }
 
+/// Whether `ba` independent batch entries worth `flops` multiply-accumulates
+/// in total fork whole entries across the pool (each entry then runs the
+/// sequential kernels): only when the batch alone can occupy it.
+fn fork_entries(ba: usize, flops: usize) -> bool {
+    ba >= lmmir_par::num_threads() && par_worth(ba, flops)
+}
+
+/// Runs `f(i, &mut slots[i])` for every batch entry: forked across the
+/// pool in whole entries under [`fork_entries`], on the caller otherwise.
+/// Entries are independent, so the result is the same either way.
+fn for_each_entry<T: Send>(slots: &mut [T], flops: usize, f: impl Fn(usize, &mut T) + Sync) {
+    if fork_entries(slots.len(), flops) {
+        lmmir_par::par_chunks_mut(slots, 1, |i0, span| {
+            for (j, slot) in span.iter_mut().enumerate() {
+                f(i0 + j, slot);
+            }
+        });
+    } else {
+        for (i, slot) in slots.iter_mut().enumerate() {
+            f(i, slot);
+        }
+    }
+}
+
 /// Shared driver for the batched products: distributes whole batch entries
 /// across threads when the batch alone can occupy the pool (each entry then
 /// runs the sequential kernel, keeping one level of forking), and otherwise
@@ -677,7 +701,7 @@ fn bmm_driver(s: &BmmShape, a: &[f32], b: &[f32], c: &mut [f32], seq: GemmFn, pa
         );
         kernel(m, k, n, a, b, cb);
     };
-    if plane > 0 && ba >= lmmir_par::num_threads() && par_worth(ba, ba * m * k * n) {
+    if plane > 0 && fork_entries(ba, ba * m * k * n) {
         lmmir_par::par_chunks_mut(c, plane, |b0, span| {
             for (j, cb) in span.chunks_mut(plane).enumerate() {
                 entry(seq, b0 + j, cb);
@@ -803,6 +827,148 @@ pub fn bmm_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         gemm_nt_par,
     );
     Ok(out)
+}
+
+/// Per-entry geometry of the fused attention kernels: `e` entries of
+/// `q [nq, dh]`, `k [nk, dh]` and `v [nk, dv]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AttentionShape {
+    e: usize,
+    nq: usize,
+    nk: usize,
+    dh: usize,
+    dv: usize,
+}
+
+impl AttentionShape {
+    /// Reads the geometry of `q [E,Nq,dh]`, `k [E,Nk,dh]`, `v [E,Nk,dv]`.
+    pub(crate) fn of(q: &Tensor, k: &Tensor, v: &Tensor) -> Result<Self> {
+        let (e, nq, dh) = require_rank3(q, "attention")?;
+        let (ek, nk, dhk) = require_rank3(k, "attention")?;
+        let (ev, nkv, dv) = require_rank3(v, "attention")?;
+        let mismatch = |lhs: &Tensor, rhs: &Tensor| TensorError::ShapeMismatch {
+            lhs: lhs.dims().to_vec(),
+            rhs: rhs.dims().to_vec(),
+            op: "attention",
+        };
+        if ek != e || dhk != dh {
+            return Err(mismatch(q, k));
+        }
+        if ev != e || nkv != nk {
+            return Err(mismatch(k, v));
+        }
+        if nq == 0 || nk == 0 || dh == 0 || dv == 0 {
+            return Err(TensorError::InvalidShape {
+                dims: vec![e, nq, nk, dh, dv],
+                reason: "attention needs non-empty [E, Nq, Nk, dh, dv]".to_string(),
+            });
+        }
+        Ok(AttentionShape { e, nq, nk, dh, dv })
+    }
+
+    /// Dims of the output `[E, Nq, dv]`.
+    pub(crate) fn out_dims(&self) -> [usize; 3] {
+        [self.e, self.nq, self.dv]
+    }
+
+    /// Dims of the attention matrix `[E, Nq, Nk]`.
+    pub(crate) fn attn_dims(&self) -> [usize; 3] {
+        [self.e, self.nq, self.nk]
+    }
+}
+
+/// Forward of `softmax(Q Kᵀ · scale) V` per entry: `S = Q Kᵀ`, then each
+/// row of `S` scaled and soft-maxed in place, then `O = A V`. Returns the
+/// attention matrix `A [E, Nq, Nk]` and the output `O [E, Nq, dv]`.
+///
+/// Each product runs the sequential kernel a batched product runs per
+/// entry, into a zeroed buffer, and the row pass is
+/// [`Tensor::softmax_last`]'s after [`Tensor::scale`]'s multiply, so every
+/// element has the bits of `bmm(q, kᵀ).scale(s).softmax_last()` and of its
+/// `bmm` with `v`.
+pub(crate) fn attention_forward(
+    s: AttentionShape,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    scale: f32,
+) -> (Vec<f32>, Vec<f32>) {
+    let AttentionShape { e, nq, nk, dh, dv } = s;
+    let mut attn = vec![0.0f32; e * nq * nk];
+    let mut out = vec![0.0f32; e * nq * dv];
+    let mut slots: Vec<_> = attn
+        .chunks_mut(nq * nk)
+        .zip(out.chunks_mut(nq * dv))
+        .collect();
+    for_each_entry(&mut slots, e * nq * nk * (dh + dv), |i, (a, o)| {
+        let q = &q[i * nq * dh..(i + 1) * nq * dh];
+        let k = &k[i * nk * dh..(i + 1) * nk * dh];
+        let v = &v[i * nk * dv..(i + 1) * nk * dv];
+        gemm_nt_seq(nq, dh, nk, q, k, a);
+        for row in a.chunks_mut(nk) {
+            row.iter_mut().for_each(|x| *x *= scale);
+            softmax_row(row);
+        }
+        gemm_seq(nq, nk, dv, a, v, o);
+    });
+    drop(slots);
+    (attn, out)
+}
+
+/// Backward of [`attention_forward`] from its saved attention matrix `attn`
+/// and the output gradient `d_out [E, Nq, dv]`; returns `(dQ, dK, dV)`.
+///
+/// Per entry: `dA = dO Vᵀ`, `dV = Aᵀ dO`, then row by row
+/// `dS = ((dA − Σⱼ dA⊙A) ⊙ A) · scale` in place over `dA`, then
+/// `dQ = dS K` and `dK = dSᵀ Q`. These are the terms, operand orders and
+/// summation orders of the composed chain's backward (`bmm` → `scale` →
+/// `softmax_last` → `bmm`); the two products it ran against the
+/// materialized `Kᵀ` run here against `K` with the same `k`-ascending
+/// accumulation, so every gradient has the chain's bits.
+pub(crate) fn attention_backward(
+    s: AttentionShape,
+    (q, k, v): (&[f32], &[f32], &[f32]),
+    attn: &[f32],
+    d_out: &[f32],
+    scale: f32,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let AttentionShape { e, nq, nk, dh, dv } = s;
+    let mut dq = vec![0.0f32; e * nq * dh];
+    let mut dk = vec![0.0f32; e * nk * dh];
+    let mut dvs = vec![0.0f32; e * nk * dv];
+    let mut slots: Vec<_> = dq
+        .chunks_mut(nq * dh)
+        .zip(dk.chunks_mut(nk * dh))
+        .zip(dvs.chunks_mut(nk * dv))
+        .map(|((dq, dk), dv)| (dq, dk, dv))
+        .collect();
+    for_each_entry(
+        &mut slots,
+        2 * e * nq * nk * (dh + dv),
+        |i, (dq, dk, d_v)| {
+            let q = &q[i * nq * dh..(i + 1) * nq * dh];
+            let k = &k[i * nk * dh..(i + 1) * nk * dh];
+            let v = &v[i * nk * dv..(i + 1) * nk * dv];
+            let a = &attn[i * nq * nk..(i + 1) * nq * nk];
+            let g = &d_out[i * nq * dv..(i + 1) * nq * dv];
+            let mut ds = vec![0.0f32; nq * nk];
+            gemm_nt_seq(nq, dv, nk, g, v, &mut ds);
+            gemm_tn_seq(0, nk, nq, dv, a, g, d_v);
+            for (d_row, a_row) in ds.chunks_mut(nk).zip(a.chunks(nk)) {
+                let mut dot = 0.0f32;
+                for (&d, &p) in d_row.iter().zip(a_row) {
+                    dot += d * p;
+                }
+                for (d, &p) in d_row.iter_mut().zip(a_row) {
+                    *d = (*d - dot) * p * scale;
+                }
+            }
+            gemm_seq(nq, nk, dh, &ds, k, dq);
+            gemm_tn_seq(0, nk, nq, dh, &ds, q, dk);
+        },
+    );
+    drop(slots);
+    (dq, dk, dvs)
 }
 
 #[cfg(test)]

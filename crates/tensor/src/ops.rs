@@ -585,6 +585,68 @@ impl Var {
         )
     }
 
+    /// Scaled dot-product attention as one graph node:
+    /// `softmax(q kᵀ · scale) v` for `q [E,Nq,dh]`, `k [E,Nk,dh]`,
+    /// `v [E,Nk,dv]` → `[E,Nq,dv]`, one independent product per batch entry
+    /// `E` (heads × batch).
+    ///
+    /// The tape keeps the attention matrix `A [E,Nq,Nk]` and nothing else
+    /// of the call: the composed chain (`bmm` with a permuted `k`, `scale`,
+    /// `softmax_last`, `bmm`) kept three score-sized buffers — the product,
+    /// its scaled copy and `A`. The backward recomputes nothing: per entry
+    /// it forms `dA = dO vᵀ` and `dv = Aᵀ dO`, turns `dA` into the score
+    /// gradient `dS = ((dA − Σⱼ dA⊙A) ⊙ A) · scale` row by row in place,
+    /// then `dq = dS k` and `dk = dSᵀ q`.
+    ///
+    /// The output and all three gradients are bitwise the chain's: every
+    /// product runs the sequential kernel a batched product runs per entry,
+    /// into a zeroed buffer, with the same `k`-ascending accumulation, and
+    /// the scale, the softmax and its backward are the same per-element
+    /// `f32` operations in the same order. Entries fork across the pool
+    /// only under the batched products' gate, whole entries per worker.
+    /// The parents are `[q, k, v]`, so a backward reaches the three inputs
+    /// in the chain's order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidShape`] for non-rank-3 or empty
+    /// operands and [`TensorError::ShapeMismatch`] when `E`, `dh` or `Nk`
+    /// disagree.
+    pub fn attention(q: &Var, k: &Var, v: &Var, scale: f32) -> Result<Var> {
+        let (shape, attn, out) = {
+            let (qv, kv, vv) = (q.value(), k.value(), v.value());
+            let shape = linalg::AttentionShape::of(&qv, &kv, &vv)?;
+            let (attn, out) =
+                linalg::attention_forward(shape, qv.data(), kv.data(), vv.data(), scale);
+            (shape, attn, out)
+        };
+        let out = Tensor::from_vec(out, &shape.out_dims())?;
+        let attn = Tensor::from_vec(attn, &shape.attn_dims())?;
+        let (qp, kp, vp) = (q.clone(), k.clone(), v.clone());
+        Ok(Var::from_op(
+            out,
+            vec![q.clone(), k.clone(), v.clone()],
+            Box::new(move |g| {
+                let (qv, kv, vv) = (qp.value(), kp.value(), vp.value());
+                let (dq, dk, dv) = linalg::attention_backward(
+                    shape,
+                    (qv.data(), kv.data(), vv.data()),
+                    attn.data(),
+                    g.data(),
+                    scale,
+                );
+                let grad = |data, dims: &[usize]| {
+                    Some(Tensor::from_vec(data, dims).expect("attention gradient shape"))
+                };
+                vec![
+                    grad(dq, qv.dims()),
+                    grad(dk, kv.dims()),
+                    grad(dv, vv.dims()),
+                ]
+            }),
+        ))
+    }
+
     /// Row gather from a rank-2 parameter (embedding lookup):
     /// `out[i,:] = self[indices[i],:]`.
     ///

@@ -924,18 +924,7 @@ impl Tensor {
             return self.clone();
         }
         let mut data = self.data().to_vec();
-        for row in data.chunks_mut(inner) {
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - m).exp();
-                sum += *v;
-            }
-            let inv = 1.0 / sum;
-            for v in row.iter_mut() {
-                *v *= inv;
-            }
-        }
+        data.chunks_mut(inner).for_each(softmax_row);
         Tensor::leaf(self.dims.clone(), data)
     }
 
@@ -949,6 +938,24 @@ impl Tensor {
     #[must_use]
     pub fn has_non_finite(&self) -> bool {
         self.data().iter().any(|x| !x.is_finite())
+    }
+}
+
+/// Numerically stable softmax of one row, in place: the row maximum, then
+/// `exp(x - max)` and its running sum in ascending order, then one
+/// multiply by the reciprocal. [`Tensor::softmax_last`] and the fused
+/// attention op ([`crate::Var::attention`]) share it, so both give the
+/// same bits.
+pub(crate) fn softmax_row(row: &mut [f32]) {
+    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - m).exp();
+        sum += *v;
+    }
+    let inv = 1.0 / sum;
+    for v in row.iter_mut() {
+        *v *= inv;
     }
 }
 

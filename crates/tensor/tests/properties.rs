@@ -390,3 +390,146 @@ proptest! {
         prop_assert!(close(&y1, &y2, 1e-3));
     }
 }
+
+/// The composed chain [`Var::attention`] replaced — `bmm` with a permuted
+/// `k`, `scale`, `softmax_last`, `bmm` — kept as its oracle.
+fn attention_chain(q: &Var, k: &Var, v: &Var, scale: f32) -> Var {
+    q.bmm(&k.permute(&[0, 2, 1]).unwrap())
+        .unwrap()
+        .scale(scale)
+        .softmax_last()
+        .bmm(v)
+        .unwrap()
+}
+
+/// Bits of the output and of the `q`, `k`, `v` gradients under the
+/// gradient `upstream`.
+fn attention_bits(
+    op: impl Fn(&Var, &Var, &Var) -> Var,
+    (q, k, v): (&Tensor, &Tensor, &Tensor),
+    upstream: &Tensor,
+) -> [Vec<u32>; 4] {
+    let (q, k, v) = (
+        Var::parameter(q.clone()),
+        Var::parameter(k.clone()),
+        Var::parameter(v.clone()),
+    );
+    let out = op(&q, &k, &v);
+    out.backward_with(upstream.clone());
+    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    [
+        bits(&out.to_tensor()),
+        bits(&q.grad().expect("q gradient")),
+        bits(&k.grad().expect("k gradient")),
+        bits(&v.grad().expect("v gradient")),
+    ]
+}
+
+/// `q [e, nq, dh]`, `k [e, nk, dh]`, `v [e, nk, dv]` with entries in
+/// `[-magnitude, magnitude]`, and an upstream gradient `[e, nq, dv]` in
+/// `[-1, 1]`.
+fn attention_case([e, nq, nk, dh, dv]: [usize; 5], magnitude: f32, seed: u64) -> [Tensor; 4] {
+    let t = |dims: &[usize], offset: u64| {
+        let n = dims.iter().product();
+        let data = pseudo(n, seed.wrapping_mul(7919).wrapping_add(offset));
+        Tensor::from_vec(data, dims).unwrap()
+    };
+    [
+        t(&[e, nq, dh], 0).scale(magnitude),
+        t(&[e, nk, dh], 1_000).scale(magnitude),
+        t(&[e, nk, dv], 2_000).scale(magnitude),
+        t(&[e, nq, dv], 3_000),
+    ]
+}
+
+/// [`Var::attention`] against [`attention_chain`], bit for bit, on
+/// [`attention_case`] at threads {1, 2, 4}.
+fn fused_attention_agrees_with_chain(dims: [usize; 5], magnitude: f32, scale: f32, seed: u64) {
+    let [q, k, v, grad] = attention_case(dims, magnitude, seed);
+    let [e, nq, nk, dh, dv] = dims;
+    for threads in [1, 2, 4] {
+        let (fused, chain) = lmmir_par::with_threads(threads, || {
+            (
+                attention_bits(
+                    |q, k, v| Var::attention(q, k, v, scale).unwrap(),
+                    (&q, &k, &v),
+                    &grad,
+                ),
+                attention_bits(
+                    |q, k, v| attention_chain(q, k, v, scale),
+                    (&q, &k, &v),
+                    &grad,
+                ),
+            )
+        });
+        for (name, (f, c)) in ["output", "dq", "dk", "dv"]
+            .iter()
+            .zip(fused.iter().zip(&chain))
+        {
+            assert_eq!(
+                f, c,
+                "{name} differs at {threads} threads: e {e}, nq {nq}, nk {nk}, dh {dh}, dv {dv}, \
+                 magnitude {magnitude}, scale {scale}, seed {seed}"
+            );
+        }
+    }
+}
+
+/// Magnitudes of the random operands: at 40 the scores of a row span far
+/// more than the ~104 below its maximum where `exp` underflows to 0.
+const ATTENTION_MAGNITUDES: [f32; 3] = [0.5, 3.0, 40.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fused_attention_matches_the_composed_chain(
+        e in 1usize..6, nq in 1usize..10, nk in 1usize..10, dh in 1usize..7, dv in 1usize..7,
+        magnitude in 0usize..3, scale in 0.1f32..1.5, seed in 0u64..1_000_000,
+    ) {
+        fused_attention_agrees_with_chain(
+            [e, nq, nk, dh, dv],
+            ATTENTION_MAGNITUDES[magnitude],
+            scale,
+            seed,
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// The same property, deep: `cargo test --release -p lmmir-tensor -- --ignored`.
+    #[test]
+    #[ignore = "10,000 cases; run with --ignored"]
+    fn fused_attention_matches_the_composed_chain_deep(
+        e in 1usize..6, nq in 1usize..10, nk in 1usize..10, dh in 1usize..7, dv in 1usize..7,
+        magnitude in 0usize..3, scale in 0.1f32..1.5, seed in 0u64..1_000_000,
+    ) {
+        fused_attention_agrees_with_chain(
+            [e, nq, nk, dh, dv],
+            ATTENTION_MAGNITUDES[magnitude],
+            scale,
+            seed,
+        );
+    }
+}
+
+/// Above both gates: every product of the chain is 2^22 MACs or more and
+/// the four entries can occupy the pool, so the chain's batched products
+/// and the fused op both fork whole entries at 2 and 4 threads.
+#[test]
+fn large_fused_attention_forks_entries_and_matches_the_chain() {
+    fused_attention_agrees_with_chain([4, 128, 256, 32, 32], 1.0, 32f32.sqrt().recip(), 11);
+}
+
+/// Scores spread past `exp`'s underflow: some attention weights are exactly
+/// 0, and the fused op still has the chain's bits.
+#[test]
+fn fused_attention_matches_the_chain_where_exp_underflows() {
+    let [q, k, ..] = attention_case([2, 3, 5, 4, 2], 40.0, 5);
+    let scores = linalg::bmm(&q, &k.permute(&[0, 2, 1]).unwrap()).unwrap();
+    let attn = scores.scale(0.5).softmax_last();
+    assert!(attn.data().contains(&0.0), "no weight underflowed");
+    fused_attention_agrees_with_chain([2, 3, 5, 4, 2], 40.0, 0.5, 5);
+}

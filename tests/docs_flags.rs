@@ -1,12 +1,18 @@
 //! Docs that cannot drift: every `--flag` that README.md or the verify
 //! skill spells must be one that `serve`, `loadgen` or `benchmark` parses,
-//! or one of the few cargo flags the docs use to build and run them, and
+//! or one of the few cargo flags the docs use to build and run them;
 //! every `LMMIR_*` environment variable they name must be spelled as a
-//! string literal in the code. A flag or variable deleted from the code
-//! fails here until the docs stop naming it.
+//! string literal in the code; and every `lmmir_*` metric series README.md
+//! names must be on a live server's `/metrics` (the router's series on a
+//! live router's). A flag, variable or series deleted from the code fails
+//! here until the docs stop naming it.
 
+use lmm_ir::{iredge, save_predictor};
+use lmmir_pdn::{CaseKind, CaseSpec};
+use lmmir_serve::{client, PredictRequest, RegistrySpec, RouterSpec, ServeConfig, Server};
 use std::collections::BTreeSet;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// The documents checked, relative to the workspace root.
 const DOCS: [&str; 2] = ["README.md", ".claude/skills/verify/SKILL.md"];
@@ -188,4 +194,145 @@ fn env_scanner_reads_literals_and_doc_names() {
     let doc = "set `LMMIR_SCALE`/`INPUT`, LMMIR_THREADS=1; not MY_LMMIR_X or LMMIR_*";
     let named: Vec<String> = env_vars(doc, false).into_iter().collect();
     assert_eq!(named, ["LMMIR_SCALE", "LMMIR_THREADS"]);
+}
+
+/// Series only a shard router renders; every other series is a server's.
+const ROUTER_PREFIXES: [&str; 3] = ["lmmir_router_", "lmmir_shard_", "lmmir_workers_"];
+
+fn is_series_char(c: char) -> bool {
+    c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'
+}
+
+/// Every metric series `text` names: an `lmmir_name` that neither
+/// continues a longer word nor is a crate path (`lmmir_serve::…`), with
+/// `lmmir_prefix_{a,b}` expanded to its members and `lmmir_prefix_*` kept
+/// as a pattern with its `*`. Series are rendered by helpers that prepend
+/// `lmmir_` at run time, so the check reads a live `/metrics`, not the
+/// source.
+fn documented_series(text: &str) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for (at, _) in text.match_indices("lmmir_") {
+        let before = text[..at].chars().next_back();
+        if before.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
+            continue;
+        }
+        let rest = &text[at..];
+        let (name, after) = rest.split_at(rest.find(|c| !is_series_char(c)).unwrap_or(rest.len()));
+        if after.starts_with("::") {
+            continue;
+        }
+        if !name.ends_with('_') {
+            out.insert(name.to_string());
+        } else if after.starts_with('*') {
+            out.insert(format!("{name}*"));
+        } else if let Some(members) = after.strip_prefix('{').and_then(|a| a.split_once('}')) {
+            out.extend(members.0.split(',').map(|m| format!("{name}{}", m.trim())));
+        }
+    }
+    out
+}
+
+/// The series names of a `/metrics` text (labels and values dropped).
+fn emitted_series(metrics: &str) -> BTreeSet<String> {
+    metrics
+        .lines()
+        .filter_map(|l| l.split(['{', ' ']).next())
+        .filter(|name| name.starts_with("lmmir_"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Whether `series` (a name, or a `prefix_*` pattern) is among `emitted`.
+fn is_emitted(series: &str, emitted: &BTreeSet<String>) -> bool {
+    match series.strip_suffix('*') {
+        Some(prefix) => emitted.iter().any(|e| e.starts_with(prefix)),
+        None => emitted.contains(series),
+    }
+}
+
+#[test]
+fn every_documented_metric_series_is_emitted() {
+    let dir = std::env::temp_dir().join("lmmir_docs_metrics");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("demo.lmmt");
+    save_predictor(&iredge(16, 1), &path).unwrap();
+    let server_config = |threads| ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads,
+        ..ServeConfig::default()
+    };
+    let worker =
+        Server::start(server_config(Some(1)), RegistrySpec::single("demo", &path)).unwrap();
+    let router = Server::start_router(
+        server_config(None),
+        RouterSpec {
+            attach: vec![worker.addr().to_string()],
+            respawn: false,
+            health_interval: Duration::from_millis(50),
+            ..RouterSpec::default()
+        },
+    )
+    .unwrap();
+
+    // One predict through the router: the per-model series appear with a
+    // model's first request, the workers' aggregates with a probe after it.
+    let case = CaseSpec::new("docs", 16, 16, 1, CaseKind::Hidden).generate();
+    let request = PredictRequest::from_case(&case);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while client::predict(router.addr(), &request).is_err() {
+        assert!(Instant::now() < deadline, "the router never answered");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let documented = documented_series(&read("README.md"));
+    let missing = loop {
+        let scrape = |addr| client::get_text(addr, "/metrics").unwrap().1;
+        let (served, routed) = (
+            emitted_series(&scrape(worker.addr())),
+            emitted_series(&scrape(router.addr())),
+        );
+        let missing: Vec<&String> = documented
+            .iter()
+            .filter(|series| {
+                let routed_only = ROUTER_PREFIXES.iter().any(|p| series.starts_with(p));
+                !is_emitted(series, if routed_only { &routed } else { &served })
+            })
+            .collect();
+        if missing.is_empty() || Instant::now() > deadline {
+            break missing;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    router.stop();
+    worker.stop();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        missing.is_empty(),
+        "metric series README.md names but no live server emits: {missing:?}"
+    );
+    assert!(documented.len() >= 10, "README names {documented:?}");
+}
+
+#[test]
+fn series_scanner_expands_members_and_skips_crate_paths() {
+    let doc = "`lmmir_serve::proto`, lmmir_par::with_threads; `lmmir_router_{workers,\n\
+               evictions_total}`, `lmmir_workers_*`, `lmmir_requests_total\n{model=\"a\"}`, \
+               xlmmir_no, `lmmir_dedup_saved_total > 0`";
+    let named: Vec<String> = documented_series(doc).into_iter().collect();
+    assert_eq!(
+        named,
+        [
+            "lmmir_dedup_saved_total",
+            "lmmir_requests_total",
+            "lmmir_router_evictions_total",
+            "lmmir_router_workers",
+            "lmmir_workers_*",
+        ]
+    );
+    let emitted = emitted_series(
+        "# HELP x\nlmmir_requests_total{model=\"a\"} 1\nlmmir_workers_requests_total 3\n",
+    );
+    assert!(is_emitted("lmmir_workers_*", &emitted));
+    assert!(is_emitted("lmmir_requests_total", &emitted));
+    assert!(!is_emitted("lmmir_router_workers", &emitted));
+    assert!(!is_emitted("lmmir_requests", &emitted));
 }
