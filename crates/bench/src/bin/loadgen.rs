@@ -53,9 +53,9 @@ struct Options {
     verify: bool,
     keep_alive: bool,
     /// Spread requests evenly over the designs (round-robin) instead of
-    /// biasing design 0. The default bias exercises caches and dedup; a
-    /// shard router needs the uniform spread, or ~3/4 of the traffic
-    /// hashes to the single shard owning design 0.
+    /// biasing design 0. The default bias exercises caches and dedup; the
+    /// uniform spread keeps every (model, design) group equally loaded,
+    /// as the mixed-family smoke needs to compare families fairly.
     uniform: bool,
     json: Option<String>,
     /// Weighted model schedule (`--mix NAME:W,NAME:W`); empty means every
@@ -268,8 +268,8 @@ fn main() -> ExitCode {
                     return latencies;
                 }
                 // Uniform mode rotates through all designs *within each
-                // model* — what a shard router needs for its ranges to
-                // share the load. Default biases design 0 so the
+                // model*, so every (model, design) group is equally
+                // loaded. Default biases design 0 so the
                 // repeated-design path dominates, while every fourth
                 // request rotates through the others. The weighted mix
                 // schedule then picks which model this request addresses.

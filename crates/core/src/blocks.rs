@@ -8,6 +8,60 @@ use lmmir_tensor::conv::ConvSpec;
 use lmmir_tensor::{Result, Var};
 use rand::Rng;
 
+/// Largest channel count of one U-Net stage (4× the paper's widest, 512).
+pub(crate) const MAX_WIDTH: usize = 2048;
+/// Largest square input size (4× the paper's 512 px).
+pub(crate) const MAX_INPUT_SIZE: usize = 2048;
+/// Largest input channel count (the paper's stacks have 6 or 8 channels;
+/// the dynamic family's windows are capped at the same 64, `MAX_WINDOWS`).
+pub(crate) const MAX_IN_CHANNELS: usize = 64;
+/// Largest stem kernel side (the paper's is 7).
+pub(crate) const MAX_STEM_KERNEL: usize = 31;
+
+/// Validates a U-Net channel plan as every family's `validate` needs it:
+/// at least two widths (one pooling stage), an input size divisible by
+/// 2^pools, and every size within its cap. A checkpoint's `config.*`
+/// entry sizes every weight before any parameter buffer is read, so the
+/// caps are what keeps a tampered entry an `Err` instead of an allocation
+/// the process cannot survive.
+///
+/// # Errors
+///
+/// Returns a human-readable description naming the violated field.
+pub(crate) fn validate_plan(
+    in_channels: usize,
+    widths: &[usize],
+    stem_kernel: usize,
+    input_size: usize,
+) -> std::result::Result<(), String> {
+    if widths.len() < 2 {
+        return Err("need at least two widths (one pooling stage)".to_string());
+    }
+    if let Some((i, w)) = widths
+        .iter()
+        .enumerate()
+        .find(|(_, &w)| w == 0 || w > MAX_WIDTH)
+    {
+        return Err(format!("widths[{i}] = {w} out of 1..={MAX_WIDTH}"));
+    }
+    for (field, value, cap) in [
+        ("in_channels", in_channels, MAX_IN_CHANNELS),
+        ("stem_kernel", stem_kernel, MAX_STEM_KERNEL),
+        ("input_size", input_size, MAX_INPUT_SIZE),
+    ] {
+        if value == 0 || value > cap {
+            return Err(format!("{field} {value} out of 1..={cap}"));
+        }
+    }
+    let pools = widths.len() - 1;
+    if input_size % (1 << pools) != 0 {
+        return Err(format!(
+            "input size {input_size} not divisible by 2^{pools}"
+        ));
+    }
+    Ok(())
+}
+
 /// `(Conv k×k + BN + ReLU) × 2` — the basic encoder/decoder block of the
 /// paper's architecture (Fig. 2 uses 7×7 in the input block, 3×3 deeper).
 #[derive(Debug)]

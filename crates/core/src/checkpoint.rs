@@ -412,13 +412,38 @@ mod tests {
         assert!(err.contains("load_state_dict"), "got {err}");
     }
 
+    /// The largest value a `config.*` payload field can carry.
+    const HUGE: usize = 1 << 24;
+
     #[test]
     fn tampered_lnt_fields_are_rejected() {
         // Each used to load: `chunk` 0 then hung every forward (a window
         // that never advances), `heads` 0 or an indivisible `d_model`
-        // panicked inside the loader.
+        // panicked inside the loader, and a huge `d_model`, `layers` or
+        // `ff_mult` asked for a weight allocation the process died of.
         let base = custom_lmmir_cfg().lnt;
         let cases = [
+            (
+                "d_model",
+                LntConfig {
+                    d_model: HUGE,
+                    ..base
+                },
+            ),
+            (
+                "layers",
+                LntConfig {
+                    layers: HUGE,
+                    ..base
+                },
+            ),
+            (
+                "ff_mult",
+                LntConfig {
+                    ff_mult: HUGE,
+                    ..base
+                },
+            ),
             ("chunk", LntConfig { chunk: 0, ..base }),
             ("heads", LntConfig { heads: 0, ..base }),
             (
@@ -448,6 +473,40 @@ mod tests {
             assert!(
                 err.contains("config.lmmir") && err.contains(field),
                 "{field}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_widths_are_rejected_in_every_family() {
+        use crate::dynamic::DynamicIrPredictor;
+        use crate::zoo::{UNetConfig, UNetPredictor};
+        let unet = |arch| {
+            Box::new(UNetPredictor::new(UNetConfig {
+                widths: vec![4, 8],
+                input_size: 16,
+                ..UNetConfig::quick(arch)
+            })) as Box<dyn IrPredictor>
+        };
+        let models: [(&str, Box<dyn IrPredictor>); 4] = [
+            ("config.lmmir", Box::new(LmmIr::new(custom_lmmir_cfg()))),
+            (
+                "config.dynamic",
+                Box::new(DynamicIrPredictor::new(custom_dynamic_cfg())),
+            ),
+            ("config.cfirstnet", unet(ArchSpec::CfirstNet)),
+            ("config.waca", unet(ArchSpec::WacaUnet)),
+        ];
+        for (entry, model) in models {
+            let edit = edit_config(|cfg| match cfg {
+                ArchConfig::LmmIr(c) => c.widths[1] = HUGE,
+                ArchConfig::Dynamic(c) => c.widths[1] = HUGE,
+                ArchConfig::UNet(c) => c.widths[1] = HUGE,
+            });
+            let err = rejection(model.as_ref(), &format!("huge_width_{entry}.lmmt"), edit);
+            assert!(
+                err.contains(entry) && err.contains("widths[1]"),
+                "{entry}: {err}"
             );
         }
     }

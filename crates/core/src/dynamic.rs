@@ -27,7 +27,7 @@ use lmmir_tensor::{Result, Tensor, TensorError, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::blocks::UNet;
+use crate::blocks::{validate_plan, UNet};
 
 /// Configuration of the dynamic (PowerNet-style) predictor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,7 +57,8 @@ impl DynamicIrConfig {
         }
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency and size caps (the trunk's
+    /// `blocks::validate_plan`, with the window count as its input channels).
     ///
     /// # Errors
     ///
@@ -69,17 +70,12 @@ impl DynamicIrConfig {
                 self.windows
             ));
         }
-        if self.widths.len() < 2 {
-            return Err("need at least two widths (one pooling stage)".to_string());
-        }
-        let pools = self.widths.len() - 1;
-        if self.input_size % (1 << pools) != 0 {
-            return Err(format!(
-                "input size {} not divisible by 2^{pools}",
-                self.input_size
-            ));
-        }
-        Ok(())
+        validate_plan(
+            self.windows,
+            &self.widths,
+            self.stem_kernel,
+            self.input_size,
+        )
     }
 }
 

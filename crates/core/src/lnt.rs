@@ -63,11 +63,24 @@ impl LntConfig {
     }
 }
 
+/// Largest token width (4× the paper's 256).
+pub(crate) const MAX_D_MODEL: usize = 1024;
+/// Most transformer blocks (4× the paper's 6).
+pub(crate) const MAX_BLOCKS: usize = 24;
+/// Largest feed-forward expansion (4× the paper's 4).
+pub(crate) const MAX_FF_MULT: usize = 16;
+
 impl LntConfig {
     /// Validates the fields the LNT's construction and forward rely on:
     /// attention needs at least one head and `d_model` split evenly among
     /// them, and the chunked self-attention needs a non-empty window and a
     /// non-empty point budget (a zero-token window would never advance).
+    ///
+    /// `d_model`, `layers` and `ff_mult` size the weights, which a
+    /// checkpoint load allocates before it reads any parameter buffer, so
+    /// each is capped (`MAX_D_MODEL`, `MAX_BLOCKS`, `MAX_FF_MULT`).
+    /// `max_points` and `chunk` are not: they bound work per forward, which
+    /// the cloud's own size bounds first.
     ///
     /// # Errors
     ///
@@ -81,6 +94,15 @@ impl LntConfig {
                 "lnt d_model {} must be a positive multiple of heads {}",
                 self.d_model, self.heads
             ));
+        }
+        for (field, value, cap) in [
+            ("d_model", self.d_model, MAX_D_MODEL),
+            ("layers", self.layers, MAX_BLOCKS),
+            ("ff_mult", self.ff_mult, MAX_FF_MULT),
+        ] {
+            if value > cap {
+                return Err(format!("lnt {field} {value} exceeds the cap {cap}"));
+            }
         }
         if self.chunk == 0 {
             return Err("lnt chunk must be at least 1".to_string());

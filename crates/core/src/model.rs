@@ -1,7 +1,7 @@
 //! The LMM-IR model: circuit encoder + LNT + cross-attention fusion +
 //! multimodal decoder (paper §III, Fig. 2).
 
-use crate::blocks::{UNetDecoder, UNetEncoder};
+use crate::blocks::{validate_plan, UNetDecoder, UNetEncoder};
 use crate::lnt::{Lnt, LntConfig};
 use crate::pointcloud::PointCloud;
 use lmmir_nn::{Conv2d, Layer, Linear, Module, MultiHeadAttention};
@@ -170,26 +170,19 @@ impl LmmIrConfig {
         }
     }
 
-    /// Validates internal consistency (pooling divisibility, non-empty plan,
-    /// and the LNT's own [`LntConfig::validate`]).
+    /// Validates internal consistency and size caps (the U-Net plan's
+    /// `blocks::validate_plan`, and the LNT's own [`LntConfig::validate`]).
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the violated constraint.
     pub fn validate(&self) -> std::result::Result<(), String> {
-        if self.widths.len() < 2 {
-            return Err("need at least two widths (one pooling stage)".to_string());
-        }
-        let pools = self.widths.len() - 1;
-        if self.input_size % (1 << pools) != 0 {
-            return Err(format!(
-                "input size {} not divisible by 2^{pools}",
-                self.input_size
-            ));
-        }
-        if self.in_channels == 0 {
-            return Err("in_channels must be positive".to_string());
-        }
+        validate_plan(
+            self.in_channels,
+            &self.widths,
+            self.stem_kernel,
+            self.input_size,
+        )?;
         self.lnt.validate()
     }
 }

@@ -15,7 +15,7 @@
 //! mode all derive from that list.
 
 use crate::arch::{ArchConfig, ArchSpec};
-use crate::blocks::UNet;
+use crate::blocks::{validate_plan, UNet};
 use crate::model::IrPredictor;
 use crate::pointcloud::PointCloud;
 use lmmir_nn::{Layer, Module};
@@ -84,10 +84,10 @@ impl UNetConfig {
         UNetConfig::family(arch).unwrap_or_else(|| panic!("{} is not a U-Net", arch.name()))
     }
 
-    /// Validates internal consistency (pooling divisibility, non-empty
-    /// plan) and that the family can carry the trunk: a `config.*` entry
-    /// records neither gates nor the presence of channel attention, so
-    /// those are fixed by the family that owns the entry.
+    /// Validates internal consistency and size caps (the trunk's
+    /// `blocks::validate_plan`) and that the family can carry the trunk: a
+    /// `config.*` entry records neither gates nor the presence of channel
+    /// attention, so those are fixed by the family that owns the entry.
     ///
     /// # Errors
     ///
@@ -95,19 +95,12 @@ impl UNetConfig {
     pub fn validate(&self) -> std::result::Result<(), String> {
         let name = self.arch.name();
         let family = UNetConfig::family(self.arch).ok_or(format!("{name} is not a U-Net"))?;
-        if self.widths.len() < 2 {
-            return Err("need at least two widths (one pooling stage)".to_string());
-        }
-        let pools = self.widths.len() - 1;
-        if self.input_size % (1 << pools) != 0 {
-            return Err(format!(
-                "input size {} not divisible by 2^{pools}",
-                self.input_size
-            ));
-        }
-        if self.in_channels == 0 {
-            return Err("in_channels must be positive".to_string());
-        }
+        validate_plan(
+            self.in_channels,
+            &self.widths,
+            self.stem_kernel,
+            self.input_size,
+        )?;
         if self.channel_attention == Some(0) {
             return Err("reduction must be positive".to_string());
         }

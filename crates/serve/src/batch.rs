@@ -322,9 +322,9 @@ impl Lanes<'_> {
     /// before it finish on the old weights (the write lock waits for them)
     /// and jobs queued behind it see the new ones.
     fn reload(&self, reply: ReplyFn<Result<usize, String>>) {
-        // Flip readiness *before* touching the registry: the router drains
-        // this worker as soon as the next health probe lands, so a slow
-        // reload never races new dispatches.
+        // Flip readiness *before* touching the registry: a load balancer
+        // drains this server as soon as its next health probe lands, so a
+        // slow reload never races new dispatches.
         self.health.begin_reload();
         let mut registry = self.registry.write().expect("registry lock");
         let outcome = registry.reload().map_err(|e| e.to_string());

@@ -1,10 +1,8 @@
-//! The `serve` CLI: run the batched inference server (a worker), run a
-//! shard router over several workers, or produce a demo checkpoint to
-//! serve.
+//! The `serve` CLI: run the batched inference server, or produce a demo
+//! checkpoint to serve.
 //!
 //! ```text
-//! serve --ckpt NAME=PATH [worker flags]
-//! serve route --workers N --ckpt NAME=PATH [router flags] [worker flags but --addr]
+//! serve --ckpt NAME=PATH [server flags]
 //! serve demo-ckpt PATH [--arch NAME] [training flags]
 //! ```
 //!
@@ -17,7 +15,7 @@ use lmm_ir::{
     ArchSpec, CheckpointMeta, DynamicIrConfig, IrPredictor, LmmIrConfig, TrainConfig, TrainSample,
 };
 use lmmir_pdn::{CaseKind, CaseSpec};
-use lmmir_serve::{ModelSpec, RegistrySpec, RouterSpec, ServeConfig, Server, WorkerCmd};
+use lmmir_serve::{ModelSpec, RegistrySpec, ServeConfig, Server};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -28,10 +26,6 @@ fn usage() -> ExitCode {
          [--idle-timeout-ms N] [--max-requests-per-conn N] [--max-connections N] \
          [--event-threads N] [--threads N] \
          [--watch-checkpoints] [--watch-interval-ms N]\n  \
-         serve route --workers N --ckpt NAME=PATH [--ckpt ...] \
-         [--worker-addr HOST:PORT ...] [--addr A] [--health-interval-ms N] \
-         [--fail-threshold K] [--forwarders N] [--probe-timeout-ms N] \
-         [--respawn-backoff-ms N] [--no-respawn] + worker flags to pass through\n  \
          serve demo-ckpt PATH [--arch IREDGe|IRPnet|LMM-IR|DynIR|'1st Place'|'2nd Place'] \
          [--size 16] [--widths 12,24,48] [--windows 4] [--epochs 2] [--cases 2] [--seed 7]"
     );
@@ -42,7 +36,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("demo-ckpt") => demo_ckpt(&args[1..]),
-        Some("route") => run_router(&args[1..]),
         Some(_) => run_server(&args),
         None => usage(),
     }
@@ -52,7 +45,7 @@ fn main() -> ExitCode {
 type Flag = (String, String);
 
 /// Flags that take no value; parsed as `(name, "true")`.
-const BOOL_FLAGS: &[&str] = &["watch-checkpoints", "no-respawn"];
+const BOOL_FLAGS: &[&str] = &["watch-checkpoints"];
 
 /// Parses `--flag VALUE` pairs into a list, rejecting unknown flags.
 fn parse_flags(args: &[String], positional_max: usize) -> Option<(Vec<String>, Vec<Flag>)> {
@@ -83,12 +76,10 @@ fn parse<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
         .map_err(|_| format!("invalid --{name} {value:?}"))
 }
 
-/// How one worker flag lands in the worker's configuration.
+/// How one server flag lands in the server's configuration.
 type ApplyFlag = fn(&mut ServeConfig, &mut RegistrySpec, &str) -> Result<(), String>;
 
-/// Every flag a worker accepts. `run_server` parses with this table and
-/// `serve route` forwards by it, so a flag added here reaches spawned
-/// workers without a second list to keep in step.
+/// Every flag the server accepts; `worker_config` parses with this table.
 const WORKER_FLAGS: &[(&str, ApplyFlag)] = &[
     ("addr", |cfg, _, v| {
         cfg.addr = v.to_string();
@@ -139,27 +130,7 @@ const WORKER_FLAGS: &[(&str, ApplyFlag)] = &[
     }),
 ];
 
-/// Whether `serve route` forwards the flag verbatim to each spawned worker:
-/// everything that configures the worker's own serving, but not the bind
-/// address, which the router chooses per worker.
-fn passes_through(name: &str) -> bool {
-    name != "addr" && WORKER_FLAGS.iter().any(|(n, _)| *n == name)
-}
-
-/// The argv `serve route` hands each spawned worker: every pass-through
-/// flag of its own command line, verbatim.
-fn forwarded_args(flags: &[Flag]) -> Vec<String> {
-    flags
-        .iter()
-        .filter(|(name, _)| passes_through(name))
-        .flat_map(|(name, value)| {
-            let value = (!BOOL_FLAGS.contains(&name.as_str())).then(|| value.clone());
-            std::iter::once(format!("--{name}")).chain(value)
-        })
-        .collect()
-}
-
-/// Builds a worker's configuration from its parsed flags.
+/// Builds the server's configuration from its parsed flags.
 fn worker_config(flags: &[Flag]) -> Result<(ServeConfig, RegistrySpec), String> {
     let mut cfg = ServeConfig::default();
     let mut spec = RegistrySpec {
@@ -213,97 +184,6 @@ fn run_server(args: &[String]) -> ExitCode {
     );
     server.wait();
     eprintln!("[serve] drained, bye");
-    ExitCode::SUCCESS
-}
-
-/// Runs the shard router: spawns `--workers N` supervised worker
-/// processes (this same binary, with the pass-through flags), attaches
-/// any `--worker-addr` peers, and serves the router front end.
-fn run_router(args: &[String]) -> ExitCode {
-    let Some((positional, flags)) = parse_flags(args, 0) else {
-        return usage();
-    };
-    debug_assert!(positional.is_empty());
-    let mut cfg = ServeConfig::default();
-    let mut spec = RouterSpec::default();
-    let mut workers = 0usize;
-    let worker_args = forwarded_args(&flags);
-    let has_ckpt = flags.iter().any(|(name, _)| name == "ckpt");
-    for (name, value) in flags.iter().filter(|(name, _)| !passes_through(name)) {
-        let result: Result<(), String> = match name.as_str() {
-            "addr" => {
-                cfg.addr = value.clone();
-                Ok(())
-            }
-            "workers" => parse("workers", value).map(|n| workers = n),
-            "worker-addr" => {
-                spec.attach.push(value.clone());
-                Ok(())
-            }
-            "health-interval-ms" => parse("health-interval-ms", value)
-                .map(|n: u64| spec.health_interval = Duration::from_millis(n.max(1))),
-            "fail-threshold" => {
-                parse("fail-threshold", value).map(|k: u32| spec.fail_threshold = k.max(1))
-            }
-            "forwarders" => parse("forwarders", value).map(|n| spec.forwarders = n),
-            "probe-timeout-ms" => parse("probe-timeout-ms", value)
-                .map(|n: u64| spec.probe_timeout = Duration::from_millis(n.max(1))),
-            "respawn-backoff-ms" => parse("respawn-backoff-ms", value)
-                .map(|n: u64| spec.respawn_backoff = Duration::from_millis(n.max(1))),
-            "no-respawn" => {
-                spec.respawn = false;
-                Ok(())
-            }
-            other => Err(format!("unknown flag --{other}")),
-        };
-        if let Err(e) = result {
-            eprintln!("serve: {e}");
-            return usage();
-        }
-    }
-    if workers > 0 && !has_ckpt {
-        eprintln!("serve: --workers needs at least one --ckpt NAME=PATH to spawn with");
-        return usage();
-    }
-    if workers > 0 {
-        let program = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("serve: cannot locate own executable to spawn workers: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        spec.spawn = (0..workers)
-            .map(|_| WorkerCmd {
-                program: program.clone(),
-                args: worker_args.clone(),
-            })
-            .collect();
-    }
-    let server = match Server::start_router(cfg.clone(), spec.clone()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for (i, addr) in server.worker_addrs().iter().enumerate() {
-        let kind = if i < workers { "spawned" } else { "attached" };
-        eprintln!("[router] worker {i} at {addr} ({kind})");
-    }
-    eprintln!(
-        "[router] routing on http://{} ({} spawned + {} attached workers, \
-         health every {:?}, evict after {} failures, respawn {}) — \
-         POST /predict, GET /healthz, GET /metrics, POST /reload, POST /shutdown",
-        server.addr(),
-        workers,
-        spec.attach.len(),
-        spec.health_interval,
-        spec.fail_threshold,
-        if spec.respawn { "on" } else { "off" },
-    );
-    server.wait();
-    eprintln!("[router] drained, bye");
     ExitCode::SUCCESS
 }
 
@@ -476,9 +356,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_worker_flag_but_addr_passes_through_the_router() {
-        // One `serve route` command line carrying every worker flag.
-        let route_args: Vec<String> = WORKER_FLAGS
+    fn every_worker_flag_parses_and_serve_route_is_refused() {
+        // One command line carrying every server flag.
+        let args: Vec<String> = WORKER_FLAGS
             .iter()
             .flat_map(|(name, _)| {
                 let value = if *name == "ckpt" {
@@ -490,18 +370,14 @@ mod tests {
                 std::iter::once(format!("--{name}")).chain(value)
             })
             .collect();
-        let (_, route_flags) = parse_flags(&route_args, 0).unwrap();
-        let (_, worker_flags) = parse_flags(&forwarded_args(&route_flags), 0).unwrap();
-        let names = |flags: &[Flag]| flags.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
-        let mut expect = names(&route_flags);
-        expect.retain(|n| n != "addr"); // the router picks each worker's address
-        assert_eq!(names(&worker_flags), expect);
-        // ...and the worker's own parser accepts what it is handed.
-        let (cfg, spec) = worker_config(&worker_flags).unwrap();
+        let (positional, flags) = parse_flags(&args, 0).unwrap();
+        assert!(positional.is_empty());
+        assert_eq!(flags.len(), WORKER_FLAGS.len());
+        let (cfg, spec) = worker_config(&flags).unwrap();
+        assert_eq!(cfg.addr, "3");
         assert_eq!((cfg.max_batch, cfg.event_threads), (3, 3));
         assert!(cfg.watch_checkpoints);
         assert_eq!(spec.models.len(), 1);
-        assert!(!passes_through("workers"), "a router knob");
         // A removed flag is refused by name, not ignored.
         let removed = [
             ("ckpt".to_string(), "m=/tmp/m.lmmt".to_string()),
@@ -511,5 +387,12 @@ mod tests {
             worker_config(&removed).err().as_deref(),
             Some("unknown flag --quantized")
         );
+        // `route` is no subcommand: it is a positional argument, which a
+        // server command line refuses, so `serve route ...` exits with
+        // usage instead of being served as a server.
+        let route: Vec<String> = ["route", "--workers", "2", "--ckpt", "m=/tmp/m.lmmt"]
+            .map(String::from)
+            .to_vec();
+        assert!(parse_flags(&route, 0).is_none());
     }
 }

@@ -146,51 +146,6 @@ pub fn get_text(addr: impl ToSocketAddrs, path: &str) -> Result<(u16, String), S
     Ok((status, String::from_utf8_lossy(&body).into_owned()))
 }
 
-/// One HTTP exchange with a hard deadline on every phase — connect, write
-/// and read all share `timeout`. Built for health probing and supervision:
-/// a wedged peer must cost the prober at most ~`timeout`, never the 300 s
-/// serving timeouts.
-///
-/// # Errors
-///
-/// Returns [`ServeError::Io`] on transport failure or deadline expiry and
-/// [`ServeError::Proto`] on a malformed response.
-pub fn request_timeout(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &[u8],
-    timeout: Duration,
-) -> Result<(u16, Vec<u8>), ServeError> {
-    let sock_addr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| ServeError::Proto(format!("no address for {addr:?}")))?;
-    let mut stream = TcpStream::connect_timeout(&sock_addr, timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    write_request(&mut stream, method, path, body, false)?;
-    let mut reader = BufReader::new(stream);
-    let resp = read_response(&mut reader)?;
-    Ok((resp.status, resp.body))
-}
-
-/// [`request_timeout`] returning the body as text — the health-probe
-/// flavour.
-///
-/// # Errors
-///
-/// See [`request_timeout`].
-pub fn get_text_timeout(
-    addr: &str,
-    path: &str,
-    timeout: Duration,
-) -> Result<(u16, String), ServeError> {
-    let (status, body) = request_timeout(addr, "GET", path, &[], timeout)?;
-    Ok((status, String::from_utf8_lossy(&body).into_owned()))
-}
-
 /// Sends one predict request and decodes the response; a server-side error
 /// frame (any status) surfaces as [`ServeError::Proto`] with the message.
 ///

@@ -6,9 +6,9 @@
 //! ```text
 //!   ReadingHead ──head parsed──> ReadingBody ──body complete──┐
 //!        ^                                                    │
-//!        │                         (route; /predict misses    v
-//!        │                          park on the inference  dispatch
-//!        │                          thread)                   │
+//!        │                         (by path; /predict misses  v
+//!        │                          park on an inference   dispatch
+//!        │                          lane)                     │
 //!        │                                                    v
 //!   (keep-alive) <──wbuf drained── Writing <──completion── AwaitingInference
 //! ```
@@ -52,7 +52,7 @@
 use crate::batch::{Job, PredictJob};
 use crate::cache::ResultCache;
 use crate::http::{self, Parsed, Request};
-use crate::metrics::{model_label, Health, Metrics, MetricsExtra};
+use crate::metrics::{model_label, Health, Metrics};
 use crate::proto::{PredictRequest, PredictResponse};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -108,12 +108,9 @@ pub(crate) struct LoopCtx {
     pub shutdown: Arc<AtomicBool>,
     /// Shared counters/gauges.
     pub metrics: Arc<Metrics>,
-    /// Readiness state `/healthz` renders (the inference lanes — or the
-    /// shard supervisor, in router mode — keep it current).
+    /// Readiness state `/healthz` renders (the inference lanes keep it
+    /// current).
     pub health: Arc<Health>,
-    /// Extra exposition lines appended to `/metrics` (the shard router's
-    /// per-worker series); `None` for a plain worker.
-    pub extra: Option<Arc<dyn MetricsExtra>>,
     /// This loop's open-connection gauge: incremented by the acceptor when
     /// it deals a connection here (least-loaded dealing reads all gauges),
     /// decremented when the connection unregisters.
@@ -615,17 +612,14 @@ impl EventLoop {
             || self.ctx.shutdown.load(Ordering::SeqCst);
         match (request.method.as_str(), request.target.as_str()) {
             ("GET", "/healthz") => {
-                // Readiness, not just liveness: a worker mid-reload (or
-                // after a failed registry swap) answers 503 so a routing
-                // health check drains it instead of dispatching into it.
+                // Readiness, not just liveness: a server mid-reload (or
+                // after a failed registry swap) answers 503 so a load
+                // balancer's health check drains it instead of sending to it.
                 let (status, body) = self.ctx.health.render();
                 conn.respond(status, "text/plain", body.as_bytes(), close);
             }
             ("GET", "/metrics") => {
-                let mut text = self.ctx.metrics.render();
-                if let Some(extra) = &self.ctx.extra {
-                    text.push_str(&extra.render_extra());
-                }
+                let text = self.ctx.metrics.render();
                 conn.respond(200, "text/plain", text.as_bytes(), close);
             }
             ("POST", "/shutdown") => {

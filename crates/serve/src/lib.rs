@@ -55,16 +55,6 @@
 //! the whole `lmmir-par` pool; lanes busy together divide it. A reload
 //! takes the registry's write lock, so it never overlaps a forward.
 //!
-//! ## Scaling out
-//!
-//! One process shares one machine's cores; [`Server::start_router`] (the
-//! [`shard`] module) lifts that ceiling: N worker processes, each a full
-//! replica of this server, behind a thin router that reuses the exact
-//! same front end and dispatches each predict by **consistent hash** on
-//! `(model, content hash)` — so each worker's caches stay hot for its key
-//! range, and evicting a dead worker re-hashes only its range onto the
-//! survivors.
-//!
 //! ## Endpoints
 //!
 //! | endpoint | method | body |
@@ -96,7 +86,6 @@ pub mod http;
 pub mod metrics;
 pub mod proto;
 pub mod registry;
-pub mod shard;
 
 mod event;
 mod server;
@@ -104,11 +93,10 @@ mod server;
 pub use batch::prepare_request;
 pub use cache::{result_cache, LruCache, ResultCache};
 pub use client::Client;
-pub use metrics::{model_label, Health, LoadState, Metrics, MetricsExtra, ModelSeries};
+pub use metrics::{model_label, Health, LoadState, Metrics, ModelSeries};
 pub use proto::{PredictRequest, PredictResponse};
 pub use registry::{ModelRegistry, ModelSpec, RegistrySpec};
 pub use server::{ServeConfig, Server};
-pub use shard::{RouterSpec, WorkerCmd};
 
 use std::fmt;
 
@@ -117,8 +105,6 @@ use std::fmt;
 pub enum ServeError {
     /// Socket / filesystem failure.
     Io(std::io::Error),
-    /// Invalid configuration (e.g. a router with no workers).
-    Config(String),
     /// Checkpoint loading / model registry failure.
     Registry(String),
     /// Malformed wire payload (HTTP or predict protocol).
@@ -129,7 +115,6 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Io(e) => write!(f, "i/o error: {e}"),
-            ServeError::Config(m) => write!(f, "configuration error: {m}"),
             ServeError::Registry(m) => write!(f, "registry error: {m}"),
             ServeError::Proto(m) => write!(f, "protocol error: {m}"),
         }

@@ -204,8 +204,7 @@ pub struct Metrics {
     pub reloads_total: AtomicU64,
     /// Models currently loaded (gauge).
     pub models_loaded: AtomicU64,
-    /// Inference lanes serving the job queue (gauge, set once at startup;
-    /// 0 on a shard router, which runs no forward).
+    /// Inference lanes serving the job queue (gauge, set once at startup).
     pub inference_lanes: AtomicU64,
     /// Per-event-loop open-connection gauges, registered once at startup.
     /// The acceptor deals each new connection to the loop with the lowest
@@ -217,15 +216,6 @@ pub struct Metrics {
     model_series: Mutex<BTreeMap<String, Arc<ModelSeries>>>,
     /// End-to-end predict latency histogram (handler-observed).
     latency: Histogram,
-}
-
-/// Extra exposition text appended to [`Metrics::render`] — the hook the
-/// shard router uses to publish per-worker dispatch/eviction/respawn
-/// series (and aggregated worker counters) without the base metrics
-/// knowing about sharding.
-pub trait MetricsExtra: Send + Sync {
-    /// Renders additional Prometheus-style lines (each `\n`-terminated).
-    fn render_extra(&self) -> String;
 }
 
 impl Metrics {
@@ -456,22 +446,23 @@ impl Metrics {
 pub enum LoadState {
     /// The initial registry load has not finished yet.
     Loading,
-    /// All models are loaded and the worker is dispatchable.
+    /// All models are loaded and the server takes predictions.
     Ready,
     /// A `/reload` is in flight; predictions queued behind it still answer
-    /// (the old models keep serving) but a router should drain this worker
-    /// rather than pile latency onto it.
+    /// (the old models keep serving) but a load balancer should drain this
+    /// server rather than pile latency onto it.
     Reloading,
     /// The last registry swap failed. The previous models keep serving
-    /// (degraded, not down), but a router should prefer healthy replicas.
+    /// (degraded, not down), but a load balancer should prefer healthy
+    /// replicas.
     ReloadFailed,
 }
 
-/// Worker readiness, shared between the inference lanes (which own the
+/// Server readiness, shared between the inference lanes (which own the
 /// registry and flip the state around loads and reloads) and the event
 /// loops (which render it at `GET /healthz`).
 ///
-/// The body is line-oriented so the shard router can parse it without a
+/// The body is line-oriented so a health check can parse it without a
 /// format dependency: the first line is the state (`ready`, `loading`,
 /// `reloading`, `reload-failed`), followed by one `model <name>` line per
 /// loaded model.
@@ -506,12 +497,6 @@ impl Health {
         self.state.store(2, Ordering::SeqCst);
     }
 
-    /// Returns to the not-ready [`LoadState::Loading`] state — the shard
-    /// router reports this while no worker is live.
-    pub fn set_loading(&self) {
-        self.state.store(0, Ordering::SeqCst);
-    }
-
     /// Marks the last reload failed; the previous models keep serving.
     pub fn reload_failed(&self) {
         self.state.store(3, Ordering::SeqCst);
@@ -530,8 +515,8 @@ impl Health {
 
     /// The `/healthz` response: `200 ready` with per-model detail when
     /// dispatchable, `503` (still answering!) in any other state so a
-    /// health-checking router drains this worker instead of dispatching
-    /// into a reload or a failed swap.
+    /// health-checking load balancer drains this server instead of
+    /// sending into a reload or a failed swap.
     #[must_use]
     pub fn render(&self) -> (u16, String) {
         let (status, word) = match self.state() {

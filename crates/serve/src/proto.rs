@@ -157,8 +157,8 @@ impl PredictRequest {
     }
 
     /// Content fingerprint of the design payload (dimensions, bit-exact
-    /// power values, netlist text, window maps): the result-cache, dedup
-    /// and shard key. The model and design names are *not* hashed: the
+    /// power values, netlist text, window maps): the result-cache and dedup
+    /// key. The model and design names are *not* hashed: the
     /// cache keys on content per model separately, and renaming a design
     /// must not defeat it.
     ///
@@ -669,7 +669,7 @@ mod tests {
         assert_ne!(with.fingerprint(), without.fingerprint());
         // A static request built the old way hashes identically to one
         // whose (empty) window field simply exists: the extension must not
-        // shift existing cache keys or shard ranges.
+        // shift existing cache keys.
         let legacy = PredictRequest::decode(&without.encode()).unwrap();
         assert_eq!(legacy.fingerprint(), without.fingerprint());
         // And two different window payloads on the same envelope differ.

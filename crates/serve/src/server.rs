@@ -1,8 +1,6 @@
 //! Server lifecycle: configuration, the accept loop, the event-loop thread
-//! pool, and graceful shutdown — for both a plain worker server
-//! ([`Server::start`]) and the shard router ([`Server::start_router`]),
-//! which share the whole front end and differ only in the backend draining
-//! the job queue (inference lanes vs forwarder pool).
+//! pool, the inference lanes behind them, and graceful shutdown
+//! ([`Server::start`]).
 //!
 //! The accept loop only accepts: each admitted connection is handed to the
 //! event loop with the **fewest open connections** (per-loop gauges, so a
@@ -18,9 +16,8 @@ use crate::batch::{self, Job};
 use crate::cache::{result_cache, ResultCache};
 use crate::event::{Event, EventLoop, LoopCtx};
 use crate::http;
-use crate::metrics::{Health, Metrics, MetricsExtra};
+use crate::metrics::{Health, Metrics};
 use crate::registry::RegistrySpec;
-use crate::shard::{self, RouterSpec};
 use crate::ServeError;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -67,8 +64,7 @@ pub struct ServeConfig {
     pub threads: Option<usize>,
     /// Watch every checkpoint file's mtime and hot-reload on change,
     /// clearing the result cache exactly as `POST /reload` does (the
-    /// `--watch-checkpoints` flag) — so sharded workers pick up new
-    /// checkpoints without router coordination.
+    /// `--watch-checkpoints` flag).
     pub watch_checkpoints: bool,
     /// Poll interval of the checkpoint watcher (floor 1 ms).
     pub watch_interval: Duration,
@@ -92,8 +88,7 @@ impl Default for ServeConfig {
 }
 
 /// A running server: bound address, background threads, shutdown control.
-/// Built by [`Server::start`] (worker: inference-lane backend) or
-/// [`Server::start_router`] (shard router: forwarder-pool backend).
+/// Built by [`Server::start`].
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -101,11 +96,8 @@ pub struct Server {
     acceptor: JoinHandle<()>,
     event_loops: Vec<JoinHandle<()>>,
     /// Backend threads joined after the front end drains: the inference
-    /// lanes (lane 0 joins the rest) and optional checkpoint watcher
-    /// (worker), or the forwarder pool and supervisor (router).
+    /// lanes (lane 0 joins the rest) and the optional checkpoint watcher.
     backend: Vec<JoinHandle<()>>,
-    /// Shard state when this server is a router.
-    router: Option<Arc<shard::Router>>,
 }
 
 /// One dealt-to event loop: its wakeup channel and open-connection gauge.
@@ -186,7 +178,6 @@ impl Server {
             &metrics,
             &shutdown,
             &health,
-            None,
             (cfg.result_cache_capacity > 0).then(|| Arc::clone(&results)),
             &job_tx,
         )?;
@@ -199,59 +190,6 @@ impl Server {
             acceptor,
             event_loops,
             backend,
-            router: None,
-        })
-    }
-
-    /// Binds and starts a **shard router**: spawns/attaches the configured
-    /// workers, waits until every spawned worker reports ready, and serves
-    /// the same endpoints as a worker — dispatching each predict to the
-    /// worker owning its `(model, content hash)` range on a consistent
-    /// hash ring (see [`crate::shard`]).
-    ///
-    /// The router's result cache is forced off: shard affinity keeps the
-    /// *workers'* caches hot, and a router-level cache would answer from
-    /// stale entries after a worker-side reload it cannot see.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] when the address cannot be bound,
-    /// [`ServeError::Config`] when no workers are configured or a spawn
-    /// fails, and [`ServeError::Registry`] when a spawned worker does not
-    /// come up.
-    pub fn start_router(mut cfg: ServeConfig, spec: RouterSpec) -> Result<Self, ServeError> {
-        cfg.result_cache_capacity = 0;
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let metrics = Arc::new(Metrics::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let health = Health::new();
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-
-        let launched = shard::launch(spec, job_rx, &shutdown, &health, &metrics)?;
-        let router = Arc::clone(&launched.router);
-
-        let (acceptor, event_loops) = start_frontend(
-            &cfg,
-            listener,
-            &metrics,
-            &shutdown,
-            &health,
-            Some(Arc::clone(&router) as Arc<dyn MetricsExtra>),
-            None,
-            &job_tx,
-        )?;
-        drop(job_tx);
-
-        Ok(Server {
-            addr,
-            shutdown,
-            metrics,
-            acceptor,
-            event_loops,
-            backend: launched.threads,
-            router: Some(router),
         })
     }
 
@@ -267,16 +205,10 @@ impl Server {
         Arc::clone(&self.metrics)
     }
 
-    /// Worker addresses by shard index (empty for a non-router server).
-    #[must_use]
-    pub fn worker_addrs(&self) -> Vec<String> {
-        self.router.as_ref().map(|r| r.addrs()).unwrap_or_default()
-    }
-
     /// Requests shutdown (also triggered by `POST /shutdown`): the
     /// acceptor stops taking connections, idle keep-alive connections are
     /// closed, in-flight requests finish, queued jobs are answered, then
-    /// the threads exit (a router also drains its supervised workers).
+    /// the threads exit.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
@@ -300,18 +232,15 @@ impl Server {
     }
 }
 
-/// Starts the shared front end — the fixed event-loop pool and the accept
-/// thread — and registers the per-loop gauges. Worker and router differ
-/// only in what they pass here (`extra`, `results`) and in who drains the
-/// job channel.
-#[allow(clippy::too_many_arguments)]
+/// Starts the front end — the fixed event-loop pool and the accept
+/// thread — and registers the per-loop gauges. `results` is `None` when
+/// the result cache is off.
 fn start_frontend(
     cfg: &ServeConfig,
     listener: TcpListener,
     metrics: &Arc<Metrics>,
     shutdown: &Arc<AtomicBool>,
     health: &Arc<Health>,
-    extra: Option<Arc<dyn MetricsExtra>>,
     results: Option<ResultCache>,
     job_tx: &Sender<Job>,
 ) -> Result<(JoinHandle<()>, Vec<JoinHandle<()>>), ServeError> {
@@ -327,7 +256,6 @@ fn start_frontend(
             shutdown: Arc::clone(shutdown),
             metrics: Arc::clone(metrics),
             health: Arc::clone(health),
-            extra: extra.clone(),
             open_connections: Arc::clone(&gauge),
             results: results.clone(),
             idle_timeout: cfg.idle_timeout,

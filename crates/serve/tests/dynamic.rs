@@ -1,7 +1,6 @@
 //! Dynamic-model serving tests: the DynIR family end to end — checkpoint
 //! → serve → predict with per-window power maps, bitwise parity with the
-//! offline [`InferenceSession`] (directly and through the shard router),
-//! precise client errors for window-less dynamic requests, and mixed
+//! offline [`InferenceSession`], precise client errors for window-less dynamic requests, and mixed
 //! static+dynamic load making progress on both families in one server.
 
 use lmm_ir::{
@@ -9,11 +8,8 @@ use lmm_ir::{
 };
 use lmmir_pdn::{CaseKind, CaseSpec, DynamicCase};
 use lmmir_serve::{
-    client, prepare_request, PredictRequest, PredictResponse, RegistrySpec, RouterSpec,
-    ServeConfig, Server,
+    client, prepare_request, PredictRequest, PredictResponse, RegistrySpec, ServeConfig, Server,
 };
-use std::net::SocketAddr;
-use std::time::{Duration, Instant};
 
 const SIZE: usize = 16;
 const WINDOWS: usize = 3;
@@ -71,19 +67,6 @@ fn assert_matches_offline(resp: &PredictResponse, expected: &(Vec<f32>, Vec<u8>,
         expected.2.to_bits(),
         "threshold drifted"
     );
-}
-
-fn wait_ready(addr: SocketAddr) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Ok((200, body)) = client::get_text(addr, "/healthz") {
-            if body.starts_with("ready") {
-                return;
-            }
-        }
-        assert!(Instant::now() < deadline, "server never became ready");
-        std::thread::sleep(Duration::from_millis(25));
-    }
 }
 
 #[test]
@@ -178,45 +161,4 @@ fn mixed_static_and_dynamic_load_progresses_on_both_models() {
     server.stop();
     std::fs::remove_file(&static_path).ok();
     std::fs::remove_file(&dynamic_path).ok();
-}
-
-#[test]
-fn routed_dynamic_predicts_stay_bitwise_identical() {
-    let model = dyn_model(35);
-    let path = tmp("dyn_routed.lmmt");
-    save_predictor(&model, &path).unwrap();
-    let workers: Vec<Server> = (0..2)
-        .map(|_| Server::start(config(), RegistrySpec::single("dyn", &path)).unwrap())
-        .collect();
-    let spec = RouterSpec {
-        attach: workers.iter().map(|w| w.addr().to_string()).collect(),
-        respawn: false,
-        health_interval: Duration::from_millis(50),
-        probe_timeout: Duration::from_millis(500),
-        ..RouterSpec::default()
-    };
-    let router = Server::start_router(
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            ..ServeConfig::default()
-        },
-        spec,
-    )
-    .unwrap();
-    let addr = router.addr();
-    wait_ready(addr);
-
-    // The window block survives the proxy hop verbatim: routed dynamic
-    // answers match the offline reference bitwise, like static ones do.
-    for seed in 0..6u64 {
-        let (_, req) = dyn_design(500 + seed);
-        let expected = offline_reference(&model, &req);
-        assert_matches_offline(&client::predict(addr, &req).unwrap(), &expected);
-    }
-
-    router.stop();
-    for w in workers {
-        w.stop();
-    }
-    std::fs::remove_file(&path).ok();
 }

@@ -3,13 +3,12 @@
 //! or one of the few cargo flags the docs use to build and run them;
 //! every `LMMIR_*` environment variable they name must be spelled as a
 //! string literal in the code; and every `lmmir_*` metric series README.md
-//! names must be on a live server's `/metrics` (the router's series on a
-//! live router's). A flag, variable or series deleted from the code fails
-//! here until the docs stop naming it.
+//! names must be on a live server's `/metrics`. A flag, variable or
+//! series deleted from the code fails here until the docs stop naming it.
 
 use lmm_ir::{iredge, save_predictor};
 use lmmir_pdn::{CaseKind, CaseSpec};
-use lmmir_serve::{client, PredictRequest, RegistrySpec, RouterSpec, ServeConfig, Server};
+use lmmir_serve::{client, PredictRequest, RegistrySpec, ServeConfig, Server};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -196,9 +195,6 @@ fn env_scanner_reads_literals_and_doc_names() {
     assert_eq!(named, ["LMMIR_SCALE", "LMMIR_THREADS"]);
 }
 
-/// Series only a shard router renders; every other series is a server's.
-const ROUTER_PREFIXES: [&str; 3] = ["lmmir_router_", "lmmir_shard_", "lmmir_workers_"];
-
 fn is_series_char(c: char) -> bool {
     c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'
 }
@@ -256,54 +252,35 @@ fn every_documented_metric_series_is_emitted() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("demo.lmmt");
     save_predictor(&iredge(16, 1), &path).unwrap();
-    let server_config = |threads| ServeConfig {
+    let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        threads,
+        threads: Some(1),
         ..ServeConfig::default()
     };
-    let worker =
-        Server::start(server_config(Some(1)), RegistrySpec::single("demo", &path)).unwrap();
-    let router = Server::start_router(
-        server_config(None),
-        RouterSpec {
-            attach: vec![worker.addr().to_string()],
-            respawn: false,
-            health_interval: Duration::from_millis(50),
-            ..RouterSpec::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start(config, RegistrySpec::single("demo", &path)).unwrap();
 
-    // One predict through the router: the per-model series appear with a
-    // model's first request, the workers' aggregates with a probe after it.
+    // One predict: the per-model series appear with a model's first
+    // request.
     let case = CaseSpec::new("docs", 16, 16, 1, CaseKind::Hidden).generate();
     let request = PredictRequest::from_case(&case);
     let deadline = Instant::now() + Duration::from_secs(20);
-    while client::predict(router.addr(), &request).is_err() {
-        assert!(Instant::now() < deadline, "the router never answered");
+    while client::predict(server.addr(), &request).is_err() {
+        assert!(Instant::now() < deadline, "the server never answered");
         std::thread::sleep(Duration::from_millis(50));
     }
     let documented = documented_series(&read("README.md"));
     let missing = loop {
-        let scrape = |addr| client::get_text(addr, "/metrics").unwrap().1;
-        let (served, routed) = (
-            emitted_series(&scrape(worker.addr())),
-            emitted_series(&scrape(router.addr())),
-        );
+        let emitted = emitted_series(&client::get_text(server.addr(), "/metrics").unwrap().1);
         let missing: Vec<&String> = documented
             .iter()
-            .filter(|series| {
-                let routed_only = ROUTER_PREFIXES.iter().any(|p| series.starts_with(p));
-                !is_emitted(series, if routed_only { &routed } else { &served })
-            })
+            .filter(|series| !is_emitted(series, &emitted))
             .collect();
         if missing.is_empty() || Instant::now() > deadline {
             break missing;
         }
         std::thread::sleep(Duration::from_millis(50));
     };
-    router.stop();
-    worker.stop();
+    server.stop();
     std::fs::remove_file(&path).ok();
     assert!(
         missing.is_empty(),
@@ -314,25 +291,24 @@ fn every_documented_metric_series_is_emitted() {
 
 #[test]
 fn series_scanner_expands_members_and_skips_crate_paths() {
-    let doc = "`lmmir_serve::proto`, lmmir_par::with_threads; `lmmir_router_{workers,\n\
-               evictions_total}`, `lmmir_workers_*`, `lmmir_requests_total\n{model=\"a\"}`, \
+    let doc = "`lmmir_serve::proto`, lmmir_par::with_threads; `lmmir_result_cache_{hits_total,\n\
+               misses_total}`, `lmmir_event_*`, `lmmir_requests_total\n{model=\"a\"}`, \
                xlmmir_no, `lmmir_dedup_saved_total > 0`";
     let named: Vec<String> = documented_series(doc).into_iter().collect();
     assert_eq!(
         named,
         [
             "lmmir_dedup_saved_total",
+            "lmmir_event_*",
             "lmmir_requests_total",
-            "lmmir_router_evictions_total",
-            "lmmir_router_workers",
-            "lmmir_workers_*",
+            "lmmir_result_cache_hits_total",
+            "lmmir_result_cache_misses_total",
         ]
     );
-    let emitted = emitted_series(
-        "# HELP x\nlmmir_requests_total{model=\"a\"} 1\nlmmir_workers_requests_total 3\n",
-    );
-    assert!(is_emitted("lmmir_workers_*", &emitted));
+    let emitted =
+        emitted_series("# HELP x\nlmmir_requests_total{model=\"a\"} 1\nlmmir_event_threads 3\n");
+    assert!(is_emitted("lmmir_event_*", &emitted));
     assert!(is_emitted("lmmir_requests_total", &emitted));
-    assert!(!is_emitted("lmmir_router_workers", &emitted));
+    assert!(!is_emitted("lmmir_result_cache_hits_total", &emitted));
     assert!(!is_emitted("lmmir_requests", &emitted));
 }
