@@ -1,74 +1,115 @@
-//! Bitwise oracle for training, the twin of `forward_checksum.rs`: a short
-//! LMM-IR training run on two 16 µm designs pins
+//! Bitwise oracle for training, the twin of `forward_checksum.rs`: one row
+//! per [`ArchSpec`], each a short training run on two 16 µm designs that
+//! pins
 //!
 //! * every epoch's mean loss (pre-training and fine-tuning), bit for bit;
 //! * the FNV-1a over every parameter and every BatchNorm buffer after the
 //!   run — what the optimizer wrote and what an eval forward reads.
 //!
-//! The LNT budget (80 points, windows of 32) gives three chunks with a
-//! short last one, and the fusion cross-attention runs on every step, so
-//! both attention configurations are differentiated. The run is repeated
-//! at one and at two threads; both must give the pinned values. A kernel,
-//! autograd or optimizer change that reorders any arithmetic on the
-//! training path moves the hash.
+//! The models are the smallest plans that still reach every layer kind of
+//! their family: one pooling stage (`Conv2d`, training-mode BN, max-pool,
+//! `ConvTranspose2d`, concat), the contest winner's attention gates,
+//! WACA-UNet's channel attention over the comprehensive stack, IRPnet's
+//! flat CNN, DynIR's windows over one shared trunk, and LMM-IR's LNT and
+//! fusion. Every run ends in Adam with gradient clipping.
+//!
+//! For LMM-IR the LNT budget (80 points, windows of 32) gives three chunks
+//! with a short last one, and the fusion cross-attention runs on every
+//! step, so both attention configurations are differentiated. Every run is
+//! repeated at one and at two threads; both must give the pinned values. A
+//! kernel, autograd or optimizer change that reorders any arithmetic on a
+//! training path moves a hash.
 
-use lmm_ir::{build_sample, train, Layer, LmmIr, LmmIrConfig, LntConfig, Sample, TrainConfig};
+use lmm_ir::{
+    build_dynamic_sample, build_sample, train, ArchSpec, DynamicIrConfig, DynamicIrPredictor,
+    IrPredictor, IrpNet, LmmIr, LmmIrConfig, LntConfig, Sample, TrainConfig, TrainSample,
+    UNetConfig, UNetPredictor,
+};
 use lmmir_features::Fnv1a;
 use lmmir_pdn::{CaseKind, CaseSpec};
 
-/// `f32::to_bits` of the per-epoch losses: one pre-training epoch, then
-/// the fine-tuning epochs.
-const PRETRAIN_LOSS_BITS: [u32; 1] = [0x3f80_608c];
-const LOSS_BITS: [u32; 2] = [0x3dbe_10a9, 0x3dbb_161f];
-/// FNV-1a over every parameter, then every buffer, after training.
-const STATE_HASH: u64 = 0x2a70_bdea_3041_6c05;
+/// One family's pins: `f32::to_bits` of the per-epoch losses (the
+/// pre-training epochs, then the fine-tuning epochs; their lengths set the
+/// epoch counts) and the FNV-1a over every parameter, then every buffer,
+/// after training.
+struct Pin {
+    arch: ArchSpec,
+    pretrain: &'static [u32],
+    losses: &'static [u32],
+    state: u64,
+}
+
+/// One row per family, in [`ArchSpec::ALL`] order. LMM-IR's row is the pin
+/// this file held before it became a table. DynIR has no reconstruction
+/// stage, so it runs its two epochs as fine-tuning.
+#[rustfmt::skip]
+const PINNED: [Pin; 8] = [
+    Pin { arch: ArchSpec::Iredge, pretrain: &[0x3f81_38d2], losses: &[0x3db9_af18], state: 0x4c2b_bed5_3c5b_3206 },
+    Pin { arch: ArchSpec::FirstPlace, pretrain: &[0x3f80_e29d], losses: &[0x3dfc_6e8a], state: 0xe1f9_5ec2_cbb4_d4df },
+    Pin { arch: ArchSpec::SecondPlace, pretrain: &[0x3f82_253c], losses: &[0x3dcc_0a36], state: 0x49a3_736c_f42e_756e },
+    Pin { arch: ArchSpec::IrpNet, pretrain: &[0x3f82_8f4d], losses: &[0x3de6_5d26], state: 0xd20b_c0d0_f858_3717 },
+    Pin { arch: ArchSpec::LmmIr, pretrain: &[0x3f80_608c], losses: &[0x3dbe_10a9, 0x3dbb_161f], state: 0x2a70_bdea_3041_6c05 },
+    Pin { arch: ArchSpec::DynIr, pretrain: &[], losses: &[0x3e05_ff05, 0x3e03_9b1a], state: 0x25e0_d710_088e_53c6 },
+    Pin { arch: ArchSpec::CfirstNet, pretrain: &[0x3f7d_c9aa], losses: &[0x3dbe_1271], state: 0xa350_9377_7204_e4b4 },
+    Pin { arch: ArchSpec::WacaUnet, pretrain: &[0x3f81_e570], losses: &[0x3df1_e5e0], state: 0xd5cf_a4aa_833a_1fb0 },
+];
 
 const SIZE: usize = 16;
+/// The smallest U-Net plan: one pooling stage.
+const WIDTHS: [usize; 2] = [4, 8];
 const MAX_POINTS: usize = 80;
 const CHUNK: usize = 32;
+/// DynIR's window count.
+const WINDOWS: usize = 2;
 // Several windows, the last one short.
 const _: () = assert!(MAX_POINTS % CHUNK != 0 && MAX_POINTS / CHUNK >= 2);
 
-fn samples() -> Vec<Sample> {
+fn cases() -> [CaseSpec; 2] {
     [(1, CaseKind::Fake), (2, CaseKind::Real)]
-        .into_iter()
-        .map(|(seed, kind)| {
-            build_sample(
-                &CaseSpec::new(format!("pin{seed}"), 16, 16, seed, kind),
-                SIZE,
-            )
-            .unwrap()
-        })
-        .collect()
+        .map(|(seed, kind)| CaseSpec::new(format!("pin{seed}"), 16, 16, seed, kind))
 }
 
-fn model() -> LmmIr {
-    LmmIr::new(LmmIrConfig {
-        widths: vec![4, 8],
-        input_size: SIZE,
-        lnt: LntConfig {
-            d_model: 8,
-            heads: 2,
-            layers: 1,
-            max_points: MAX_POINTS,
-            chunk: CHUNK,
-            ff_mult: 2,
-        },
-        ..LmmIrConfig::quick()
-    })
+fn model(arch: ArchSpec) -> Box<dyn IrPredictor> {
+    match arch {
+        ArchSpec::LmmIr => Box::new(LmmIr::new(LmmIrConfig {
+            widths: WIDTHS.to_vec(),
+            input_size: SIZE,
+            lnt: LntConfig {
+                d_model: 8,
+                heads: 2,
+                layers: 1,
+                max_points: MAX_POINTS,
+                chunk: CHUNK,
+                ff_mult: 2,
+            },
+            ..LmmIrConfig::quick()
+        })),
+        ArchSpec::IrpNet => Box::new(IrpNet::new(4, 2, SIZE, 0)),
+        ArchSpec::DynIr => Box::new(DynamicIrPredictor::new(DynamicIrConfig {
+            windows: WINDOWS,
+            widths: WIDTHS.to_vec(),
+            input_size: SIZE,
+            ..DynamicIrConfig::quick()
+        })),
+        unet => Box::new(UNetPredictor::new(UNetConfig {
+            widths: WIDTHS.to_vec(),
+            input_size: SIZE,
+            ..UNetConfig::quick(unet)
+        })),
+    }
 }
 
 /// `(pre-training loss bits, fine-tuning loss bits, state hash)`.
-fn run(samples: &[Sample]) -> (Vec<u32>, Vec<u32>, u64) {
-    let model = model();
+fn run<S: TrainSample>(pin: &Pin, samples: &[S]) -> (Vec<u32>, Vec<u32>, u64) {
+    let model = model(pin.arch);
     let cfg = TrainConfig {
-        epochs: LOSS_BITS.len(),
-        pretrain_epochs: PRETRAIN_LOSS_BITS.len(),
+        epochs: pin.losses.len(),
+        pretrain_epochs: pin.pretrain.len(),
         batch: 2,
         oversample: (1, 1),
         ..TrainConfig::quick()
     };
-    let report = train(&model, samples, &cfg).unwrap();
+    let report = train(model.as_ref(), samples, &cfg).unwrap();
     let bits = |losses: &[f32]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
     let mut h = Fnv1a::new();
     for p in model.parameters() {
@@ -87,7 +128,15 @@ fn run(samples: &[Sample]) -> (Vec<u32>, Vec<u32>, u64) {
 
 #[test]
 fn training_run_is_pinned_across_threads() {
-    let samples = samples();
+    assert_eq!(
+        PINNED.map(|row| row.arch),
+        ArchSpec::ALL,
+        "one row per family"
+    );
+    let samples: Vec<Sample> = cases()
+        .iter()
+        .map(|c| build_sample(c, SIZE).unwrap())
+        .collect();
     for s in &samples {
         let points = s.cloud.len();
         assert!(
@@ -95,19 +144,29 @@ fn training_run_is_pinned_across_threads() {
             "{points} points do not fill the LNT budget"
         );
     }
-    for threads in [1, 2] {
-        let (pretrain, losses, state) = lmmir_par::with_threads(threads, || run(&samples));
-        assert_eq!(
-            pretrain, PRETRAIN_LOSS_BITS,
-            "pre-training losses at {threads} threads: {pretrain:#010x?}"
-        );
-        assert_eq!(
-            losses, LOSS_BITS,
-            "fine-tuning losses at {threads} threads: {losses:#010x?}"
-        );
-        assert_eq!(
-            state, STATE_HASH,
-            "parameters and buffers at {threads} threads: {state:#018x}"
-        );
+    let windows: Vec<_> = cases()
+        .iter()
+        .map(|c| build_dynamic_sample(c, WINDOWS, SIZE).unwrap())
+        .collect();
+    for pin in &PINNED {
+        let name = pin.arch.name();
+        for threads in [1, 2] {
+            let (pretrain, losses, state) = lmmir_par::with_threads(threads, || match pin.arch {
+                ArchSpec::DynIr => run(pin, &windows),
+                _ => run(pin, &samples),
+            });
+            assert_eq!(
+                pretrain, pin.pretrain,
+                "{name}: pre-training losses at {threads} threads: {pretrain:#010x?}"
+            );
+            assert_eq!(
+                losses, pin.losses,
+                "{name}: fine-tuning losses at {threads} threads: {losses:#010x?}"
+            );
+            assert_eq!(
+                state, pin.state,
+                "{name}: parameters and buffers at {threads} threads: {state:#018x}"
+            );
+        }
     }
 }
