@@ -32,6 +32,7 @@
 
 use lmmir_pdn::{CaseKind, CaseSpec, DynamicCase};
 use lmmir_serve::{client, Client, PredictRequest};
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -332,7 +333,7 @@ fn main() -> ExitCode {
         }
     };
     let rate = done as f64 / elapsed;
-    println!(
+    let result = format!(
         "[loadgen] {done}/{} ok ({errors} errors) in {elapsed:.2}s → {rate:.1} req/s \
          (latency ms: p50 {:.2}, p99 {:.2}){}{}",
         o.requests,
@@ -344,24 +345,27 @@ fn main() -> ExitCode {
             None => String::new(),
         },
     );
-    let mut result_hit_rate = f64::NAN;
-    match client::get_text(&addr, "/metrics") {
-        Ok((_, text)) => {
-            for line in text.lines() {
-                if line.contains("cache") || line.contains("batch") || line.contains("dedup") {
-                    println!("[loadgen] server {line}");
-                }
-                let gauge = |name: &str| {
-                    line.strip_prefix(name)
-                        .and_then(|rest| rest.trim().parse::<f64>().ok())
-                };
-                if let Some(v) = gauge("lmmir_result_cache_hit_rate ") {
-                    result_hit_rate = v;
-                }
-            }
+    let metrics = client::get_text(&addr, "/metrics").map_or_else(
+        |e| {
+            eprintln!("[loadgen] metrics fetch failed: {e}");
+            String::new()
+        },
+        |(_, text)| text,
+    );
+    match print_report(&mut std::io::stdout().lock(), &result, &metrics) {
+        // A reader that stops early (`loadgen … | head -1`) has what it
+        // wanted: the rest of the run goes on as if it had read it all.
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("[loadgen] writing stdout: {e}");
+            return ExitCode::FAILURE;
         }
-        Err(e) => eprintln!("[loadgen] metrics fetch failed: {e}"),
+        _ => {}
     }
+    let result_hit_rate = metrics
+        .lines()
+        .find_map(|line| line.strip_prefix("lmmir_result_cache_hit_rate "))
+        .and_then(|v| v.trim().parse::<f64>().ok())
+        .unwrap_or(f64::NAN);
     if let Some(path) = &o.json {
         // Hand-rolled JSON (no serde in the container); every field is a
         // number or bool, so escaping is a non-issue.
@@ -396,6 +400,18 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Writes the result line, then the server's cache, batch and dedup
+/// series out of its `/metrics` text.
+fn print_report(out: &mut impl Write, result: &str, metrics: &str) -> std::io::Result<()> {
+    writeln!(out, "{result}")?;
+    for line in metrics.lines() {
+        if line.contains("cache") || line.contains("batch") || line.contains("dedup") {
+            writeln!(out, "[loadgen] server {line}")?;
+        }
+    }
+    out.flush()
+}
+
 /// The mix as a JSON string (`"static:1,dyn:1"`), or null without `--mix`.
 /// Names come from our own flag; the only characters needing escape in a
 /// JSON string are still handled.
@@ -417,5 +433,61 @@ fn json_num(v: f64) -> String {
         format!("{v:.4}")
     } else {
         "null".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io;
+
+    /// Takes `room` bytes, then fails as a closed pipe does.
+    struct ClosedAfter {
+        room: usize,
+        got: Vec<u8>,
+    }
+
+    impl Write for ClosedAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const METRICS: &str = "lmmir_requests_total 9\nlmmir_result_cache_hit_rate 0.5\n";
+
+    #[test]
+    fn report_prints_the_result_then_the_cache_series() {
+        let mut out = ClosedAfter {
+            room: usize::MAX,
+            got: Vec::new(),
+        };
+        print_report(&mut out, "[loadgen] 9/9 ok", METRICS).unwrap();
+        assert_eq!(
+            String::from_utf8(out.got).unwrap(),
+            "[loadgen] 9/9 ok\n[loadgen] server lmmir_result_cache_hit_rate 0.5\n"
+        );
+    }
+
+    #[test]
+    fn a_closed_stdout_is_an_error_not_a_panic() {
+        // Closed before anything, and after the result line (`| head -1`).
+        for room in [0, "[loadgen] 9/9 ok\n".len()] {
+            let mut out = ClosedAfter {
+                room,
+                got: Vec::new(),
+            };
+            let err = print_report(&mut out, "[loadgen] 9/9 ok", METRICS).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "room {room}");
+        }
     }
 }

@@ -6,7 +6,7 @@ use crate::lnt::{Lnt, LntConfig};
 use crate::pointcloud::PointCloud;
 use lmmir_nn::{Conv2d, Layer, Linear, Module, MultiHeadAttention};
 use lmmir_tensor::conv::ConvSpec;
-use lmmir_tensor::{Result, TensorError, Var};
+use lmmir_tensor::{autograd, Result, TensorError, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -265,13 +265,17 @@ impl IrPredictor for LmmIr {
     }
 
     fn forward(&self, images: &Var, cloud: Option<&PointCloud>) -> Result<Var> {
-        let mut features = self.encoder.encode(images)?;
-        if let (Some(lnt), Some(fusion), Some(cloud)) = (&self.lnt, &self.fusion, cloud) {
-            let tokens = lnt.encode_cloud(cloud)?;
-            let bottleneck = features.last().expect("encoder output").clone();
-            let fused = fusion.fuse(&bottleneck, &tokens)?;
-            *features.last_mut().expect("encoder output") = fused;
-        }
+        let (Some(lnt), Some(fusion), Some(cloud)) = (&self.lnt, &self.fusion, cloud) else {
+            return self.decoder.decode(&self.encoder.encode(images)?);
+        };
+        // The two modalities meet only at the fusion, so their encoders
+        // run side by side (the CNN on a worker), carrying the tape and
+        // runtime state across.
+        let (features, tokens) =
+            autograd::join(|| self.encoder.encode(images), || lnt.encode_cloud(cloud));
+        let mut features = features?;
+        let bottleneck = features.last_mut().expect("encoder output");
+        *bottleneck = fusion.fuse(bottleneck, &tokens?)?;
         self.decoder.decode(&features)
     }
 }

@@ -39,11 +39,18 @@
 //!   contiguous runs of fixed-size units (rows, planes, blocks).
 //! * [`par_map`] / [`par_map_slice`] — ordered map: results come back in
 //!   input order regardless of which thread produced them.
+//! * [`join`] — a two-way fork of two unrelated closures (say, the two
+//!   encoders of a multimodal model): the first on a spawned worker, the
+//!   second on the caller, both pinned; at one thread, the first then the
+//!   second, inline. Thread-local state stays on its thread, so a caller
+//!   that keeps some carries it across itself (`lmmir_tensor::autograd::join` does
+//!   this for the tape switch, the eager switch, the buffer pool and the
+//!   lazy counters).
 
 mod ops;
 mod pool;
 
-pub use ops::{par_chunks_mut, par_map, par_map_slice, worth_parallelizing};
+pub use ops::{join, par_chunks_mut, par_map, par_map_slice, worth_parallelizing};
 pub use pool::{num_threads, scope, set_thread_override, thread_override, with_threads};
 
 #[cfg(test)]
@@ -263,6 +270,49 @@ mod tests {
             assert!(!worth_parallelizing(2, 99, 100), "too little work");
         });
         with_threads(1, || assert!(!worth_parallelizing(2, 100, 100)));
+    }
+
+    #[test]
+    fn join_forks_a_onto_a_worker_and_pins_both_spans() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        let me = std::thread::current().id();
+        let span = || (std::thread::current().id(), num_threads());
+        let (a, b) = with_threads(3, || {
+            let got = join(span, span);
+            assert_eq!(thread_override(), Some(3), "override restored");
+            got
+        });
+        assert!(a.0 != me && b.0 == me, "a spawned, b on the caller");
+        assert_eq!((a.1, b.1), (1, 1), "both spans see a 1-thread pool");
+
+        // One thread: `a`, then `b`, inline.
+        let order = Mutex::new(Vec::new());
+        let (a, b) = with_threads(1, || {
+            join(
+                || {
+                    order.lock().unwrap().push('a');
+                    span()
+                },
+                || {
+                    order.lock().unwrap().push('b');
+                    span()
+                },
+            )
+        });
+        assert_eq!(*order.lock().unwrap(), ['a', 'b']);
+        assert_eq!((a.0, b.0), (me, me));
+    }
+
+    #[test]
+    fn join_propagates_a_panic_of_either_span() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        set_thread_override(Some(2));
+        let res = std::panic::catch_unwind(|| join(|| panic!("worker died"), || 1));
+        assert!(res.is_err());
+        let res = std::panic::catch_unwind(|| join(|| 1, || panic!("caller died")));
+        assert!(res.is_err());
+        assert_eq!(thread_override(), Some(2));
+        set_thread_override(None);
     }
 
     #[test]

@@ -106,6 +106,34 @@ pub fn par_map<R: Send, F: Fn(usize) -> R + Sync>(n: usize, f: F) -> Vec<R> {
     })
 }
 
+/// Runs two independent closures side by side and returns both results:
+/// `a` on a spawned worker, `b` on the calling thread. Both spans are
+/// pinned to the sequential path, like every span of this crate. With one
+/// thread the call runs `a`, then `b`, inline on the caller — the order a
+/// sequential caller would have written.
+///
+/// Neither span sees the other's thread-local state: a caller that keeps
+/// some (a tape switch, a buffer pool) must carry it into `a` itself.
+///
+/// # Panics
+///
+/// Propagates a panic of either span; the caller's override is restored
+/// first.
+pub fn join<RA: Send, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB) -> (RA, RB) {
+    if num_threads() <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    scope(|s| {
+        let handle = s.spawn(|| run_pinned(a));
+        let rb = run_pinned(b);
+        match handle.join() {
+            Ok(ra) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
 /// [`par_map`] over the items of a slice, preserving order.
 pub fn par_map_slice<I: Sync, R: Send, F: Fn(&I) -> R + Sync>(items: &[I], f: F) -> Vec<R> {
     par_map(items.len(), |i| f(&items[i]))

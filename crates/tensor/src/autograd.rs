@@ -16,6 +16,14 @@
 //! switch is per thread, like `lmmir_par::with_threads` and
 //! [`crate::lazy::with_eager`]: a thread spawned inside the scope records.
 //!
+//! Model code that forks goes through [`join`], which carries the tape
+//! switch, the eager switch, a buffer pool and the lazy counters into its
+//! worker and back. [`Var::backward`] forks through it too: once the rest
+//! of its reverse-topological walk falls apart into independent parts (a
+//! multimodal model's two encoders), it runs the largest on the calling
+//! thread and the others on a worker, each in the walk's order, so every
+//! gradient keeps the bits of the sequential walk (see `Split`).
+//!
 //! A [`Var`] is `Send + Sync`: the value sits behind an `RwLock` and the
 //! gradient behind a `Mutex`, so any number of threads can run forward
 //! passes over one set of parameters at once (each pass builds its own
@@ -36,9 +44,10 @@
 //! identical to the historical eager evaluation; reductions, matmul, conv,
 //! and the optimizer's reads realize buffers at the usual boundaries.
 
+use crate::lazy;
 use crate::tensor::Tensor;
 use std::cell::Cell;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
@@ -58,8 +67,9 @@ fn grad_enabled() -> bool {
 /// is a value without parents or backward closure, so nothing it computes
 /// outlives its consumers and [`Var::backward`] on it is a no-op. Values are
 /// bitwise those of a recording run (same kernels, same order). Restores the
-/// previous setting on exit (also on panic). Threads spawned inside record:
-/// a fork that should not must enter `no_grad` itself.
+/// previous setting on exit (also on panic). A fork through [`join`]
+/// carries the switch; any other thread spawned inside records unless it
+/// enters `no_grad` itself.
 pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
@@ -69,6 +79,40 @@ pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(NO_GRAD.with(|g| g.replace(true)));
     f()
+}
+
+/// Runs two independent closures side by side through [`lmmir_par::join`]
+/// (`a` on a spawned worker, `b` on the calling thread; at one thread `a`,
+/// then `b`, inline) and carries this thread's runtime state into the
+/// worker and back:
+///
+/// * the tape switch: inside [`no_grad`], `a` records nothing either;
+/// * the eager switch ([`crate::lazy::with_eager`]);
+/// * a buffer pool: the caller keeps a spare one, lends it to the worker
+///   and takes it back at the join, so a steady-state fork allocates no
+///   more buffers than the sequential run;
+/// * the lazy counters ([`crate::lazy::stats`]): at the join the worker's
+///   counts are added to the caller's.
+///
+/// Values are bitwise those of the sequential run: every kernel is, at any
+/// thread count. Threads spawned any other way (a raw `std::thread`, an
+/// `lmmir_par` span) still start from a thread's defaults.
+///
+/// # Panics
+///
+/// Propagates a panic of either closure.
+pub fn join<RA: Send, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB) -> (RA, RB) {
+    if lmmir_par::num_threads() <= 1 {
+        return lmmir_par::join(a, b);
+    }
+    let recording = grad_enabled();
+    let runtime = lazy::Runtime::lend();
+    let ((ra, runtime), rb) = lmmir_par::join(
+        move || runtime.run(|| if recording { a() } else { no_grad(a) }),
+        b,
+    );
+    runtime.settle();
+    (ra, rb)
 }
 
 /// Closure mapping the gradient at a node to gradients for each parent
@@ -244,28 +288,40 @@ impl Var {
         }
         let order = self.topo_order();
         accumulate(&self.0, seed);
-        // `order` is post-order (parents before children), so iterate in
+        // `order` is post-order (parents before children), so walk it in
         // reverse: children first.
-        for node in order.iter().rev() {
-            let Some(backward) = node.0.backward.as_ref() else {
-                continue;
-            };
-            let Some(grad) = node.grad() else {
-                continue; // branch never reached by the seed
-            };
-            let parent_grads = backward(&grad);
-            debug_assert_eq!(parent_grads.len(), node.0.parents.len());
-            for (parent, pg) in node.0.parents.iter().zip(parent_grads) {
-                if let Some(pg) = pg {
-                    if parent.needs_grad() {
-                        accumulate(&parent.0, pg);
-                    }
+        let walk: Vec<&Var> = order.iter().rev().collect();
+        let run = |nodes: &[&Var]| nodes.iter().for_each(|node| node.backward_step());
+        match Split::find(&walk) {
+            None => run(&walk),
+            Some(split) => {
+                run(&walk[..split.at]);
+                join(|| run(&split.worker), || run(&split.caller));
+            }
+        }
+    }
+
+    /// One node of the backward walk: maps its accumulated gradient to its
+    /// parents' and adds each to the parent's slot.
+    fn backward_step(&self) {
+        let Some(backward) = self.0.backward.as_ref() else {
+            return;
+        };
+        let Some(grad) = self.grad() else {
+            return; // branch never reached by the seed
+        };
+        let parent_grads = backward(&grad);
+        debug_assert_eq!(parent_grads.len(), self.0.parents.len());
+        for (parent, pg) in self.0.parents.iter().zip(parent_grads) {
+            if let Some(pg) = pg {
+                if parent.needs_grad() {
+                    accumulate(&parent.0, pg);
                 }
             }
-            // Interior gradients are scratch space; free them eagerly.
-            if !node.0.is_param {
-                node.zero_grad();
-            }
+        }
+        // Interior gradients are scratch space; free them eagerly.
+        if !self.0.is_param {
+            self.zero_grad();
         }
     }
 
@@ -302,6 +358,145 @@ const _: () = {
     assert_send_sync::<Var>();
     assert_send_sync::<Tensor>();
 };
+
+/// Elements of op output, summed over a part of the backward walk, below
+/// which the part is not worth a fork (30–100 µs): the smallest part
+/// forked must carry at least this much. Only ops count (a leaf's gradient
+/// is summed into, not propagated). A conv's backward does far more than
+/// a few ns of work per output element, so this is a floor, not a
+/// forecast.
+const FORK_MIN_ELEMS: usize = 1 << 15;
+
+/// Where a backward walk falls apart into independent parts.
+///
+/// A node's gradient is complete once every child has run. After position
+/// `at` of the walk, the nodes left form weakly connected components under
+/// the parent relation (a parameter leaf reached from two parts joins
+/// them), and a component receives contributions only from itself. So the
+/// components can run side by side, each in the walk's relative order, and
+/// every node still receives its contributions in the sequential order:
+/// the gradients keep their bits.
+struct Split<'a> {
+    /// Length of the walk's sequential prefix.
+    at: usize,
+    /// The largest component, in walk order; it runs on the calling thread.
+    caller: Vec<&'a Var>,
+    /// Every other component, in walk order; it runs on the worker.
+    worker: Vec<&'a Var>,
+}
+
+impl<'a> Split<'a> {
+    /// The earliest position after which the rest of `walk` forms two or
+    /// more components of at least [`FORK_MIN_ELEMS`] each; `None` at one
+    /// thread or when there is none (a U-Net has one branch until its
+    /// input).
+    fn find(walk: &[&'a Var]) -> Option<Split<'a>> {
+        if lmmir_par::num_threads() <= 1 {
+            return None;
+        }
+        let pos: HashMap<u64, usize> = walk.iter().enumerate().map(|(i, v)| (v.id(), i)).collect();
+        let parents = |i: usize| {
+            walk[i]
+                .0
+                .parents
+                .iter()
+                .filter(|p| p.needs_grad())
+                .map(|p| pos[&p.id()])
+        };
+        let elems = |i: usize| {
+            if walk[i].0.backward.is_some() {
+                walk[i].value().numel()
+            } else {
+                0
+            }
+        };
+        // A union-find pass from the end: the suffix `walk[i..]` is closed
+        // under parents, so adding node `i` and its parent edges keeps the
+        // components of exactly that suffix.
+        let scan = |from: usize| {
+            let mut parts = Parts::new(walk.len());
+            let mut at = None;
+            for i in (from..walk.len()).rev() {
+                parts.add(i, elems(i));
+                for j in parents(i) {
+                    parts.join(i, j);
+                }
+                if parts.heavy >= 2 {
+                    at = Some(i);
+                }
+            }
+            (parts, at)
+        };
+        let at = scan(0).1?;
+        let mut parts = scan(at).0;
+        let roots: Vec<usize> = (at..walk.len()).map(|i| parts.root(i)).collect();
+        let largest = *roots.iter().max_by_key(|&&r| parts.elems[r])?;
+        let (mut caller, mut worker) = (Vec::new(), Vec::new());
+        for (&node, &root) in walk[at..].iter().zip(&roots) {
+            if root == largest {
+                caller.push(node);
+            } else {
+                worker.push(node);
+            }
+        }
+        Some(Split { at, caller, worker })
+    }
+}
+
+/// Union-find over walk positions, each root carrying its part's elements,
+/// with a count of the parts worth a fork.
+struct Parts {
+    up: Vec<usize>,
+    elems: Vec<usize>,
+    /// Parts of at least [`FORK_MIN_ELEMS`].
+    heavy: usize,
+}
+
+impl Parts {
+    fn new(n: usize) -> Self {
+        Parts {
+            up: (0..n).collect(),
+            elems: vec![0; n],
+            heavy: 0,
+        }
+    }
+
+    /// 1 when the part at `root` is worth a fork, else 0.
+    fn heavy_of(&self, root: usize) -> usize {
+        usize::from(self.elems[root] >= FORK_MIN_ELEMS)
+    }
+
+    /// Adds position `i` as a part of its own.
+    fn add(&mut self, i: usize, elems: usize) {
+        self.elems[i] = elems;
+        self.heavy += self.heavy_of(i);
+    }
+
+    fn root(&mut self, mut i: usize) -> usize {
+        while self.up[i] != i {
+            self.up[i] = self.up[self.up[i]];
+            i = self.up[i];
+        }
+        i
+    }
+
+    /// Merges the parts of `i` and `j`.
+    fn join(&mut self, i: usize, j: usize) {
+        let (a, b) = (self.root(i), self.root(j));
+        if a == b {
+            return;
+        }
+        self.heavy -= self.heavy_of(a) + self.heavy_of(b);
+        let (keep, gone) = if self.elems[a] >= self.elems[b] {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        self.up[gone] = keep;
+        self.elems[keep] += self.elems[gone];
+        self.heavy += self.heavy_of(keep);
+    }
+}
 
 impl Node {
     fn grad_slot(&self) -> MutexGuard<'_, Option<Tensor>> {

@@ -38,7 +38,9 @@
 //!   (`OnceLock`), and re-realizing is a no-op.
 //!
 //! Freed output buffers are recycled through a small thread-local pool, so
-//! steady-state chains allocate nothing.
+//! steady-state chains allocate nothing. A fork through
+//! [`crate::autograd::join`] lends its worker a second pool that the
+//! forking thread owns, so steady-state forks allocate nothing either.
 //!
 //! Wrap a region in [`with_eager`] to bypass the graph on the calling thread
 //! and compute every op immediately — the test oracle and debugging escape
@@ -410,13 +412,17 @@ thread_local! {
 }
 
 /// A zeroed or recycled buffer of exactly `len` elements. Recycled buffers
-/// hold stale data; every caller overwrites all `len` slots.
+/// hold stale data; every caller overwrites all `len` slots. The smallest
+/// buffer that fits is taken, so a `[1, C, 1, 1]` statistics chain does not
+/// walk off with an activation-sized buffer the next program needs (with
+/// the first fit, a forked encoder's spare pool never settled).
 fn pool_get(len: usize) -> Vec<f32> {
     if len > 0 {
         let hit = POOL.with(|p| {
             let mut p = p.borrow_mut();
-            p.iter()
-                .position(|b| b.capacity() >= len)
+            (0..p.len())
+                .filter(|&i| p[i].capacity() >= len)
+                .min_by_key(|&i| p[i].capacity())
                 .map(|i| p.swap_remove(i))
         });
         if let Some(mut b) = hit {
@@ -489,12 +495,79 @@ pub fn stats() -> Stats {
 
 /// Zeroes this thread's lazy-runtime counters.
 pub fn reset_stats() {
+    set_stats(Stats::default());
+}
+
+fn set_stats(v: Stats) {
     STATS.with(|s| {
-        s.programs.set(0);
-        s.instructions.set(0);
-        s.pool_hits.set(0);
-        s.fresh_allocs.set(0);
+        s.programs.set(v.programs);
+        s.instructions.set(v.instructions);
+        s.pool_hits.set(v.pool_hits);
+        s.fresh_allocs.set(v.fresh_allocs);
     });
+}
+
+// ---------------------------------------------------------------------------
+// Carrying the runtime across a fork
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    /// The pool this thread lends to the worker of each fork it makes
+    /// (`crate::autograd::join`) and takes back at the join, so a
+    /// steady-state fork allocates no more than the sequential run.
+    static SPARE: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The lazy-runtime state a fork carries from the forking thread to its
+/// worker and back: the eager switch, a buffer pool and the counters.
+pub(crate) struct Runtime {
+    eager: bool,
+    pool: Vec<Vec<f32>>,
+    stats: Stats,
+}
+
+impl Runtime {
+    /// The forking thread's side: its eager switch and its spare pool,
+    /// counters at zero.
+    pub(crate) fn lend() -> Runtime {
+        Runtime {
+            eager: eager_mode(),
+            pool: SPARE.with(RefCell::take),
+            stats: Stats::default(),
+        }
+    }
+
+    /// The worker's side: runs `f` on this state and returns what `f`
+    /// left of it (the pool and the counts), restoring this thread's own.
+    pub(crate) fn run<R>(self, f: impl FnOnce() -> R) -> (R, Runtime) {
+        let own = self.swap();
+        let r = f();
+        (r, own.swap())
+    }
+
+    /// The join: the pool becomes the spare again and the worker's counts
+    /// add to this thread's.
+    pub(crate) fn settle(self) {
+        SPARE.with(|s| *s.borrow_mut() = self.pool);
+        let mine = stats();
+        set_stats(Stats {
+            programs: mine.programs + self.stats.programs,
+            instructions: mine.instructions + self.stats.instructions,
+            pool_hits: mine.pool_hits + self.stats.pool_hits,
+            fresh_allocs: mine.fresh_allocs + self.stats.fresh_allocs,
+        });
+    }
+
+    /// Installs `self` on this thread and returns what was there.
+    fn swap(self) -> Runtime {
+        let prev = Runtime {
+            eager: EAGER.with(|e| e.replace(self.eager)),
+            pool: POOL.with(|p| p.replace(self.pool)),
+            stats: stats(),
+        };
+        set_stats(self.stats);
+        prev
+    }
 }
 
 // ---------------------------------------------------------------------------

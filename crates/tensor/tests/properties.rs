@@ -1,10 +1,13 @@
-//! Property tests: broadcasting algebra, autograd-vs-numeric gradients, and
+//! Property tests: broadcasting algebra, autograd-vs-numeric gradients,
 //! parallel-kernel-vs-naive-reference agreement on randomized shapes and
-//! values (including degenerate ones).
+//! values (including degenerate ones), and a backward that forks
+//! independent branches keeping every gradient's bits.
 
 use lmmir_tensor::conv::{conv2d, ConvSpec};
-use lmmir_tensor::{linalg, Tensor, Var};
+use lmmir_tensor::{autograd, lazy, linalg, Tensor, Var};
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 /// Naive triple-loop matmul: the reference the row-partitioned gemm must
 /// agree with for every shape.
@@ -532,4 +535,187 @@ fn fused_attention_matches_the_chain_where_exp_underflows() {
     let attn = scores.scale(0.5).softmax_last();
     assert!(attn.data().contains(&0.0), "no weight underflowed");
     fused_attention_agrees_with_chain([2, 3, 5, 4, 2], 40.0, 0.5, 5);
+}
+
+// ---------------------------------------------------------------------------
+// The backward engine: independent branches run side by side
+// ---------------------------------------------------------------------------
+
+/// Side of every branch value: 64² = 4096 elements, so a branch of eight or
+/// more ops is worth a fork.
+const SIDE: usize = 64;
+
+/// The threads that ran a probe's backward.
+type Seen = Arc<Mutex<HashSet<std::thread::ThreadId>>>;
+
+/// Identity op whose backward records the thread it runs on.
+fn probe(x: &Var, seen: &Seen) -> Var {
+    let seen = Arc::clone(seen);
+    Var::from_op(
+        x.to_tensor(),
+        vec![x.clone()],
+        Box::new(move |g| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            vec![Some(g.clone())]
+        }),
+    )
+}
+
+fn param(dims: &[usize], seed: u64) -> Var {
+    let data = pseudo(dims.iter().product(), seed);
+    Var::parameter(Tensor::from_vec(data, dims).unwrap().scale(0.2))
+}
+
+/// A random graph of `branches` independent chains (each 10 to 15 ops over
+/// its own parameters, starting at a probe), summed into a short trunk.
+/// With `shared`, every branch also adds one common parameter twice, so
+/// that leaf joins them and it collects four or more contributions whose
+/// order shows in its bits. Returns the loss, the parameters and the
+/// probes' threads.
+fn branchy_graph(branches: usize, shared: bool, seed: u64) -> (Var, Vec<Var>, Seen) {
+    let seen = Seen::default();
+    let mut params = Vec::new();
+    let common = param(&[SIDE, SIDE], seed ^ 0x5eed);
+    if shared {
+        params.push(common.clone());
+    }
+    let mut rng = seed;
+    let mut next = |n: u64| {
+        rng = rng
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (rng >> 33) % n
+    };
+    let mut sum: Option<Var> = None;
+    for b in 0..branches {
+        let input = param(&[SIDE, SIDE], seed.wrapping_add(100 * b as u64));
+        params.push(input.clone());
+        let mut h = probe(&input, &seen);
+        let len = 10 + next(6);
+        for step in 0..len {
+            let op = next(7);
+            // A small product keeps a debug build quick.
+            let dims: &[usize] = if op == 4 { &[16, 16] } else { &[SIDE, SIDE] };
+            let p = param(dims, seed.wrapping_add(100 * b as u64 + step + 1));
+            h = match op {
+                0 => h.relu(),
+                1 => h.tanh(),
+                2 => h.scale(0.75).add_scalar(0.1),
+                3 => h.mul(&p).unwrap(),
+                4 => {
+                    let rows = h.reshape(&[SIDE * SIDE / 16, 16]).unwrap();
+                    rows.matmul(&p).unwrap().reshape(&[SIDE, SIDE]).unwrap()
+                }
+                5 => h.add(&p).unwrap().sigmoid(),
+                _ => h.square().scale(0.5),
+            };
+            if (3..6).contains(&op) {
+                params.push(p);
+            }
+            if shared && (step == 0 || step == len - 1) {
+                h = h.add(&common).unwrap();
+            }
+        }
+        sum = Some(match sum {
+            None => h,
+            Some(acc) => acc.add(&h).unwrap(),
+        });
+    }
+    let trunk = sum.expect("branches >= 2").tanh().square();
+    (trunk.sum(), params, seen)
+}
+
+/// Every parameter's gradient bits after one backward of the graph.
+fn branchy_grads(branches: usize, shared: bool, seed: u64) -> (Vec<Vec<u32>>, Seen) {
+    let (loss, params, seen) = branchy_graph(branches, shared, seed);
+    loss.backward();
+    let bits = params
+        .iter()
+        .map(|p| {
+            let g = p.grad().expect("every parameter is reached");
+            g.data().iter().map(|v| v.to_bits()).collect()
+        })
+        .collect();
+    (bits, seen)
+}
+
+fn forked_backward_keeps_the_bits(branches: usize, shared: bool, seed: u64) {
+    let me = std::thread::current().id();
+    for eager in [false, true] {
+        let run = |threads: usize| {
+            let go = || lmmir_par::with_threads(threads, || branchy_grads(branches, shared, seed));
+            if eager {
+                lazy::with_eager(go)
+            } else {
+                go()
+            }
+        };
+        let (want, seen) = run(1);
+        assert_eq!(*seen.lock().unwrap(), HashSet::from([me]));
+        for threads in [2, 4] {
+            let (got, seen) = run(threads);
+            assert!(
+                got == want,
+                "{branches} branches, shared {shared}, eager {eager}: \
+                 gradients differ at {threads} threads"
+            );
+            // Independent branches fork; a shared leaf keeps them together.
+            let threads_seen = seen.lock().unwrap().len();
+            assert_eq!(
+                threads_seen,
+                if shared { 1 } else { 2 },
+                "{branches} branches, shared {shared}: probes ran on {threads_seen} threads"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn forked_backward_matches_one_thread(
+        branches in 2usize..4, shared in 0usize..2, seed in 0u64..1_000_000,
+    ) {
+        forked_backward_keeps_the_bits(branches, shared == 1, seed);
+    }
+}
+
+#[test]
+fn forked_backward_matches_one_thread_with_a_shared_leaf() {
+    for branches in [2, 3] {
+        forked_backward_keeps_the_bits(branches, true, 7);
+    }
+}
+
+/// What `autograd::join` carries into its worker: the tape switch, the
+/// eager switch and the lazy counters (the worker's programs add to the
+/// caller's). A raw thread carries nothing.
+#[test]
+fn a_forked_span_sees_the_callers_modes_and_counts() {
+    let x = Var::parameter(Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap());
+    let modes = || (x.scale(2.0).needs_grad(), lazy::eager_mode());
+    lmmir_par::with_threads(2, || {
+        let me = std::thread::current().id();
+        let worker = || (std::thread::current().id() != me, modes());
+        assert_eq!(
+            autograd::join(worker, modes),
+            ((true, (true, false)), (true, false))
+        );
+        let forked = autograd::no_grad(|| lazy::with_eager(|| autograd::join(worker, modes)));
+        assert_eq!(forked, ((true, (false, true)), (false, true)));
+        let raw = autograd::no_grad(|| {
+            lazy::with_eager(|| std::thread::scope(|s| s.spawn(modes).join().unwrap()))
+        });
+        assert_eq!(raw, (true, false), "a raw thread starts from the defaults");
+
+        let chain = |seed: u64| {
+            let t = Tensor::from_vec(pseudo(4096, seed), &[4096]).unwrap();
+            t.add_scalar(1.0).relu().scale(0.5).data()[0]
+        };
+        lazy::reset_stats();
+        let _ = autograd::join(|| chain(1), || chain(2));
+        let stats = lazy::stats();
+        assert_eq!((stats.programs, stats.instructions), (2, 6), "{stats:?}");
+    });
 }
