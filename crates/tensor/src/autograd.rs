@@ -360,11 +360,11 @@ const _: () = {
 };
 
 /// Elements of op output, summed over a part of the backward walk, below
-/// which the part is not worth a fork (30–100 µs): the smallest part
-/// forked must carry at least this much. Only ops count (a leaf's gradient
-/// is summed into, not propagated). A conv's backward does far more than
-/// a few ns of work per output element, so this is a floor, not a
-/// forecast.
+/// which the part is not worth a fork (30–100 µs). A split needs two parts
+/// at least this large; lighter parts (a weight's reshape, say) ride along
+/// on the worker. Only ops count: a leaf's gradient is summed into, not
+/// propagated. A conv's backward does far more than a few ns of work per
+/// output element, so this is a floor, not a forecast.
 const FORK_MIN_ELEMS: usize = 1 << 15;
 
 /// Where a backward walk falls apart into independent parts.
