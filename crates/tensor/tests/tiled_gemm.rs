@@ -201,3 +201,96 @@ fn tiled_kernel_propagates_nan_like_reference() {
     assert!(c_ref[0].is_nan() && c_tiled[0].is_nan());
     assert_eq!(bits(&c_ref), bits(&c_tiled), "NaN payload/bit parity");
 }
+
+/// Row-major transpose of an `[r, c]` matrix.
+fn transposed(v: &[f32], r: usize, c: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; v.len()];
+    for i in 0..r {
+        for j in 0..c {
+            out[j * r + i] = v[i * c + j];
+        }
+    }
+    out
+}
+
+/// The layout oracle: `matmul_tn`, `matmul_nt`, `bmm_tn` and `bmm_nt` over
+/// `ba` entries of an `m`×`k`×`n` product must equal, bit for bit,
+/// [`gemm_reference`] run on explicitly transposed operands into a zeroed
+/// `C`, at one, two and four threads.
+fn assert_layouts_match_reference(ba: usize, m: usize, k: usize, n: usize, seed: u64) {
+    let (mk, kn) = (m * k, k * n);
+    // TN operands: `at` holds each entry's `[k, m]`; NT: `bt` each `[n, k]`.
+    let at = pseudo(ba * mk, seed);
+    let b = pseudo(ba * kn, seed ^ 0x55);
+    let a = pseudo(ba * mk, seed ^ 0x77);
+    let bt = pseudo(ba * kn, seed ^ 0x99);
+    let mut tn_ref = vec![0.0f32; ba * m * n];
+    let mut nt_ref = vec![0.0f32; ba * m * n];
+    for e in 0..ba {
+        let (ea, eb) = (e * mk..(e + 1) * mk, e * kn..(e + 1) * kn);
+        let c = e * m * n..(e + 1) * m * n;
+        let a_explicit = transposed(&at[ea.clone()], k, m);
+        gemm_reference(m, k, n, &a_explicit, &b[eb.clone()], &mut tn_ref[c.clone()]);
+        let b_explicit = transposed(&bt[eb], n, k);
+        gemm_reference(m, k, n, &a[ea], &b_explicit, &mut nt_ref[c]);
+    }
+    let t3 = |v: &[f32], d: [usize; 3]| Tensor::from_vec(v.to_vec(), &d).unwrap();
+    let (at3, b3) = (t3(&at, [ba, k, m]), t3(&b, [ba, k, n]));
+    let (a3, bt3) = (t3(&a, [ba, m, k]), t3(&bt, [ba, n, k]));
+    for threads in [1, 2, 4] {
+        let (tn, nt) = lmmir_par::with_threads(threads, || {
+            (bmm_tn(&at3, &b3).unwrap(), bmm_nt(&a3, &bt3).unwrap())
+        });
+        let at_ = format!("{ba}x{m}x{k}x{n} at {threads} threads");
+        assert_eq!(bits(&tn_ref), bits(tn.data()), "bmm_tn {at_}");
+        assert_eq!(bits(&nt_ref), bits(nt.data()), "bmm_nt {at_}");
+        if ba == 1 {
+            let t2 = |v: &[f32], r, c| Tensor::from_vec(v.to_vec(), &[r, c]).unwrap();
+            let (tn, nt) = lmmir_par::with_threads(threads, || {
+                (
+                    matmul_tn(&t2(&at, k, m), &t2(&b, k, n)).unwrap(),
+                    matmul_nt(&t2(&a, m, k), &t2(&bt, n, k)).unwrap(),
+                )
+            });
+            assert_eq!(bits(&tn_ref), bits(tn.data()), "matmul_tn {at_}");
+            assert_eq!(bits(&nt_ref), bits(nt.data()), "matmul_nt {at_}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The transposed layouts against the NN oracle over the adversarial
+    /// block-boundary sizes, one and two batch entries.
+    #[test]
+    fn transposed_layouts_bitwise_match_reference(
+        mi in 0usize..14,
+        ki in 0usize..14,
+        ni in 0usize..11,
+        ba in 1usize..3,
+        seed in 0u64..1000,
+    ) {
+        assert_layouts_match_reference(ba, SIZES[mi], SIZES[ki], SIZES[ni], seed);
+    }
+}
+
+/// Depths straddling 2048 and spanning several 256-deep slabs: a deep NT
+/// product must keep the reference's rounding chain however its depth is
+/// blocked.
+#[test]
+fn transposed_layouts_bitwise_match_reference_at_depth() {
+    for (i, k) in [2047, 2048, 2049, 4100].into_iter().enumerate() {
+        assert_layouts_match_reference(1, 17, k, 33, i as u64);
+        assert_layouts_match_reference(2, 9, k, 20, 10 + i as u64);
+    }
+}
+
+/// Shapes past the `2^22`-MAC fork gate, so the row-partitioned products
+/// and the entry-forked batches both run.
+#[test]
+fn transposed_layouts_bitwise_match_reference_past_the_fork_gate() {
+    // 4.31 M and 4.36 M multiply-accumulates, against 2^22 = 4.19 M.
+    assert_layouts_match_reference(1, 129, 257, 130, 21);
+    assert_layouts_match_reference(4, 65, 129, 130, 22);
+}
