@@ -3,7 +3,9 @@
 //! values (including degenerate ones), and a backward that forks
 //! independent branches keeping every gradient's bits.
 
-use lmmir_tensor::conv::{conv2d, ConvSpec};
+use lmmir_tensor::conv::{
+    conv2d, conv2d_backward, conv_transpose2d, conv_transpose2d_backward, ConvSpec,
+};
 use lmmir_tensor::{autograd, lazy, linalg, Tensor, Var};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -86,6 +88,66 @@ fn large_conv2d_crosses_parallel_threshold_and_matches() {
             "bitwise drift at {threads} threads"
         );
         assert!(close(&fast, &slow, 1e-4), "reference mismatch at {threads}");
+    }
+}
+
+/// The weight gradient of a two-sample batch is the sum of the two
+/// one-sample gradients, added element by element in sample order:
+/// `dW(x) == dW(x₀) + dW(x₁)` bit for bit, for the conv and the deconv,
+/// on shapes that take the small and the packed product, a depth past
+/// 2048 and a product past the fork gate, at one and two threads.
+#[test]
+fn conv_weight_gradient_adds_up_per_sample_in_batch_order() {
+    // (deconv, x dims, weight dims, spec)
+    let cases = [
+        (false, [2, 2, 5, 5], [3, 2, 3, 3], ConvSpec::new(1, 1)),
+        (false, [2, 4, 16, 16], [8, 4, 3, 3], ConvSpec::new(1, 1)),
+        (false, [2, 2, 48, 48], [4, 2, 3, 3], ConvSpec::new(1, 1)),
+        (false, [2, 16, 32, 32], [32, 16, 3, 3], ConvSpec::new(1, 1)),
+        (true, [2, 8, 16, 16], [8, 4, 2, 2], ConvSpec::new(2, 0)),
+        (true, [2, 32, 48, 48], [32, 8, 3, 3], ConvSpec::new(1, 1)),
+    ];
+    for (i, (deconv, xd, wd, spec)) in cases.into_iter().enumerate() {
+        let seed = 100 * i as u64;
+        let x = Tensor::from_vec(pseudo(xd.iter().product(), seed), &xd).unwrap();
+        let w = Tensor::from_vec(pseudo(wd.iter().product(), seed + 1), &wd).unwrap();
+        let dw = |x: &Tensor, g: &Tensor| {
+            let (_, dw, _) = if deconv {
+                conv_transpose2d_backward(x, &w, g, spec).unwrap()
+            } else {
+                conv2d_backward(x, &w, g, spec).unwrap()
+            };
+            dw
+        };
+        let out = if deconv {
+            conv_transpose2d(&x, &w, None, spec).unwrap()
+        } else {
+            conv2d(&x, &w, None, spec).unwrap()
+        };
+        let g = Tensor::from_vec(pseudo(out.numel(), seed + 2), out.dims()).unwrap();
+        let sample = |t: &Tensor, s: usize| {
+            let mut dims = t.dims().to_vec();
+            let len = t.numel() / dims[0];
+            dims[0] = 1;
+            Tensor::from_vec(t.data()[s * len..(s + 1) * len].to_vec(), &dims).unwrap()
+        };
+        for threads in [1, 2] {
+            let (batch, d0, d1) = lmmir_par::with_threads(threads, || {
+                let d0 = dw(&sample(&x, 0), &sample(&g, 0));
+                (dw(&x, &g), d0, dw(&sample(&x, 1), &sample(&g, 1)))
+            });
+            let summed: Vec<u32> = d0
+                .data()
+                .iter()
+                .zip(d1.data())
+                .map(|(a, b)| (a + b).to_bits())
+                .collect();
+            let got: Vec<u32> = batch.data().iter().map(|v| v.to_bits()).collect();
+            assert!(
+                got == summed,
+                "case {i} (deconv {deconv}) at {threads} threads"
+            );
+        }
     }
 }
 
