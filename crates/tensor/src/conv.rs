@@ -8,7 +8,7 @@
 //! * `conv_transpose2d` weights `[C, O, KH, KW]`
 
 use crate::error::TensorError;
-use crate::linalg::{gemm_nt_par, gemm_par, gemm_tn_par};
+use crate::linalg::{gemm, Layout};
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -353,7 +353,8 @@ pub fn conv2d(
     let mut scratch = Vec::new();
     for ni in 0..n {
         let plane = &x.data()[ni * c * h * w..(ni + 1) * c * h * w];
-        gemm_par(
+        gemm(
+            Layout::NN,
             o,
             ckk,
             l,
@@ -443,8 +444,7 @@ pub(crate) fn conv2d_backward_for(
     let mut dx = want_dx.then(|| Tensor::zeros(x.dims()));
     let mut dw = Tensor::zeros(weight.dims());
     let mut db = Tensor::zeros(&[o]);
-    let mut scratch = Vec::new();
-    let mut dcols = Vec::new();
+    let (mut scratch, mut dcols, mut dw_n) = (Vec::new(), Vec::new(), Vec::new());
     for ni in 0..n {
         let g = &grad_out.data()[ni * o * l..(ni + 1) * o * l];
         // dbias
@@ -454,12 +454,12 @@ pub(crate) fn conv2d_backward_for(
         // dweight += g [O,L] x cols^T [L,CKK]
         let plane = &x.data()[ni * c * h * w..(ni + 1) * c * h * w];
         let cols = im2col_plane(plane, geom, &mut scratch);
-        gemm_nt_par(o, l, ckk, g, cols, dw.data_mut());
+        add_weight_grad((o, l, ckk), g, cols, &mut dw_n, dw.data_mut());
         // dx = col2im( W^T [CKK,O] x g [O,L] )
         if let Some(dx) = dx.as_mut() {
             dcols.clear();
             dcols.resize(ckk * l, 0.0);
-            gemm_tn_par(ckk, o, l, weight.data(), g, &mut dcols);
+            gemm(Layout::TN, ckk, o, l, weight.data(), g, &mut dcols);
             col2im_plane(
                 &dcols,
                 geom,
@@ -468,6 +468,23 @@ pub(crate) fn conv2d_backward_for(
         }
     }
     Ok((dx, dw, db))
+}
+
+/// `dw += a · bᵀ` for one sample (`a` is `[m,k]`, `b` is `[n,k]`): the
+/// product runs into the zeroed scratch `dw_n`, then adds to `dw` element
+/// by element, so a batch's weight gradient is its samples' summed in
+/// sample order (the `NT` entry condition in `linalg`).
+fn add_weight_grad(
+    (m, k, n): (usize, usize, usize),
+    a: &[f32],
+    b: &[f32],
+    dw_n: &mut Vec<f32>,
+    dw: &mut [f32],
+) {
+    dw_n.clear();
+    dw_n.resize(m * n, 0.0);
+    gemm(Layout::NT, m, k, n, a, b, dw_n);
+    dw.iter_mut().zip(dw_n.iter()).for_each(|(d, &s)| *d += s);
 }
 
 fn deconv_dims(x: &Tensor, weight: &Tensor) -> Result<ConvDims> {
@@ -545,7 +562,8 @@ pub fn conv_transpose2d(
     for ni in 0..n {
         // cols [OKK, L] = W^T [OKK, C] x x[n] [C, L]
         cols.iter_mut().for_each(|v| *v = 0.0);
-        gemm_tn_par(
+        gemm(
+            Layout::TN,
             okk,
             c,
             l,
@@ -625,7 +643,7 @@ pub fn conv_transpose2d_backward(
     let mut dx = Tensor::zeros(x.dims());
     let mut dw = Tensor::zeros(weight.dims());
     let mut db = Tensor::zeros(&[o]);
-    let mut scratch = Vec::new();
+    let (mut scratch, mut dw_n) = (Vec::new(), Vec::new());
     for ni in 0..n {
         let g = &grad_out.data()[ni * o * oh * ow..(ni + 1) * o * oh * ow];
         // dbias
@@ -636,7 +654,8 @@ pub fn conv_transpose2d_backward(
         // gcols [OKK, L] = im2col(grad_out[n])
         let gcols = im2col_plane(g, geom, &mut scratch);
         // dx[n] [C, L] = W [C, OKK] x gcols [OKK, L]
-        gemm_par(
+        gemm(
+            Layout::NN,
             c,
             okk,
             l,
@@ -645,14 +664,8 @@ pub fn conv_transpose2d_backward(
             &mut dx.data_mut()[ni * c * l..(ni + 1) * c * l],
         );
         // dW [C, OKK] += x[n] [C, L] x gcols^T [L, OKK]
-        gemm_nt_par(
-            c,
-            l,
-            okk,
-            &x.data()[ni * c * l..(ni + 1) * c * l],
-            gcols,
-            dw.data_mut(),
-        );
+        let xn = &x.data()[ni * c * l..(ni + 1) * c * l];
+        add_weight_grad((c, l, okk), xn, gcols, &mut dw_n, dw.data_mut());
     }
     Ok((dx, dw, db))
 }

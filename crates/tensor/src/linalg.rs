@@ -1,30 +1,41 @@
-//! Matrix multiplication kernels (naive, cache-tiled packed, and batched).
+//! Matrix multiplication: one packed gemm driver for every operand layout.
 //!
-//! Two kernel families live here:
-//!
-//! * the **reference** kernels (`i-k-j` loop order, contiguous inner loop),
-//!   used for small products and as the oracle the tiled kernels are tested
-//!   against;
-//! * the **tiled packed** kernels: a blocked `MC`/`KC`/`NC` loop nest that
-//!   copies panels of `A` and `B` into contiguous buffers and drives an
-//!   auto-vectorizable `MR`×`NR` register-tile microkernel.
+//! Every product in the crate is `C += op(A) · op(B)` through `gemm`,
+//! where `Layout` says which operand is stored transposed: `NN`, `TN`
+//! (`a` is `[k,m]`) or `NT` (`b` is `[n,k]`). The layout lives in the
+//! packing alone: `pack` copies `MR`-tall panels of `op(A)` and `NR`-wide
+//! panels of `op(B)` into contiguous, `p`-major buffers, reading a stored
+//! row either as one depth across the lanes or as one lane across the
+//! depth. From there on the layouts are one code path: a blocked
+//! `NC`/`KC`/`MC` loop nest drives one auto-vectorizable `MR`×`NR`
+//! register-tile `microkernel`.
 //!
 //! ## Bitwise equivalence and determinism
 //!
-//! Every output element is produced by a **single accumulator updated in
-//! strictly `k`-ascending order** in both families. The tiled NN/TN kernels
-//! reload the exact partial sum from `C` between `KC` blocks (an f32
-//! store/load is exact), so their rounding chain is identical to the naive
-//! kernels'; the tiled NT kernel keeps the naive kernel's
-//! fold-then-single-add contract by running the full depth per tile. The
-//! two families are therefore **bitwise interchangeable**, which makes the
-//! size-based dispatch below a pure performance decision.
+//! Every output element is produced by **one accumulator chain updated in
+//! strictly `k`-ascending order, starting from the value `C` holds on
+//! entry**: per tile, the loop nest reloads the exact partial sum from `C`
+//! between `KC` slabs (an f32 store/load is exact). That is the chain of
+//! the naive `i-k-j` kernel, [`gemm_reference`], run on explicitly
+//! transposed operands, so every layout is bitwise that oracle.
+//!
+//! **The `+0.0`-on-entry condition.** A dot-product `NT` kernel that
+//! folds each element's sum into a private `+0.0` accumulator and adds it
+//! to `C` once agrees with this chain bit for bit, for all operands, **if
+//! and only if `C` holds `+0.0` on entry**: a chain started at `+0.0` is
+//! the fold, and `+0.0 + fold` is the fold (a fold that starts at `+0.0`
+//! never reaches `-0.0`); on any other `C` the two round differently.
+//! The models' bits were pinned with such a fold, so every `NT` caller
+//! writes into a zeroed buffer: attention's products, `matmul_nt` and
+//! `bmm_nt` directly, and the conv weight gradients through a zeroed
+//! per-sample scratch that is then added to `dW`, so a batch's `dW` is its
+//! samples' added element by element in sample order.
 //!
 //! Large products are partitioned across threads by contiguous row blocks
-//! of the output (see `lmmir-par`). Each output row is produced with the
-//! same `k`-ascending accumulation order regardless of the partition, so
-//! results are bitwise identical for every `LMMIR_THREADS` setting,
-//! including the forced-sequential `1`.
+//! of the output (see `lmmir-par`): a block is the same call over a row
+//! window, and each row keeps its `k`-ascending chain whatever the
+//! partition, so results are bitwise identical for every `LMMIR_THREADS`
+//! setting, including the forced-sequential `1`.
 //!
 //! None of the kernels shortcut on zero operands: `0.0 * inf` must produce
 //! NaN per IEEE 754, and kernel timing must not depend on the data.
@@ -50,9 +61,36 @@ fn par_worth(rows: usize, flops: usize) -> bool {
     lmmir_par::worth_parallelizing(rows, flops, PAR_MIN_FLOPS)
 }
 
-/// Raw `C += A * B` kernel on slices: `a` is `[m,k]`, `b` is `[k,n]`,
-/// `c` is `[m,n]`, all row-major.
-pub(crate) fn gemm_slices(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+/// Which operand of `C += op(A) · op(B)` is stored transposed; `C` is
+/// always `[m,n]`, row-major.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// `a` is `[m,k]`, `b` is `[k,n]`.
+    NN,
+    /// `a` is `[k,m]` and read as `Aᵀ`; `b` is `[k,n]`.
+    TN,
+    /// `a` is `[m,k]`; `b` is `[n,k]` and read as `Bᵀ`.
+    NT,
+}
+
+impl Layout {
+    /// `(m, k)` of `op(A)` and `(k, n)` of `op(B)` from the stored
+    /// `(rows, cols)` of `a` and of `b`.
+    fn op_dims(self, a: (usize, usize), b: (usize, usize)) -> [(usize, usize); 2] {
+        let swap = |(r, c)| (c, r);
+        match self {
+            Layout::NN => [a, b],
+            Layout::TN => [swap(a), b],
+            Layout::NT => [a, swap(b)],
+        }
+    }
+}
+
+/// The naive `C += A · B` kernel (`a` is `[m,k]`, `b` is `[k,n]`, `c` is
+/// `[m,n]`, all row-major) in `i-k-j` order with a contiguous inner loop:
+/// the oracle every layout of `gemm` matches bitwise, and a benchmark
+/// probe.
+pub fn gemm_reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
@@ -68,56 +106,32 @@ pub(crate) fn gemm_slices(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c:
     }
 }
 
-/// The `C += A^T * B` reference kernel (`a` is `[k,m]`, `b` is `[k,n]`,
-/// `c` is `[m,n]`) restricted to output rows `i0..i0 + c_rows.len() / n`
-/// (the rows of `C` correspond to *columns* of `a`, so row blocks cannot be
-/// expressed as sub-slices of the operands). Accumulation stays
-/// `p`-ascending per output element, exactly as in the full kernel.
-pub(crate) fn gemm_tn_rows(
-    i0: usize,
+/// The packed `C += A · B` (`[m,k] x [k,n]`) on the caller, public for
+/// benchmarks and property tests. Bitwise identical to [`gemm_reference`].
+pub fn gemm_tiled(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_rows(Layout::NN, 0, m, k, n, a, b, c);
+}
+
+/// `C += op(A) · op(B)` with output rows partitioned across threads when
+/// the product is large enough to amortize forking.
+pub(crate) fn gemm(
+    layout: Layout,
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
-    c_rows: &mut [f32],
+    c: &mut [f32],
 ) {
-    let rows = c_rows.len().checked_div(n).unwrap_or(0);
-    debug_assert!(i0 + rows <= m);
-    for p in 0..k {
-        let a_row = &a[p * m..(p + 1) * m];
-        let b_row = &b[p * n..(p + 1) * n];
-        for i in 0..rows {
-            let aip = a_row[i0 + i];
-            let c_row = &mut c_rows[i * n..(i + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += aip * bv;
-            }
-        }
-    }
-}
-
-/// `C += A * B^T` kernel: `a` is `[m,k]`, `b` is `[n,k]`, `c` is `[m,n]`.
-pub(crate) fn gemm_nt_slices(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (j, cv) in c_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            *cv += acc;
-        }
+    if par_worth(m, m * k * n) {
+        lmmir_par::par_chunks_mut(c, n, |i0, rows| gemm_rows(layout, i0, m, k, n, a, b, rows));
+    } else {
+        gemm_rows(layout, 0, m, k, n, a, b, c);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Cache-tiled packed kernels.
+// The packed kernel.
 //
 // Blocked loop nest: `jc` over `NC`-wide column stripes, `pc` over `KC`-deep
 // slabs (B panel packed once per `(jc, pc)`), `ic` over `MC`-tall row bands
@@ -141,25 +155,10 @@ const KC: usize = 256;
 /// Columns of `B` packed per stripe; a full `KC`×`NC` B pack is 512 KiB.
 const NC: usize = 512;
 
-/// Minimum multiply-accumulate count before the packed path pays for its
-/// panel copies; below it the reference kernels win.
-const TILE_MIN_FLOPS: usize = 1 << 15;
-
-/// Depth cap for the tiled NT path: NT tiles must span the full contraction
-/// (see [`gemm_nt_tiled`]), so its B pack grows with `k` and stops being a
-/// cache win for deep products.
-const NT_TILE_MAX_K: usize = 2048;
-
-/// Whether the packed NN/TN path is worth taking. Purely a performance
-/// choice: the tiled and reference kernels are bitwise interchangeable.
-fn tile_worth(m: usize, k: usize, n: usize) -> bool {
-    m * k * n >= TILE_MIN_FLOPS && k >= 8 && n >= 8
-}
-
 /// The `MR`×`NR` register-tile microkernel: `acc[i][j] +=
 /// a_panel[p][i] * b_panel[p][j]` for `p` ascending. Each accumulator is
 /// updated once per `p`, so the per-element rounding chain is exactly the
-/// reference kernels' `k`-ascending order; the compiler may vectorize the
+/// reference kernel's `k`-ascending order; the compiler may vectorize the
 /// `j` lanes (independent elements) but cannot reassociate across `p`.
 #[inline]
 fn microkernel(kcb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
@@ -180,98 +179,37 @@ fn microkernel(kcb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR
     *acc = tile;
 }
 
-/// Packs `b[pc..pc+kcb][jc..jc+ncb]` (row-major `[k,n]`) into `NR`-wide,
-/// `p`-major panels, zero-padding the last panel's missing lanes.
-fn pack_b_nn(
-    b: &[f32],
-    n: usize,
-    pc: usize,
-    kcb: usize,
-    jc: usize,
-    ncb: usize,
+/// Packs lanes `l0..l0 + lanes` over depths `pc..pc + kcb` of one operand
+/// into `W`-wide, `p`-major panels, zero-padding the last panel's missing
+/// lanes. This is where the layout lives: with `lane_major` lane `l` is
+/// the stored row `src[l * ld..]` (the rows of an `NN` `A`, the rows of an
+/// `NT` `B`), otherwise depth `p` is (the rows of a `TN` `A`, of an `NN`
+/// `B`).
+fn pack<const W: usize>(
+    src: &[f32],
+    ld: usize,
+    lane_major: bool,
+    (l0, lanes): (usize, usize),
+    (pc, kcb): (usize, usize),
     buf: &mut Vec<f32>,
 ) {
-    let panels = ncb.div_ceil(NR);
     buf.clear();
-    buf.resize(panels * kcb * NR, 0.0);
-    for jp in 0..panels {
-        let j0 = jc + jp * NR;
-        let jw = NR.min(jc + ncb - j0);
-        let dst = &mut buf[jp * kcb * NR..(jp + 1) * kcb * NR];
-        for p in 0..kcb {
-            let src = &b[(pc + p) * n + j0..(pc + p) * n + j0 + jw];
-            dst[p * NR..p * NR + jw].copy_from_slice(src);
-        }
-    }
-}
-
-/// Packs `b[jc..jc+ncb][0..k]` of a row-major `[n,k]` operand (the NT
-/// right-hand side) into `NR`-wide, `p`-major panels over the full depth.
-fn pack_b_nt(b: &[f32], k: usize, jc: usize, ncb: usize, buf: &mut Vec<f32>) {
-    let panels = ncb.div_ceil(NR);
-    buf.clear();
-    buf.resize(panels * k * NR, 0.0);
-    for jp in 0..panels {
-        let j0 = jc + jp * NR;
-        let jw = NR.min(jc + ncb - j0);
-        let dst = &mut buf[jp * k * NR..(jp + 1) * k * NR];
-        for j in 0..jw {
-            let src = &b[(j0 + j) * k..(j0 + j + 1) * k];
-            for (p, &v) in src.iter().enumerate() {
-                dst[p * NR + j] = v;
+    buf.resize(lanes.div_ceil(W) * kcb * W, 0.0);
+    for (panel, dst) in buf.chunks_exact_mut(kcb * W).enumerate() {
+        let first = l0 + panel * W;
+        let width = W.min(l0 + lanes - first);
+        if lane_major {
+            for l in 0..width {
+                let row = &src[(first + l) * ld + pc..][..kcb];
+                for (p, &v) in row.iter().enumerate() {
+                    dst[p * W + l] = v;
+                }
             }
-        }
-    }
-}
-
-/// Packs `a[ic..ic+mcb][pc..pc+kcb]` (row-major, row stride `k`) into
-/// `MR`-tall, `p`-major panels, zero-padding the last panel's missing rows.
-fn pack_a_nn(
-    a: &[f32],
-    k: usize,
-    ic: usize,
-    mcb: usize,
-    pc: usize,
-    kcb: usize,
-    buf: &mut Vec<f32>,
-) {
-    let panels = mcb.div_ceil(MR);
-    buf.clear();
-    buf.resize(panels * kcb * MR, 0.0);
-    for ip in 0..panels {
-        let i0 = ic + ip * MR;
-        let iw = MR.min(ic + mcb - i0);
-        let dst = &mut buf[ip * kcb * MR..(ip + 1) * kcb * MR];
-        for i in 0..iw {
-            let src = &a[(i0 + i) * k + pc..(i0 + i) * k + pc + kcb];
-            for (p, &v) in src.iter().enumerate() {
-                dst[p * MR + i] = v;
+        } else {
+            for p in 0..kcb {
+                let row = &src[(pc + p) * ld + first..][..width];
+                dst[p * W..p * W + width].copy_from_slice(row);
             }
-        }
-    }
-}
-
-/// Packs columns `i0+ic .. i0+ic+mcb` of a `[k,m]` operand (the TN
-/// left-hand side) into `MR`-tall, `p`-major panels.
-fn pack_a_tn(
-    a: &[f32],
-    m: usize,
-    col0: usize,
-    mcb: usize,
-    pc: usize,
-    kcb: usize,
-    buf: &mut Vec<f32>,
-) {
-    let panels = mcb.div_ceil(MR);
-    buf.clear();
-    buf.resize(panels * kcb * MR, 0.0);
-    for ip in 0..panels {
-        let i0 = col0 + ip * MR;
-        let iw = MR.min(col0 + mcb - i0);
-        let dst = &mut buf[ip * kcb * MR..(ip + 1) * kcb * MR];
-        for p in 0..kcb {
-            let src = &a[(pc + p) * m + i0..(pc + p) * m + i0 + iw];
-            dst[p * MR..p * MR + iw].copy_from_slice(src);
         }
     }
 }
@@ -284,7 +222,10 @@ fn load_tile(c: &[f32], n: usize, i0: usize, j0: usize, iw: usize, jw: usize) ->
     let mut acc = [[0.0f32; NR]; MR];
     for (i, row) in acc.iter_mut().enumerate().take(iw) {
         let src = &c[(i0 + i) * n + j0..(i0 + i) * n + j0 + jw];
-        row[..jw].copy_from_slice(src);
+        match src.try_into() {
+            Ok(full) => *row = full,
+            Err(_) => row[..jw].copy_from_slice(src),
+        }
     }
     acc
 }
@@ -303,232 +244,59 @@ fn store_tile(
 ) {
     for (i, row) in acc.iter().enumerate().take(iw) {
         let dst = &mut c[(i0 + i) * n + j0..(i0 + i) * n + j0 + jw];
-        dst.copy_from_slice(&row[..jw]);
+        match <&mut [f32; NR]>::try_from(&mut *dst) {
+            Ok(full) => *full = *row,
+            Err(_) => dst.copy_from_slice(&row[..jw]),
+        }
     }
 }
 
-/// Tiled packed `C += A * B` (`a` is `[m,k]`, row-major). Bitwise identical
-/// to [`gemm_slices`] for every input, including NaN/Inf.
-pub(crate) fn gemm_nn_tiled(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_packed_kc(
-        m,
-        k,
-        n,
-        c,
-        |pc, kcb, jc, ncb, buf| {
-            pack_b_nn(b, n, pc, kcb, jc, ncb, buf);
-        },
-        |ic, mcb, pc, kcb, buf| {
-            pack_a_nn(a, k, ic, mcb, pc, kcb, buf);
-        },
-    );
-}
-
-/// Tiled packed `C += A^T * B` over output rows `i0..i0 + c_rows.len() / n`
-/// (`a` is `[k,m]`). Bitwise identical to [`gemm_tn_rows`].
-pub(crate) fn gemm_tn_tiled(
+/// `C += op(A) · op(B)` on the caller over output rows `i0..i0 + c.len() /
+/// n`, `c` holding just those rows: the one loop nest. Per tile, the
+/// partial sums are reloaded from `C`, advanced through one `KC` slab in
+/// `p`-ascending order, and stored back exactly.
+#[allow(clippy::too_many_arguments)]
+fn gemm_rows(
+    layout: Layout,
     i0: usize,
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
-    c_rows: &mut [f32],
-) {
-    let rows = c_rows.len().checked_div(n).unwrap_or(0);
-    debug_assert!(i0 + rows <= m);
-    gemm_packed_kc(
-        rows,
-        k,
-        n,
-        c_rows,
-        |pc, kcb, jc, ncb, buf| {
-            pack_b_nn(b, n, pc, kcb, jc, ncb, buf);
-        },
-        |ic, mcb, pc, kcb, buf| {
-            pack_a_tn(a, m, i0 + ic, mcb, pc, kcb, buf);
-        },
-    );
-}
-
-/// Shared `jc`/`pc`/`ic` loop nest for the direct-accumulate (NN/TN) tiled
-/// kernels: per tile, the partial sums are reloaded from `C`, advanced
-/// through one `KC` slab in `p`-ascending order, and stored back exactly.
-fn gemm_packed_kc(
-    m: usize,
-    k: usize,
-    n: usize,
     c: &mut [f32],
-    mut pack_b: impl FnMut(usize, usize, usize, usize, &mut Vec<f32>),
-    mut pack_a: impl FnMut(usize, usize, usize, usize, &mut Vec<f32>),
 ) {
-    let mut bbuf = Vec::new();
-    let mut abuf = Vec::new();
-    let mut jc = 0;
-    while jc < n {
+    let rows = c.len().checked_div(n).unwrap_or(0);
+    debug_assert!(i0 + rows <= m);
+    // The layout as the packing reads it: each operand's stored row stride,
+    // and whether a stored row is one lane across the depth.
+    let a_lane_major = layout != Layout::TN;
+    let b_lane_major = layout == Layout::NT;
+    let a_ld = if a_lane_major { k } else { m };
+    let b_ld = if b_lane_major { k } else { n };
+    let (mut abuf, mut bbuf) = (Vec::new(), Vec::new());
+    for jc in (0..n).step_by(NC) {
         let ncb = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
+        for pc in (0..k).step_by(KC) {
             let kcb = KC.min(k - pc);
-            pack_b(pc, kcb, jc, ncb, &mut bbuf);
-            let mut ic = 0;
-            while ic < m {
-                let mcb = MC.min(m - ic);
-                pack_a(ic, mcb, pc, kcb, &mut abuf);
-                for jp in 0..ncb.div_ceil(NR) {
+            pack::<NR>(b, b_ld, b_lane_major, (jc, ncb), (pc, kcb), &mut bbuf);
+            for ic in (0..rows).step_by(MC) {
+                let mcb = MC.min(rows - ic);
+                pack::<MR>(a, a_ld, a_lane_major, (i0 + ic, mcb), (pc, kcb), &mut abuf);
+                for (jp, b_panel) in bbuf.chunks_exact(kcb * NR).enumerate() {
                     let j0 = jc + jp * NR;
                     let jw = NR.min(jc + ncb - j0);
-                    let b_panel = &bbuf[jp * kcb * NR..(jp + 1) * kcb * NR];
-                    for ip in 0..mcb.div_ceil(MR) {
-                        let i0 = ic + ip * MR;
-                        let iw = MR.min(ic + mcb - i0);
-                        let a_panel = &abuf[ip * kcb * MR..(ip + 1) * kcb * MR];
-                        let mut acc = load_tile(c, n, i0, j0, iw, jw);
+                    for (ip, a_panel) in abuf.chunks_exact(kcb * MR).enumerate() {
+                        let r0 = ic + ip * MR;
+                        let iw = MR.min(ic + mcb - r0);
+                        let mut acc = load_tile(c, n, r0, j0, iw, jw);
                         microkernel(kcb, a_panel, b_panel, &mut acc);
-                        store_tile(c, n, i0, j0, iw, jw, &acc);
-                    }
-                }
-                ic += mcb;
-            }
-            pc += kcb;
-        }
-        jc += ncb;
-    }
-}
-
-/// Tiled packed `C += A * B^T` (`a` is `[m,k]`, `b` is `[n,k]`).
-///
-/// [`gemm_nt_slices`] folds each dot product into a private accumulator and
-/// adds it to `C` **once**, so an NT tile must span the full contraction
-/// depth to reproduce that rounding chain — there is no `KC` loop here, and
-/// the dispatcher caps the depth ([`NT_TILE_MAX_K`]) instead. Bitwise
-/// identical to the reference kernel for every input.
-pub(crate) fn gemm_nt_tiled(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let mut bbuf = Vec::new();
-    let mut abuf = Vec::new();
-    let mut jc = 0;
-    while jc < n {
-        let ncb = NC.min(n - jc);
-        pack_b_nt(b, k, jc, ncb, &mut bbuf);
-        let mut ic = 0;
-        while ic < m {
-            let mcb = MC.min(m - ic);
-            pack_a_nn(a, k, ic, mcb, 0, k, &mut abuf);
-            for jp in 0..ncb.div_ceil(NR) {
-                let j0 = jc + jp * NR;
-                let jw = NR.min(jc + ncb - j0);
-                let b_panel = &bbuf[jp * k * NR..(jp + 1) * k * NR];
-                for ip in 0..mcb.div_ceil(MR) {
-                    let i0 = ic + ip * MR;
-                    let iw = MR.min(ic + mcb - i0);
-                    let a_panel = &abuf[ip * k * MR..(ip + 1) * k * MR];
-                    let mut acc = [[0.0f32; NR]; MR];
-                    microkernel(k, a_panel, b_panel, &mut acc);
-                    for (i, row) in acc.iter().enumerate().take(iw) {
-                        let dst = &mut c[(i0 + i) * n + j0..(i0 + i) * n + j0 + jw];
-                        for (cv, &v) in dst.iter_mut().zip(row) {
-                            *cv += v;
-                        }
+                        store_tile(c, n, r0, j0, iw, jw, &acc);
                     }
                 }
             }
-            ic += mcb;
         }
-        jc += ncb;
     }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch: size-based choice between the families (bitwise identical, so
-// the choice — and therefore the per-thread block shape it sees — can never
-// change results), layered under the row-block thread partitioning.
-// ---------------------------------------------------------------------------
-
-/// Sequential `C += A * B`, picking the packed path when it pays.
-pub(crate) fn gemm_seq(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    if tile_worth(m, k, n) {
-        gemm_nn_tiled(m, k, n, a, b, c);
-    } else {
-        gemm_slices(m, k, n, a, b, c);
-    }
-}
-
-/// Sequential `C += A^T * B` over a row window, picking the packed path
-/// when it pays.
-pub(crate) fn gemm_tn_seq(
-    i0: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c_rows: &mut [f32],
-) {
-    let rows = c_rows.len().checked_div(n).unwrap_or(0);
-    if tile_worth(rows, k, n) {
-        gemm_tn_tiled(i0, m, k, n, a, b, c_rows);
-    } else {
-        gemm_tn_rows(i0, m, k, n, a, b, c_rows);
-    }
-}
-
-/// Sequential `C += A * B^T`, picking the packed path when it pays; deep
-/// contractions stay on the reference kernel (see [`gemm_nt_tiled`]).
-pub(crate) fn gemm_nt_seq(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    if tile_worth(m, k, n) && k <= NT_TILE_MAX_K {
-        gemm_nt_tiled(m, k, n, a, b, c);
-    } else {
-        gemm_nt_slices(m, k, n, a, b, c);
-    }
-}
-
-/// Reference `C += A * B` (`[m,k] x [k,n]`), public for benchmarks and
-/// property tests: the naive `i-k-j` oracle the tiled kernel must match
-/// bitwise.
-pub fn gemm_reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_slices(m, k, n, a, b, c);
-}
-
-/// Tiled packed `C += A * B` (`[m,k] x [k,n]`), public for benchmarks and
-/// property tests. Bitwise identical to [`gemm_reference`].
-pub fn gemm_tiled(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nn_tiled(m, k, n, a, b, c);
-}
-
-/// `C += A * B` with output rows partitioned across threads; falls back to
-/// the sequential kernel when the product is too small to amortize forking.
-pub(crate) fn gemm_par(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    if !par_worth(m, m * k * n) {
-        gemm_seq(m, k, n, a, b, c);
-        return;
-    }
-    lmmir_par::par_chunks_mut(c, n, |i0, c_block| {
-        let rows = c_block.len() / n;
-        gemm_seq(rows, k, n, &a[i0 * k..(i0 + rows) * k], b, c_block);
-    });
-}
-
-/// `C += A^T * B` with output rows partitioned across threads.
-pub(crate) fn gemm_tn_par(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    if !par_worth(m, m * k * n) {
-        gemm_tn_seq(0, m, k, n, a, b, c);
-        return;
-    }
-    lmmir_par::par_chunks_mut(c, n, |i0, c_block| {
-        gemm_tn_seq(i0, m, k, n, a, b, c_block);
-    });
-}
-
-/// `C += A * B^T` with output rows partitioned across threads.
-pub(crate) fn gemm_nt_par(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    if !par_worth(m, m * k * n) {
-        gemm_nt_seq(m, k, n, a, b, c);
-        return;
-    }
-    lmmir_par::par_chunks_mut(c, n, |i0, c_block| {
-        let rows = c_block.len() / n;
-        gemm_nt_seq(rows, k, n, &a[i0 * k..(i0 + rows) * k], b, c_block);
-    });
 }
 
 fn require_rank2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
@@ -541,6 +309,26 @@ fn require_rank2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
     Ok((t.dims()[0], t.dims()[1]))
 }
 
+fn shape_mismatch(a: &Tensor, b: &Tensor, op: &'static str) -> TensorError {
+    TensorError::ShapeMismatch {
+        lhs: a.dims().to_vec(),
+        rhs: b.dims().to_vec(),
+        op,
+    }
+}
+
+/// The rank-2 product of `layout` behind [`matmul`], [`matmul_tn`] and
+/// [`matmul_nt`].
+fn matmul_with(layout: Layout, op: &'static str, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    let [(m, k), (k2, n)] = layout.op_dims(require_rank2(a, op)?, require_rank2(b, op)?);
+    if k != k2 {
+        return Err(shape_mismatch(a, b, op));
+    }
+    let mut out = Tensor::zeros(&[m, n]);
+    gemm(layout, m, k, n, a.data(), b.data(), out.data_mut());
+    Ok(out)
+}
+
 /// `[m,k] x [k,n] -> [m,n]` matrix product.
 ///
 /// # Errors
@@ -548,18 +336,7 @@ fn require_rank2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
 /// Returns [`TensorError::InvalidShape`] for non-matrices and
 /// [`TensorError::ShapeMismatch`] when inner dims differ.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = require_rank2(a, "matmul")?;
-    let (k2, n) = require_rank2(b, "matmul")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul",
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    gemm_par(m, k, n, a.data(), b.data(), out.data_mut());
-    Ok(out)
+    matmul_with(Layout::NN, "matmul", a, b)
 }
 
 /// `A^T * B`: `[k,m] x [k,n] -> [m,n]`.
@@ -568,18 +345,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Returns shape errors as for [`matmul`].
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (k, m) = require_rank2(a, "matmul_tn")?;
-    let (k2, n) = require_rank2(b, "matmul_tn")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul_tn",
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    gemm_tn_par(m, k, n, a.data(), b.data(), out.data_mut());
-    Ok(out)
+    matmul_with(Layout::TN, "matmul_tn", a, b)
 }
 
 /// `A * B^T`: `[m,k] x [n,k] -> [m,n]`.
@@ -588,18 +354,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Returns shape errors as for [`matmul`].
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = require_rank2(a, "matmul_nt")?;
-    let (n, k2) = require_rank2(b, "matmul_nt")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul_nt",
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    gemm_nt_par(m, k, n, a.data(), b.data(), out.data_mut());
-    Ok(out)
+    matmul_with(Layout::NT, "matmul_nt", a, b)
 }
 
 /// Generalized matmul: `[..., k] x [k, n] -> [..., n]`.
@@ -621,38 +376,14 @@ pub fn matmul_nd(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     }
     let k = *a.dims().last().expect("rank >= 1");
     if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul_nd",
-        });
+        return Err(shape_mismatch(a, b, "matmul_nd"));
     }
     let rows = a.numel() / k;
     let mut out_dims = a.dims().to_vec();
     *out_dims.last_mut().expect("rank >= 1") = n;
     let mut out = Tensor::zeros(&out_dims);
-    gemm_par(rows, k, n, a.data(), b.data(), out.data_mut());
+    gemm(Layout::NN, rows, k, n, a.data(), b.data(), out.data_mut());
     Ok(out)
-}
-
-/// A rank-2 `C += op(A) op(B)` slice kernel: `(m, k, n, a, b, c)`.
-type GemmFn = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
-
-/// [`gemm_tn_seq`] over the whole output (no row window), matching
-/// [`GemmFn`] for the batched driver.
-fn gemm_tn_seq_full(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_tn_seq(0, m, k, n, a, b, c);
-}
-
-/// Operand geometry of one batched product: `[ba]` entries with the given
-/// per-entry strides for `a` and `b` (the output stride is always `m * n`).
-struct BmmShape {
-    ba: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a_stride: usize,
-    b_stride: usize,
 }
 
 /// Whether `ba` independent batch entries worth `flops` multiply-accumulates
@@ -679,44 +410,6 @@ fn for_each_entry<T: Send>(slots: &mut [T], flops: usize, f: impl Fn(usize, &mut
     }
 }
 
-/// Shared driver for the batched products: distributes whole batch entries
-/// across threads when the batch alone can occupy the pool (each entry then
-/// runs the sequential kernel, keeping one level of forking), and otherwise
-/// loops batches on the caller, letting the row-parallel kernel split each
-/// one across every worker.
-fn bmm_driver(s: &BmmShape, a: &[f32], b: &[f32], c: &mut [f32], seq: GemmFn, par: GemmFn) {
-    let BmmShape {
-        ba,
-        m,
-        k,
-        n,
-        a_stride,
-        b_stride,
-    } = *s;
-    let plane = m * n;
-    let entry = |kernel: GemmFn, i: usize, cb: &mut [f32]| {
-        let (a, b) = (
-            &a[i * a_stride..(i + 1) * a_stride],
-            &b[i * b_stride..(i + 1) * b_stride],
-        );
-        kernel(m, k, n, a, b, cb);
-    };
-    if plane > 0 && fork_entries(ba, ba * m * k * n) {
-        lmmir_par::par_chunks_mut(c, plane, |b0, span| {
-            for (j, cb) in span.chunks_mut(plane).enumerate() {
-                entry(seq, b0 + j, cb);
-            }
-        });
-    } else {
-        // One gate for the whole batch, not one per entry: attention runs
-        // hundreds of small same-shape products through here.
-        let kernel = if par_worth(m, m * k * n) { par } else { seq };
-        for i in 0..ba {
-            entry(kernel, i, &mut c[i * plane..(i + 1) * plane]);
-        }
-    }
-}
-
 fn require_rank3(t: &Tensor, op: &'static str) -> Result<(usize, usize, usize)> {
     if t.rank() != 3 {
         return Err(TensorError::InvalidShape {
@@ -727,38 +420,36 @@ fn require_rank3(t: &Tensor, op: &'static str) -> Result<(usize, usize, usize)> 
     Ok((t.dims()[0], t.dims()[1], t.dims()[2]))
 }
 
+/// The batched product of `layout` behind [`bmm`], [`bmm_tn`] and
+/// [`bmm_nt`]: one [`gemm`] per entry. Whole entries fork across the pool
+/// when the batch alone can occupy it (a forked span runs at width 1, so
+/// each entry's product then stays on its worker); otherwise the entries
+/// run in turn on the caller and each product splits its own rows.
+fn bmm_with(layout: Layout, op: &'static str, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    let (ba, a1, a2) = require_rank3(a, op)?;
+    let (bb, b1, b2) = require_rank3(b, op)?;
+    let [(m, k), (k2, n)] = layout.op_dims((a1, a2), (b1, b2));
+    if ba != bb || k != k2 {
+        return Err(shape_mismatch(a, b, op));
+    }
+    let mut out = Tensor::zeros(&[ba, m, n]);
+    if m * n > 0 {
+        let mut planes: Vec<_> = out.data_mut().chunks_mut(m * n).collect();
+        for_each_entry(&mut planes, ba * m * k * n, |i, c| {
+            let (a, b) = (&a.data()[i * m * k..], &b.data()[i * k * n..]);
+            gemm(layout, m, k, n, &a[..m * k], &b[..k * n], c);
+        });
+    }
+    Ok(out)
+}
+
 /// Batched matmul `[B,m,k] x [B,k,n] -> [B,m,n]`.
 ///
 /// # Errors
 ///
 /// Returns shape errors when batch or contraction dims disagree.
 pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (ba, m, k) = require_rank3(a, "bmm")?;
-    let (bb, k2, n) = require_rank3(b, "bmm")?;
-    if ba != bb || k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "bmm",
-        });
-    }
-    let mut out = Tensor::zeros(&[ba, m, n]);
-    bmm_driver(
-        &BmmShape {
-            ba,
-            m,
-            k,
-            n,
-            a_stride: m * k,
-            b_stride: k * n,
-        },
-        a.data(),
-        b.data(),
-        out.data_mut(),
-        gemm_seq,
-        gemm_par,
-    );
-    Ok(out)
+    bmm_with(Layout::NN, "bmm", a, b)
 }
 
 /// Batched `A^T B`: `[B,k,m] x [B,k,n] -> [B,m,n]`.
@@ -767,32 +458,7 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Returns shape errors when batch or contraction dims disagree.
 pub fn bmm_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (ba, k, m) = require_rank3(a, "bmm_tn")?;
-    let (bb, k2, n) = require_rank3(b, "bmm_tn")?;
-    if ba != bb || k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "bmm_tn",
-        });
-    }
-    let mut out = Tensor::zeros(&[ba, m, n]);
-    bmm_driver(
-        &BmmShape {
-            ba,
-            m,
-            k,
-            n,
-            a_stride: k * m,
-            b_stride: k * n,
-        },
-        a.data(),
-        b.data(),
-        out.data_mut(),
-        gemm_tn_seq_full,
-        gemm_tn_par,
-    );
-    Ok(out)
+    bmm_with(Layout::TN, "bmm_tn", a, b)
 }
 
 /// Batched `A B^T`: `[B,m,k] x [B,n,k] -> [B,m,n]`.
@@ -801,32 +467,7 @@ pub fn bmm_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Returns shape errors when batch or contraction dims disagree.
 pub fn bmm_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (ba, m, k) = require_rank3(a, "bmm_nt")?;
-    let (bb, n, k2) = require_rank3(b, "bmm_nt")?;
-    if ba != bb || k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "bmm_nt",
-        });
-    }
-    let mut out = Tensor::zeros(&[ba, m, n]);
-    bmm_driver(
-        &BmmShape {
-            ba,
-            m,
-            k,
-            n,
-            a_stride: m * k,
-            b_stride: n * k,
-        },
-        a.data(),
-        b.data(),
-        out.data_mut(),
-        gemm_nt_seq,
-        gemm_nt_par,
-    );
-    Ok(out)
+    bmm_with(Layout::NT, "bmm_nt", a, b)
 }
 
 /// Per-entry geometry of the fused attention kernels: `e` entries of
@@ -881,8 +522,8 @@ impl AttentionShape {
 /// row of `S` scaled and soft-maxed in place, then `O = A V`. Returns the
 /// attention matrix `A [E, Nq, Nk]` and the output `O [E, Nq, dv]`.
 ///
-/// Each product runs the sequential kernel a batched product runs per
-/// entry, into a zeroed buffer, and the row pass is
+/// Each product runs [`gemm_rows`] on the caller into a zeroed buffer,
+/// bitwise what a batched product computes per entry, and the row pass is
 /// [`Tensor::softmax_last`]'s after [`Tensor::scale`]'s multiply, so every
 /// element has the bits of `bmm(q, kᵀ).scale(s).softmax_last()` and of its
 /// `bmm` with `v`.
@@ -904,12 +545,12 @@ pub(crate) fn attention_forward(
         let q = &q[i * nq * dh..(i + 1) * nq * dh];
         let k = &k[i * nk * dh..(i + 1) * nk * dh];
         let v = &v[i * nk * dv..(i + 1) * nk * dv];
-        gemm_nt_seq(nq, dh, nk, q, k, a);
+        gemm_rows(Layout::NT, 0, nq, dh, nk, q, k, a);
         for row in a.chunks_mut(nk) {
             row.iter_mut().for_each(|x| *x *= scale);
             softmax_row(row);
         }
-        gemm_seq(nq, nk, dv, a, v, o);
+        gemm_rows(Layout::NN, 0, nq, nk, dv, a, v, o);
     });
     drop(slots);
     (attn, out)
@@ -952,8 +593,8 @@ pub(crate) fn attention_backward(
             let a = &attn[i * nq * nk..(i + 1) * nq * nk];
             let g = &d_out[i * nq * dv..(i + 1) * nq * dv];
             let mut ds = vec![0.0f32; nq * nk];
-            gemm_nt_seq(nq, dv, nk, g, v, &mut ds);
-            gemm_tn_seq(0, nk, nq, dv, a, g, d_v);
+            gemm_rows(Layout::NT, 0, nq, dv, nk, g, v, &mut ds);
+            gemm_rows(Layout::TN, 0, nk, nq, dv, a, g, d_v);
             for (d_row, a_row) in ds.chunks_mut(nk).zip(a.chunks(nk)) {
                 let mut dot = 0.0f32;
                 for (&d, &p) in d_row.iter().zip(a_row) {
@@ -963,8 +604,8 @@ pub(crate) fn attention_backward(
                     *d = (*d - dot) * p * scale;
                 }
             }
-            gemm_seq(nq, nk, dh, &ds, k, dq);
-            gemm_tn_seq(0, nk, nq, dh, &ds, q, dk);
+            gemm_rows(Layout::NN, 0, nq, nk, dh, &ds, k, dq);
+            gemm_rows(Layout::TN, 0, nk, nq, dh, &ds, q, dk);
         },
     );
     drop(slots);
