@@ -244,7 +244,7 @@ pub fn build_dynamic_sample(
     })
 }
 
-/// Dynamic samples train through the shared [`crate::train`] loop with MSE
+/// Dynamic samples train through the shared [`crate::train()`] loop with MSE
 /// against the max-over-windows golden targets. There is no reconstruction
 /// stage: `pretrain_epochs` is ignored.
 impl TrainSample for DynamicSample {

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// (feature preparation is shared by all models and already amortized in
 /// the samples).
 ///
-/// Evaluation proceeds in waves of [`EVAL_WAVE`] cases: within a wave,
+/// Evaluation proceeds in waves of `EVAL_WAVE` cases: within a wave,
 /// forward passes run one case at a time on the calling thread — each at
 /// the full pool width, so the TAT column times an uncontended forward;
 /// parallelism comes from the kernels *inside* it — and then the

@@ -191,7 +191,7 @@ impl PredictRequest {
     /// # Panics
     ///
     /// Panics when a field exceeds the caps `decode` enforces (name over
-    /// [`MAX_NAME`] bytes, netlist over [`MAX_NETLIST`]) — failing fast at
+    /// `MAX_NAME` bytes, netlist over [`MAX_NETLIST`]) — failing fast at
     /// the encoder beats a silently length-wrapped frame the server would
     /// reject with a misleading parse error.
     #[must_use]

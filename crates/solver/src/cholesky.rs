@@ -4,7 +4,7 @@
 //! 1. **Ordering.** A geometric nested dissection over the unknowns'
 //!    `(x, y)`: split at the median of the longer axis and take as
 //!    separator the right-side nodes that touch the left side. Both halves
-//!    are ordered first (recursively, down to leaves of [`LEAF`] nodes),
+//!    are ordered first (recursively, down to leaves of `LEAF` nodes),
 //!    the separator last, so fill stays inside the halves.
 //! 2. **Symbolic.** The elimination tree of the permuted matrix, then the
 //!    column counts of `L` from each row's pattern (its reach in the tree).

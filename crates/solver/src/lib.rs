@@ -6,7 +6,7 @@
 //! The flow mirrors what commercial sign-off tools do for static analysis:
 //!
 //! 1. **Stamp** the netlist into a nodal-analysis system `G·v = i`
-//!    ([`stamp`]): resistors contribute Laplacian conductance entries,
+//!    ([`stamp()`]): resistors contribute Laplacian conductance entries,
 //!    current sources contribute load currents, voltage sources fix pad
 //!    nodes (Dirichlet elimination keeps `G` symmetric positive definite).
 //! 2. **Factor** `G` once with a sparse Cholesky ([`Cholesky`]) in a

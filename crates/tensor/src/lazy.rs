@@ -2,7 +2,7 @@
 //!
 //! Elementwise [`crate::Tensor`] ops do not compute immediately: they record
 //! a node into a per-tensor expression graph, and the buffer is produced on
-//! first access by [`realize`], which **fuses** the pending chain into a
+//! first access by `realize`, which **fuses** the pending chain into a
 //! single loop — one output allocation and one pass over memory for an
 //! arbitrarily long add/sub/mul/div/max/relu/… chain, dispatched over
 //! `lmmir-par` blocks. Non-elementwise kernels (gemm, conv, reductions,
@@ -22,7 +22,7 @@
 //!
 //! Each [`Tensor`](crate::Tensor) holds an `Arc<LazyNode>`. A node is either
 //! a **leaf** (buffer already present) or a **pending** unary/binary/expand
-//! expression over child nodes. [`realize`] compiles the pending subgraph
+//! expression over child nodes. `realize` compiles the pending subgraph
 //! rooted at a node into a register program:
 //!
 //! * a child consumed by exactly one parent expression is **inlined** into
