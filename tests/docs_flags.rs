@@ -199,13 +199,36 @@ fn is_series_char(c: char) -> bool {
     c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'
 }
 
+/// The Rust names of the workspace's crates (`lmmir-par` is `lmmir_par`),
+/// read from the `members` of the root manifest.
+fn workspace_crates() -> BTreeSet<String> {
+    let root = read("Cargo.toml");
+    let members = root.split("\nmembers = [").nth(1).expect("a members list");
+    let members = &members[..members.find(']').expect("a closed members list")];
+    members
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .map(|member| {
+            let manifest = read(&format!("{member}/Cargo.toml"));
+            let name = manifest
+                .split("\nname = \"")
+                .nth(1)
+                .expect("a package name");
+            name[..name.find('"').expect("a quoted name")].replace('-', "_")
+        })
+        .collect()
+}
+
 /// Every metric series `text` names: an `lmmir_name` that neither
-/// continues a longer word nor is a crate path (`lmmir_serve::…`), with
+/// continues a longer word nor is a crate, by path (`lmmir_serve::…`) or
+/// by its Rust name alone (`lmmir_par`), with
 /// `lmmir_prefix_{a,b}` expanded to its members and `lmmir_prefix_*` kept
 /// as a pattern with its `*`. Series are rendered by helpers that prepend
 /// `lmmir_` at run time, so the check reads a live `/metrics`, not the
 /// source.
 fn documented_series(text: &str) -> BTreeSet<String> {
+    let crates = workspace_crates();
     let mut out = BTreeSet::new();
     for (at, _) in text.match_indices("lmmir_") {
         let before = text[..at].chars().next_back();
@@ -214,7 +237,7 @@ fn documented_series(text: &str) -> BTreeSet<String> {
         }
         let rest = &text[at..];
         let (name, after) = rest.split_at(rest.find(|c| !is_series_char(c)).unwrap_or(rest.len()));
-        if after.starts_with("::") {
+        if after.starts_with("::") || crates.contains(name) {
             continue;
         }
         if !name.ends_with('_') {
@@ -311,4 +334,11 @@ fn series_scanner_expands_members_and_skips_crate_paths() {
     assert!(is_emitted("lmmir_requests_total", &emitted));
     assert!(!is_emitted("lmmir_result_cache_hits_total", &emitted));
     assert!(!is_emitted("lmmir_requests", &emitted));
+}
+
+#[test]
+fn series_scanner_skips_crate_names_in_prose() {
+    let named =
+        documented_series("the `lmmir_par` span, then `lmmir_bogus_total` and lmmir_tensor.");
+    assert_eq!(named.into_iter().collect::<Vec<_>>(), ["lmmir_bogus_total"]);
 }
