@@ -434,10 +434,14 @@ fn bmm_with(layout: Layout, op: &'static str, a: &Tensor, b: &Tensor) -> Result<
     }
     let mut out = Tensor::zeros(&[ba, m, n]);
     if m * n > 0 {
+        let (a, b) = (a.data(), b.data());
         let mut planes: Vec<_> = out.data_mut().chunks_mut(m * n).collect();
         for_each_entry(&mut planes, ba * m * k * n, |i, c| {
-            let (a, b) = (&a.data()[i * m * k..], &b.data()[i * k * n..]);
-            gemm(layout, m, k, n, &a[..m * k], &b[..k * n], c);
+            let (a, b) = (
+                &a[i * m * k..(i + 1) * m * k],
+                &b[i * k * n..(i + 1) * k * n],
+            );
+            gemm(layout, m, k, n, a, b, c);
         });
     }
     Ok(out)
